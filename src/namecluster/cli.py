@@ -84,9 +84,19 @@ def load_analysis_inputs(config, args):
     except TypeError as exc:
         raise ConfigError(f"bad observed record: {exc}") from exc
     rules = build_rules(config, args)
-    n2 = int(setting(config, args, "analysis", "n2", "1100"))
-    threads = int(setting(config, args, "analysis", "threads", "1"))
-    return onom, name, descriptors, observed, rules, n2, threads
+    return onom, name, descriptors, observed, rules, parse_n2(config, args)
+
+
+def parse_n2(config, args) -> int:
+    """The number of candidate tombs: an integer of at least 1."""
+    raw = setting(config, args, "analysis", "n2", "1100")
+    try:
+        n2 = int(raw)
+    except ValueError:
+        n2 = 0
+    if n2 < 1:
+        raise ConfigError(f"n2 must be an integer >= 1, got {raw!r}")
+    return n2
 
 
 def emit(rows, fmt, out):
@@ -108,11 +118,11 @@ def emit(rows, fmt, out):
 
 
 def cmd_analyze(config, args, out):
-    onom, name, descriptors, observed, rules, n2, threads = \
+    onom, name, descriptors, observed, rules, n2 = \
         load_analysis_inputs(config, args)
     spec = build_spec(onom, descriptors, name=name)
     observed_rr = score(observed, spec, rules).value
-    result = enumerate_tail(spec, rules, observed_rr, threads=threads)
+    result = enumerate_tail(spec, rules, observed_rr)
     rows = [
         ("observed-rr", result.observed_rr, SIG),
         ("valid-mass-ratio", result.valid_ratio, SIG),
@@ -129,12 +139,11 @@ def cmd_analyze(config, args, out):
 
 
 def cmd_sweep(config, args, out):
-    onom, name, descriptors, observed, rules, n2, threads = \
+    onom, name, descriptors, observed, rules, n2 = \
         load_analysis_inputs(config, args)
     suite_source = setting(config, args, "sweep", "suite", "bundled")
     suite = load_suite(suite_source)
-    reports = run_suite(onom, descriptors, rules, observed, suite, n2=n2,
-                        threads=threads)
+    reports = run_suite(onom, descriptors, rules, observed, suite, n2=n2)
     fmt = setting(config, args, "output", "format", "table")
     if fmt == "records":
         for r in reports:
@@ -192,7 +201,7 @@ def cmd_infer(config, args, out):
     if raw_q is None:
         raise ConfigError("infer requires --q")
     q = parse_fraction(str(raw_q))
-    n2 = int(setting(config, args, "analysis", "n2", "1100"))
+    n2 = parse_n2(config, args)
     if (args.theta or args.alpha) and beta_of(q, n2) >= 1:
         raise InferenceError("(n2-1)*q must be below 1 for the bound formulas")
     rows = [("adjusted-p", adjusted_p(q, n2), SIG),
@@ -211,7 +220,7 @@ def cmd_infer(config, args, out):
 
 
 def cmd_validate_config(config, args, out):
-    onom, name, descriptors, observed, rules, n2, threads = \
+    onom, name, descriptors, observed, rules, _ = \
         load_analysis_inputs(config, args)
     spec = build_spec(onom, descriptors, name=name)
     score(observed, spec, rules)  # must be a valid configuration
@@ -238,7 +247,6 @@ def build_parser():
         p.add_argument("--hypothesis", dest="file",
                        help="hypothesis config path or 'bundled'")
         p.add_argument("--n2", help="number of candidate tombs")
-        p.add_argument("--threads", help="enumeration worker threads")
         p.add_argument("--format", help="table or records")
         p.add_argument("--bonus-divisor", dest="bonus_divisor")
         p.add_argument("--unknown-son-factor", dest="unknown_son_factor")

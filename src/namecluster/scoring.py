@@ -35,6 +35,18 @@ The adjustment ledger, in the order audited against the reference analysis:
 A father Yosef who is also a singleton while a Yoseh is present falls under
 none of the written adjustments; the pair is unknowable and scores 1 (this
 is what reproduces the reference valid and tail masses exactly).
+
+The male score factors exactly as
+
+  singleton_part(s1, s2, father)
+    * generational_part(father, son, father_is_singleton, yoseh_in_singles)
+    / bonus(father, son)
+
+R3, R4 and R7 touch only the singleton part, R14 only the bonus, and the
+generational part sees the singletons only through the two flags.
+``score_male_slots`` is this composition; the enumerator in ``tailspace``
+relies on it to score M^3 singleton triples and 4 M^2 pairs instead of M^4
+tuples.
 """
 
 from __future__ import annotations
@@ -106,11 +118,20 @@ TALPIYOT = TombConfiguration(
     father=YOSEF, son=YESHUA)
 
 
+def collides(a: Category, b: Category) -> bool:
+    """Whether two categories may not fill two slots of one tomb.
+
+    Equality is category-level; the Other category never collides with
+    itself.
+    """
+    return a.label == b.label and a.kind != OTHER_KIND
+
+
 def validate(config: TombConfiguration, spec: HypothesisSpec) -> str | None:
     """Return the reason a configuration is impossible, or None when valid.
 
-    Equality is category-level; the Other category never collides with
-    itself. A father may share a category with a singleton.
+    Slots collide as judged by ``collides``. A father may share a category
+    with a singleton.
     """
     w1 = spec.category("female", config.woman1)
     w2 = spec.category("female", config.woman2)
@@ -118,9 +139,6 @@ def validate(config: TombConfiguration, spec: HypothesisSpec) -> str | None:
     s2 = spec.category("male", config.singleton2)
     father = spec.category("male", config.father)
     son = spec.category("male", config.son)
-
-    def collides(a: Category, b: Category) -> bool:
-        return a.label == b.label and a.kind != OTHER_KIND
 
     if collides(w1, w2):
         return "duplicate woman"
@@ -133,9 +151,34 @@ def validate(config: TombConfiguration, spec: HypothesisSpec) -> str | None:
     return None
 
 
-def _generational_part(singles: tuple[str, str], father: Category, son: Category,
-                       rules: RuleLedger) -> Fraction:
-    """Pair contribution after the familial adjustments (before the bonus)."""
+def singleton_part(s1: Category, s2: Category, father: Category) -> Fraction:
+    """Product of the two singleton RR values after R3, R4 and R7."""
+    a1, a2 = s1.rr, s2.rr
+    if father.kind != OTHER_KIND:  # R3: a father-singleton is counted once
+        if s1.label == father.label:
+            a1 = Fraction(1)
+        elif s2.label == father.label:
+            a2 = Fraction(1)
+    if {s1.label, s2.label} == {YOSEF, YOSEH}:  # R4
+        if s1.label == YOSEF:
+            a1 = Fraction(1)
+        else:
+            a2 = Fraction(1)
+    if father.label == YOSEH:  # R7
+        if s1.label == YOSEF:
+            a1 = Fraction(1)
+        if s2.label == YOSEF:
+            a2 = Fraction(1)
+    return a1 * a2
+
+
+def generational_part(father: Category, son: Category, father_is_singleton: bool,
+                      yoseh_in_singles: bool, rules: RuleLedger) -> Fraction:
+    """Pair contribution after the familial adjustments (before the bonus).
+
+    Of the singletons it needs only whether one shares the father's label and
+    whether one is Yoseh.
+    """
     one = Fraction(1)
 
     def named_for_relative(allowed: tuple[str, ...]) -> Fraction:
@@ -145,8 +188,7 @@ def _generational_part(singles: tuple[str, str], father: Category, son: Category
             return one
         return one
 
-    father_is_singleton = father.label in singles
-    yoseh_present = YOSEH in singles or son.label == YOSEH
+    yoseh_present = yoseh_in_singles or son.label == YOSEH
 
     if father.kind == OTHER_KIND:
         return one  # R2
@@ -182,6 +224,13 @@ def _generational_part(singles: tuple[str, str], father: Category, son: Category
     return father.rr * (son.rr if son.kind != OTHER_KIND else one)
 
 
+def bonus(father: Category, son: Category, rules: RuleLedger) -> Fraction:
+    """Divisor applied to the whole score (R14)."""
+    if father.label == YOSEF and son.label == YESHUA:
+        return rules.bonus_divisor
+    return Fraction(1)
+
+
 def score_male_slots(singleton1: str, singleton2: str, father_label: str,
                      son_label: str, spec: HypothesisSpec,
                      rules: RuleLedger) -> tuple[Fraction, Fraction, Fraction]:
@@ -190,30 +239,11 @@ def score_male_slots(singleton1: str, singleton2: str, father_label: str,
     s2 = spec.category("male", singleton2)
     father = spec.category("male", father_label)
     son = spec.category("male", son_label)
-
-    a1, a2 = s1.rr, s2.rr
-    if father.kind != OTHER_KIND:  # R3: a father-singleton is counted once
-        if s1.label == father.label:
-            a1 = Fraction(1)
-        elif s2.label == father.label:
-            a2 = Fraction(1)
-    if {s1.label, s2.label} == {YOSEF, YOSEH}:  # R4
-        if s1.label == YOSEF:
-            a1 = Fraction(1)
-        else:
-            a2 = Fraction(1)
-    if father.label == YOSEH:  # R7
-        if s1.label == YOSEF:
-            a1 = Fraction(1)
-        if s2.label == YOSEF:
-            a2 = Fraction(1)
-
-    generational_part = _generational_part(
-        (s1.label, s2.label), father, son, rules)
-    bonus = Fraction(1)
-    if father.label == YOSEF and son.label == YESHUA:  # R14
-        bonus = rules.bonus_divisor
-    return a1 * a2, generational_part, bonus
+    singles = (s1.label, s2.label)
+    return (singleton_part(s1, s2, father),
+            generational_part(father, son, father.label in singles,
+                              YOSEH in singles, rules),
+            bonus(father, son, rules))
 
 
 def score(config: TombConfiguration, spec: HypothesisSpec,
@@ -224,11 +254,11 @@ def score(config: TombConfiguration, spec: HypothesisSpec,
         raise ContractViolation(reason)
     w1 = spec.category("female", config.woman1)
     w2 = spec.category("female", config.woman2)
-    singleton_part, generational_part, bonus = score_male_slots(
+    singles, generational, divisor = score_male_slots(
         config.singleton1, config.singleton2, config.father, config.son,
         spec, rules)
     women_part = w1.rr * w2.rr
-    value = women_part * singleton_part * generational_part / bonus
+    value = women_part * singles * generational / divisor
     return RRValue(value=value, women_part=women_part,
-                   singleton_part=singleton_part,
-                   generational_part=generational_part, bonus_applied=bonus)
+                   singleton_part=singles, generational_part=generational,
+                   bonus_applied=divisor)

@@ -102,12 +102,11 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
 
 def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
                  rules: RuleLedger, observed: TombConfiguration,
-                 scenario: Scenario, n2: int = 1100,
-                 threads: int = 1) -> ScenarioReport:
+                 scenario: Scenario, n2: int = 1100) -> ScenarioReport:
     new_desc, new_rules = apply_deltas(descriptors, rules, scenario)
     spec = build_spec(onom, new_desc, name=scenario.name)
     observed_rr = score(observed, spec, new_rules).value
-    result = enumerate_tail(spec, new_rules, observed_rr, threads=threads)
+    result = enumerate_tail(spec, new_rules, observed_rr)
     adjusted = n2 * result.proportion
     matches = None
     if scenario.reference is not None:
@@ -119,14 +118,13 @@ def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
 
 def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
               rules: RuleLedger, observed: TombConfiguration,
-              suite: Sequence[Scenario], n2: int = 1100,
-              threads: int = 1) -> list[ScenarioReport]:
+              suite: Sequence[Scenario], n2: int = 1100) -> list[ScenarioReport]:
     """Run scenarios in order; a failing scenario yields an error report."""
     reports = []
     for scenario in suite:
         try:
             reports.append(run_scenario(onom, descriptors, rules, observed,
-                                        scenario, n2=n2, threads=threads))
+                                        scenario, n2=n2))
         except (SpecificationError, ParseError, ValueError) as exc:
             reports.append(ScenarioReport(name=scenario.name,
                                           reference=scenario.reference,

@@ -4,22 +4,42 @@ Samples are ordered 6-tuples (woman1, woman2, singleton1, singleton2,
 father, son) of categories. Each tuple carries mass equal to the product of
 its category person-counts (weights times gender totals), so the full space
 has mass female_total^2 * male_total^4. Tuples failing the realism
-constraints count only toward the total; valid tuples whose RR score is at
-most the observed value (exact rational comparison, no epsilon) form the
-tail. With ``require_yeshua_in_tomb`` set, a valid tuple joins the tail only
-if the Yeshua category occupies the son slot or a singleton slot.
+constraints (``scoring.collides``) count only toward the total; valid tuples
+whose RR score is at most the observed value (exact rational comparison, no
+epsilon) form the tail. With ``require_yeshua_in_tomb`` set, a valid tuple
+joins the tail only if the Yeshua category occupies the son slot or a
+singleton slot.
+
+The enumeration stays exact without a Fraction per tuple:
+
+* Factorisation. A male score is singleton_part(s1, s2, father) times
+  generational_part(father, son, father_is_singleton, yoseh_in_singles)
+  over bonus(father, son) (see ``scoring``). The ledger is called for the
+  M^3 singleton triples and the 4 M^2 (father, son, flags) pairs, never for
+  the M^4 male tuples.
+* Integer scaling. The singleton parts, the generational parts over their
+  bonus, and the category person-counts of each gender are each multiplied
+  by the lcm of their denominators, so every one is an exact int. A male
+  score is then s * g / D with D the product of the first two scales.
+* Bucketing. A tuple is in the tail for a women pair of score w exactly when
+  s * g <= floor(observed * D / w), because s * g is an int. The distinct
+  thresholds of the women pairs are sorted once; each valid male tuple adds
+  its int mass to the bucket that ``bisect`` gives for s * g, and bucket i
+  is in the tail for every women pair whose threshold is at or above the
+  i-th. Tail mass is the sum of bucket masses times those women-pair masses,
+  turned into one Fraction at the end.
 """
 
 from __future__ import annotations
 
 import bisect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import lcm
 
-from .candidates import OTHER_KIND, HypothesisSpec
-from .scoring import YESHUA, RuleLedger, score_male_slots
+from .candidates import HypothesisSpec
+from .scoring import (YESHUA, YOSEH, RuleLedger, bonus, collides,
+                      generational_part, singleton_part)
 
 
 @dataclass(frozen=True)
@@ -40,81 +60,81 @@ def tuple_space_size(spec: HypothesisSpec) -> int:
     return spec.female_total ** 2 * spec.male_total ** 4
 
 
-def _men_tuples(spec: HypothesisSpec, rules: RuleLedger, threads: int):
-    """Score all valid ordered male 4-tuples; returns (tuples, valid_mass).
-
-    Each entry is (score, mass, tail_eligible). Masses are in person counts.
-    """
-    men = spec.men
-    mt = spec.male_total
-    counts = {c.label: c.weight * mt for c in men}
-    other = {c.label for c in men if c.kind == OTHER_KIND}
-
-    combos = []
-    for s1, s2, f, son in product([c.label for c in men], repeat=4):
-        if s1 == s2 and s1 not in other:
-            continue
-        if f == son and f not in other:
-            continue
-        if son not in other and son in (s1, s2):
-            continue
-        combos.append((s1, s2, f, son))
-
-    def score_one(combo):
-        s1, s2, f, son = combo
-        singles, gen, bonus = score_male_slots(s1, s2, f, son, spec, rules)
-        mass = counts[s1] * counts[s2] * counts[f] * counts[son]
-        eligible = YESHUA in (s1, s2, son)
-        return (singles * gen / bonus, mass, eligible)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(combos) // threads)
-            parts = [combos[i:i + chunk] for i in range(0, len(combos), chunk)]
-            scored = []
-            for batch in pool.map(lambda part: [score_one(c) for c in part], parts):
-                scored.extend(batch)
-    else:
-        scored = [score_one(c) for c in combos]
-
-    valid_mass = sum((m for _, m, _ in scored), Fraction(0))
-    scored.sort(key=lambda t: t[0])
-    return scored, valid_mass
+def _scaled(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(d, [v * d]) with d the lcm of the denominators: every v * d is an int."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
-                   threads: int = 1) -> TailResult:
+def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger,
+                   observed: Fraction) -> TailResult:
     """Total, valid, and tail mass of the sample space against ``observed``."""
     if observed <= 0:
         raise ValueError("observed RR must be positive")
-    ft = spec.female_total
-    women = spec.women
-    wcounts = {c.label: c.weight * ft for c in women}
-    wother = {c.label for c in women if c.kind == OTHER_KIND}
-    wrr = {c.label: c.rr for c in women}
+    women, men = spec.women, spec.men
+    m = len(men)
+    wd, wcount = _scaled([c.weight * spec.female_total for c in women])
+    md, mcount = _scaled([c.weight * spec.male_total for c in men])
+    # singles[(a * m + b) * m + f] for singletons a, b and father f
+    sd, singles = _scaled([singleton_part(a, b, f)
+                           for a in men for b in men for f in men])
+    # gen_rows[f, father_is_singleton, yoseh_in_singles][son]
+    keys = [(f, fis, yis) for f in range(m)
+            for fis in (False, True) for yis in (False, True)]
+    gd, gens = _scaled([generational_part(men[f], son, fis, yis, rules)
+                        / bonus(men[f], son, rules)
+                        for f, fis, yis in keys for son in men])
+    gen_rows = {key: gens[i * m:(i + 1) * m] for i, key in enumerate(keys)}
+    scale = sd * gd
 
-    wpairs = []
-    valid_w = Fraction(0)
-    for w1, w2 in product([c.label for c in women], repeat=2):
-        if w1 == w2 and w1 not in wother:
-            continue
-        mass = wcounts[w1] * wcounts[w2]
-        valid_w += mass
-        wpairs.append((wrr[w1] * wrr[w2], mass))
+    # women pairs: mass per distinct threshold floor(observed * scale / w)
+    valid_w = 0
+    by_threshold: dict[int, int] = {}
+    for i, w1 in enumerate(women):
+        for j, w2 in enumerate(women):
+            if collides(w1, w2):
+                continue
+            mass = wcount[i] * wcount[j]
+            valid_w += mass
+            t = observed * scale // (w1.rr * w2.rr)
+            by_threshold[t] = by_threshold.get(t, 0) + mass
+    thresholds = sorted(by_threshold)
+    # women mass whose threshold is at or above thresholds[i]
+    women_at_or_above = [0] * (len(thresholds) + 1)
+    for i in range(len(thresholds) - 1, -1, -1):
+        women_at_or_above[i] = women_at_or_above[i + 1] + by_threshold[thresholds[i]]
 
-    men_scored, valid_m = _men_tuples(spec, rules, threads)
-    scores = [t[0] for t in men_scored]
-    pref = [Fraction(0)]
-    for sc, mass, eligible in men_scored:
-        add = mass if (eligible or not rules.require_yeshua_in_tomb) else Fraction(0)
-        pref.append(pref[-1] + add)
+    clash = [[collides(a, b) for b in men] for a in men]
+    is_yeshua = [c.label == YESHUA for c in men]
+    buckets = [0] * (len(thresholds) + 1)
+    valid_m = 0
+    for a, s1 in enumerate(men):
+        for b, s2 in enumerate(men):
+            if clash[a][b]:
+                continue
+            labels = (s1.label, s2.label)
+            yeshua_single = is_yeshua[a] or is_yeshua[b]
+            sons = [son for son in range(m)
+                    if not clash[son][a] and not clash[son][b]]
+            mass_ab = mcount[a] * mcount[b]
+            for f, father in enumerate(men):
+                s = singles[(a * m + b) * m + f]
+                gen = gen_rows[f, father.label in labels, YOSEH in labels]
+                mass_abf = mass_ab * mcount[f]
+                for son in sons:
+                    if clash[f][son]:
+                        continue
+                    mass = mass_abf * mcount[son]
+                    valid_m += mass
+                    if (rules.require_yeshua_in_tomb and not yeshua_single
+                            and not is_yeshua[son]):
+                        continue
+                    buckets[bisect.bisect_left(thresholds, s * gen[son])] += mass
 
-    tail = Fraction(0)
-    for wsc, wmass in wpairs:
-        idx = bisect.bisect_right(scores, observed / wsc)
-        tail += wmass * pref[idx]
-
+    tail = sum(n * w for n, w in zip(buckets, women_at_or_above))
+    denominator = wd ** 2 * md ** 4
     total = Fraction(tuple_space_size(spec))
-    valid = valid_w * valid_m
-    return TailResult(total_mass=total, valid_mass=valid, tail_mass=tail,
-                      proportion=tail / valid, observed_rr=observed)
+    valid = Fraction(valid_w * valid_m, denominator)
+    tail_mass = Fraction(tail, denominator)
+    return TailResult(total_mass=total, valid_mass=valid, tail_mass=tail_mass,
+                      proportion=tail_mass / valid, observed_rr=observed)

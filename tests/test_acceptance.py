@@ -169,7 +169,7 @@ class TestCriterion7OracleEquivalence:
 
 
 class TestCriterion8Properties:
-    def test_property_suite(self, baseline, rules, baseline_run):
+    def test_property_suite(self, baseline, rules):
         # per-gender weight normalization
         assert sum(c.weight for c in baseline.women) == 1
         assert sum(c.weight for c in baseline.men) == 1
@@ -197,12 +197,8 @@ class TestCriterion8Properties:
             if validate(nc.TombConfiguration("MM", "Marya", a, b, f, son),
                         baseline) is None]
         assert observed_value == min(values)
-
-        # determinism across thread counts
-        threaded = enumerate_tail(baseline, rules, observed_value, threads=3)
-        assert threaded == baseline_run
         print("\nPASS criterion 8: RR in (0,1], swap symmetry, arrangement "
-              "minimality, weight normalization, thread determinism "
+              "minimality, weight normalization "
               "(Other-substitution monotonicity holds outside the documented "
               "father-coincidence exception; see test_scoring.py)")
 

@@ -54,8 +54,14 @@ class TestAnalyze:
         assert code == 0
         assert "0.000726" in text
 
-    def test_threads_knob_changes_nothing(self):
-        assert run_cli("analyze", "--threads", "3") == run_cli("analyze")
+    @pytest.mark.parametrize("command", [["analyze"], ["infer", "--q", "1/9"]],
+                             ids=["analyze", "infer"])
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_bad_n2_exits_2_naming_n2(self, command, value, capsys):
+        code, text = run_cli(*command, "--n2", value)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "n2" in err[0]
 
 
 class TestSweep:

@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import namecluster as nc
-from namecluster.scoring import TALPIYOT, RuleLedger, score
+from namecluster.candidates import CandidateDescriptor
+from namecluster.scoring import (TALPIYOT, YOSEH, RuleLedger, bonus,
+                                 generational_part, score, score_male_slots,
+                                 singleton_part, validate)
 from namecluster.tailspace import enumerate_tail, tuple_space_size
 
 from conftest import make_spec, random_synthetic
@@ -20,6 +24,35 @@ OBSERVED = Fraction(1398590935, 96503906751050832)
 TOTAL = 3982182593561618329
 VALID = Fraction(230947400931515207622741, 64009)
 TAIL = Fraction(253644329313582025, 128018)
+
+# bundled male generics added to the baseline for the larger frozen spaces
+PLUS_8 = ("Simon", "Judah", "Eleazar", "Yochanan", "Hananiah", "Yonathan",
+          "Matthew", "Cleopas")                                   # M = 13
+PLUS_12 = PLUS_8 + ("Menachem", "Hanan", "Alexander", "Dositheus")  # M = 17
+NON_DEFAULT = RuleLedger(require_yeshua_in_tomb=True, allow_father_yeshua=True,
+                         count_unknown_sons=False, bonus_divisor=Fraction(1))
+# (added generics, ledger) -> (valid mass, tail mass), captured from the
+# per-tuple Fraction enumerator that scored and sorted every male 4-tuple
+FROZEN = {
+    (PLUS_8, "default"): (
+        Fraction(209973101902093839843527, 64009),
+        Fraction(9382065562453838001683, 11777656)),
+    (PLUS_8, "non-default"): (
+        Fraction(209973101902093839843527, 64009),
+        Fraction(65054892920159633941, 256036)),
+    (PLUS_12, "default"): (
+        Fraction(827020242279943413567, 253),
+        Fraction(3671949731247729278569, 1070696)),
+    (PLUS_12, "non-default"): (
+        Fraction(827020242279943413567, 253),
+        Fraction(210845163735445426701, 256036)),
+}
+
+
+def grown_spec(onom, added):
+    return nc.build_spec(onom, nc.BASELINE_DESCRIPTORS + tuple(
+        CandidateDescriptor(f"extra_{name.lower()}", "male", name, "generic")
+        for name in added))
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +92,6 @@ class TestBaselineEnumeration:
         result = enumerate_tail(baseline, rules, Fraction(1))
         assert result.proportion == 1
 
-    def test_thread_counts_agree_exactly(self, baseline, rules):
-        serial = enumerate_tail(baseline, rules, OBSERVED, threads=1)
-        threaded = enumerate_tail(baseline, rules, OBSERVED, threads=4)
-        assert serial == threaded
-
     def test_requiring_yeshua_shrinks_the_tail(self, baseline, rules):
         restricted = enumerate_tail(
             baseline, rules.with_params(require_yeshua_in_tomb=True), OBSERVED)
@@ -73,6 +101,33 @@ class TestBaselineEnumeration:
     def test_nonpositive_observed_rejected(self, baseline, rules):
         with pytest.raises(ValueError):
             enumerate_tail(baseline, rules, Fraction(0))
+
+
+class TestFrozenLargerSpaces:
+    @pytest.mark.parametrize("added,ledger", list(FROZEN),
+                             ids=[f"M{5 + len(a)}-{r}" for a, r in FROZEN])
+    def test_masses(self, onom, added, ledger):
+        spec = grown_spec(onom, added)
+        rules = RuleLedger() if ledger == "default" else NON_DEFAULT
+        result = enumerate_tail(spec, rules, score(TALPIYOT, spec, rules).value)
+        assert (result.valid_mass, result.tail_mass) == FROZEN[added, ledger]
+
+    @pytest.mark.parametrize("rules", [RuleLedger(), NON_DEFAULT],
+                             ids=["default", "non-default"])
+    def test_male_score_factorisation(self, onom, rules):
+        spec = grown_spec(onom, PLUS_8)
+        men = {c.label: c for c in spec.men}
+        for s1, s2, f, son in product(men, repeat=4):
+            config = nc.TombConfiguration("MM", "Marya", s1, s2, f, son)
+            if validate(config, spec) is not None:
+                continue
+            father = men[f]
+            factored = (singleton_part(men[s1], men[s2], father)
+                        * generational_part(father, men[son], f in (s1, s2),
+                                            YOSEH in (s1, s2), rules)
+                        / bonus(father, men[son], rules))
+            singles, gen, divisor = score_male_slots(s1, s2, f, son, spec, rules)
+            assert factored == singles * gen / divisor, (s1, s2, f, son)
 
 
 class TestPersonLevelOracle:
