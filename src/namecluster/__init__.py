@@ -5,38 +5,49 @@ onomasticon with a relevance-and-rareness (RR) product, exactly enumerates
 the null distribution of RR values under realism constraints, and converts
 tail proportions into adjusted p-values, posterior odds, and lower
 confidence bounds. All core arithmetic is exact rational.
-"""
 
-from .candidates import (ADDON_DESCRIPTORS, BASELINE_DESCRIPTORS, Category,
-                         CandidateDescriptor, HypothesisSpec,
-                         RenditionClassChain, SpecificationError, assign_rr,
-                         baseline_spec, build_spec, load_hypothesis_config)
-from .demography import DemographyParams, DemographyResult, run_pipeline
-from .inference import (InferenceInput, InferenceResult, adjusted_p, beta_of,
-                        infer, odds_lower_bound, posterior_odds,
-                        tau, theta_lower_bound)
-from .onomasticon import (GenericNameCount, Onomasticon, RenditionSlice,
-                          dump_onomasticon, load_onomasticon, residual_weight,
-                          slice_frequency)
-from .scoring import (TALPIYOT, ContractViolation, RRValue, RuleLedger,
-                      TombConfiguration, score, validate)
-from .sensitivity import (Delta, Scenario, ScenarioReport, load_suite,
-                          run_scenario, run_suite)
-from .tailspace import TailResult, enumerate_tail, tuple_space_size
+The public names below load on first use: ``namecluster.X`` or
+``from namecluster import X`` imports only the submodule that defines ``X``,
+so a CLI subcommand pays for the modules it runs and no others.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADDON_DESCRIPTORS", "BASELINE_DESCRIPTORS", "CandidateDescriptor",
-    "Category", "ContractViolation", "Delta", "DemographyParams",
-    "DemographyResult", "GenericNameCount", "HypothesisSpec",
-    "InferenceInput", "InferenceResult", "Onomasticon", "RRValue",
-    "RenditionClassChain", "RenditionSlice", "RuleLedger", "Scenario",
-    "ScenarioReport", "SpecificationError", "TALPIYOT", "TailResult",
-    "TombConfiguration", "adjusted_p", "assign_rr", "baseline_spec",
-    "beta_of", "build_spec", "dump_onomasticon", "enumerate_tail", "infer",
-    "load_hypothesis_config", "load_onomasticon", "load_suite",
-    "odds_lower_bound", "posterior_odds", "residual_weight", "run_pipeline",
-    "run_scenario", "run_suite", "score", "slice_frequency", "tau",
-    "theta_lower_bound", "tuple_space_size", "validate",
-]
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "candidates": ("ADDON_DESCRIPTORS", "BASELINE_DESCRIPTORS",
+                       "CandidateDescriptor", "Category", "HypothesisSpec",
+                       "SpecificationError", "assign_rr", "baseline_spec",
+                       "build_spec", "load_hypothesis_config"),
+        "demography": ("DemographyParams", "DemographyResult", "run_pipeline"),
+        "inference": ("InferenceInput", "InferenceResult", "adjusted_p",
+                      "beta_of", "infer", "odds_lower_bound", "posterior_odds",
+                      "tau", "theta_lower_bound"),
+        "onomasticon": ("GenericNameCount", "Onomasticon", "RenditionSlice",
+                        "dump_onomasticon", "load_onomasticon",
+                        "residual_weight", "slice_frequency"),
+        "scoring": ("TALPIYOT", "ContractViolation", "RRValue", "RuleLedger",
+                    "TombConfiguration", "score", "validate"),
+        "sensitivity": ("Delta", "Scenario", "ScenarioReport", "load_suite",
+                        "run_scenario", "run_suite"),
+        "tailspace": ("TailResult", "enumerate_tail", "tuple_space_size"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import the submodule that defines ``name`` and cache the name here."""
+    from importlib import import_module
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

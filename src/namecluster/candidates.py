@@ -16,8 +16,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .onomasticon import (FEMALE, MALE, Onomasticon, ParseError,
-                          RenditionSlice, parse_fraction, slice_frequency)
+from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, ParseError,
+                          implied_count, parse_fraction, slice_frequency)
 
 OTHER = "Other"
 
@@ -26,28 +26,8 @@ RESIDUAL_GENERIC = "residual_generic"
 OTHER_KIND = "other"
 
 
-class SpecificationError(ValueError):
+class SpecificationError(InputError):
     """A candidate list cannot be realized (duplicates, negative residuals...)."""
-
-
-@dataclass(frozen=True)
-class RenditionClassChain:
-    """Nested rendition classes for one person, innermost (rarest) first."""
-
-    person: str
-    classes: tuple[RenditionSlice, ...]
-
-    def __post_init__(self):
-        if not self.classes:
-            raise SpecificationError(f"chain for {self.person}: no classes")
-        for inner, outer in zip(self.classes, self.classes[1:]):
-            if (inner.ossuary_matching / inner.ossuary_generic
-                    > outer.ossuary_matching / outer.ossuary_generic):
-                raise SpecificationError(
-                    f"chain for {self.person}: classes must widen outward")
-
-    def rarest(self) -> RenditionSlice:
-        return self.classes[0]
 
 
 @dataclass(frozen=True)
@@ -167,8 +147,7 @@ def _weight(onom: Onomasticon, desc: CandidateDescriptor,
                     carved += sib.weight * total * sib.scale
                 else:
                     slc = onom.slice(sib.generic, sib.rendition_class)
-                    carved += (slc.ossuary_matching / slc.ossuary_generic
-                               * onom.generic(sib.generic).total_persons * sib.scale)
+                    carved += implied_count(slc, onom.generic(sib.generic)) * sib.scale
         residual = onom.generic(desc.generic).total_persons - carved
         if residual < 0:
             raise SpecificationError(

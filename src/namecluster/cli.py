@@ -11,19 +11,16 @@ both are byte-deterministic for identical inputs. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 from fractions import Fraction
 
-from .candidates import SpecificationError, build_spec, load_hypothesis_config
-from .demography import DemographyParams, ParameterError, run_pipeline
-from .inference import (InferenceError, adjusted_p, beta_of, odds_lower_bound,
-                        posterior_odds, theta_lower_bound)
-from .onomasticon import OnomasticonError, format_fraction, load_onomasticon, \
+# sensitivity, demography and inference are imported by the commands that run
+# them, so that a CLI start loads only what its subcommand needs
+from .candidates import build_spec, load_hypothesis_config
+from .onomasticon import InputError, format_fraction, load_onomasticon, \
     parse_fraction
 from .scoring import ContractViolation, RuleLedger, TombConfiguration, score
-from .sensitivity import load_suite, run_suite
 from .tailspace import enumerate_tail, tuple_space_size
 
 SIG = 4  # default report precision for tail areas
@@ -33,40 +30,51 @@ def dec(value, sig: int = SIG) -> str:
     return f"{float(value):.{sig}g}"
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(InputError):
+    """A setting from the command line or the --config file is unusable."""
 
 
 def read_config(path):
+    """The parsed --config file, or None when none is given."""
+    if not path:
+        return None
+    import configparser
     parser = configparser.ConfigParser()
-    if path:
-        loaded = parser.read(path)
-        if not loaded:
-            raise ConfigError(f"config file not found: {path}")
-    return parser
+    try:
+        if parser.read(path):
+            return parser
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(f"config file {path}: {exc}".split())) from exc
+    raise ConfigError(f"config file not found: {path}")
 
 
-def setting(config, args, section, key, default=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if config.has_option(section, key):
-        return config.get(section, key)
-    return default
+def setting(config, args, section, key, default=None, parse=None):
+    """The flag, else the --config value, else ``default``; typed by ``parse``."""
+    raw = getattr(args, key, None)
+    if raw is None:
+        raw = default if config is None else config.get(section, key, fallback=default)
+    return raw if raw is None or parse is None else parse_value(key, raw, parse)
+
+
+def parse_value(key, raw, parse=parse_fraction):
+    """``parse(raw)`` for setting ``key``; a bad value raises ConfigError."""
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError):
+        kind = "an integer" if parse is int else "a fraction a/b or a decimal"
+        raise ConfigError(f"--{key.replace('_', '-')} must be {kind}, got {raw!r}") from None
 
 
 def build_rules(config, args) -> RuleLedger:
     def flag(name, default):
         raw = setting(config, args, "rules", name, default)
-        if isinstance(raw, bool):
-            return raw
-        return str(raw).lower() in ("on", "true", "1", "yes")
+        return raw.lower() in ("on", "true", "1", "yes")
 
     return RuleLedger(
-        bonus_divisor=parse_fraction(str(setting(config, args, "rules",
-                                                 "bonus_divisor", "6/5"))),
-        unknown_son_factor=parse_fraction(str(setting(config, args, "rules",
-                                                      "unknown_son_factor", "5"))),
+        bonus_divisor=setting(config, args, "rules", "bonus_divisor", "6/5",
+                              parse_fraction),
+        unknown_son_factor=setting(config, args, "rules", "unknown_son_factor",
+                                   "5", parse_fraction),
         require_yeshua_in_tomb=flag("require_yeshua_in_tomb", "off"),
         allow_father_yeshua=flag("allow_father_yeshua", "off"),
         count_unknown_sons=flag("count_unknown_sons", "on"))
@@ -89,13 +97,9 @@ def load_analysis_inputs(config, args):
 
 def parse_n2(config, args) -> int:
     """The number of candidate tombs: an integer of at least 1."""
-    raw = setting(config, args, "analysis", "n2", "1100")
-    try:
-        n2 = int(raw)
-    except ValueError:
-        n2 = 0
+    n2 = setting(config, args, "analysis", "n2", "1100", int)
     if n2 < 1:
-        raise ConfigError(f"n2 must be an integer >= 1, got {raw!r}")
+        raise ConfigError(f"--n2 must be an integer >= 1, got {n2}")
     return n2
 
 
@@ -129,23 +133,22 @@ def cmd_analyze(config, args, out):
         ("proportion", result.proportion, SIG),
         ("adjusted-area", n2 * result.proportion, SIG),
     ]
-    fmt = setting(config, args, "output", "format", "table")
-    if fmt == "records":
+    if args.format == "records":
         rows += [("tuple-space", Fraction(tuple_space_size(spec)), 10),
                  ("valid-mass", result.valid_mass, 10),
                  ("tail-mass", result.tail_mass, 10)]
-    emit(rows, fmt, out)
+    emit(rows, args.format, out)
     return 0
 
 
 def cmd_sweep(config, args, out):
+    from .sensitivity import load_suite, run_suite
     onom, name, descriptors, observed, rules, n2 = \
         load_analysis_inputs(config, args)
     suite_source = setting(config, args, "sweep", "suite", "bundled")
     suite = load_suite(suite_source)
     reports = run_suite(onom, descriptors, rules, observed, suite, n2=n2)
-    fmt = setting(config, args, "output", "format", "table")
-    if fmt == "records":
+    if args.format == "records":
         for r in reports:
             record = {"scenario": r.name}
             if r.error:
@@ -172,16 +175,16 @@ def cmd_sweep(config, args, out):
 
 
 def cmd_demography(config, args, out):
+    from .demography import DemographyParams, run_pipeline
     kwargs = {}
-    for name in ("total_deceased", "tomb_size"):
-        raw = setting(config, args, "demography", name)
-        if raw is not None:
-            kwargs[name] = int(raw)
-    for name in ("non_jewish_fraction", "juvenile_fraction",
-                 "literacy_affluence_fraction", "female_male_inscription_ratio"):
-        raw = setting(config, args, "demography", name)
-        if raw is not None:
-            kwargs[name] = parse_fraction(str(raw))
+    for name, parse in (("total_deceased", int), ("tomb_size", int),
+                        ("non_jewish_fraction", parse_fraction),
+                        ("juvenile_fraction", parse_fraction),
+                        ("literacy_affluence_fraction", parse_fraction),
+                        ("female_male_inscription_ratio", parse_fraction)):
+        value = setting(config, args, "demography", name, parse=parse)
+        if value is not None:
+            kwargs[name] = value
     result = run_pipeline(DemographyParams(**kwargs))
     rows = [
         ("deceased-per-gender", Fraction(result.deceased_per_gender), 6),
@@ -192,34 +195,36 @@ def cmd_demography(config, args, out):
         ("excavated", Fraction(result.excavated), 6),
         ("full-population-tombs", Fraction(result.full_population_tombs), 6),
     ]
-    emit(rows, setting(config, args, "output", "format", "table"), out)
+    emit(rows, args.format, out)
     return 0
 
 
 def cmd_infer(config, args, out):
-    raw_q = setting(config, args, "inference", "q")
-    if raw_q is None:
+    from .inference import (InferenceError, adjusted_p, beta_of,
+                            odds_lower_bound, posterior_odds, theta_lower_bound)
+    q = setting(config, args, "inference", "q", parse=parse_fraction)
+    if q is None:
         raise ConfigError("infer requires --q")
-    q = parse_fraction(str(raw_q))
     n2 = parse_n2(config, args)
     if (args.theta or args.alpha) and beta_of(q, n2) >= 1:
         raise InferenceError("(n2-1)*q must be below 1 for the bound formulas")
     rows = [("adjusted-p", adjusted_p(q, n2), SIG),
             ("beta", beta_of(q, n2), SIG)]
     for theta in args.theta or []:
-        t = parse_fraction(theta)
+        t = parse_value("theta", theta)
         rows.append((f"odds[theta={theta}]", posterior_odds(t, n2, q), SIG))
     for alpha in args.alpha or []:
-        a = parse_fraction(alpha)
+        a = parse_value("alpha", alpha)
         rows.append((f"theta-bound[alpha={alpha}]",
                      theta_lower_bound(a, n2, q), SIG))
         rows.append((f"odds-bound[alpha={alpha}]",
                      odds_lower_bound(a, n2, q), SIG))
-    emit(rows, setting(config, args, "output", "format", "table"), out)
+    emit(rows, args.format, out)
     return 0
 
 
 def cmd_validate_config(config, args, out):
+    from .sensitivity import load_suite
     onom, name, descriptors, observed, rules, _ = \
         load_analysis_inputs(config, args)
     spec = build_spec(onom, descriptors, name=name)
@@ -293,12 +298,15 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = read_config(args.config)
+        args.format = setting(config, args, "output", "format", "table")
+        if args.format not in ("table", "records"):
+            raise ConfigError(f"--format must be table or records, got {args.format!r}")
         return COMMANDS[args.command](config, args, out)
-    except (ConfigError, OnomasticonError, SpecificationError, ParameterError,
-            InferenceError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ContractViolation, ValueError) as exc:
+    except (ContractViolation, ValueError, OverflowError) as exc:
+        # OverflowError: a figure too large for the decimal report (float)
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
 

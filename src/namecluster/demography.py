@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .onomasticon import InputError
 
-class ParameterError(ValueError):
+
+class ParameterError(InputError):
     """A pipeline input or intermediate is out of range."""
 
 

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .onomasticon import InputError
 
-class InferenceError(ValueError):
-    pass
+
+class InferenceError(InputError):
+    """An inference input or quantity is out of range."""
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,11 @@ MALE = "male"
 GENDERS = (FEMALE, MALE)
 
 
-class OnomasticonError(ValueError):
+class InputError(ValueError):
+    """Base of every error in the program's inputs; the CLI exits 2 on it."""
+
+
+class OnomasticonError(InputError):
     """Base class for onomasticon data problems."""
 
 
@@ -263,9 +267,7 @@ def parse_onomasticon(text: str) -> Onomasticon:
                     ossuary_generic=parse_fraction(fields[4])))
             else:
                 raise ParseError(f"row {lineno}: unknown record kind {kind!r}")
-        except ParseError:
-            raise
-        except ValidationError:
+        except OnomasticonError:
             raise
         except (IndexError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"row {lineno}: {exc}") from exc

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 import namecluster as nc
 from namecluster.candidates import (ADDON_DESCRIPTORS, BASELINE_DESCRIPTORS,
-                                    CandidateDescriptor, RenditionClassChain,
-                                    SpecificationError, build_spec,
-                                    parse_hypothesis_config)
-from namecluster.onomasticon import RenditionSlice
+                                    CandidateDescriptor, SpecificationError,
+                                    build_spec, parse_hypothesis_config)
 
 MM_W = Fraction(74, 44 * 317)
 MARYA_W = Fraction(74 * 13, 44 * 317)
@@ -129,20 +127,6 @@ class TestSpecEdits:
         spec = build_spec(onom, descriptors)
         assert sum(c.weight for c in spec.women) == 1
         assert sum(c.weight for c in spec.men) == 1
-
-
-class TestRenditionClassChain:
-    def test_widening_chain_accepted(self):
-        inner = RenditionSlice("Mariam", "MM", Fraction(1), Fraction(44))
-        outer = RenditionSlice("Mariam", "all", Fraction(44), Fraction(44))
-        chain = RenditionClassChain("mary_magdalene", (inner, outer))
-        assert chain.rarest() == inner
-
-    def test_narrowing_chain_rejected(self):
-        inner = RenditionSlice("Mariam", "all", Fraction(44), Fraction(44))
-        outer = RenditionSlice("Mariam", "MM", Fraction(1), Fraction(44))
-        with pytest.raises(SpecificationError):
-            RenditionClassChain("mary_magdalene", (inner, outer))
 
 
 class TestConfigFile:

@@ -1,12 +1,22 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import namecluster
 from namecluster.cli import main
 from namecluster.onomasticon import parse_fraction
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -63,6 +73,35 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "n2" in err[0]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["analyze", "--bonus-divisor", "1/0"], "--bonus-divisor"),
+        (["analyze", "--bonus-divisor", "abc"], "--bonus-divisor"),
+        (["analyze", "--unknown-son-factor", "1/0"], "--unknown-son-factor"),
+        (["infer", "--q", "1/0"], "--q"),
+        (["infer", "--q", "1/9999", "--alpha", "1/0"], "--alpha"),
+        (["infer", "--q", "1/9999", "--theta", "1/0"], "--theta"),
+        (["demography", "--total-deceased", "1e3"], "--total-deceased"),
+        (["analyze", "--format", "bogus"], "--format"),
+        (["sweep", "--format", "bogus"], "--format"),
+        (["demography", "--format", "bogus"], "--format"),
+        (["infer", "--q", "1/9", "--format", "bogus"], "--format"),
+    ])
+    def test_bad_flag_value_exits_2_naming_the_flag(self, argv, flag, capsys):
+        code, text = run_cli(*argv)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flag in err[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.sampled_from([["analyze", "--bonus-divisor"], ["infer", "--q"],
+                             ["demography", "--total-deceased"],
+                             ["analyze", "--format"]]),
+       value=st.text())
+def test_arbitrary_flag_text_ends_in_an_exit_code(argv, value):
+    command, flag = argv
+    assert main([command, f"{flag}={value}"], out=io.StringIO()) in (0, 1, 2)
+
 
 class TestSweep:
     def test_table_has_all_rows_and_match_column(self):
@@ -93,6 +132,15 @@ class TestSweep:
         lines = text.splitlines()
         assert "error" in lines[1]
         assert lines[2].rstrip().endswith("yes")
+
+    def test_zero_denominator_in_a_set_delta_errors_only_its_row(self, tmp_path):
+        suite = tmp_path / "suite.cfg"
+        suite.write_text("scenario broken\nset bonus_divisor 1/0\n\n"
+                         "scenario fine\nset bonus_divisor 1\n")
+        code, text = run_cli("sweep", "--suite", str(suite))
+        assert code == 0
+        lines = text.splitlines()
+        assert "error" in lines[1] and "error" not in lines[2]
 
     def test_empty_suite_prints_header_only(self, tmp_path):
         suite = tmp_path / "empty.cfg"
@@ -159,8 +207,60 @@ class TestValidateConfig:
         code, _ = run_cli("--config", "/nonexistent.cfg", "analyze")
         assert code == 2
 
+    @pytest.mark.parametrize("body, named", [
+        ("[output]\nformat = bogus\n", "--format"),
+        ("format = records\n", "run.cfg"),
+    ], ids=["bad-format-value", "no-section-header"])
+    def test_bad_config_file_exits_2_with_one_line(self, body, named, tmp_path,
+                                                   capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(body)
+        code, text = run_cli("--config", str(cfg), "analyze")
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and named in err[0]
+
     def test_broken_onomasticon_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "onom.tsv"
         bad.write_text("generic Broken female\n")
         code, _ = run_cli("analyze", "--onomasticon", str(bad))
         assert code == 2
+
+
+def modules_loaded_by(*argv):
+    """Modules a fresh interpreter loads to run ``main(argv)``."""
+    script = ("import io, sys\n"
+              "before = set(sys.modules)\n"
+              "from namecluster.cli import main\n"
+              f"main({list(argv)!r}, out=io.StringIO())\n"
+              "print(*sorted(set(sys.modules) - before))\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    return set(run.stdout.split())
+
+
+class TestImports:
+    UNUSED_BY_ANALYZE = {"namecluster.sensitivity", "namecluster.demography",
+                         "namecluster.inference", "configparser"}
+
+    def test_analyze_loads_only_what_it_runs(self):
+        loaded = modules_loaded_by("analyze", "--format", "records")
+        assert "namecluster.tailspace" in loaded
+        assert not loaded & self.UNUSED_BY_ANALYZE
+
+    def test_sweep_loads_sensitivity(self):
+        assert "namecluster.sensitivity" in modules_loaded_by("sweep")
+
+    def test_package_exports_resolve_to_their_definitions(self):
+        for name in namecluster.__all__:
+            module = importlib.import_module(
+                f"namecluster.{namecluster._EXPORTS[name]}")
+            value = getattr(namecluster, name)
+            assert value is getattr(module, name)
+            assert getattr(value, "__module__", module.__name__) == module.__name__
+        from namecluster import enumerate_tail, run_pipeline  # noqa: F401
+        assert set(namecluster.__all__) <= set(dir(namecluster))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            namecluster.no_such_name
