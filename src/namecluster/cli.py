@@ -19,7 +19,7 @@ from fractions import Fraction
 # them, so that a CLI start loads only what its subcommand needs
 from .candidates import build_spec, load_hypothesis_config
 from .onomasticon import InputError, format_fraction, load_onomasticon, \
-    parse_fraction
+    parse_flag, parse_fraction
 from .scoring import ContractViolation, RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail, tuple_space_size
 
@@ -39,7 +39,8 @@ def read_config(path):
     if not path:
         return None
     import configparser
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value is a character, not a reference
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if parser.read(path):
             return parser
@@ -56,19 +57,23 @@ def setting(config, args, section, key, default=None, parse=None):
     return raw if raw is None or parse is None else parse_value(key, raw, parse)
 
 
+# what each setting parser accepts, for the error message
+EXPECTED = {int: "an integer", parse_fraction: "a fraction a/b or a decimal",
+            parse_flag: "on/off, true/false, 1/0 or yes/no"}
+
+
 def parse_value(key, raw, parse=parse_fraction):
     """``parse(raw)`` for setting ``key``; a bad value raises ConfigError."""
     try:
         return parse(raw)
     except (ValueError, ZeroDivisionError):
-        kind = "an integer" if parse is int else "a fraction a/b or a decimal"
-        raise ConfigError(f"--{key.replace('_', '-')} must be {kind}, got {raw!r}") from None
+        raise ConfigError(f"--{key.replace('_', '-')} must be {EXPECTED[parse]}, "
+                          f"got {raw!r}") from None
 
 
 def build_rules(config, args) -> RuleLedger:
     def flag(name, default):
-        raw = setting(config, args, "rules", name, default)
-        return raw.lower() in ("on", "true", "1", "yes")
+        return setting(config, args, "rules", name, default, parse_flag)
 
     return RuleLedger(
         bonus_divisor=setting(config, args, "rules", "bonus_divisor", "6/5",
@@ -205,6 +210,8 @@ def cmd_infer(config, args, out):
     q = setting(config, args, "inference", "q", parse=parse_fraction)
     if q is None:
         raise ConfigError("infer requires --q")
+    if not 0 <= q <= 1:
+        raise ConfigError("--q must be a tail area between 0 and 1")
     n2 = parse_n2(config, args)
     if (args.theta or args.alpha) and beta_of(q, n2) >= 1:
         raise InferenceError("(n2-1)*q must be below 1 for the bound formulas")

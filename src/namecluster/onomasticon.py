@@ -45,13 +45,33 @@ class UndefinedEstimatorError(OnomasticonError):
     """Rendition frequency requested for a slice with no ossuary bearers."""
 
 
+# largest decimal exponent accepted: Python's default limit on the digits of
+# an int converted to str, past which format_fraction cannot print the value;
+# an unbounded exponent would let a short text build an astronomically large int
+MAX_DECIMAL_EXPONENT = 4300
+FLAG_WORDS = {"on": True, "true": True, "1": True, "yes": True,
+              "off": False, "false": False, "0": False, "no": False}
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse exact rational syntax: 'a/b', an integer, or a decimal string."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
+    digits = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if digits.isdecimal() and int(digits) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond ±{MAX_DECIMAL_EXPONENT}: {text!r}")
     return Fraction(text)
+
+
+def parse_flag(text: str) -> bool:
+    """Parse an on/off switch: on/off, true/false, 1/0 or yes/no, any case."""
+    try:
+        return FLAG_WORDS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected on/off, true/false, 1/0 or yes/no, "
+                         f"got {text!r}") from None
 
 
 def format_fraction(value: Fraction) -> str:

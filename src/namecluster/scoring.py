@@ -36,7 +36,13 @@ A father Yosef who is also a singleton while a Yoseh is present falls under
 none of the written adjustments; the pair is unknowable and scores 1 (this
 is what reproduces the reference valid and tail masses exactly).
 
-The male score factors exactly as
+The ledger answers which factors count, not what they are worth:
+``singleton_counts`` says whether each singleton's RR counts under R3, R4
+and R7, ``generational_counts`` whether the father's RR, the son's RR and
+the unknown-son factor count under R1, R2, R5-R13 and the uncovered case,
+and ``bonus_applies`` whether R14 divides the score. A factor that does not
+count is 1. The exact Fraction parts evaluate these answers, and the male
+score factors exactly as
 
   singleton_part(s1, s2, father)
     * generational_part(father, son, father_is_singleton, yoseh_in_singles)
@@ -44,9 +50,9 @@ The male score factors exactly as
 
 R3, R4 and R7 touch only the singleton part, R14 only the bonus, and the
 generational part sees the singletons only through the two flags.
-``score_male_slots`` is this composition; the enumerator in ``tailspace``
-relies on it to score M^3 singleton triples and 4 M^2 pairs instead of M^4
-tuples.
+``score_male_slots`` is this composition. The enumerator in ``tailspace``
+asks the same questions for M^3 singleton triples and 4 M^2 pairs instead
+of M^4 tuples, and evaluates the answers on int-scaled RR values.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ YESHUA = "Yeshua"
 YOSEH = "Yoseh"
 JAMES = "James"
 CLEOPAS = "Cleopas"
+ONE = Fraction(1)
 
 
 class ContractViolation(ValueError):
@@ -151,84 +158,98 @@ def validate(config: TombConfiguration, spec: HypothesisSpec) -> str | None:
     return None
 
 
-def singleton_part(s1: Category, s2: Category, father: Category) -> Fraction:
-    """Product of the two singleton RR values after R3, R4 and R7."""
-    a1, a2 = s1.rr, s2.rr
+def singleton_counts(s1: Category, s2: Category,
+                     father: Category) -> tuple[bool, bool]:
+    """Whether each singleton's RR counts after R3, R4 and R7."""
+    c1 = c2 = True
     if father.kind != OTHER_KIND:  # R3: a father-singleton is counted once
         if s1.label == father.label:
-            a1 = Fraction(1)
+            c1 = False
         elif s2.label == father.label:
-            a2 = Fraction(1)
+            c2 = False
     if {s1.label, s2.label} == {YOSEF, YOSEH}:  # R4
         if s1.label == YOSEF:
-            a1 = Fraction(1)
+            c1 = False
         else:
-            a2 = Fraction(1)
+            c2 = False
     if father.label == YOSEH:  # R7
         if s1.label == YOSEF:
-            a1 = Fraction(1)
+            c1 = False
         if s2.label == YOSEF:
-            a2 = Fraction(1)
-    return a1 * a2
+            c2 = False
+    return c1, c2
 
 
-def generational_part(father: Category, son: Category, father_is_singleton: bool,
-                      yoseh_in_singles: bool, rules: RuleLedger) -> Fraction:
-    """Pair contribution after the familial adjustments (before the bonus).
+def generational_counts(father: Category, son: Category,
+                        father_is_singleton: bool, yoseh_in_singles: bool,
+                        rules: RuleLedger) -> tuple[bool, bool, bool]:
+    """Whether the father's RR, the son's RR and the unknown-son factor count.
 
     Of the singletons it needs only whether one shares the father's label and
     whether one is Yoseh.
     """
-    one = Fraction(1)
+    unknown = (False, False, False)
+    full = (True, True, False)
 
-    def named_for_relative(allowed: tuple[str, ...]) -> Fraction:
-        if son.label in allowed and son.kind != OTHER_KIND:
-            if rules.count_unknown_sons:
-                return son.rr * rules.unknown_son_factor
-            return one
-        return one
+    def named_for_relative(allowed: tuple[str, ...]) -> tuple[bool, bool, bool]:
+        named = (son.label in allowed and son.kind != OTHER_KIND
+                 and rules.count_unknown_sons)
+        return True, named, named
 
     yoseh_present = yoseh_in_singles or son.label == YOSEH
 
     if father.kind == OTHER_KIND:
-        return one  # R2
+        return unknown  # R2
     if father.label == YESHUA:
-        if not rules.allow_father_yeshua:
-            return one  # R1
-        return father.rr  # father counts; no known son of a Yeshua
+        # R1; when allowed the father counts, with no known son of a Yeshua
+        return rules.allow_father_yeshua, False, False
     if father.label == YOSEH:
-        return father.rr * named_for_relative((YESHUA, YOSEF, JAMES, CLEOPAS))  # R5
+        return named_for_relative((YESHUA, YOSEF, JAMES, CLEOPAS))  # R5
     if father.label == CLEOPAS:
-        return father.rr * named_for_relative((YOSEF, JAMES, YOSEH))  # R6
+        return named_for_relative((YOSEF, JAMES, YOSEH))  # R6
     if father.label == YOSEF:
         if son.label == CLEOPAS and not yoseh_present:
-            return father.rr * named_for_relative((CLEOPAS,))  # R11
+            return named_for_relative((CLEOPAS,))  # R11
         if yoseh_present:
             if father_is_singleton:
-                return one  # uncovered case: unknowable pair
-            if son.label in (YESHUA, YOSEH, JAMES):
-                return father.rr * son.rr  # R8
-            return one
+                return unknown  # uncovered case: unknowable pair
+            return full if son.label in (YESHUA, YOSEH, JAMES) else unknown  # R8
         if father_is_singleton:
-            return father.rr * named_for_relative((YESHUA, JAMES))  # R10
-        if son.label in (YESHUA, JAMES):
-            return father.rr * son.rr  # R9
-        return one
+            return named_for_relative((YESHUA, JAMES))  # R10
+        return full if son.label in (YESHUA, JAMES) else unknown  # R9
     if father.label == JAMES:
         if father_is_singleton:
-            return father.rr * named_for_relative((YOSEH, YESHUA, YOSEF, CLEOPAS))  # R12
+            return named_for_relative((YOSEH, YESHUA, YOSEF, CLEOPAS))  # R12
         if son.label == CLEOPAS:
-            return father.rr * son.rr  # R13, a known grandson
-        return father.rr * named_for_relative((YOSEH, YOSEF, YESHUA))  # R13
+            return full  # R13, a known grandson
+        return named_for_relative((YOSEH, YOSEF, YESHUA))  # R13
     # a candidate with no familial rules contributes its plain pair product
-    return father.rr * (son.rr if son.kind != OTHER_KIND else one)
+    return True, son.kind != OTHER_KIND, False
+
+
+def bonus_applies(father: Category, son: Category) -> bool:
+    """Whether the whole score is divided by the bonus divisor (R14)."""
+    return father.label == YOSEF and son.label == YESHUA
+
+
+def singleton_part(s1: Category, s2: Category, father: Category) -> Fraction:
+    """Product of the two singleton RR values after R3, R4 and R7."""
+    c1, c2 = singleton_counts(s1, s2, father)
+    return (s1.rr if c1 else ONE) * (s2.rr if c2 else ONE)
+
+
+def generational_part(father: Category, son: Category, father_is_singleton: bool,
+                      yoseh_in_singles: bool, rules: RuleLedger) -> Fraction:
+    """Pair contribution after the familial adjustments (before the bonus)."""
+    f, s, u = generational_counts(father, son, father_is_singleton,
+                                  yoseh_in_singles, rules)
+    return ((father.rr if f else ONE) * (son.rr if s else ONE)
+            * (rules.unknown_son_factor if u else ONE))
 
 
 def bonus(father: Category, son: Category, rules: RuleLedger) -> Fraction:
     """Divisor applied to the whole score (R14)."""
-    if father.label == YOSEF and son.label == YESHUA:
-        return rules.bonus_divisor
-    return Fraction(1)
+    return rules.bonus_divisor if bonus_applies(father, son) else ONE
 
 
 def score_male_slots(singleton1: str, singleton2: str, father_label: str,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .candidates import (CandidateDescriptor, SpecificationError,
                          build_spec, parse_fraction)
-from .onomasticon import Onomasticon, ParseError
+from .onomasticon import Onomasticon, ParseError, parse_flag
 from .scoring import RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail
 
@@ -89,7 +89,7 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
             out[i] = replace(out[i], scale=out[i].scale * d.factor)
         elif d.verb == "set":
             if d.param in _FLAGS:
-                rules = rules.with_params(**{d.param: d.value in ("on", "true", "1")})
+                rules = rules.with_params(**{d.param: parse_flag(d.value)})
             elif d.param in _PARAMS:
                 rules = rules.with_params(**{d.param: parse_fraction(d.value)})
             else:

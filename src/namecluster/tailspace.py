@@ -10,24 +10,30 @@ epsilon) form the tail. With ``require_yeshua_in_tomb`` set, a valid tuple
 joins the tail only if the Yeshua category occupies the son slot or a
 singleton slot.
 
-The enumeration stays exact without a Fraction per tuple:
+The enumeration stays exact without a Fraction per tuple, pair or triple:
 
 * Factorisation. A male score is singleton_part(s1, s2, father) times
   generational_part(father, son, father_is_singleton, yoseh_in_singles)
-  over bonus(father, son) (see ``scoring``). The ledger is called for the
+  over bonus(father, son) (see ``scoring``). The ledger is asked for the
   M^3 singleton triples and the 4 M^2 (father, son, flags) pairs, never for
-  the M^4 male tuples.
-* Integer scaling. The singleton parts, the generational parts over their
-  bonus, and the category person-counts of each gender are each multiplied
-  by the lcm of their denominators, so every one is an exact int. A male
-  score is then s * g / D with D the product of the first two scales.
+  the M^4 male tuples, and it answers which factors count, not their values.
+* Integer scaling. The male RR values are multiplied by the lcm R of their
+  denominators; an RR that does not count is 1, scaled to R. With the
+  unknown-son factor un/ud and the bonus divisor bn/bd, a singleton part is
+  the int (r_a or R) * (r_b or R) and a generational part over its bonus
+  the int (r_f or R) * (r_s or R) * (un or ud) * (bd or bn). A male score is
+  then s * g / D with the common scale D = R^4 * ud * bn. The category
+  person-counts of each gender are scaled to ints by the lcm of their
+  denominators in the same way.
 * Bucketing. A tuple is in the tail for a women pair of score w exactly when
-  s * g <= floor(observed * D / w), because s * g is an int. The distinct
-  thresholds of the women pairs are sorted once; each valid male tuple adds
-  its int mass to the bucket that ``bisect`` gives for s * g, and bucket i
-  is in the tail for every women pair whose threshold is at or above the
-  i-th. Tail mass is the sum of bucket masses times those women-pair masses,
-  turned into one Fraction at the end.
+  s * g <= floor(observed * D / w), because s * g is an int. With
+  observed = on/od and women RR values wn_i/wd_i, that threshold is the int
+  on * D * wd_i * wd_j // (od * wn_i * wn_j). The distinct thresholds of the
+  women pairs are sorted once; each valid male tuple adds its int mass to
+  the bucket that ``bisect`` gives for s * g, and bucket i is in the tail
+  for every women pair whose threshold is at or above the i-th. Tail mass is
+  the sum of bucket masses times those women-pair masses, turned into one
+  Fraction at the end.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from fractions import Fraction
 from math import lcm
 
 from .candidates import HypothesisSpec
-from .scoring import (YESHUA, YOSEH, RuleLedger, bonus, collides,
-                      generational_part, singleton_part)
+from .scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies, collides,
+                      generational_counts, singleton_counts)
 
 
 @dataclass(frozen=True)
@@ -75,19 +81,27 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger,
     m = len(men)
     wd, wcount = _scaled([c.weight * spec.female_total for c in women])
     md, mcount = _scaled([c.weight * spec.male_total for c in men])
-    # singles[(a * m + b) * m + f] for singletons a, b and father f
-    sd, singles = _scaled([singleton_part(a, b, f)
-                           for a in men for b in men for f in men])
-    # gen_rows[f, father_is_singleton, yoseh_in_singles][son]
-    keys = [(f, fis, yis) for f in range(m)
-            for fis in (False, True) for yis in (False, True)]
-    gd, gens = _scaled([generational_part(men[f], son, fis, yis, rules)
-                        / bonus(men[f], son, rules)
-                        for f, fis, yis in keys for son in men])
-    gen_rows = {key: gens[i * m:(i + 1) * m] for i, key in enumerate(keys)}
-    scale = sd * gd
+    # rr[i] = men[i].rr * r; an rr that does not count is 1, scaled to r
+    r, rr = _scaled([c.rr for c in men])
+    un, ud = rules.unknown_son_factor.numerator, rules.unknown_son_factor.denominator
+    bn, bd = rules.bonus_divisor.numerator, rules.bonus_divisor.denominator
+    scale = r ** 4 * ud * bn
+
+    def gen_row(f: int, father_is_singleton: bool, yoseh_in_singles: bool) -> list[int]:
+        """generational_part / bonus over every son, scaled by r**2 * ud * bn."""
+        father, row = men[f], []
+        for j, son in enumerate(men):
+            fc, sc, uc = generational_counts(father, son, father_is_singleton,
+                                             yoseh_in_singles, rules)
+            row.append((rr[f] if fc else r) * (rr[j] if sc else r)
+                       * (un if uc else ud) * (bd if bonus_applies(father, son) else bn))
+        return row
+
+    gen_rows = {(f, fis, yis): gen_row(f, fis, yis) for f in range(m)
+                for fis in (False, True) for yis in (False, True)}
 
     # women pairs: mass per distinct threshold floor(observed * scale / w)
+    top = observed.numerator * scale
     valid_w = 0
     by_threshold: dict[int, int] = {}
     for i, w1 in enumerate(women):
@@ -96,7 +110,8 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger,
                 continue
             mass = wcount[i] * wcount[j]
             valid_w += mass
-            t = observed * scale // (w1.rr * w2.rr)
+            t = (top * w1.rr.denominator * w2.rr.denominator
+                 // (observed.denominator * w1.rr.numerator * w2.rr.numerator))
             by_threshold[t] = by_threshold.get(t, 0) + mass
     thresholds = sorted(by_threshold)
     # women mass whose threshold is at or above thresholds[i]
@@ -118,7 +133,8 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger,
                     if not clash[son][a] and not clash[son][b]]
             mass_ab = mcount[a] * mcount[b]
             for f, father in enumerate(men):
-                s = singles[(a * m + b) * m + f]
+                c1, c2 = singleton_counts(s1, s2, father)
+                s = (rr[a] if c1 else r) * (rr[b] if c2 else r)
                 gen = gen_rows[f, father.label in labels, YOSEH in labels]
                 mass_abf = mass_ab * mcount[f]
                 for son in sons:

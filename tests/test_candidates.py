@@ -10,6 +10,7 @@ import namecluster as nc
 from namecluster.candidates import (ADDON_DESCRIPTORS, BASELINE_DESCRIPTORS,
                                     CandidateDescriptor, SpecificationError,
                                     build_spec, parse_hypothesis_config)
+from namecluster.onomasticon import ParseError
 
 MM_W = Fraction(74, 44 * 317)
 MARYA_W = Fraction(74 * 13, 44 * 317)
@@ -144,6 +145,12 @@ class TestConfigFile:
         _, (d,), _ = parse_hypothesis_config(text)
         assert (d.weight, d.rr, d.scale) == (
             Fraction(1, 100), Fraction(2, 100), Fraction(3))
+
+    def test_overlarge_exponent_names_the_row(self):
+        text = ("name t\n"
+                "candidate p female Mariam slice:MM rr=1e-999999999\n")
+        with pytest.raises(ParseError, match="row 2"):
+            parse_hypothesis_config(text)
 
     def test_unknown_record_kind_rejected(self):
         with pytest.raises(Exception, match="unknown record"):

@@ -85,12 +85,35 @@ class TestAnalyze:
         (["sweep", "--format", "bogus"], "--format"),
         (["demography", "--format", "bogus"], "--format"),
         (["infer", "--q", "1/9", "--format", "bogus"], "--format"),
+        (["analyze", "--allow-father-yeshua", "maybe"], "--allow-father-yeshua"),
+        (["sweep", "--count-unknown-sons", "enabled"], "--count-unknown-sons"),
+        (["infer", "--q", "1e-999999999"], "--q"),
+        (["infer", "--q", "1e4301"], "--q"),
+        (["demography", "--juvenile-fraction", "1e-16000000"],
+         "--juvenile-fraction"),
+        (["infer", "--q", "2"], "--q"),
+        (["infer", "--q=-1/9"], "--q"),
+        (["infer", "--q", "1e400"], "--q"),
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, argv, flag, capsys):
         code, text = run_cli(*argv)
         assert (code, text) == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and flag in err[0]
+
+    @pytest.mark.parametrize("on, off", [("on", "off"), ("TRUE", "False"),
+                                         ("1", "0"), ("Yes", "no")])
+    def test_every_flag_spelling_reads_the_same(self, on, off):
+        assert run_cli("analyze", "--bonus-divisor", "1",
+                       "--require-yeshua-in-tomb", on,
+                       "--count-unknown-sons", off) \
+            == run_cli("analyze", "--bonus-divisor", "1",
+                       "--require-yeshua-in-tomb", "on",
+                       "--count-unknown-sons", "off")
+
+    @pytest.mark.parametrize("q", ["0", "1", "1e-4300"])
+    def test_q_at_its_bounds_is_accepted(self, q):
+        assert run_cli("infer", "--q", q, "--n2", "1")[0] == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,6 +204,13 @@ class TestDemographyAndInfer:
         assert code == 0
         assert text.splitlines()[0].split()[1] == "1"
 
+    def test_q_from_the_config_file_is_range_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[inference]\nq = 3/2\n")
+        assert run_cli("--config", str(cfg), "infer") == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--q" in err[0]
+
     def test_infer_bounds_need_small_beta(self, capsys):
         code, _ = run_cli("infer", "--q", "1/2", "--n2", "1000",
                           "--alpha", "1/20")
@@ -210,7 +240,10 @@ class TestValidateConfig:
     @pytest.mark.parametrize("body, named", [
         ("[output]\nformat = bogus\n", "--format"),
         ("format = records\n", "run.cfg"),
-    ], ids=["bad-format-value", "no-section-header"])
+        ("[rules]\nbonus_divisor = 50%\n", "--bonus-divisor"),
+        ("[rules]\nallow_father_yeshua = maybe\n", "--allow-father-yeshua"),
+    ], ids=["bad-format-value", "no-section-header", "percent-in-value",
+            "bad-flag-word"])
     def test_bad_config_file_exits_2_with_one_line(self, body, named, tmp_path,
                                                    capsys):
         cfg = tmp_path / "run.cfg"

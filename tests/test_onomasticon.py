@@ -11,7 +11,8 @@ import namecluster as nc
 from namecluster.onomasticon import (GenericNameCount, Onomasticon, ParseError,
                                      RenditionSlice, UndefinedEstimatorError,
                                      ValidationError, dump_onomasticon,
-                                     parse_fraction, parse_onomasticon)
+                                     parse_flag, parse_fraction,
+                                     parse_onomasticon)
 
 
 class TestBundledFixture:
@@ -140,6 +141,27 @@ class TestParsing:
     def test_fraction_syntax(self):
         assert parse_fraction("33/46") == Fraction(33, 46)
         assert parse_fraction("0.25") == Fraction(1, 4)
+
+    def test_decimal_exponent_is_bounded(self):
+        assert parse_fraction("1e-4300") == Fraction(1, 10 ** 4300)
+        assert parse_fraction("2.5E+4_300") == Fraction(25 * 10 ** 4299)
+        for text in ("1e-4301", "1e4301", "1E+999999999", "1e-999_999_999"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_fraction(text)
+
+    def test_overlarge_exponent_in_a_row_names_the_row(self):
+        text = ("total female 10 5\ntotal male 10 5\n"
+                "generic Broken female 1e-999999999\n")
+        with pytest.raises(ParseError, match="row 3"):
+            parse_onomasticon(text)
+
+    def test_flag_syntax(self):
+        for on, off in (("on", "off"), ("TRUE", "False"), ("1", "0"),
+                        (" Yes ", "no")):
+            assert (parse_flag(on), parse_flag(off)) == (True, False)
+        for text in ("maybe", "", "2", "enabled"):
+            with pytest.raises(ValueError, match="on/off"):
+                parse_flag(text)
 
     def test_slice_of_unknown_generic_rejected(self):
         text = ("total female 317\ntotal male 2509\n"

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import namecluster as nc
+from namecluster.onomasticon import ParseError
 from namecluster.scoring import TALPIYOT
 from namecluster.sensitivity import (Delta, Scenario, matches_at_printed_precision,
                                      parse_suite, run_scenario, run_suite)
@@ -156,6 +157,26 @@ class TestScenarioSemantics:
         assert reports[0].error is not None
         assert reports[1].error is None
 
+    def test_every_flag_spelling_sets_the_same_ledger(self, onom, rules):
+        _, descriptors, _ = nc.load_hypothesis_config()
+        reports = run_suite(onom, descriptors, rules, TALPIYOT, [
+            Scenario(name=value, deltas=(
+                Delta(verb="set", param="require_yeshua_in_tomb", value=value),))
+            for value in ("on", "TRUE", "1", "yes", "off", "No")])
+        on, off = reports[0], reports[4]
+        assert on.adjusted_area != off.adjusted_area
+        assert [r.adjusted_area for r in reports] \
+            == [on.adjusted_area] * 4 + [off.adjusted_area] * 2
+
+    def test_unknown_flag_word_errors_that_row_only(self, onom, rules):
+        _, descriptors, _ = nc.load_hypothesis_config()
+        maybe = Scenario(name="maybe", deltas=(
+            Delta(verb="set", param="allow_father_yeshua", value="maybe"),))
+        reports = run_suite(onom, descriptors, rules, TALPIYOT,
+                            [maybe, Scenario(name="ok")])
+        assert "maybe" in reports[0].error
+        assert reports[1].error is None
+
     def test_duplicate_addition_rejected(self, onom, rules):
         _, descriptors, _ = nc.load_hypothesis_config()
         twice = Scenario(name="dup", deltas=(
@@ -179,6 +200,10 @@ class TestSuiteParsing:
         assert [d.verb for d in scenario.deltas] == ["add", "scale", "set"]
         assert scenario.deltas[1].factor == 2
         assert scenario.reference == "0.001"
+
+    def test_overlarge_exponent_names_the_row(self):
+        with pytest.raises(ParseError, match="row 2"):
+            parse_suite("scenario big\nscale mary_magdalene 1e999999999\n")
 
     def test_printed_precision_matching(self):
         assert matches_at_printed_precision(Fraction(604, 10 ** 6), "0.000604")

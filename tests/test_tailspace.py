@@ -31,6 +31,12 @@ PLUS_8 = ("Simon", "Judah", "Eleazar", "Yochanan", "Hananiah", "Yonathan",
 PLUS_12 = PLUS_8 + ("Menachem", "Hanan", "Alexander", "Dositheus")  # M = 17
 NON_DEFAULT = RuleLedger(require_yeshua_in_tomb=True, allow_father_yeshua=True,
                          count_unknown_sons=False, bonus_divisor=Fraction(1))
+# non-integer ledger parameters, so the enumerator's int scaling must carry
+# the denominators of the bonus divisor and the unknown-son factor
+FRACTIONAL = RuleLedger(bonus_divisor=Fraction(7, 3),
+                        unknown_son_factor=Fraction(5, 2))
+LEDGERS = {"default": RuleLedger(), "non-default": NON_DEFAULT,
+           "fractional": FRACTIONAL}
 # (added generics, ledger) -> (valid mass, tail mass), captured from the
 # per-tuple Fraction enumerator that scored and sorted every male 4-tuple
 FROZEN = {
@@ -46,6 +52,9 @@ FROZEN = {
     (PLUS_12, "non-default"): (
         Fraction(827020242279943413567, 253),
         Fraction(210845163735445426701, 256036)),
+    (PLUS_8, "fractional"): (
+        Fraction(209973101902093839843527, 64009),
+        Fraction(4883057350935566827863, 11777656)),
 }
 
 
@@ -108,12 +117,11 @@ class TestFrozenLargerSpaces:
                              ids=[f"M{5 + len(a)}-{r}" for a, r in FROZEN])
     def test_masses(self, onom, added, ledger):
         spec = grown_spec(onom, added)
-        rules = RuleLedger() if ledger == "default" else NON_DEFAULT
+        rules = LEDGERS[ledger]
         result = enumerate_tail(spec, rules, score(TALPIYOT, spec, rules).value)
         assert (result.valid_mass, result.tail_mass) == FROZEN[added, ledger]
 
-    @pytest.mark.parametrize("rules", [RuleLedger(), NON_DEFAULT],
-                             ids=["default", "non-default"])
+    @pytest.mark.parametrize("rules", list(LEDGERS.values()), ids=list(LEDGERS))
     def test_male_score_factorisation(self, onom, rules):
         spec = grown_spec(onom, PLUS_8)
         men = {c.label: c for c in spec.men}
@@ -176,11 +184,15 @@ class TestPersonLevelOracle:
         women.append(data.draw(st.integers(1, 3)))  # Other
         men.append(data.draw(st.integers(1, 3)))
         roles = data.draw(st.permutations(
-            ["Yosef", "Yeshua", "Yoseh", "James"]))[:len(men) - 1]
+            ["Yosef", "Yeshua", "Yoseh", "James", "Cleopas"]))[:len(men) - 1]
         spec = make_spec(women, men, men_labels=list(roles))
+        params = st.sampled_from((Fraction(1), Fraction(6, 5), Fraction(5, 2),
+                                  Fraction(7, 3), Fraction(5)))
         rules = RuleLedger(
-            unknown_son_factor=Fraction(data.draw(st.sampled_from((1, 2, 5)))),
+            bonus_divisor=data.draw(params),
+            unknown_son_factor=data.draw(params),
             require_yeshua_in_tomb=data.draw(st.booleans()),
+            allow_father_yeshua=data.draw(st.booleans()),
             count_unknown_sons=data.draw(st.booleans()))
         # threshold: an achievable score, so the tail is nontrivial
         labels_m = [c.label for c in spec.men]
