@@ -13,21 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 # sensitivity, demography and inference are imported by the commands that run
 # them, so that a CLI start loads only what its subcommand needs
 from .candidates import build_spec, load_hypothesis_config
-from .onomasticon import InputError, format_fraction, load_onomasticon, \
-    parse_flag, parse_fraction
+from .onomasticon import InputError, format_decimal, format_fraction, \
+    load_onomasticon, parse_flag, parse_fraction
 from .scoring import ContractViolation, RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail, tuple_space_size
 
 SIG = 4  # default report precision for tail areas
-
-
-def dec(value, sig: int = SIG) -> str:
-    return f"{float(value):.{sig}g}"
 
 
 class ConfigError(InputError):
@@ -66,9 +63,13 @@ def parse_value(key, raw, parse=parse_fraction):
     """``parse(raw)`` for setting ``key``; a bad value raises ConfigError."""
     try:
         return parse(raw)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"--{key.replace('_', '-')} must be {EXPECTED[parse]}, "
-                          f"got {raw!r}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        message = f"--{key.replace('_', '-')} must be {EXPECTED[parse]}, got {raw!r}"
+        reason = ("zero denominator" if isinstance(exc, ZeroDivisionError)
+                  else " ".join(str(exc).split()))
+        if EXPECTED[parse] not in reason:  # the parser's reason adds something
+            message += f" ({reason})"
+        raise ConfigError(message) from None
 
 
 def build_rules(config, args) -> RuleLedger:
@@ -114,7 +115,7 @@ def emit(rows, fmt, out):
         for field, value, sig in rows:
             record = {"field": field}
             if isinstance(value, Fraction):
-                record["decimal"] = dec(value, sig)
+                record["decimal"] = format_decimal(value, sig)
                 record["fraction"] = format_fraction(value)
             else:
                 record["value"] = str(value)
@@ -122,7 +123,8 @@ def emit(rows, fmt, out):
     else:
         width = max(len(field) for field, _, _ in rows)
         for field, value, sig in rows:
-            shown = dec(value, sig) if isinstance(value, Fraction) else str(value)
+            shown = (format_decimal(value, sig) if isinstance(value, Fraction)
+                     else str(value))
             out.write(f"{field.ljust(width)}  {shown}\n")
 
 
@@ -159,7 +161,7 @@ def cmd_sweep(config, args, out):
             if r.error:
                 record["error"] = r.error
             else:
-                record["adjusted"] = dec(r.adjusted_area, SIG)
+                record["adjusted"] = format_decimal(r.adjusted_area, SIG)
                 record["adjusted_fraction"] = format_fraction(r.adjusted_area)
                 record["observed_rr_fraction"] = format_fraction(r.observed_rr)
                 record["reference"] = r.reference
@@ -174,7 +176,7 @@ def cmd_sweep(config, args, out):
                 continue
             ref = r.reference if r.reference is not None else "-"
             match = {True: "yes", False: "NO", None: "-"}[r.matches_reference]
-            out.write(f"{r.name.ljust(width)}  {dec(r.adjusted_area):>10}"
+            out.write(f"{r.name.ljust(width)}  {format_decimal(r.adjusted_area, SIG):>10}"
                       f"  {ref:>10}  {match}\n")
     return 0
 
@@ -300,9 +302,15 @@ COMMANDS = {
 }
 
 
+def warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI shows it on stderr: one line, no source."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, warning_line
     try:
         config = read_config(args.config)
         args.format = setting(config, args, "output", "format", "table")
@@ -313,9 +321,12 @@ def main(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ContractViolation, ValueError, OverflowError) as exc:
-        # OverflowError: a figure too large for the decimal report (float)
+        # OverflowError: a number too large for a float; the reports print
+        # such figures exactly, so none is known to reach this
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ All quantities are exact ``Fraction``s; floats appear only in reports.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -77,6 +79,27 @@ def parse_flag(text: str) -> bool:
 def format_fraction(value: Fraction) -> str:
     f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def format_decimal(value: Fraction, sig: int) -> str:
+    """``value`` to ``sig`` significant digits, as the 'g' format prints it.
+
+    A value in the normal float range goes through ``float``. One that
+    float() cannot hold (it overflows, flushes to 0 or keeps fewer digits as
+    a subnormal) is rounded half to even from the exact fraction instead.
+    """
+    f = Fraction(value)
+    try:
+        x = float(f)
+    except OverflowError:
+        pass
+    else:
+        if f == 0 or abs(x) >= sys.float_info.min:
+            return f"{x:.{sig}g}"
+    with localcontext() as context:
+        context.prec = max(sig, 1)
+        rounded = Decimal(f.numerator) / f.denominator
+    return f"{rounded.normalize():.{sig}g}"
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ RR changes when an in-sample slice is scaled), re-enumerates the tail, and
 multiplies the proportion by n2. When a scenario carries a reference value,
 the report records whether the result matches it at the reference's printed
 precision.
+
+``run_suite`` builds each distinct candidate list once per call: scenarios
+whose deltas end in the same candidates share one spec, so a scenario that
+only sets a rule parameter reuses the spec of the scenario with its
+candidates. Across scenarios with the same male categories and ledger, the
+enumerator reuses one male table (``tailspace.male_table``).
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .candidates import (CandidateDescriptor, SpecificationError,
-                         build_spec, parse_fraction)
-from .onomasticon import Onomasticon, ParseError, parse_flag
+from .candidates import (CandidateDescriptor, HypothesisSpec,
+                         SpecificationError, build_spec, parse_fraction)
+from .onomasticon import Onomasticon, ParseError, format_decimal, parse_flag
 from .scoring import RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail
 
@@ -57,12 +63,13 @@ class ScenarioReport:
 
 
 def printed_digits(text: str) -> int:
-    return len(text.lstrip("-0.").replace(".", ""))
+    """Significant digits of a printed decimal, exponent aside."""
+    return len(text.lower().partition("e")[0].lstrip("-0.").replace(".", ""))
 
 
 def matches_at_printed_precision(value: Fraction, reference: str) -> bool:
     sig = printed_digits(reference)
-    return f"{float(value):.{sig}g}" == f"{float(reference):.{sig}g}"
+    return format_decimal(value, sig) == format_decimal(parse_fraction(reference), sig)
 
 
 def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
@@ -103,8 +110,36 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
 def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
                  rules: RuleLedger, observed: TombConfiguration,
                  scenario: Scenario, n2: int = 1100) -> ScenarioReport:
+    return _run(onom, descriptors, rules, observed, scenario, n2, specs={})
+
+
+def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
+              rules: RuleLedger, observed: TombConfiguration,
+              suite: Sequence[Scenario], n2: int = 1100) -> list[ScenarioReport]:
+    """Run scenarios in order; a failing scenario yields an error report.
+
+    Scenarios that end with the same candidate list share one spec.
+    """
+    specs: dict[tuple[CandidateDescriptor, ...], HypothesisSpec] = {}
+    reports = []
+    for scenario in suite:
+        try:
+            reports.append(_run(onom, descriptors, rules, observed, scenario,
+                                n2, specs))
+        except (ValueError, ZeroDivisionError) as exc:
+            reports.append(ScenarioReport(name=scenario.name,
+                                          reference=scenario.reference,
+                                          error=str(exc)))
+    return reports
+
+
+def _run(onom, descriptors, rules, observed, scenario, n2, specs) -> ScenarioReport:
+    """``run_scenario``, taking the spec from ``specs`` (candidate list ->
+    spec) when it is there and adding it when not."""
     new_desc, new_rules = apply_deltas(descriptors, rules, scenario)
-    spec = build_spec(onom, new_desc, name=scenario.name)
+    spec = specs.get(new_desc)
+    if spec is None:
+        spec = specs[new_desc] = build_spec(onom, new_desc, name=scenario.name)
     observed_rr = score(observed, spec, new_rules).value
     result = enumerate_tail(spec, new_rules, observed_rr)
     adjusted = n2 * result.proportion
@@ -114,22 +149,6 @@ def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
     return ScenarioReport(name=scenario.name, observed_rr=observed_rr,
                           proportion=result.proportion, adjusted_area=adjusted,
                           reference=scenario.reference, matches_reference=matches)
-
-
-def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
-              rules: RuleLedger, observed: TombConfiguration,
-              suite: Sequence[Scenario], n2: int = 1100) -> list[ScenarioReport]:
-    """Run scenarios in order; a failing scenario yields an error report."""
-    reports = []
-    for scenario in suite:
-        try:
-            reports.append(run_scenario(onom, descriptors, rules, observed,
-                                        scenario, n2=n2))
-        except (ValueError, ZeroDivisionError) as exc:
-            reports.append(ScenarioReport(name=scenario.name,
-                                          reference=scenario.reference,
-                                          error=str(exc)))
-    return reports
 
 
 # ---------------------------------------------------------------------------

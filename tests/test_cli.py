@@ -94,6 +94,8 @@ class TestAnalyze:
         (["infer", "--q", "2"], "--q"),
         (["infer", "--q=-1/9"], "--q"),
         (["infer", "--q", "1e400"], "--q"),
+        (["infer", "--q", "1e-5000"], "--q must be a fraction a/b or a decimal, "
+                                      "got '1e-5000' (decimal exponent beyond"),
     ])
     def test_bad_flag_value_exits_2_naming_the_flag(self, argv, flag, capsys):
         code, text = run_cli(*argv)
@@ -215,6 +217,58 @@ class TestDemographyAndInfer:
         code, _ = run_cli("infer", "--q", "1/2", "--n2", "1000",
                           "--alpha", "1/20")
         assert code == 2
+
+
+class TestFiguresBeyondTheFloatRange:
+    BIG = str(10 ** 400)
+
+    def test_infer_tiny_q(self):
+        code, text = run_cli("infer", "--q", "1e-400", "--theta", "1")
+        assert code == 0
+        assert dict(line.split() for line in text.splitlines()) == {
+            "adjusted-p": "1.1e-397", "beta": "1.099e-397",
+            "odds[theta=1]": "9.099e+396"}
+
+    def test_analyze_huge_n2(self):
+        code, text = run_cli("analyze", "--n2", self.BIG, "--format", "records")
+        assert code == 0
+        by_field = {r["field"]: r for r in map(json.loads, text.splitlines())}
+        area = by_field["adjusted-area"]
+        assert area["decimal"] == "5.491e+393"
+        assert parse_fraction(area["fraction"]) \
+            == 10 ** 400 * parse_fraction(by_field["proportion"]["fraction"])
+        assert run_cli("analyze", "--n2", self.BIG)[0] == 0
+
+    def test_sweep_huge_n2(self):
+        code, text = run_cli("sweep", "--n2", self.BIG, "--format", "records")
+        assert code == 0
+        records = [json.loads(line) for line in text.splitlines()]
+        assert len(records) == 42
+        assert records[0]["adjusted"] == "5.018e+393"
+        assert all(r["match"] is False for r in records)
+        assert run_cli("sweep", "--n2", self.BIG)[0] == 0
+
+    def test_demography_huge_total(self):
+        code, text = run_cli("demography", "--total-deceased", self.BIG)
+        assert code == 0
+        assert dict(line.split() for line in text.splitlines())[
+            "deceased-per-gender"] == "5e+399"
+
+
+@pytest.mark.parametrize("argv, warning", [
+    (["infer", "--q", "1/3", "--n2", "10"],
+     ["warning: n2*q exceeds 1; reporting the clamped bound 1"]),
+    (["infer", "--q", "1/3000", "--n2", "10", "--alpha", "1/1000"],
+     ["warning: alpha <= beta: the bound degenerates to 0"] * 2),
+])
+def test_inference_warnings_are_one_stderr_line_each(argv, warning):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "namecluster", *argv],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    with pytest.warns(UserWarning):
+        assert (run.returncode, run.stdout) == run_cli(*argv)
+    assert run.stderr.splitlines() == warning
 
 
 class TestValidateConfig:

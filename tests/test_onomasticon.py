@@ -11,8 +11,8 @@ import namecluster as nc
 from namecluster.onomasticon import (GenericNameCount, Onomasticon, ParseError,
                                      RenditionSlice, UndefinedEstimatorError,
                                      ValidationError, dump_onomasticon,
-                                     parse_flag, parse_fraction,
-                                     parse_onomasticon)
+                                     format_decimal, parse_flag,
+                                     parse_fraction, parse_onomasticon)
 
 
 class TestBundledFixture:
@@ -162,6 +162,24 @@ class TestParsing:
         for text in ("maybe", "", "2", "enabled"):
             with pytest.raises(ValueError, match="on/off"):
                 parse_flag(text)
+
+    def test_decimals_beyond_the_float_range_are_exact(self):
+        cases = [(Fraction(10 ** 400), 4, "1e+400"),
+                 (Fraction(11, 10 ** 398), 4, "1.1e-397"),
+                 (Fraction(-123456, 10 ** 405), 4, "-1.235e-400"),
+                 (Fraction(12345, 10 ** 404), 4, "1.234e-400"),   # half to even
+                 (Fraction(99995, 10 ** 404), 4, "1e-399"),       # carries
+                 (Fraction(1, 10 ** 320), 4, "1e-320"),           # subnormal
+                 (Fraction(10 ** 400), 0, "1e+400"),
+                 (Fraction(0), 4, "0")]
+        for value, sig, text in cases:
+            assert format_decimal(value, sig) == text
+
+    @given(num=st.integers(-10 ** 30, 10 ** 30),
+           den=st.integers(1, 10 ** 30), sig=st.sampled_from((1, 4, 6, 10)))
+    def test_decimals_in_the_float_range_are_printed_as_floats(self, num, den, sig):
+        value = Fraction(num, den)
+        assert format_decimal(value, sig) == f"{float(value):.{sig}g}"
 
     def test_slice_of_unknown_generic_rejected(self):
         text = ("total female 317\ntotal male 2509\n"

@@ -13,10 +13,13 @@ from fractions import Fraction
 import pytest
 
 import namecluster as nc
+from namecluster import sensitivity
 from namecluster.onomasticon import ParseError
-from namecluster.scoring import TALPIYOT
-from namecluster.sensitivity import (Delta, Scenario, matches_at_printed_precision,
-                                     parse_suite, run_scenario, run_suite)
+from namecluster.scoring import TALPIYOT, score
+from namecluster.sensitivity import (Delta, Scenario, apply_deltas,
+                                     matches_at_printed_precision, parse_suite,
+                                     run_scenario, run_suite)
+from namecluster.tailspace import enumerate_tail, male_table
 
 FROZEN = {
     "require-yeshua": ("0.000551952719279", "0.000552", True),
@@ -108,6 +111,47 @@ class TestBundledSuite:
     def test_adjusted_area_is_n2_times_proportion(self, reports):
         for report in reports.values():
             assert report.adjusted_area == 1100 * report.proportion
+
+
+class TestSharing:
+    def test_suite_reports_equal_scenario_by_scenario_reports(
+            self, onom, rules, suite, reports):
+        _, descriptors, _ = nc.load_hypothesis_config()
+        assert list(reports.values()) == [
+            run_scenario(onom, descriptors, rules, TALPIYOT, scenario)
+            for scenario in suite]
+
+    def test_each_distinct_candidate_list_is_built_once(
+            self, onom, rules, suite, monkeypatch):
+        _, descriptors, _ = nc.load_hypothesis_config()
+        built = []
+
+        def counting_build_spec(onom, candidates, name="custom"):
+            built.append(tuple(candidates))
+            return nc.build_spec(onom, candidates, name=name)
+
+        monkeypatch.setattr(sensitivity, "build_spec", counting_build_spec)
+        run_suite(onom, descriptors, rules, TALPIYOT, suite)
+        distinct = {apply_deltas(descriptors, rules, s)[0] for s in suite}
+        assert len(built) == len(set(built)) == len(distinct) == 24
+
+    def test_cached_male_tables_give_the_results_of_fresh_ones(
+            self, onom, rules, suite):
+        _, descriptors, _ = nc.load_hypothesis_config()
+        cases = []
+        for scenario in suite:
+            new_desc, new_rules = apply_deltas(descriptors, rules, scenario)
+            spec = nc.build_spec(onom, new_desc, name=scenario.name)
+            cases.append((spec, new_rules, score(TALPIYOT, spec, new_rules).value))
+        hits = male_table.cache_info().hits
+        cached = [enumerate_tail(*case) for case in cases]
+        distinct = {(spec.men, new_rules) for spec, new_rules, _ in cases}
+        assert male_table.cache_info().hits - hits >= len(cases) - len(distinct)
+        fresh = []
+        for case in cases:
+            male_table.cache_clear()
+            fresh.append(enumerate_tail(*case))
+        assert cached == fresh
 
 
 class TestScenarioSemantics:
@@ -208,3 +252,8 @@ class TestSuiteParsing:
     def test_printed_precision_matching(self):
         assert matches_at_printed_precision(Fraction(604, 10 ** 6), "0.000604")
         assert not matches_at_printed_precision(Fraction(61, 10 ** 5), "0.000604")
+
+    def test_printed_precision_matching_beyond_the_float_range(self):
+        assert matches_at_printed_precision(Fraction(6041, 10 ** 404), "6.04e-401")
+        assert not matches_at_printed_precision(Fraction(6041, 10 ** 404), "0")
+        assert matches_at_printed_precision(Fraction(5491 * 10 ** 390), "5.491e393")

@@ -1,6 +1,7 @@
 """Exact enumeration: masses, tail proportions, and the person-level oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +14,7 @@ from namecluster.candidates import CandidateDescriptor
 from namecluster.scoring import (TALPIYOT, YOSEH, RuleLedger, bonus,
                                  generational_part, score, score_male_slots,
                                  singleton_part, validate)
-from namecluster.tailspace import enumerate_tail, tuple_space_size
+from namecluster.tailspace import enumerate_tail, male_table, tuple_space_size
 
 from conftest import make_spec, random_synthetic
 from oracle import person_level_tail
@@ -136,6 +137,42 @@ class TestFrozenLargerSpaces:
                         / bonus(father, men[son], rules))
             singles, gen, divisor = score_male_slots(s1, s2, f, son, spec, rules)
             assert factored == singles * gen / divisor, (s1, s2, f, son)
+
+
+class TestMaleTable:
+    @pytest.mark.parametrize("ledger", list(LEDGERS))
+    def test_order_of_the_men_does_not_matter(self, onom, ledger):
+        # the walk visits unordered singleton pairs, so every order of the
+        # male categories must give the frozen masses
+        spec = grown_spec(onom, PLUS_8)
+        rules = LEDGERS[ledger]
+        observed = score(TALPIYOT, spec, rules).value
+        shuffled = list(spec.men)
+        random.Random(13).shuffle(shuffled)
+        for men in (tuple(reversed(spec.men)), tuple(shuffled)):
+            result = enumerate_tail(replace(spec, men=men), rules, observed)
+            assert (result.valid_mass, result.tail_mass) == FROZEN[PLUS_8, ledger]
+
+    @pytest.mark.parametrize("field, value", [("weight", Fraction(1, 5)),
+                                              ("rr", Fraction(1, 5))])
+    @pytest.mark.parametrize("rules", [RuleLedger(), FRACTIONAL],
+                             ids=["default", "fractional"])
+    def test_one_changed_category_gets_its_own_table(self, field, value, rules):
+        spec = make_spec([1, 1], [2, 1, 2], men_labels=["Yosef", "Yeshua"])
+        yosef, yeshua, other = spec.men
+        changed = replace(yosef, **{field: value})
+        if field == "weight":  # Other absorbs the freed weight
+            other = replace(other, weight=other.weight + yosef.weight - value)
+        variant = replace(spec, men=(changed, yeshua, other))
+        config = nc.TombConfiguration("W0", "Other", "Yosef", "Other",
+                                      "Yosef", "Yeshua")
+        observed = score(config, spec, rules).value
+        assert male_table(spec.men, rules) != male_table(variant.men, rules)
+        for hypothesis in (spec, variant):
+            result = enumerate_tail(hypothesis, rules, observed)
+            total, valid, tail = person_level_tail(hypothesis, rules, observed)
+            assert (result.total_mass, result.valid_mass, result.tail_mass) \
+                == (total, valid, tail)
 
 
 class TestPersonLevelOracle:
