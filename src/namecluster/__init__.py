@@ -21,12 +21,10 @@ _EXPORTS = {
                        "SpecificationError", "assign_rr", "baseline_spec",
                        "build_spec", "load_hypothesis_config"),
         "demography": ("DemographyParams", "DemographyResult", "run_pipeline"),
-        "inference": ("InferenceInput", "InferenceResult", "adjusted_p",
-                      "beta_of", "infer", "odds_lower_bound", "posterior_odds",
-                      "tau", "theta_lower_bound"),
+        "inference": ("adjusted_p", "beta_of", "odds_lower_bound",
+                      "posterior_odds", "tau", "theta_lower_bound"),
         "onomasticon": ("GenericNameCount", "Onomasticon", "RenditionSlice",
-                        "dump_onomasticon", "load_onomasticon",
-                        "residual_weight", "slice_frequency"),
+                        "load_onomasticon", "slice_frequency"),
         "scoring": ("TALPIYOT", "ContractViolation", "RRValue", "RuleLedger",
                     "TombConfiguration", "score", "validate"),
         "sensitivity": ("Delta", "Scenario", "ScenarioReport", "load_suite",

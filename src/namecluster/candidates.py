@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, ParseError,
-                          implied_count, parse_fraction, slice_frequency)
+from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, implied_count,
+                          parse_fraction, parse_options, read_records,
+                          read_source, slice_frequency)
 
 OTHER = "Other"
 
@@ -214,7 +214,7 @@ def baseline_spec(onom: Onomasticon) -> HypothesisSpec:
 
 
 # ---------------------------------------------------------------------------
-# hypothesis config files
+# hypothesis config files (grammar: see onomasticon.py)
 #
 #   name <identifier>
 #   candidate <person> <gender> <generic> <class> [label=..] [weight=a/b]
@@ -223,45 +223,31 @@ def baseline_spec(onom: Onomasticon) -> HypothesisSpec:
 # <class> is slice:<label>, generic, or residual.
 # ---------------------------------------------------------------------------
 
+CANDIDATE_OPTIONS = {"label": str, "weight": parse_fraction,
+                     "rr": parse_fraction, "scale": parse_fraction}
+OBSERVED_OPTIONS = dict.fromkeys(
+    ("woman1", "woman2", "singleton1", "singleton2", "father", "son"), str)
+
+
+def parse_candidate(fields) -> CandidateDescriptor:
+    """A descriptor from <person> <gender> <generic> <class> [key=value]..."""
+    person, gender, generic, rclass = fields[:4]
+    return CandidateDescriptor(person, gender, generic,
+                               rclass.removeprefix("slice:"),
+                               **parse_options(fields[4:], CANDIDATE_OPTIONS))
+
+
 def parse_hypothesis_config(text: str):
     """Return (name, descriptors, observed-slot mapping or None)."""
-    name = "custom"
+    config = {"name": "custom", "observed": None}
     descriptors: list[CandidateDescriptor] = []
-    observed = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "name":
-                name = fields[1]
-            elif kind == "candidate":
-                person, gender, generic, rclass = fields[1:5]
-                if rclass.startswith("slice:"):
-                    rclass = rclass.split(":", 1)[1]
-                opts = dict(f.split("=", 1) for f in fields[5:])
-                descriptors.append(CandidateDescriptor(
-                    person=person, gender=gender, generic=generic,
-                    rendition_class=rclass, label=opts.get("label"),
-                    weight=(parse_fraction(opts["weight"]) if "weight" in opts else None),
-                    rr=(parse_fraction(opts["rr"]) if "rr" in opts else None),
-                    scale=parse_fraction(opts.get("scale", "1"))))
-            elif kind == "observed":
-                observed = dict(f.split("=", 1) for f in fields[1:])
-            else:
-                raise ParseError(f"row {lineno}: unknown record kind {kind!r}")
-        except ParseError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"row {lineno}: {exc}") from exc
-    return name, tuple(descriptors), observed
+    read_records(text, {
+        "name": lambda fields: config.update(name=fields[0]),
+        "candidate": lambda fields: descriptors.append(parse_candidate(fields)),
+        "observed": lambda fields: config.update(
+            observed=parse_options(fields, OBSERVED_OPTIONS))})
+    return config["name"], tuple(descriptors), config["observed"]
 
 
 def load_hypothesis_config(source: Union[str, Path] = "bundled"):
-    if source == "bundled":
-        text = resources.files("namecluster.data").joinpath("baseline.cfg").read_text()
-    else:
-        text = Path(source).read_text()
-    return parse_hypothesis_config(text)
+    return parse_hypothesis_config(read_source(source, "baseline.cfg"))

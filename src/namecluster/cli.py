@@ -63,10 +63,9 @@ def parse_value(key, raw, parse=parse_fraction):
     """``parse(raw)`` for setting ``key``; a bad value raises ConfigError."""
     try:
         return parse(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         message = f"--{key.replace('_', '-')} must be {EXPECTED[parse]}, got {raw!r}"
-        reason = ("zero denominator" if isinstance(exc, ZeroDivisionError)
-                  else " ".join(str(exc).split()))
+        reason = " ".join(str(exc).split())
         if EXPECTED[parse] not in reason:  # the parser's reason adds something
             message += f" ({reason})"
         raise ConfigError(message) from None
@@ -317,7 +316,7 @@ def main(argv=None, out=None) -> int:
         if args.format not in ("table", "records"):
             raise ConfigError(f"--format must be table or records, got {args.format!r}")
         return COMMANDS[args.command](config, args, out)
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ContractViolation, ValueError, OverflowError) as exc:

@@ -16,42 +16,13 @@ Everything is exact rational; callers render decimals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .onomasticon import InputError
 
 
 class InferenceError(InputError):
     """An inference input or quantity is out of range."""
-
-
-@dataclass(frozen=True)
-class InferenceInput:
-    q: Fraction
-    n2: int = 1100
-    theta: Optional[Fraction] = None
-    alpha: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if not 0 < self.q < 1:
-            raise InferenceError("q must lie in (0,1)")
-        if self.n2 < 1:
-            raise InferenceError("n2 must be at least 1")
-        if (self.n2 - 1) * self.q >= 1:
-            raise InferenceError("(n2-1)*q must be below 1 for the bound formulas")
-
-
-@dataclass(frozen=True)
-class InferenceResult:
-    p_value: Fraction
-    beta: Fraction
-    odds: Optional[Fraction] = None
-    theta_bound: Optional[Fraction] = None
-    odds_bound: Optional[Fraction] = None
-    tau: Optional[Fraction] = None
-    clamped: bool = False
 
 
 def beta_of(q: Fraction, n2: int) -> Fraction:
@@ -106,20 +77,3 @@ def tau(theta: Fraction, n2: int, q: Fraction) -> Fraction:
         raise InferenceError("theta must lie in [0,1]")
     b = beta_of(q, n2)
     return Fraction(theta) * (1 - b) + b
-
-
-def infer(inputs: InferenceInput) -> InferenceResult:
-    """Bundle of the inference quantities for one (q, n2, theta, alpha)."""
-    p = inputs.n2 * inputs.q
-    clamped = p > 1
-    b = beta_of(inputs.q, inputs.n2)
-    odds = theta_b = odds_b = t = None
-    if inputs.theta is not None:
-        odds = posterior_odds(inputs.theta, inputs.n2, inputs.q)
-        t = tau(inputs.theta, inputs.n2, inputs.q)
-    if inputs.alpha is not None:
-        theta_b = theta_lower_bound(inputs.alpha, inputs.n2, inputs.q)
-        odds_b = odds_lower_bound(inputs.alpha, inputs.n2, inputs.q)
-    return InferenceResult(p_value=min(p, Fraction(1)), beta=b, odds=odds,
-                           theta_bound=theta_b, odds_bound=odds_b, tau=t,
-                           clamped=clamped)

@@ -9,18 +9,18 @@ frequency estimator for a rendition slice:
 where k of the K ossuary-derived bearers of the generic name match the
 slice, G is the generic's total person count, and N the gender total.
 All quantities are exact ``Fraction``s; floats appear only in reports.
+The record reader of all three input files lives here too.
 """
 
 from __future__ import annotations
 
-import io
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 FEMALE = "female"
 MALE = "male"
@@ -47,9 +47,9 @@ class UndefinedEstimatorError(OnomasticonError):
     """Rendition frequency requested for a slice with no ossuary bearers."""
 
 
-# largest decimal exponent accepted: Python's default limit on the digits of
-# an int converted to str, past which format_fraction cannot print the value;
-# an unbounded exponent would let a short text build an astronomically large int
+# largest decimal exponent accepted (Python's default limit on the digits of
+# an int read from str): an unbounded exponent would let a short text build an
+# astronomically large int
 MAX_DECIMAL_EXPONENT = 4300
 FLAG_WORDS = {"on": True, "true": True, "1": True, "yes": True,
               "off": False, "false": False, "0": False, "no": False}
@@ -59,8 +59,10 @@ def parse_fraction(text: str) -> Fraction:
     """Parse exact rational syntax: 'a/b', an integer, or a decimal string."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = map(int, text.split("/", 1))
+        if not den:
+            raise ValueError("zero denominator")
+        return Fraction(num, den)
     digits = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
     if digits.isdecimal() and int(digits) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent beyond ±{MAX_DECIMAL_EXPONENT}: {text!r}")
@@ -77,8 +79,10 @@ def parse_flag(text: str) -> bool:
 
 
 def format_fraction(value: Fraction) -> str:
+    """'n' or 'n/d', exact for ints of any length (Decimal has no str limit)."""
     f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    num = str(Decimal(f.numerator))
+    return num if f.denominator == 1 else f"{num}/{Decimal(f.denominator)}"
 
 
 def format_decimal(value: Fraction, sig: int) -> str:
@@ -222,54 +226,66 @@ def slice_frequency(slc: RenditionSlice, onom: Onomasticon) -> Fraction:
     return implied_count(slc, g) / onom.gender_total(g.gender)
 
 
-def residual_weight(onom: Onomasticon, gender: str, generic: Optional[str] = None,
-                    subtract: Iterable[Union[RenditionSlice, GenericNameCount,
-                                             Fraction, str]] = ()) -> Fraction:
-    """Complement weight of an enclosing class after removing named parts.
-
-    The enclosing class is a generic (when ``generic`` is given) or the whole
-    gender. Each subtracted part may be a slice, a generic, the name of a
-    generic, or a raw person count. The result is a frequency over the gender
-    total; a negative residual raises.
-    """
-    if generic is not None:
-        enclosing = onom.generic(generic).total_persons
-    else:
-        enclosing = Fraction(onom.gender_total(gender))
-    removed = Fraction(0)
-    for part in subtract:
-        if isinstance(part, RenditionSlice):
-            removed += implied_count(part, onom.generic(part.generic))
-        elif isinstance(part, GenericNameCount):
-            removed += part.total_persons
-        elif isinstance(part, str):
-            removed += onom.generic(part).total_persons
-        else:
-            removed += Fraction(part)
-    residual = enclosing - removed
-    if residual < 0:
-        raise ValidationError(
-            f"residual of {generic or gender}: negative after subtraction")
-    return residual / onom.gender_total(gender)
-
-
 # ---------------------------------------------------------------------------
-# fixture parsing
+# input files
 #
-# One record per line, tab- or space-separated:
+# The onomasticon table, the hypothesis config and the scenario suite share
+# one grammar: one record per line, its fields separated by whitespace, the
+# first field naming the record kind; '#' starts a comment. Options are
+# key=value words, and a key the record does not know is rejected. Numbers
+# accept exact fraction syntax "a/b", integers and decimals.
+#
+# The onomasticon table's records:
 #   total   <gender> <persons> [<ossuary_persons>]
 #   generic <name> <gender> <total> [<ossuary>|-] [fictitious=N] [rahmani=N[?]]
 #   slice   <generic> <label> <k> <K>
-# Counts accept exact fractional syntax "a/b".  '#' starts a comment.
 # A '-' ossuary entry means undetermined (not zero).
 # ---------------------------------------------------------------------------
 
-def _parse_rows(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+def read_source(source: Union[str, Path], filename: str) -> str:
+    """The text of a path, or of the packaged ``filename`` for "bundled"."""
+    if source == "bundled":
+        return resources.files("namecluster.data").joinpath(filename).read_text()
+    try:
+        return Path(source).read_text()
+    except (OSError, UnicodeError) as exc:  # missing, a directory, not text...
+        raise InputError(f"{source}: {exc}") from exc
+
+
+def read_records(text: str, handlers) -> None:
+    """Pass the fields after the kind of each record to ``handlers[kind]``.
+
+    A ValueError, IndexError or ZeroDivisionError from a record becomes a
+    ParseError naming its row; an OnomasticonError passes unchanged.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
             continue
-        yield lineno, line.split()
+        try:
+            if fields[0] not in handlers:
+                raise ValueError(f"unknown record kind {fields[0]!r}")
+            handlers[fields[0]](fields[1:])
+        except OnomasticonError:
+            raise
+        except (IndexError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"row {lineno}: {exc}") from exc
+
+
+def parse_options(words, parsers) -> dict:
+    """``key=value`` words as {key: parsers[key](value)}; other words raise."""
+    options = {}
+    for word in words:
+        key, eq, value = word.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {word!r}")
+        if key not in parsers:
+            raise ValueError(f"unknown option {key!r}")
+        options[key] = parsers[key](value)
+    return options
+
+
+GENERIC_OPTIONS = {"fictitious": parse_fraction, "rahmani": str}
 
 
 def parse_onomasticon(text: str) -> Onomasticon:
@@ -277,43 +293,34 @@ def parse_onomasticon(text: str) -> Onomasticon:
     ossuary_totals = {}
     generics: list[GenericNameCount] = []
     slices: list[RenditionSlice] = []
-    for lineno, fields in _parse_rows(text):
-        kind = fields[0]
-        try:
-            if kind == "total":
-                gender = fields[1]
-                totals[gender] = int(fields[2])
-                if len(fields) > 3 and fields[3] != "-":
-                    ossuary_totals[gender] = int(fields[3])
-            elif kind == "generic":
-                name, gender, total = fields[1], fields[2], parse_fraction(fields[3])
-                ossuary = None
-                if len(fields) > 4 and "=" not in fields[4]:
-                    if fields[4] != "-":
-                        ossuary = parse_fraction(fields[4])
-                extras = dict(f.split("=", 1) for f in fields[4:] if "=" in f)
-                fict = parse_fraction(extras.get("fictitious", "0"))
-                rahmani = None
-                uncertain = False
-                if "rahmani" in extras:
-                    value = extras["rahmani"]
-                    uncertain = value.endswith("?")
-                    rahmani = parse_fraction(value.rstrip("?"))
-                generics.append(GenericNameCount(
-                    name=name, gender=gender, total_persons=total,
-                    ossuary_persons=ossuary, fictitious=fict,
-                    rahmani=rahmani, rahmani_uncertain=uncertain))
-            elif kind == "slice":
-                slices.append(RenditionSlice(
-                    generic=fields[1], label=fields[2],
-                    ossuary_matching=parse_fraction(fields[3]),
-                    ossuary_generic=parse_fraction(fields[4])))
-            else:
-                raise ParseError(f"row {lineno}: unknown record kind {kind!r}")
-        except OnomasticonError:
-            raise
-        except (IndexError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"row {lineno}: {exc}") from exc
+
+    def total(fields):
+        totals[fields[0]] = int(fields[1])
+        if len(fields) > 2 and fields[2] != "-":
+            ossuary_totals[fields[0]] = int(fields[2])
+
+    def generic(fields):
+        name, gender, persons, *rest = fields
+        ossuary = None
+        if rest and "=" not in rest[0]:
+            word = rest.pop(0)
+            ossuary = None if word == "-" else parse_fraction(word)
+        options = parse_options(rest, GENERIC_OPTIONS)
+        rahmani = options.get("rahmani")
+        generics.append(GenericNameCount(
+            name=name, gender=gender, total_persons=parse_fraction(persons),
+            ossuary_persons=ossuary,
+            fictitious=options.get("fictitious", Fraction(0)),
+            rahmani=None if rahmani is None else parse_fraction(rahmani.rstrip("?")),
+            rahmani_uncertain=rahmani is not None and rahmani.endswith("?")))
+
+    def slice_(fields):
+        slices.append(RenditionSlice(
+            generic=fields[0], label=fields[1],
+            ossuary_matching=parse_fraction(fields[2]),
+            ossuary_generic=parse_fraction(fields[3])))
+
+    read_records(text, {"total": total, "generic": generic, "slice": slice_})
     if FEMALE not in totals or MALE not in totals:
         raise ParseError("missing 'total' record for one or both genders")
     return Onomasticon(
@@ -323,38 +330,6 @@ def parse_onomasticon(text: str) -> Onomasticon:
         male_ossuary=ossuary_totals.get(MALE))
 
 
-def dump_onomasticon(onom: Onomasticon) -> str:
-    """Serialize to the fixture format; round-trips all exact values."""
-    out = []
-    for gender, total, osstotal in ((FEMALE, onom.female_total, onom.female_ossuary),
-                                    (MALE, onom.male_total, onom.male_ossuary)):
-        row = f"total\t{gender}\t{total}"
-        if osstotal is not None:
-            row += f"\t{osstotal}"
-        out.append(row)
-    for g in onom.generics:
-        row = (f"generic\t{g.name}\t{g.gender}\t{format_fraction(g.total_persons)}"
-               f"\t{'-' if g.ossuary_persons is None else format_fraction(g.ossuary_persons)}")
-        if g.fictitious:
-            row += f"\tfictitious={format_fraction(g.fictitious)}"
-        if g.rahmani is not None:
-            row += f"\trahmani={format_fraction(g.rahmani)}" + ("?" if g.rahmani_uncertain else "")
-        out.append(row)
-    for s in onom.slices:
-        out.append(f"slice\t{s.generic}\t{s.label}"
-                   f"\t{format_fraction(s.ossuary_matching)}"
-                   f"\t{format_fraction(s.ossuary_generic)}")
-    return "\n".join(out) + "\n"
-
-
-def load_onomasticon(source: Union[str, Path, io.TextIOBase] = "bundled") -> Onomasticon:
-    """Load from a path, an open text handle, or the bundled fixture."""
-    if source == "bundled":
-        text = resources.files("namecluster.data").joinpath("onomasticon.tsv").read_text()
-    elif isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-    else:
-        text = source.read()
-    if not text.strip():
-        raise ParseError("empty onomasticon source")
-    return parse_onomasticon(text)
+def load_onomasticon(source: Union[str, Path] = "bundled") -> Onomasticon:
+    """Load from a path or the bundled fixture."""
+    return parse_onomasticon(read_source(source, "onomasticon.tsv"))

@@ -18,15 +18,15 @@ enumerator reuses one male table (``tailspace.male_table``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .candidates import (CandidateDescriptor, HypothesisSpec,
-                         SpecificationError, build_spec, parse_fraction)
-from .onomasticon import Onomasticon, ParseError, format_decimal, parse_flag
+                         SpecificationError, build_spec, parse_candidate)
+from .onomasticon import (Onomasticon, format_decimal, parse_flag,
+                          parse_fraction, read_records, read_source)
 from .scoring import RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail
 
@@ -152,69 +152,44 @@ def _run(onom, descriptors, rules, observed, scenario, n2, specs) -> ScenarioRep
 
 
 # ---------------------------------------------------------------------------
-# suite files
+# suite files (grammar: see onomasticon.py)
 #
 #   scenario <name>
-#   add <person> <gender> <generic> <class> [label=..]
+#   add <person> <gender> <generic> <class> [label=..] [weight=a/b]
+#       [rr=a/b] [scale=a/b]           (as a hypothesis file's candidate)
 #   remove <person>
 #   scale <person> <factor>
 #   set <param> <value>
-#   reference <decimal>
+#   reference <decimal>                 (the printed reference value)
+# Every record after a scenario's own belongs to that scenario.
 # ---------------------------------------------------------------------------
 
 def parse_suite(text: str) -> list[Scenario]:
     scenarios: list[Scenario] = []
-    name = None
-    deltas: list[Delta] = []
-    reference = None
 
-    def flush():
-        nonlocal name, deltas, reference
-        if name is not None:
-            scenarios.append(Scenario(name=name, deltas=tuple(deltas),
-                                      reference=reference))
-        name, deltas, reference = None, [], None
+    def current(kind: str) -> Scenario:
+        if not scenarios:
+            raise ValueError(f"{kind!r} record before the first scenario")
+        return scenarios[-1]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        verb = fields[0]
-        try:
-            if verb == "scenario":
-                flush()
-                name = fields[1]
-            elif verb == "add":
-                person, gender, generic, rclass = fields[1:5]
-                if rclass.startswith("slice:"):
-                    rclass = rclass.split(":", 1)[1]
-                opts = dict(f.split("=", 1) for f in fields[5:])
-                deltas.append(Delta(verb="add", descriptor=CandidateDescriptor(
-                    person=person, gender=gender, generic=generic,
-                    rendition_class=rclass, label=opts.get("label"))))
-            elif verb == "remove":
-                deltas.append(Delta(verb="remove", person=fields[1]))
-            elif verb == "scale":
-                deltas.append(Delta(verb="scale", person=fields[1],
-                                    factor=parse_fraction(fields[2])))
-            elif verb == "set":
-                deltas.append(Delta(verb="set", param=fields[1], value=fields[2]))
-            elif verb == "reference":
-                reference = fields[1]
-            else:
-                raise ParseError(f"row {lineno}: unknown verb {verb!r}")
-        except ParseError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"row {lineno}: {exc}") from exc
-    flush()
+    def delta(verb: str, **values):
+        last = current(verb)
+        scenarios[-1] = replace(last, deltas=last.deltas + (Delta(verb, **values),))
+
+    def reference(fields):
+        parse_fraction(fields[0])  # a number, kept as printed
+        scenarios[-1] = replace(current("reference"), reference=fields[0])
+
+    read_records(text, {
+        "scenario": lambda fields: scenarios.append(Scenario(fields[0])),
+        "add": lambda fields: delta("add", descriptor=parse_candidate(fields)),
+        "remove": lambda fields: delta("remove", person=fields[0]),
+        "scale": lambda fields: delta("scale", person=fields[0],
+                                      factor=parse_fraction(fields[1])),
+        "set": lambda fields: delta("set", param=fields[0], value=fields[1]),
+        "reference": reference})
     return scenarios
 
 
 def load_suite(source: Union[str, Path] = "bundled") -> list[Scenario]:
-    if source == "bundled":
-        text = resources.files("namecluster.data").joinpath("scenarios.cfg").read_text()
-    else:
-        text = Path(source).read_text()
-    return parse_suite(text)
+    return parse_suite(read_source(source, "scenarios.cfg"))

@@ -31,6 +31,15 @@ class TestBaselineWeights:
             Fraction(43, 2509), Fraction(2144, 2509)]
         assert round(float(weights[0] * 2509), 2) == 187.37
 
+    def test_residual_and_other_weights(self, baseline):
+        mariam = baseline.category("female", "Mariam").weight
+        assert mariam == (74 - Fraction(74, 44) - Fraction(74 * 13, 44)) / 317
+        assert round(float(mariam * 317), 2) == 50.45
+        assert baseline.category("female", "Other").weight == \
+            Fraction(317 - 74 - 61, 317)
+        assert baseline.category("male", "Other").weight == \
+            Fraction(2509 - 221 - 101 - 43, 2509)
+
     def test_weights_sum_to_one(self, baseline):
         assert sum(c.weight for c in baseline.women) == 1
         assert sum(c.weight for c in baseline.men) == 1
@@ -92,6 +101,15 @@ class TestSpecEdits:
         with pytest.raises(SpecificationError, match="exceed"):
             build_spec(onom, heavy)
 
+    def test_negative_residual_rejected(self, onom):
+        carved = tuple(
+            CandidateDescriptor(d.person, d.gender, d.generic, d.rendition_class,
+                                weight=Fraction(75, 317))
+            if d.person == "mary_magdalene" else d
+            for d in BASELINE_DESCRIPTORS)
+        with pytest.raises(SpecificationError, match="negative residual of Mariam"):
+            build_spec(onom, carved)
+
     def test_scale_moves_mass_into_the_residual(self, onom):
         scaled = tuple(
             d if d.person != "mary_magdalene" else
@@ -151,6 +169,20 @@ class TestConfigFile:
                 "candidate p female Mariam slice:MM rr=1e-999999999\n")
         with pytest.raises(ParseError, match="row 2"):
             parse_hypothesis_config(text)
+
+    @pytest.mark.parametrize("option, message", [
+        ("weight=1/0", "zero denominator"), ("rr=1/0", "zero denominator"),
+        ("scale=1/0", "zero denominator"), ("weigth=1/2", "'weigth'"),
+        ("label", "'label'")])
+    def test_bad_option_names_the_row(self, option, message):
+        text = f"name t\ncandidate p female Mariam slice:MM {option}\n"
+        with pytest.raises(ParseError, match=f"row 2: .*{message}"):
+            parse_hypothesis_config(text)
+
+    def test_bad_observed_slot_names_the_row(self):
+        for word, named in (("wife=MM", "'wife'"), ("woman1", "'woman1'")):
+            with pytest.raises(ParseError, match=f"row 1: .*{named}"):
+                parse_hypothesis_config(f"observed {word}\n")
 
     def test_unknown_record_kind_rejected(self):
         with pytest.raises(Exception, match="unknown record"):

@@ -222,6 +222,18 @@ class TestDemographyAndInfer:
 class TestFiguresBeyondTheFloatRange:
     BIG = str(10 ** 400)
 
+    def test_records_of_fractions_beyond_the_int_to_str_limit(self):
+        code, text = run_cli("infer", "--q", "1e-4300", "--theta", "1",
+                             "--alpha", "1/20", "--format", "records")
+        assert code == 0
+        records = [json.loads(line) for line in text.splitlines()]
+        assert [r["field"] for r in records] == [
+            "adjusted-p", "beta", "odds[theta=1]", "theta-bound[alpha=1/20]",
+            "odds-bound[alpha=1/20]"]
+        power = "1" + "0" * 4300  # 10**4300, 4,301 digits
+        assert records[1]["fraction"] == "1099/" + power
+        assert records[2]["fraction"] == power + "/1099"
+
     def test_infer_tiny_q(self):
         code, text = run_cli("infer", "--q", "1e-400", "--theta", "1")
         assert code == 0
@@ -269,6 +281,53 @@ def test_inference_warnings_are_one_stderr_line_each(argv, warning):
     with pytest.warns(UserWarning):
         assert (run.returncode, run.stdout) == run_cli(*argv)
     assert run.stderr.splitlines() == warning
+
+
+class TestMalformedInputFiles:
+    """A bad row in any input file: exit 2, one stderr line naming the row."""
+
+    HYPOTHESIS = "name t\ncandidate p female Mariam slice:MM {}\n"
+    SUITE = "scenario s\n{}\n"
+
+    @pytest.mark.parametrize("option, named", [
+        ("weight=1/0", "zero denominator"), ("rr=1/0", "zero denominator"),
+        ("scale=1/0", "zero denominator"), ("weigth=1/2", "'weigth'"),
+        ("label", "'label'")])
+    def test_bad_candidate_option(self, option, named, tmp_path, capsys):
+        hypothesis = tmp_path / "h.cfg"
+        hypothesis.write_text(self.HYPOTHESIS.format(option))
+        assert run_cli("analyze", "--hypothesis", str(hypothesis)) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: row 2: ")
+        assert named in err[0]
+
+    @pytest.mark.parametrize("flag", ["--onomasticon", "--hypothesis", "--suite"])
+    def test_unreadable_file_names_the_file(self, flag, tmp_path, capsys):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (tmp_path, binary, tmp_path / "missing.cfg"):
+            assert run_cli("sweep", flag, str(path)) == (2, "")
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+    def test_zero_denominator_in_the_onomasticon(self, tmp_path, capsys):
+        onom = tmp_path / "onom.tsv"
+        onom.write_text("total female 10\ngeneric X female 1/0\n")
+        assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "row 2: zero denominator" in err[0]
+
+    @pytest.mark.parametrize("command", ["sweep", "validate-config"])
+    @pytest.mark.parametrize("row", [
+        "scale mary_magdalene 1/0", "reference abc",
+        "add joanna female Joanna generic weigth=1/2",
+        "add joanna female Joanna generic label"])
+    def test_bad_suite_row(self, command, row, tmp_path, capsys):
+        suite = tmp_path / "suite.cfg"
+        suite.write_text(self.SUITE.format(row))
+        assert run_cli(command, "--suite", str(suite)) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: row 2: ")
 
 
 class TestValidateConfig:

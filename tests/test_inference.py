@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from namecluster.inference import (InferenceError, InferenceInput, adjusted_p,
-                                   beta_of, infer, odds_lower_bound,
-                                   posterior_odds, tau, theta_lower_bound)
+from namecluster.inference import (InferenceError, adjusted_p, beta_of,
+                                   odds_lower_bound, posterior_odds, tau,
+                                   theta_lower_bound)
 
 # baseline tail proportion from the bundled enumeration
 Q = Fraction(253644329313582025, 461894801863030415245482)
@@ -116,20 +116,3 @@ class TestIdentities:
         if other >= theta:
             assert tau(other, N2, Q) >= tau(theta, N2, Q)
 
-
-class TestBundle:
-    def test_infer_collects_everything(self):
-        result = infer(InferenceInput(q=Q, n2=N2, theta=Fraction(1),
-                                      alpha=Fraction(5, 100)))
-        assert result.p_value == N2 * Q
-        assert result.beta == (N2 - 1) * Q
-        assert round(float(result.odds)) == 1657
-        assert result.tau == tau(Fraction(1), N2, Q)
-        assert result.theta_bound == theta_lower_bound(Fraction(5, 100), N2, Q)
-        assert not result.clamped
-
-    def test_input_validation(self):
-        with pytest.raises(InferenceError):
-            InferenceInput(q=Fraction(0), n2=N2)
-        with pytest.raises(InferenceError):
-            InferenceInput(q=Fraction(1, 2), n2=1000)  # (n2-1) q >= 1

@@ -14,6 +14,7 @@ import pytest
 
 import namecluster as nc
 from namecluster import sensitivity
+from namecluster.candidates import parse_hypothesis_config
 from namecluster.onomasticon import ParseError
 from namecluster.scoring import TALPIYOT, score
 from namecluster.sensitivity import (Delta, Scenario, apply_deltas,
@@ -248,6 +249,34 @@ class TestSuiteParsing:
     def test_overlarge_exponent_names_the_row(self):
         with pytest.raises(ParseError, match="row 2"):
             parse_suite("scenario big\nscale mary_magdalene 1e999999999\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("scale mary_magdalene 1/0", "zero denominator"),
+        ("reference abc", "'abc'"),
+        ("add joanna female Joanna generic weigth=1/2", "'weigth'"),
+        ("add joanna female Joanna generic label", "'label'")])
+    def test_bad_row_is_named(self, row, message):
+        with pytest.raises(ParseError, match=f"row 3: .*{message}"):
+            parse_suite(f"scenario bad\nremove salome_sister\n{row}\n")
+
+    def test_record_before_the_first_scenario_is_rejected(self):
+        with pytest.raises(ParseError, match="row 1: 'remove'"):
+            parse_suite("remove salome_sister\nscenario late\n")
+
+    def test_add_takes_the_options_of_a_candidate(self, onom, rules):
+        fields = "joanna female Joanna generic label=J weight=1/2 rr=1/3 scale=2"
+        (scenario,) = parse_suite(f"scenario opts\nadd {fields}\n")
+        _, (candidate,), _ = parse_hypothesis_config(f"candidate {fields}\n")
+        assert scenario.deltas[0].descriptor == candidate
+        assert (candidate.label, candidate.weight, candidate.rr, candidate.scale) \
+            == ("J", Fraction(1, 2), Fraction(1, 3), Fraction(2))
+        _, descriptors, _ = nc.load_hypothesis_config()
+        with_options, plain = run_suite(onom, descriptors, rules, TALPIYOT, parse_suite(
+            "scenario a\nadd joanna female Joanna generic weight=1/2 rr=1/3\n"
+            "scenario b\nadd joanna female Joanna generic\n"))
+        assert f"{float(plain.adjusted_area):.12g}" == FROZEN["add-joanna"][0]
+        assert with_options.error is None
+        assert with_options.adjusted_area != plain.adjusted_area
 
     def test_printed_precision_matching(self):
         assert matches_at_printed_precision(Fraction(604, 10 ** 6), "0.000604")
