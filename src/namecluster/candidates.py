@@ -10,14 +10,13 @@ frequency, and Other scores 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, implied_count,
-                          parse_fraction, parse_options, read_records,
-                          read_source, slice_frequency)
+from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, checked,
+                          implied_count, parse_fraction, parse_options,
+                          read_records, read_source, slice_frequency)
 
 OTHER = "Other"
 
@@ -30,8 +29,8 @@ class SpecificationError(InputError):
     """A candidate list cannot be realized (duplicates, negative residuals...)."""
 
 
-@dataclass(frozen=True)
-class Category:
+@checked
+class Category(NamedTuple):
     """One sampling category: a label, a weight, and an RR value."""
 
     label: str
@@ -40,7 +39,7 @@ class Category:
     rr: Fraction
     kind: str = CANDIDATE
 
-    def __post_init__(self):
+    def check(self):
         if self.kind not in (CANDIDATE, RESIDUAL_GENERIC, OTHER_KIND):
             raise SpecificationError(f"category {self.label}: bad kind {self.kind!r}")
         if self.kind == OTHER_KIND and self.rr != 1:
@@ -54,8 +53,7 @@ class Category:
             raise SpecificationError(f"category {self.label}: rr outside (0,1]")
 
 
-@dataclass(frozen=True)
-class CandidateDescriptor:
+class CandidateDescriptor(NamedTuple):
     """How one a priori person maps onto the onomasticon.
 
     ``rendition_class`` is a slice label, "generic", or "residual" (the
@@ -82,8 +80,8 @@ class CandidateDescriptor:
         return self.rendition_class
 
 
-@dataclass(frozen=True)
-class HypothesisSpec:
+@checked
+class HypothesisSpec(NamedTuple):
     """Ordered categories per gender; weights sum to exactly 1 per gender."""
 
     name: str
@@ -92,7 +90,7 @@ class HypothesisSpec:
     female_total: int
     male_total: int
 
-    def __post_init__(self):
+    def check(self):
         for gender, cats in ((FEMALE, self.women), (MALE, self.men)):
             labels = [c.label for c in cats]
             if len(set(labels)) != len(labels):

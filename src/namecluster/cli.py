@@ -21,7 +21,8 @@ from fractions import Fraction
 from .candidates import build_spec, load_hypothesis_config
 from .onomasticon import InputError, format_decimal, format_fraction, \
     load_onomasticon, parse_flag, parse_fraction
-from .scoring import ContractViolation, RuleLedger, TombConfiguration, score
+from .scoring import (RULE_PARSERS, ContractViolation, RuleLedger,
+                      TombConfiguration, score)
 from .tailspace import enumerate_tail, tuple_space_size
 
 SIG = 4  # default report precision for tail areas
@@ -71,18 +72,17 @@ def parse_value(key, raw, parse=parse_fraction):
         raise ConfigError(message) from None
 
 
-def build_rules(config, args) -> RuleLedger:
-    def flag(name, default):
-        return setting(config, args, "rules", name, default, parse_flag)
+def settings_given(config, args, section, parsers) -> dict:
+    """{key: parsers[key](value)} for each key a flag or --config value sets."""
+    values = {key: setting(config, args, section, key, parse=parse)
+              for key, parse in parsers.items()}
+    return {key: value for key, value in values.items() if value is not None}
 
-    return RuleLedger(
-        bonus_divisor=setting(config, args, "rules", "bonus_divisor", "6/5",
-                              parse_fraction),
-        unknown_son_factor=setting(config, args, "rules", "unknown_son_factor",
-                                   "5", parse_fraction),
-        require_yeshua_in_tomb=flag("require_yeshua_in_tomb", "off"),
-        allow_father_yeshua=flag("allow_father_yeshua", "off"),
-        count_unknown_sons=flag("count_unknown_sons", "on"))
+
+DEMOGRAPHY_PARSERS = {
+    "total_deceased": int, "tomb_size": int, "non_jewish_fraction": parse_fraction,
+    "juvenile_fraction": parse_fraction, "literacy_affluence_fraction": parse_fraction,
+    "female_male_inscription_ratio": parse_fraction}
 
 
 def load_analysis_inputs(config, args):
@@ -96,7 +96,7 @@ def load_analysis_inputs(config, args):
         observed = TombConfiguration(**observed_fields)
     except TypeError as exc:
         raise ConfigError(f"bad observed record: {exc}") from exc
-    rules = build_rules(config, args)
+    rules = RuleLedger(**settings_given(config, args, "rules", RULE_PARSERS))
     return onom, name, descriptors, observed, rules, parse_n2(config, args)
 
 
@@ -109,22 +109,15 @@ def parse_n2(config, args) -> int:
 
 
 def emit(rows, fmt, out):
-    """rows: list of (field, exact Fraction or str, sig)."""
+    """rows: list of (field, exact Fraction, sig)."""
     if fmt == "records":
         for field, value, sig in rows:
-            record = {"field": field}
-            if isinstance(value, Fraction):
-                record["decimal"] = format_decimal(value, sig)
-                record["fraction"] = format_fraction(value)
-            else:
-                record["value"] = str(value)
-            out.write(json.dumps(record) + "\n")
+            out.write(json.dumps({"field": field, "decimal": format_decimal(value, sig),
+                                  "fraction": format_fraction(value)}) + "\n")
     else:
         width = max(len(field) for field, _, _ in rows)
         for field, value, sig in rows:
-            shown = (format_decimal(value, sig) if isinstance(value, Fraction)
-                     else str(value))
-            out.write(f"{field.ljust(width)}  {shown}\n")
+            out.write(f"{field.ljust(width)}  {format_decimal(value, sig)}\n")
 
 
 def cmd_analyze(config, args, out):
@@ -182,25 +175,11 @@ def cmd_sweep(config, args, out):
 
 def cmd_demography(config, args, out):
     from .demography import DemographyParams, run_pipeline
-    kwargs = {}
-    for name, parse in (("total_deceased", int), ("tomb_size", int),
-                        ("non_jewish_fraction", parse_fraction),
-                        ("juvenile_fraction", parse_fraction),
-                        ("literacy_affluence_fraction", parse_fraction),
-                        ("female_male_inscription_ratio", parse_fraction)):
-        value = setting(config, args, "demography", name, parse=parse)
-        if value is not None:
-            kwargs[name] = value
-    result = run_pipeline(DemographyParams(**kwargs))
-    rows = [
-        ("deceased-per-gender", Fraction(result.deceased_per_gender), 6),
-        ("adult-jewish-per-gender", Fraction(result.adult_jewish_per_gender), 6),
-        ("inscribed-males", Fraction(result.inscribed_males), 6),
-        ("inscribed-females", Fraction(result.inscribed_females), 6),
-        ("trials", Fraction(result.trials), 6),
-        ("excavated", Fraction(result.excavated), 6),
-        ("full-population-tombs", Fraction(result.full_population_tombs), 6),
-    ]
+    result = run_pipeline(DemographyParams(
+        **settings_given(config, args, "demography", DEMOGRAPHY_PARSERS)))
+    # the reported figures, in the result's field order; not the raw values
+    rows = [(name.replace("_", "-"), Fraction(value), 6)
+            for name, value in result._asdict().items() if not name.endswith("_raw")]
     emit(rows, args.format, out)
     return 0
 
@@ -254,6 +233,10 @@ def build_parser():
     parser.add_argument("--config", help="INI config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def flags(p, parsers):
+        for key in parsers:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key)
+
     def common(p):
         p.add_argument("--onomasticon", dest="source",
                        help="onomasticon table path or 'bundled'")
@@ -261,11 +244,7 @@ def build_parser():
                        help="hypothesis config path or 'bundled'")
         p.add_argument("--n2", help="number of candidate tombs")
         p.add_argument("--format", help="table or records")
-        p.add_argument("--bonus-divisor", dest="bonus_divisor")
-        p.add_argument("--unknown-son-factor", dest="unknown_son_factor")
-        p.add_argument("--require-yeshua-in-tomb", dest="require_yeshua_in_tomb")
-        p.add_argument("--allow-father-yeshua", dest="allow_father_yeshua")
-        p.add_argument("--count-unknown-sons", dest="count_unknown_sons")
+        flags(p, RULE_PARSERS)
 
     common(sub.add_parser("analyze", help="headline figures for the baseline"))
     p = sub.add_parser("sweep", help="run the sensitivity scenario suite")
@@ -273,13 +252,7 @@ def build_parser():
     p.add_argument("--suite", help="scenario suite path or 'bundled'")
     p = sub.add_parser("demography", help="population pipeline")
     p.add_argument("--format", help="table or records")
-    p.add_argument("--total-deceased", dest="total_deceased")
-    p.add_argument("--tomb-size", dest="tomb_size")
-    p.add_argument("--non-jewish-fraction", dest="non_jewish_fraction")
-    p.add_argument("--juvenile-fraction", dest="juvenile_fraction")
-    p.add_argument("--literacy-affluence-fraction", dest="literacy_affluence_fraction")
-    p.add_argument("--female-male-inscription-ratio",
-                   dest="female_male_inscription_ratio")
+    flags(p, DEMOGRAPHY_PARSERS)
     p = sub.add_parser("infer", help="p-value, odds and confidence bounds")
     p.add_argument("--q", help="tail area, exact fraction or decimal")
     p.add_argument("--n2")

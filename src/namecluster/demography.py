@@ -10,10 +10,10 @@ raw exact values are always carried alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .onomasticon import InputError
+from .onomasticon import InputError, checked
 
 
 class ParameterError(InputError):
@@ -26,8 +26,8 @@ def round_to(value: Fraction, unit: int) -> int:
     return int(q) * unit + (unit if 2 * r >= unit else 0)
 
 
-@dataclass(frozen=True)
-class DemographyParams:
+@checked
+class DemographyParams(NamedTuple):
     era_start: int = 6
     era_end: int = 70
     pop_start: int = 38_500       # around 20 BCE
@@ -41,7 +41,7 @@ class DemographyParams:
     excavated_tombs: int = 100
     full_population_tombs: int = 10_000
 
-    def __post_init__(self):
+    def check(self):
         for name in ("non_jewish_fraction", "juvenile_fraction",
                      "literacy_affluence_fraction", "female_male_inscription_ratio"):
             value = getattr(self, name)
@@ -53,8 +53,7 @@ class DemographyParams:
             raise ParameterError("counts must be nonnegative, tomb_size positive")
 
 
-@dataclass(frozen=True)
-class DemographyResult:
+class DemographyResult(NamedTuple):
     deceased_per_gender: Fraction
     adult_jewish_per_gender_raw: Fraction
     adult_jewish_per_gender: int      # reported, rounded to tens

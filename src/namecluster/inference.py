@@ -51,8 +51,15 @@ def posterior_odds(theta: Fraction, n2: int, q: Fraction) -> Fraction:
     return Fraction(theta) / b
 
 
+def check_alpha(alpha: Fraction) -> None:
+    """A confidence complement must lie in (0,1): above 1 no bound is a probability."""
+    if not 0 < alpha < 1:
+        raise InferenceError("alpha must lie in (0,1)")
+
+
 def theta_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:
     """100(1-alpha)% lower confidence bound for theta; 0 when degenerate."""
+    check_alpha(alpha)
     b = beta_of(q, n2)
     if alpha <= b:
         warnings.warn("alpha <= beta: the bound degenerates to 0", stacklevel=2)
@@ -62,6 +69,7 @@ def theta_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:
 
 def odds_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:
     """Lower confidence bound (alpha-beta)/(beta(1-beta)) for the odds."""
+    check_alpha(alpha)
     b = beta_of(q, n2)
     if b == 0:
         raise InferenceError("beta = 0 gives an infinite bound")

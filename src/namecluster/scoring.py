@@ -57,10 +57,11 @@ of M^4 tuples, and evaluates the answers on int-scaled RR values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .candidates import OTHER_KIND, Category, HypothesisSpec, SpecificationError
+from .onomasticon import checked, parse_flag, parse_fraction
 
 YOSEF = "Yosef"
 YESHUA = "Yeshua"
@@ -74,8 +75,8 @@ class ContractViolation(ValueError):
     """score() was called on an invalid configuration."""
 
 
-@dataclass(frozen=True)
-class RuleLedger:
+@checked
+class RuleLedger(NamedTuple):
     """Numeric parameters and toggles of the configurational adjustments."""
 
     bonus_divisor: Fraction = Fraction(6, 5)
@@ -84,18 +85,27 @@ class RuleLedger:
     allow_father_yeshua: bool = False
     count_unknown_sons: bool = True
 
-    def __post_init__(self):
+    def check(self):
         if self.bonus_divisor < 1:
             raise SpecificationError("bonus_divisor must be >= 1")
         if self.unknown_son_factor < 1:
             raise SpecificationError("unknown_son_factor must be >= 1")
+        for name in ("require_yeshua_in_tomb", "allow_father_yeshua", "count_unknown_sons"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):  # a word such as 'off' would be truthy
+                raise SpecificationError(f"{name} must be True or False, got {value!r}")
 
     def with_params(self, **kwargs) -> "RuleLedger":
-        return replace(self, **kwargs)
+        return self._replace(**kwargs)
 
 
-@dataclass(frozen=True)
-class TombConfiguration:
+# how a flag, a --config value and a suite's `set` record read each field
+RULE_PARSERS = {"bonus_divisor": parse_fraction, "unknown_son_factor": parse_fraction,
+                **dict.fromkeys(("require_yeshua_in_tomb", "allow_father_yeshua",
+                                 "count_unknown_sons"), parse_flag)}
+
+
+class TombConfiguration(NamedTuple):
     """Category labels for the six inscribed slots."""
 
     woman1: str
@@ -105,12 +115,8 @@ class TombConfiguration:
     father: str
     son: str
 
-    def male_slots(self) -> tuple[str, str, str, str]:
-        return (self.singleton1, self.singleton2, self.father, self.son)
 
-
-@dataclass(frozen=True)
-class RRValue:
+class RRValue(NamedTuple):
     """Score of a configuration, factored by slot group."""
 
     value: Fraction

@@ -18,41 +18,34 @@ enumerator reuses one male table (``tailspace.male_table``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .candidates import (CandidateDescriptor, HypothesisSpec,
                          SpecificationError, build_spec, parse_candidate)
-from .onomasticon import (Onomasticon, format_decimal, parse_flag,
-                          parse_fraction, read_records, read_source)
-from .scoring import RuleLedger, TombConfiguration, score
+from .onomasticon import (Onomasticon, format_decimal, parse_fraction,
+                          read_records, read_source)
+from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail
 
-_FLAGS = ("require_yeshua_in_tomb", "allow_father_yeshua", "count_unknown_sons")
-_PARAMS = ("bonus_divisor", "unknown_son_factor")
 
-
-@dataclass(frozen=True)
-class Delta:
+class Delta(NamedTuple):
     verb: str                      # add | remove | scale | set
     person: Optional[str] = None
     descriptor: Optional[CandidateDescriptor] = None
     factor: Optional[Fraction] = None
-    param: Optional[str] = None
-    value: Optional[str] = None
+    param: Optional[str] = None    # a RuleLedger field
+    value: Union[Fraction, bool, None] = None  # its value, as RULE_PARSERS reads it
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     deltas: tuple[Delta, ...] = ()
     reference: Optional[str] = None   # printed-value string for golden checks
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     name: str
     observed_rr: Optional[Fraction] = None
     proportion: Optional[Fraction] = None
@@ -76,32 +69,22 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
                  scenario: Scenario) -> tuple[tuple[CandidateDescriptor, ...], RuleLedger]:
     out = list(descriptors)
     for d in scenario.deltas:
+        persons = [c.person for c in out]
         if d.verb == "add":
-            if any(c.person == d.descriptor.person for c in out):
+            if d.descriptor.person in persons:
                 raise SpecificationError(
                     f"{scenario.name}: candidate {d.descriptor.person} already present")
             out.append(d.descriptor)
-        elif d.verb == "remove":
-            keep = [c for c in out if c.person != d.person]
-            if len(keep) == len(out):
-                raise SpecificationError(
-                    f"{scenario.name}: no candidate named {d.person}")
-            out = keep
-        elif d.verb == "scale":
-            hits = [i for i, c in enumerate(out) if c.person == d.person]
-            if not hits:
-                raise SpecificationError(
-                    f"{scenario.name}: no candidate named {d.person}")
-            i = hits[0]
-            out[i] = replace(out[i], scale=out[i].scale * d.factor)
-        elif d.verb == "set":
-            if d.param in _FLAGS:
-                rules = rules.with_params(**{d.param: parse_flag(d.value)})
-            elif d.param in _PARAMS:
-                rules = rules.with_params(**{d.param: parse_fraction(d.value)})
+        elif d.verb in ("remove", "scale"):
+            if d.person not in persons:
+                raise SpecificationError(f"{scenario.name}: no candidate named {d.person}")
+            if d.verb == "remove":
+                out = [c for c in out if c.person != d.person]
             else:
-                raise SpecificationError(
-                    f"{scenario.name}: unknown rule parameter {d.param!r}")
+                i = persons.index(d.person)
+                out[i] = out[i]._replace(scale=out[i].scale * d.factor)
+        elif d.verb == "set":
+            rules = rules.with_params(**{d.param: d.value})
         else:
             raise SpecificationError(f"{scenario.name}: unknown delta verb {d.verb!r}")
     return tuple(out), rules
@@ -159,7 +142,7 @@ def _run(onom, descriptors, rules, observed, scenario, n2, specs) -> ScenarioRep
 #       [rr=a/b] [scale=a/b]           (as a hypothesis file's candidate)
 #   remove <person>
 #   scale <person> <factor>
-#   set <param> <value>
+#   set <param> <value>                 (a RuleLedger field; checked when read)
 #   reference <decimal>                 (the printed reference value)
 # Every record after a scenario's own belongs to that scenario.
 # ---------------------------------------------------------------------------
@@ -174,11 +157,22 @@ def parse_suite(text: str) -> list[Scenario]:
 
     def delta(verb: str, **values):
         last = current(verb)
-        scenarios[-1] = replace(last, deltas=last.deltas + (Delta(verb, **values),))
+        scenarios[-1] = last._replace(deltas=last.deltas + (Delta(verb, **values),))
+
+    def set_(fields):
+        param, text = fields[0], fields[1]
+        if param not in RULE_PARSERS:
+            raise ValueError(f"unknown rule parameter {param!r}")
+        try:
+            value = RULE_PARSERS[param](text)
+        except ValueError as exc:
+            raise ValueError(f"{param}: {exc}") from None
+        RuleLedger()._replace(**{param: value})  # in range
+        delta("set", param=param, value=value)
 
     def reference(fields):
         parse_fraction(fields[0])  # a number, kept as printed
-        scenarios[-1] = replace(current("reference"), reference=fields[0])
+        scenarios[-1] = current("reference")._replace(reference=fields[0])
 
     read_records(text, {
         "scenario": lambda fields: scenarios.append(Scenario(fields[0])),
@@ -186,7 +180,7 @@ def parse_suite(text: str) -> list[Scenario]:
         "remove": lambda fields: delta("remove", person=fields[0]),
         "scale": lambda fields: delta("scale", person=fields[0],
                                       factor=parse_fraction(fields[1])),
-        "set": lambda fields: delta("set", param=fields[0], value=fields[1]),
+        "set": set_,
         "reference": reference})
     return scenarios
 

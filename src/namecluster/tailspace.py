@@ -50,7 +50,6 @@ The enumeration stays exact without a Fraction per tuple, pair or triple:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -61,8 +60,7 @@ from .scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies, collides,
                       generational_counts, singleton_counts)
 
 
-@dataclass(frozen=True)
-class TailResult:
+class TailResult(NamedTuple):
     total_mass: Fraction
     valid_mass: Fraction
     tail_mass: Fraction
@@ -78,10 +76,7 @@ class MaleTable(NamedTuple):
     """Valid male 4-tuple mass and tail-eligible mass per distinct score.
 
     A male score is ``scores[i] / scale``. A mass over ``mass_scale`` is a
-    sum of products of four male category weights. A NamedTuple rather than
-    a dataclass: the class is created at every CLI start, and a dataclass
-    costs about ten times as much to create (1 ms against 0.1 ms on a
-    2-vCPU Xeon VM with Python 3.11).
+    sum of products of four male category weights.
     """
 
     scale: int

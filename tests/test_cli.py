@@ -117,6 +117,13 @@ class TestAnalyze:
     def test_q_at_its_bounds_is_accepted(self, q):
         assert run_cli("infer", "--q", q, "--n2", "1")[0] == 0
 
+    @pytest.mark.parametrize("alpha", [["--alpha", "2"], ["--alpha=0"]])
+    def test_alpha_outside_0_1_exits_2(self, alpha, capsys):
+        # a bound for alpha = 2 read 2.011: a probability above 1
+        assert run_cli("infer", "--q", "1/100000", *alpha) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: alpha must lie in (0,1)"]
+
 
 @settings(max_examples=150, deadline=None)
 @given(argv=st.sampled_from([["analyze", "--bonus-divisor"], ["infer", "--q"],
@@ -158,14 +165,14 @@ class TestSweep:
         assert "error" in lines[1]
         assert lines[2].rstrip().endswith("yes")
 
-    def test_zero_denominator_in_a_set_delta_errors_only_its_row(self, tmp_path):
+    def test_zero_denominator_in_a_set_delta_exits_2_naming_its_row(
+            self, tmp_path, capsys):
         suite = tmp_path / "suite.cfg"
         suite.write_text("scenario broken\nset bonus_divisor 1/0\n\n"
                          "scenario fine\nset bonus_divisor 1\n")
-        code, text = run_cli("sweep", "--suite", str(suite))
-        assert code == 0
-        lines = text.splitlines()
-        assert "error" in lines[1] and "error" not in lines[2]
+        assert run_cli("sweep", "--suite", str(suite)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: row 2: bonus_divisor: zero denominator"]
 
     def test_empty_suite_prints_header_only(self, tmp_path):
         suite = tmp_path / "empty.cfg"
@@ -321,13 +328,16 @@ class TestMalformedInputFiles:
     @pytest.mark.parametrize("row", [
         "scale mary_magdalene 1/0", "reference abc",
         "add joanna female Joanna generic weigth=1/2",
-        "add joanna female Joanna generic label"])
+        "add joanna female Joanna generic label", "set bonus_divisor abc",
+        "set bogus 1", "set count_unknown_sons maybe", "set bonus_divisor 1/2"])
     def test_bad_suite_row(self, command, row, tmp_path, capsys):
         suite = tmp_path / "suite.cfg"
         suite.write_text(self.SUITE.format(row))
         assert run_cli(command, "--suite", str(suite)) == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: row 2: ")
+        if row.startswith("set"):  # the parameter is named
+            assert row.split()[1] in err[0]
 
 
 class TestValidateConfig:
@@ -398,6 +408,13 @@ class TestImports:
 
     def test_sweep_loads_sensitivity(self):
         assert "namecluster.sensitivity" in modules_loaded_by("sweep")
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["sweep"], ["demography"],
+                                      ["validate-config", "--suite", "bundled"]])
+    def test_no_command_loads_dataclasses(self, argv):
+        # the value types are NamedTuples: dataclasses would bring inspect,
+        # ast, dis and tokenize into every start
+        assert "dataclasses" not in modules_loaded_by(*argv)
 
     def test_package_exports_resolve_to_their_definitions(self):
         for name in namecluster.__all__:

@@ -185,7 +185,7 @@ class TestScenarioSemantics:
     def test_identical_scenarios_give_identical_reports(self, onom, rules):
         _, descriptors, _ = nc.load_hypothesis_config()
         scenario = Scenario(name="twin", deltas=(
-            Delta(verb="set", param="bonus_divisor", value="1"),))
+            Delta(verb="set", param="bonus_divisor", value=Fraction(1)),))
         pair = run_suite(onom, descriptors, rules, TALPIYOT,
                          [scenario, scenario])
         assert pair[0] == pair[1]
@@ -204,10 +204,9 @@ class TestScenarioSemantics:
 
     def test_every_flag_spelling_sets_the_same_ledger(self, onom, rules):
         _, descriptors, _ = nc.load_hypothesis_config()
-        reports = run_suite(onom, descriptors, rules, TALPIYOT, [
-            Scenario(name=value, deltas=(
-                Delta(verb="set", param="require_yeshua_in_tomb", value=value),))
-            for value in ("on", "TRUE", "1", "yes", "off", "No")])
+        reports = run_suite(onom, descriptors, rules, TALPIYOT, parse_suite("".join(
+            f"scenario {value}\nset require_yeshua_in_tomb {value}\n"
+            for value in ("on", "TRUE", "1", "yes", "off", "No"))))
         on, off = reports[0], reports[4]
         assert on.adjusted_area != off.adjusted_area
         assert [r.adjusted_area for r in reports] \
@@ -244,7 +243,10 @@ class TestSuiteParsing:
         assert scenario.name == "demo"
         assert [d.verb for d in scenario.deltas] == ["add", "scale", "set"]
         assert scenario.deltas[1].factor == 2
+        assert scenario.deltas[2].value == Fraction(1)
         assert scenario.reference == "0.001"
+        (flag,) = parse_suite("scenario f\nset count_unknown_sons Off\n")[0].deltas
+        assert flag.value is False
 
     def test_overlarge_exponent_names_the_row(self):
         with pytest.raises(ParseError, match="row 2"):
@@ -253,6 +255,10 @@ class TestSuiteParsing:
     @pytest.mark.parametrize("row, message", [
         ("scale mary_magdalene 1/0", "zero denominator"),
         ("reference abc", "'abc'"),
+        ("set bonus_divisor abc", "bonus_divisor: .*'abc'"),
+        ("set bogus 1", "unknown rule parameter 'bogus'"),
+        ("set count_unknown_sons maybe", "count_unknown_sons: .*'maybe'"),
+        ("set unknown_son_factor 1/2", "unknown_son_factor must be >= 1"),
         ("add joanna female Joanna generic weigth=1/2", "'weigth'"),
         ("add joanna female Joanna generic label", "'label'")])
     def test_bad_row_is_named(self, row, message):

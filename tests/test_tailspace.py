@@ -1,7 +1,6 @@
 """Exact enumeration: masses, tail proportions, and the person-level oracle."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -150,7 +149,7 @@ class TestMaleTable:
         shuffled = list(spec.men)
         random.Random(13).shuffle(shuffled)
         for men in (tuple(reversed(spec.men)), tuple(shuffled)):
-            result = enumerate_tail(replace(spec, men=men), rules, observed)
+            result = enumerate_tail(spec._replace(men=men), rules, observed)
             assert (result.valid_mass, result.tail_mass) == FROZEN[PLUS_8, ledger]
 
     @pytest.mark.parametrize("field, value", [("weight", Fraction(1, 5)),
@@ -160,10 +159,10 @@ class TestMaleTable:
     def test_one_changed_category_gets_its_own_table(self, field, value, rules):
         spec = make_spec([1, 1], [2, 1, 2], men_labels=["Yosef", "Yeshua"])
         yosef, yeshua, other = spec.men
-        changed = replace(yosef, **{field: value})
+        changed = yosef._replace(**{field: value})
         if field == "weight":  # Other absorbs the freed weight
-            other = replace(other, weight=other.weight + yosef.weight - value)
-        variant = replace(spec, men=(changed, yeshua, other))
+            other = other._replace(weight=other.weight + yosef.weight - value)
+        variant = spec._replace(men=(changed, yeshua, other))
         config = nc.TombConfiguration("W0", "Other", "Yosef", "Other",
                                       "Yosef", "Yeshua")
         observed = score(config, spec, rules).value
@@ -274,10 +273,9 @@ class TestTailMonotonicityProperties:
 
     def test_doubling_an_in_sample_slice_never_shrinks_the_proportion(
             self, onom, rules, baseline_tail):
-        from dataclasses import replace
         for person in ("mary_magdalene", "joses_brother"):
             scaled = tuple(
-                replace(d, scale=Fraction(2)) if d.person == person else d
+                d._replace(scale=Fraction(2)) if d.person == person else d
                 for d in nc.BASELINE_DESCRIPTORS)
             spec = nc.build_spec(onom, scaled)
             observed = score(TALPIYOT, spec, rules).value
