@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, checked,
-                          implied_count, parse_fraction, parse_options,
-                          read_records, read_source, slice_frequency)
+                          load_source, parse_fraction, parse_options,
+                          read_records, slice_frequency)
 
 OTHER = "Other"
 
@@ -84,7 +84,6 @@ class CandidateDescriptor(NamedTuple):
 class HypothesisSpec(NamedTuple):
     """Ordered categories per gender; weights sum to exactly 1 per gender."""
 
-    name: str
     women: tuple[Category, ...]
     men: tuple[Category, ...]
     female_total: int
@@ -110,6 +109,16 @@ class HypothesisSpec(NamedTuple):
         raise SpecificationError(f"category: {gender}/{label}: unknown")
 
 
+def _frequency(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
+    """The generic's frequency for a generic or residual class, else the slice's."""
+    g = onom.generic(desc.generic)
+    if g.gender != desc.gender:
+        raise SpecificationError(f"candidate {desc.person}: {g.name} is {g.gender}")
+    if desc.rendition_class in ("generic", "residual"):
+        return g.total_persons / onom.gender_total(g.gender)
+    return slice_frequency(onom.slice(desc.generic, desc.rendition_class), onom)
+
+
 def assign_rr(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
     """RR value of a candidate: its rarest resolvable class frequency.
 
@@ -118,44 +127,27 @@ def assign_rr(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
     frequency (a residual rendition is common and carries reduced evidentiary
     value). Explicit overrides win; ``scale`` applies afterwards.
     """
-    if desc.rr is not None:
-        return desc.rr * desc.scale
-    total = onom.gender_total(desc.gender)
-    if desc.rendition_class in ("generic", "residual"):
-        value = onom.generic(desc.generic).total_persons / total
-    else:
-        value = slice_frequency(onom.slice(desc.generic, desc.rendition_class), onom)
-    return value * desc.scale
+    return (_frequency(onom, desc) if desc.rr is None else desc.rr) * desc.scale
 
 
 def _weight(onom: Onomasticon, desc: CandidateDescriptor,
             siblings: Sequence[CandidateDescriptor]) -> Fraction:
+    """The override, else the frequency less, for a residual, its slices' weights."""
     if desc.weight is not None:
         return desc.weight * desc.scale
-    total = onom.gender_total(desc.gender)
-    if desc.rendition_class == "generic":
-        return onom.generic(desc.generic).total_persons / total * desc.scale
+    weight = _frequency(onom, desc)
     if desc.rendition_class == "residual":
-        # complement inside the generic after the sliced-out siblings
-        carved = Fraction(0)
-        for sib in siblings:
-            if (sib.generic == desc.generic and sib is not desc
-                    and sib.rendition_class not in ("generic", "residual")):
-                if sib.weight is not None:
-                    carved += sib.weight * total * sib.scale
-                else:
-                    slc = onom.slice(sib.generic, sib.rendition_class)
-                    carved += implied_count(slc, onom.generic(sib.generic)) * sib.scale
-        residual = onom.generic(desc.generic).total_persons - carved
-        if residual < 0:
+        weight -= sum((_weight(onom, sib, siblings) for sib in siblings
+                       if sib.generic == desc.generic
+                       and sib.rendition_class not in ("generic", "residual")))
+        if weight < 0:
             raise SpecificationError(
                 f"candidate {desc.person}: negative residual of {desc.generic}")
-        return residual / total * desc.scale
-    return slice_frequency(onom.slice(desc.generic, desc.rendition_class), onom) * desc.scale
+    return weight * desc.scale
 
 
-def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
-               name: str = "custom") -> HypothesisSpec:
+def build_spec(onom: Onomasticon,
+               candidates: Sequence[CandidateDescriptor]) -> HypothesisSpec:
     """Realize candidate descriptors into a weighted category list per gender."""
     persons = [d.person for d in candidates]
     if len(set(persons)) != len(persons):
@@ -184,7 +176,7 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
             raise SpecificationError(f"{gender} candidates: weights exceed 1")
         out.append(Category(label=OTHER, gender=gender, weight=other,
                             rr=Fraction(1), kind=OTHER_KIND))
-    return HypothesisSpec(name=name, women=tuple(women), men=tuple(men),
+    return HypothesisSpec(women=tuple(women), men=tuple(men),
                           female_total=onom.female_total,
                           male_total=onom.male_total)
 
@@ -208,7 +200,7 @@ ADDON_DESCRIPTORS = {
 
 
 def baseline_spec(onom: Onomasticon) -> HypothesisSpec:
-    return build_spec(onom, BASELINE_DESCRIPTORS, name="baseline")
+    return build_spec(onom, BASELINE_DESCRIPTORS)
 
 
 # ---------------------------------------------------------------------------
@@ -248,4 +240,4 @@ def parse_hypothesis_config(text: str):
 
 
 def load_hypothesis_config(source: Union[str, Path] = "bundled"):
-    return parse_hypothesis_config(read_source(source, "baseline.cfg"))
+    return load_source(source, "baseline.cfg", parse_hypothesis_config)

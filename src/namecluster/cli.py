@@ -123,7 +123,7 @@ def emit(rows, fmt, out):
 def cmd_analyze(config, args, out):
     onom, name, descriptors, observed, rules, n2 = \
         load_analysis_inputs(config, args)
-    spec = build_spec(onom, descriptors, name=name)
+    spec = build_spec(onom, descriptors)
     observed_rr = score(observed, spec, rules).value
     result = enumerate_tail(spec, rules, observed_rr)
     rows = [
@@ -214,7 +214,7 @@ def cmd_validate_config(config, args, out):
     from .sensitivity import load_suite
     onom, name, descriptors, observed, rules, _ = \
         load_analysis_inputs(config, args)
-    spec = build_spec(onom, descriptors, name=name)
+    spec = build_spec(onom, descriptors)
     score(observed, spec, rules)  # must be a valid configuration
     suite_source = setting(config, args, "sweep", "suite", None)
     n_scenarios = len(load_suite(suite_source)) if suite_source else 0

@@ -28,10 +28,6 @@ def round_to(value: Fraction, unit: int) -> int:
 
 @checked
 class DemographyParams(NamedTuple):
-    era_start: int = 6
-    era_end: int = 70
-    pop_start: int = 38_500       # around 20 BCE
-    pop_end: int = 82_500         # around 70 CE
     total_deceased: int = 132_200
     non_jewish_fraction: Fraction = Fraction(5, 100)
     juvenile_fraction: Fraction = Fraction(42, 100)
@@ -47,8 +43,6 @@ class DemographyParams(NamedTuple):
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ParameterError(f"{name} outside [0,1]")
-        if self.era_start >= self.era_end:
-            raise ParameterError("era_start must precede era_end")
         if self.total_deceased < 0 or self.tomb_size <= 0:
             raise ParameterError("counts must be nonnegative, tomb_size positive")
 

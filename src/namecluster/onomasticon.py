@@ -18,7 +18,6 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import wraps
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -265,14 +264,21 @@ def slice_frequency(slc: RenditionSlice, onom: Onomasticon) -> Fraction:
 # A '-' ossuary entry means undetermined (not zero).
 # ---------------------------------------------------------------------------
 
-def read_source(source: Union[str, Path], filename: str) -> str:
-    """The text of a path, or of the packaged ``filename`` for "bundled"."""
-    if source == "bundled":
-        return resources.files("namecluster.data").joinpath(filename).read_text()
+DATA = Path(__file__).parent / "data"
+
+
+def load_source(source: Union[str, Path], filename: str, parse):
+    """``parse`` of the text of a path, or of the packaged ``filename`` for
+    "bundled". An unreadable file and a malformed row name the file."""
+    path = DATA / filename if source == "bundled" else source
     try:
-        return Path(source).read_text()
+        text = Path(path).read_text()
     except (OSError, UnicodeError) as exc:  # missing, a directory, not text...
-        raise InputError(f"{source}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def read_records(text: str, handlers) -> None:
@@ -355,4 +361,4 @@ def parse_onomasticon(text: str) -> Onomasticon:
 
 def load_onomasticon(source: Union[str, Path] = "bundled") -> Onomasticon:
     """Load from a path or the bundled fixture."""
-    return parse_onomasticon(read_source(source, "onomasticon.tsv"))
+    return load_source(source, "onomasticon.tsv", parse_onomasticon)

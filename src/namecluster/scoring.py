@@ -36,23 +36,23 @@ A father Yosef who is also a singleton while a Yoseh is present falls under
 none of the written adjustments; the pair is unknowable and scores 1 (this
 is what reproduces the reference valid and tail masses exactly).
 
-The ledger answers which factors count, not what they are worth:
-``singleton_counts`` says whether each singleton's RR counts under R3, R4
-and R7, ``generational_counts`` whether the father's RR, the son's RR and
-the unknown-son factor count under R1, R2, R5-R13 and the uncovered case,
-and ``bonus_applies`` whether R14 divides the score. A factor that does not
-count is 1. The exact Fraction parts evaluate these answers, and the male
-score factors exactly as
+The ledger answers three questions, which factors count and not what they
+are worth: ``singleton_counts`` says whether each singleton's RR counts
+under R3, R4 and R7, ``generational_counts`` whether the father's RR, the
+son's RR and the unknown-son factor count under R1, R2, R5-R13 and the
+uncovered case, and ``bonus_applies`` whether R14 divides the score. A
+factor that does not count is 1. ``score_male_slots`` evaluates the three
+answers as the exact Fractions (singleton part, generational part, bonus
+divisor), and the male score is
 
-  singleton_part(s1, s2, father)
-    * generational_part(father, son, father_is_singleton, yoseh_in_singles)
-    / bonus(father, son)
+  singleton part * generational part / bonus divisor
 
 R3, R4 and R7 touch only the singleton part, R14 only the bonus, and the
-generational part sees the singletons only through the two flags.
-``score_male_slots`` is this composition. The enumerator in ``tailspace``
-asks the same questions for M^3 singleton triples and 4 M^2 pairs instead
-of M^4 tuples, and evaluates the answers on int-scaled RR values.
+generational part sees the singletons only through two flags: whether one
+shares the father's label and whether one is Yoseh. The enumerator in
+``tailspace`` asks the same questions for M^3 singleton triples and 4 M^2
+pairs instead of M^4 tuples, and evaluates the answers on int-scaled RR
+values.
 """
 
 from __future__ import annotations
@@ -94,9 +94,6 @@ class RuleLedger(NamedTuple):
             value = getattr(self, name)
             if not isinstance(value, bool):  # a word such as 'off' would be truthy
                 raise SpecificationError(f"{name} must be True or False, got {value!r}")
-
-    def with_params(self, **kwargs) -> "RuleLedger":
-        return self._replace(**kwargs)
 
 
 # how a flag, a --config value and a suite's `set` record read each field
@@ -238,39 +235,25 @@ def bonus_applies(father: Category, son: Category) -> bool:
     return father.label == YOSEF and son.label == YESHUA
 
 
-def singleton_part(s1: Category, s2: Category, father: Category) -> Fraction:
-    """Product of the two singleton RR values after R3, R4 and R7."""
-    c1, c2 = singleton_counts(s1, s2, father)
-    return (s1.rr if c1 else ONE) * (s2.rr if c2 else ONE)
-
-
-def generational_part(father: Category, son: Category, father_is_singleton: bool,
-                      yoseh_in_singles: bool, rules: RuleLedger) -> Fraction:
-    """Pair contribution after the familial adjustments (before the bonus)."""
-    f, s, u = generational_counts(father, son, father_is_singleton,
-                                  yoseh_in_singles, rules)
-    return ((father.rr if f else ONE) * (son.rr if s else ONE)
-            * (rules.unknown_son_factor if u else ONE))
-
-
-def bonus(father: Category, son: Category, rules: RuleLedger) -> Fraction:
-    """Divisor applied to the whole score (R14)."""
-    return rules.bonus_divisor if bonus_applies(father, son) else ONE
-
-
 def score_male_slots(singleton1: str, singleton2: str, father_label: str,
                      son_label: str, spec: HypothesisSpec,
                      rules: RuleLedger) -> tuple[Fraction, Fraction, Fraction]:
-    """(singleton_part, generational_part, bonus divisor) for the male slots."""
+    """(singleton part, generational part, bonus divisor) of the male slots.
+
+    Each part is the product of the factors that the ledger says count.
+    """
     s1 = spec.category("male", singleton1)
     s2 = spec.category("male", singleton2)
     father = spec.category("male", father_label)
     son = spec.category("male", son_label)
     singles = (s1.label, s2.label)
-    return (singleton_part(s1, s2, father),
-            generational_part(father, son, father.label in singles,
-                              YOSEH in singles, rules),
-            bonus(father, son, rules))
+    c1, c2 = singleton_counts(s1, s2, father)
+    fc, sc, uc = generational_counts(father, son, father.label in singles,
+                                     YOSEH in singles, rules)
+    return ((s1.rr if c1 else ONE) * (s2.rr if c2 else ONE),
+            (father.rr if fc else ONE) * (son.rr if sc else ONE)
+            * (rules.unknown_son_factor if uc else ONE),
+            rules.bonus_divisor if bonus_applies(father, son) else ONE)
 
 
 def score(config: TombConfiguration, spec: HypothesisSpec,

@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .candidates import (CandidateDescriptor, HypothesisSpec,
                          SpecificationError, build_spec, parse_candidate)
-from .onomasticon import (Onomasticon, format_decimal, parse_fraction,
-                          read_records, read_source)
+from .onomasticon import (Onomasticon, format_decimal, load_source,
+                          parse_fraction, read_records)
 from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail
 
@@ -84,7 +84,7 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
                 i = persons.index(d.person)
                 out[i] = out[i]._replace(scale=out[i].scale * d.factor)
         elif d.verb == "set":
-            rules = rules.with_params(**{d.param: d.value})
+            rules = rules._replace(**{d.param: d.value})
         else:
             raise SpecificationError(f"{scenario.name}: unknown delta verb {d.verb!r}")
     return tuple(out), rules
@@ -122,7 +122,7 @@ def _run(onom, descriptors, rules, observed, scenario, n2, specs) -> ScenarioRep
     new_desc, new_rules = apply_deltas(descriptors, rules, scenario)
     spec = specs.get(new_desc)
     if spec is None:
-        spec = specs[new_desc] = build_spec(onom, new_desc, name=scenario.name)
+        spec = specs[new_desc] = build_spec(onom, new_desc)
     observed_rr = score(observed, spec, new_rules).value
     result = enumerate_tail(spec, new_rules, observed_rr)
     adjusted = n2 * result.proportion
@@ -186,4 +186,4 @@ def parse_suite(text: str) -> list[Scenario]:
 
 
 def load_suite(source: Union[str, Path] = "bundled") -> list[Scenario]:
-    return parse_suite(read_source(source, "scenarios.cfg"))
+    return load_source(source, "scenarios.cfg", parse_suite)

@@ -12,11 +12,11 @@ singleton slot.
 
 The enumeration stays exact without a Fraction per tuple, pair or triple:
 
-* Factorisation. A male score is singleton_part(s1, s2, father) times
-  generational_part(father, son, father_is_singleton, yoseh_in_singles)
-  over bonus(father, son) (see ``scoring``). The ledger is asked for the
-  M^3 singleton triples and the 4 M^2 (father, son, flags) pairs, never for
-  the M^4 male tuples, and it answers which factors count, not their values.
+* Factorisation. A male score (``scoring.score_male_slots``) is a singleton
+  part of (s1, s2, father) times a generational part of (father, son, two
+  flags) over a bonus divisor of (father, son), each built from the answer
+  of one ledger question. The questions are asked for the M^3 singleton
+  triples and 4 M^2 pairs, never the M^4 male tuples, and answered as ints.
 * Integer scaling. The male RR values are multiplied by the lcm R of their
   denominators; an RR that does not count is 1, scaled to R. With the
   unknown-son factor un/ud and the bonus divisor bn/bd, a singleton part is

@@ -32,8 +32,7 @@ def observed_config():
 ROLE_LABELS = (YOSEF, YESHUA, YOSEH, JAMES, CLEOPAS)
 
 
-def make_spec(women_counts, men_counts, women_labels=None, men_labels=None,
-              name="synthetic"):
+def make_spec(women_counts, men_counts, women_labels=None, men_labels=None):
     """Build a spec from integer category counts; the last count is Other.
 
     Weights and RR values coincide (count over the gender total), which is
@@ -56,7 +55,7 @@ def make_spec(women_counts, men_counts, women_labels=None, men_labels=None,
 
     women, ftotal = cats(women_counts, women_labels, "female", "W")
     men, mtotal = cats(men_counts, men_labels, "male", "M")
-    return HypothesisSpec(name=name, women=women, men=men,
+    return HypothesisSpec(women=women, men=men,
                           female_total=ftotal, male_total=mtotal)
 
 

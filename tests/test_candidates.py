@@ -101,6 +101,15 @@ class TestSpecEdits:
         with pytest.raises(SpecificationError, match="exceed"):
             build_spec(onom, heavy)
 
+    @pytest.mark.parametrize("rclass", ["generic", "residual", "MM"])
+    def test_generic_of_the_other_gender_rejected(self, onom, rclass):
+        # a frequency is over the generic's own gender total, so a male
+        # candidate cannot be drawn from a female generic
+        crossed = BASELINE_DESCRIPTORS + (
+            CandidateDescriptor("crossed", "male", "Mariam", rclass, label="X"),)
+        with pytest.raises(SpecificationError, match="crossed: Mariam is female"):
+            build_spec(onom, crossed)
+
     def test_negative_residual_rejected(self, onom):
         carved = tuple(
             CandidateDescriptor(d.person, d.gender, d.generic, d.rendition_class,

@@ -172,7 +172,7 @@ class TestSweep:
                          "scenario fine\nset bonus_divisor 1\n")
         assert run_cli("sweep", "--suite", str(suite)) == (2, "")
         assert capsys.readouterr().err.splitlines() == [
-            "error: row 2: bonus_divisor: zero denominator"]
+            f"error: {suite}: row 2: bonus_divisor: zero denominator"]
 
     def test_empty_suite_prints_header_only(self, tmp_path):
         suite = tmp_path / "empty.cfg"
@@ -305,7 +305,7 @@ class TestMalformedInputFiles:
         hypothesis.write_text(self.HYPOTHESIS.format(option))
         assert run_cli("analyze", "--hypothesis", str(hypothesis)) == (2, "")
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: row 2: ")
+        assert len(err) == 1 and err[0].startswith(f"error: {hypothesis}: row 2: ")
         assert named in err[0]
 
     @pytest.mark.parametrize("flag", ["--onomasticon", "--hypothesis", "--suite"])
@@ -335,7 +335,7 @@ class TestMalformedInputFiles:
         suite.write_text(self.SUITE.format(row))
         assert run_cli(command, "--suite", str(suite)) == (2, "")
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: row 2: ")
+        assert len(err) == 1 and err[0].startswith(f"error: {suite}: row 2: ")
         if row.startswith("set"):  # the parameter is named
             assert row.split()[1] in err[0]
 

@@ -42,10 +42,6 @@ class TestValidation:
         with pytest.raises(ParameterError):
             DemographyParams(juvenile_fraction=Fraction(3, 2))
 
-    def test_bad_era(self):
-        with pytest.raises(ParameterError):
-            DemographyParams(era_start=70, era_end=6)
-
     def test_negative_deceased(self):
         with pytest.raises(ParameterError):
             DemographyParams(total_deceased=-1)

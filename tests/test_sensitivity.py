@@ -127,9 +127,9 @@ class TestSharing:
         _, descriptors, _ = nc.load_hypothesis_config()
         built = []
 
-        def counting_build_spec(onom, candidates, name="custom"):
+        def counting_build_spec(onom, candidates):
             built.append(tuple(candidates))
-            return nc.build_spec(onom, candidates, name=name)
+            return nc.build_spec(onom, candidates)
 
         monkeypatch.setattr(sensitivity, "build_spec", counting_build_spec)
         run_suite(onom, descriptors, rules, TALPIYOT, suite)
@@ -142,7 +142,7 @@ class TestSharing:
         cases = []
         for scenario in suite:
             new_desc, new_rules = apply_deltas(descriptors, rules, scenario)
-            spec = nc.build_spec(onom, new_desc, name=scenario.name)
+            spec = nc.build_spec(onom, new_desc)
             cases.append((spec, new_rules, score(TALPIYOT, spec, new_rules).value))
         hits = male_table.cache_info().hits
         cached = [enumerate_tail(*case) for case in cases]

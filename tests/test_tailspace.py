@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 import namecluster as nc
 from namecluster.candidates import CandidateDescriptor
-from namecluster.scoring import (TALPIYOT, YOSEH, RuleLedger, bonus,
-                                 generational_part, score, score_male_slots,
-                                 singleton_part, validate)
+from namecluster.scoring import (TALPIYOT, YESHUA, RuleLedger, score,
+                                 score_male_slots, validate)
 from namecluster.tailspace import enumerate_tail, male_table, tuple_space_size
 
 from conftest import make_spec, random_synthetic
@@ -103,7 +102,7 @@ class TestBaselineEnumeration:
 
     def test_requiring_yeshua_shrinks_the_tail(self, baseline, rules):
         restricted = enumerate_tail(
-            baseline, rules.with_params(require_yeshua_in_tomb=True), OBSERVED)
+            baseline, rules._replace(require_yeshua_in_tomb=True), OBSERVED)
         assert restricted.tail_mass < TAIL
         assert restricted.valid_mass == VALID  # flag affects tail membership only
 
@@ -123,19 +122,30 @@ class TestFrozenLargerSpaces:
 
     @pytest.mark.parametrize("rules", list(LEDGERS.values()), ids=list(LEDGERS))
     def test_male_score_factorisation(self, onom, rules):
+        # male_table's int scores and masses, rebuilt one valid male tuple
+        # at a time from the Fraction scores of score_male_slots
         spec = grown_spec(onom, PLUS_8)
+        table = male_table(spec.men, rules)
         men = {c.label: c for c in spec.men}
-        for s1, s2, f, son in product(men, repeat=4):
-            config = nc.TombConfiguration("MM", "Marya", s1, s2, f, son)
+        valid, by_score = 0, {}
+        for slots in product(men, repeat=4):
+            config = nc.TombConfiguration("MM", "Marya", *slots)
             if validate(config, spec) is not None:
                 continue
-            father = men[f]
-            factored = (singleton_part(men[s1], men[s2], father)
-                        * generational_part(father, men[son], f in (s1, s2),
-                                            YOSEH in (s1, s2), rules)
-                        / bonus(father, men[son], rules))
-            singles, gen, divisor = score_male_slots(s1, s2, f, son, spec, rules)
-            assert factored == singles * gen / divisor, (s1, s2, f, son)
+            mass = table.mass_scale
+            for label in slots:
+                mass *= men[label].weight
+            assert mass.denominator == 1, slots
+            valid += int(mass)
+            s1, s2, _, son = slots
+            if rules.require_yeshua_in_tomb and YESHUA not in (s1, s2, son):
+                continue
+            singles, gen, divisor = score_male_slots(*slots, spec, rules)
+            scaled = singles * gen / divisor * table.scale
+            assert scaled.denominator == 1, slots
+            by_score[int(scaled)] = by_score.get(int(scaled), 0) + int(mass)
+        assert valid == table.valid_mass
+        assert by_score == dict(zip(table.scores, table.tail_masses))
 
 
 class TestMaleTable:
@@ -180,7 +190,7 @@ class TestPersonLevelOracle:
         # category-level mass accounting must equal walking all 5^2 * 9^4
         # ordered person tuples one by one
         spec = make_spec([3, 2], [4, 2, 3],
-                         men_labels=["Yosef", "Yeshua"], name="doc")
+                         men_labels=["Yosef", "Yeshua"])
         rules = RuleLedger()
         config = nc.TombConfiguration("W0", "Other", "Yosef", "Other",
                                       "Yosef", "Yeshua")
