@@ -1,20 +1,22 @@
 """Command-line interface: analyze, sweep, demography, infer, validate-config.
 
-Configuration comes from an INI-style file with one section per module
-(onomasticon, hypothesis, rules, analysis, sweep, output); command-line
-flags override file values. Output is an aligned text table or
-line-delimited JSON records carrying exact fractions alongside decimals;
-both are byte-deterministic for identical inputs. Exit codes: 0 success,
-1 computation contract violation, 2 configuration error.
+``namecluster [--config PATH] COMMAND [--flag VALUE | --flag=VALUE]...`` is
+read against COMMANDS, the table of each command's flags: a flag's name
+matches exactly, the word after it is its value, verbatim, and ``--config``
+may also follow the command. Flags override the INI-style ``--config`` file
+(one section per module). Output is an aligned text table or JSON records of
+exact fractions with decimals, byte-deterministic for identical inputs. Exit
+codes: 0 success, 1 computation contract violation, 2 input error; an error
+is one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 # sensitivity, demography and inference are imported by the commands that run
 # them, so that a CLI start loads only what its subcommand needs
@@ -22,7 +24,7 @@ from .candidates import build_spec, load_hypothesis_config
 from .onomasticon import InputError, format_decimal, format_fraction, \
     load_onomasticon, parse_flag, parse_fraction
 from .scoring import (RULE_PARSERS, ContractViolation, RuleLedger,
-                      TombConfiguration, score)
+                      TombConfiguration, score, validate)
 from .tailspace import enumerate_tail, tuple_space_size
 
 SIG = 4  # default report precision for tail areas
@@ -42,7 +44,7 @@ def read_config(path):
     try:
         if parser.read(path):
             return parser
-    except configparser.Error as exc:
+    except (configparser.Error, ValueError) as exc:  # also not text, a NUL in the path
         raise ConfigError(" ".join(f"config file {path}: {exc}".split())) from exc
     raise ConfigError(f"config file not found: {path}")
 
@@ -86,10 +88,9 @@ DEMOGRAPHY_PARSERS = {
 
 
 def load_analysis_inputs(config, args):
-    onom_source = setting(config, args, "onomasticon", "source", "bundled")
-    hyp_source = setting(config, args, "hypothesis", "file", "bundled")
-    onom = load_onomasticon(onom_source)
-    name, descriptors, observed_fields = load_hypothesis_config(hyp_source)
+    onom = load_onomasticon(setting(config, args, "onomasticon", "source", "bundled"))
+    name, descriptors, observed_fields = load_hypothesis_config(
+        setting(config, args, "hypothesis", "file", "bundled"))
     if observed_fields is None:
         raise ConfigError("hypothesis config lacks an 'observed' record")
     try:
@@ -108,6 +109,16 @@ def parse_n2(config, args) -> int:
     return n2
 
 
+def scored_inputs(config, args):
+    """(name, spec, rules, observed RR, n2); an impossible observed is an input error."""
+    onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(config, args)
+    spec = build_spec(onom, descriptors)
+    reason = validate(observed, spec)
+    if reason is not None:
+        raise ConfigError(f"observed: {reason}")
+    return name, spec, rules, score(observed, spec, rules).value, n2
+
+
 def emit(rows, fmt, out):
     """rows: list of (field, exact Fraction, sig)."""
     if fmt == "records":
@@ -121,10 +132,7 @@ def emit(rows, fmt, out):
 
 
 def cmd_analyze(config, args, out):
-    onom, name, descriptors, observed, rules, n2 = \
-        load_analysis_inputs(config, args)
-    spec = build_spec(onom, descriptors)
-    observed_rr = score(observed, spec, rules).value
+    name, spec, rules, observed_rr, n2 = scored_inputs(config, args)
     result = enumerate_tail(spec, rules, observed_rr)
     rows = [
         ("observed-rr", result.observed_rr, SIG),
@@ -142,10 +150,8 @@ def cmd_analyze(config, args, out):
 
 def cmd_sweep(config, args, out):
     from .sensitivity import load_suite, run_suite
-    onom, name, descriptors, observed, rules, n2 = \
-        load_analysis_inputs(config, args)
-    suite_source = setting(config, args, "sweep", "suite", "bundled")
-    suite = load_suite(suite_source)
+    onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(config, args)
+    suite = load_suite(setting(config, args, "sweep", "suite", "bundled"))
     reports = run_suite(onom, descriptors, rules, observed, suite, n2=n2)
     if args.format == "records":
         for r in reports:
@@ -212,83 +218,102 @@ def cmd_infer(config, args, out):
 
 def cmd_validate_config(config, args, out):
     from .sensitivity import load_suite
-    onom, name, descriptors, observed, rules, _ = \
-        load_analysis_inputs(config, args)
-    spec = build_spec(onom, descriptors)
-    score(observed, spec, rules)  # must be a valid configuration
+    name, spec, *_ = scored_inputs(config, args)
     suite_source = setting(config, args, "sweep", "suite", None)
     n_scenarios = len(load_suite(suite_source)) if suite_source else 0
-    out.write(f"ok: hypothesis '{name}' with "
-              f"{len(spec.women)} women / {len(spec.men)} men categories")
-    if n_scenarios:
-        out.write(f"; suite of {n_scenarios} scenarios")
-    out.write("\n")
+    suite = f"; suite of {n_scenarios} scenarios" if n_scenarios else ""
+    out.write(f"ok: hypothesis '{name}' with {len(spec.women)} women / "
+              f"{len(spec.men)} men categories{suite}\n")
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="namecluster",
-        description="Exact-enumeration significance analysis for tomb name clusters")
-    parser.add_argument("--config", help="INI config file; flags override it")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def flags(p, parsers):
-        for key in parsers:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key)
-
-    def common(p):
-        p.add_argument("--onomasticon", dest="source",
-                       help="onomasticon table path or 'bundled'")
-        p.add_argument("--hypothesis", dest="file",
-                       help="hypothesis config path or 'bundled'")
-        p.add_argument("--n2", help="number of candidate tombs")
-        p.add_argument("--format", help="table or records")
-        flags(p, RULE_PARSERS)
-
-    common(sub.add_parser("analyze", help="headline figures for the baseline"))
-    p = sub.add_parser("sweep", help="run the sensitivity scenario suite")
-    common(p)
-    p.add_argument("--suite", help="scenario suite path or 'bundled'")
-    p = sub.add_parser("demography", help="population pipeline")
-    p.add_argument("--format", help="table or records")
-    flags(p, DEMOGRAPHY_PARSERS)
-    p = sub.add_parser("infer", help="p-value, odds and confidence bounds")
-    p.add_argument("--q", help="tail area, exact fraction or decimal")
-    p.add_argument("--n2")
-    p.add_argument("--theta", action="append", help="P(B|A); repeatable")
-    p.add_argument("--alpha", action="append", help="confidence complement; repeatable")
-    p.add_argument("--format", help="table or records")
-    p = sub.add_parser("validate-config", help="parse and check all inputs")
-    common(p)
-    p.add_argument("--suite", help="scenario suite path or 'bundled'")
-    return parser
+def typed(parsers) -> dict:
+    """{--flag: (attribute, value parser)} for the settings that ``parsers`` read."""
+    return {f"--{key.replace('_', '-')}": (key, parse) for key, parse in parsers.items()}
 
 
+COMMON = {"--config": ("config", "INI config file; flags override it"),
+          "--format": ("format", "table or records")}
+ANALYSIS = {**COMMON, "--onomasticon": ("source", "onomasticon table path or 'bundled'"),
+            "--hypothesis": ("file", "hypothesis config path or 'bundled'"),
+            "--n2": ("n2", "number of candidate tombs"), **typed(RULE_PARSERS)}
+SUITE = {"--suite": ("suite", "scenario suite path or 'bundled'")}
+REPEATED = ("theta", "alpha")  # attributes that collect every value given
+
+# command: (function, summary, {flag: (attribute, help text or value parser)})
 COMMANDS = {
-    "analyze": cmd_analyze,
-    "sweep": cmd_sweep,
-    "demography": cmd_demography,
-    "infer": cmd_infer,
-    "validate-config": cmd_validate_config,
+    "analyze": (cmd_analyze, "headline figures for the baseline", ANALYSIS),
+    "sweep": (cmd_sweep, "run the sensitivity scenario suite", {**ANALYSIS, **SUITE}),
+    "demography": (cmd_demography, "population pipeline",
+                   {**COMMON, **typed(DEMOGRAPHY_PARSERS)}),
+    "infer": (cmd_infer, "p-value, odds and confidence bounds", {
+        **COMMON, "--q": ("q", "tail area in [0, 1]"), "--n2": ANALYSIS["--n2"],
+        "--theta": ("theta", "P(B|A) in (0, 1]; repeatable"),
+        "--alpha": ("alpha", "confidence complement in (0, 1); repeatable")}),
+    "validate-config": (cmd_validate_config, "parse and check all inputs",
+                        {**ANALYSIS, **SUITE}),
 }
 
 
-def warning_line(message, category, filename, lineno, line=None) -> str:
-    """A warning as the CLI shows it on stderr: one line, no source."""
-    return f"warning: {message}\n"
+def parse_args(argv) -> SimpleNamespace:
+    """The words of the grammar as attributes: a flag's value, its last value,
+    a list for a REPEATED flag, or None. ``-h``/``--help`` ends the reading."""
+    args = SimpleNamespace(command=None, config=None, help=False)
+    flags, words = {"--config": COMMON["--config"]}, iter(argv)
+    commands = f"the commands are {', '.join(COMMANDS)}"
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if word in ("-h", "--help"):
+            args.help = True
+            break
+        if args.command is None and word in COMMANDS:
+            args.command, flags = word, COMMANDS[word][2]
+            vars(args).update({k: getattr(args, k, None) for k, _ in flags.values()})
+        elif not word.startswith("--"):
+            raise ConfigError(f"stray word {word!r}" if args.command
+                              else f"unknown command {word!r}; {commands}")
+        elif flag not in flags:
+            raise ConfigError(f"unknown flag {flag!r} for {args.command}" if args.command
+                              else f"unknown flag {flag!r} before the command")
+        elif not eq and (value := next(words, None)) is None:
+            raise ConfigError(f"{flag} needs a value")
+        else:
+            key = flags[flag][0]
+            setattr(args, key, (getattr(args, key) or []) + [value]
+                    if key in REPEATED else value)
+    if args.command is None and not args.help:
+        raise ConfigError(f"no command; {commands}")
+    return args
+
+
+def help_text(command) -> str:
+    """The command list, or ``command``'s flags, as COMMANDS gives them."""
+    if command is None:
+        head = "usage: namecluster [--config PATH] COMMAND [--flag VALUE]...\ncommands:"
+        rows = {name: summary for name, (_, summary, _) in COMMANDS.items()}
+    else:
+        head = f"usage: namecluster {command} [--flag VALUE]...\n{COMMANDS[command][1]}:"
+        rows = {f"{flag} VALUE": EXPECTED.get(text, text)
+                for flag, (_, text) in COMMANDS[command][2].items()}
+    width = max(map(len, rows))
+    return "\n".join([head] + [f"  {k.ljust(width)}  {v}" for k, v in rows.items()]) + "\n"
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
-    formatwarning, warnings.formatwarning = warnings.formatwarning, warning_line
+    # a warning is one stderr line, without its source
+    formatwarning, warnings.formatwarning = \
+        warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args.help:
+            out.write(help_text(args.command))
+            return 0
         config = read_config(args.config)
         args.format = setting(config, args, "output", "format", "table")
         if args.format not in ("table", "records"):
             raise ConfigError(f"--format must be table or records, got {args.format!r}")
-        return COMMANDS[args.command](config, args, out)
+        return COMMANDS[args.command][0](config, args, out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

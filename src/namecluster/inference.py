@@ -45,7 +45,7 @@ def posterior_odds(theta: Fraction, n2: int, q: Fraction) -> Fraction:
     """Posterior odds theta / ((n2-1) q) for the flat 1/(n2-1) prior."""
     b = beta_of(q, n2)
     if b == 0:
-        raise InferenceError("q = 0 gives infinite odds")
+        raise InferenceError(f"{'q = 0' if q == 0 else 'n2 = 1'} gives infinite odds")
     if not 0 < theta <= 1:
         raise InferenceError("theta must lie in (0,1]")
     return Fraction(theta) / b

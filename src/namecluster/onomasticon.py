@@ -273,7 +273,7 @@ def load_source(source: Union[str, Path], filename: str, parse):
     path = DATA / filename if source == "bundled" else source
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeError) as exc:  # missing, a directory, not text...
+    except (OSError, ValueError) as exc:  # missing, a directory, not text...
         raise InputError(f"{path}: {exc}") from exc
     try:
         return parse(text)

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import namecluster
-from namecluster.cli import main
+from namecluster.cli import COMMANDS, main
 from namecluster.onomasticon import parse_fraction
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_cli(*argv):
@@ -135,6 +136,97 @@ def test_arbitrary_flag_text_ends_in_an_exit_code(argv, value):
     assert main([command, f"{flag}={value}"], out=io.StringIO()) in (0, 1, 2)
 
 
+class TestFlagReader:
+    """The grammar [--config PATH] COMMAND [--flag VALUE | --flag=VALUE]..."""
+
+    @pytest.mark.parametrize("argv, word", [
+        (["analyze", "--bogus", "1"], "'--bogus'"),
+        (["bogus"], "'bogus'"),
+        ([], "no command"),
+        (["analyze", "--n2"], "--n2"),
+        (["analyze", "stray"], "'stray'"),
+        (["analyze", "--n", "5"], "'--n'"),  # no prefix matching: not --n2
+        (["--format", "records", "analyze"], "'--format'"),
+        (["infer", "--q", "1/9", "--suite", "bundled"], "'--suite'"),
+    ], ids=["unknown-flag", "unknown-command", "no-command", "flag-without-value",
+            "stray-word", "flag-prefix", "flag-before-command", "other-command-flag"])
+    def test_bad_word_exits_2_with_one_line_naming_it(self, argv, word, capsys):
+        assert run_cli(*argv) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and word in err[0]
+
+    def test_the_word_after_a_flag_is_its_value_verbatim(self, capsys):
+        assert run_cli("demography", "--juvenile-fraction", "-1/2") == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: juvenile_fraction outside [0,1]"]
+        code, text = run_cli("analyze", "--hypothesis", "--help")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --help: ")
+
+    def test_repeated_flags(self):
+        assert run_cli("analyze", "--bonus-divisor", "6/5", "--bonus-divisor", "1") \
+            == run_cli("analyze", "--bonus-divisor=1")
+        code, text = run_cli("infer", "--q", "1/9999999", "--theta", "1",
+                             "--theta=1/2", "--alpha", "1/20")
+        assert code == 0
+        assert [line.split()[0] for line in text.splitlines()] == [
+            "adjusted-p", "beta", "odds[theta=1]", "odds[theta=1/2]",
+            "theta-bound[alpha=1/20]", "odds-bound[alpha=1/20]"]
+
+    def test_readme_config_command_runs_verbatim(self, tmp_path, monkeypatch):
+        readme = (ROOT / "README.md").read_text().splitlines()
+        line, = (line for line in readme
+                 if line.startswith("namecluster validate-config --config"))
+        (tmp_path / "run.cfg").write_text("[rules]\nbonus_divisor = 1\n")
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(*line.partition("#")[0].split()[1:])
+        assert code == 0 and text.startswith("ok:") and "42 scenarios" in text
+
+    def test_config_on_either_side_of_the_command(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[rules]\nbonus_divisor = 1\n")
+        before = run_cli("--config", str(cfg), "analyze")
+        assert before == run_cli("analyze", f"--config={cfg}")
+        assert before[0] == 0 and "0.000726" in before[1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--help", "analyze"]])
+    def test_help_lists_the_commands(self, argv):
+        code, text = run_cli(*argv)
+        assert code == 0
+        assert text.startswith("usage: namecluster [--config PATH] COMMAND")
+        assert [line.split()[0] for line in text.splitlines()[2:]] == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_lists_its_flags(self, command):
+        code, text = run_cli(command, "--format", "records", "-h", "--bogus")
+        assert code == 0
+        listed = [line.split()[0] for line in text.splitlines()[2:]]
+        assert listed == list(COMMANDS[command][2])
+        assert {"--config", "--format"} <= set(listed)
+        assert ("--n2" in listed) == (command != "demography")
+
+    def test_unreadable_config_or_path_exits_2(self, tmp_path, capsys):
+        binary = tmp_path / "run.cfg"
+        binary.write_bytes(b"\xff\xfe[rules]\n")
+        for argv in (["--config", str(binary), "analyze"],
+                     ["analyze", "--hypothesis", "a\0b"],
+                     ["analyze", "--config", "a\0b"]):
+            assert run_cli(*argv) == (2, "")
+            assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# every word the reader knows, and some it does not
+WORDS = sorted({*COMMANDS, "-h", *(flag for _, _, flags in COMMANDS.values()
+                                   for flag in flags)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=st.lists(st.one_of(st.sampled_from(WORDS), st.text(max_size=8)),
+                     max_size=6))
+def test_arbitrary_argv_ends_in_an_exit_code(argv):
+    assert main(argv, out=io.StringIO()) in (0, 1, 2)
+
+
 class TestSweep:
     def test_table_has_all_rows_and_match_column(self):
         code, text = run_cli("sweep")
@@ -219,6 +311,13 @@ class TestDemographyAndInfer:
         assert run_cli("--config", str(cfg), "infer") == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--q" in err[0]
+
+    @pytest.mark.parametrize("q, n2, named", [("1/2", "1", "n2 = 1"),
+                                              ("0", "1100", "q = 0")])
+    def test_infinite_odds_name_their_cause(self, q, n2, named, capsys):
+        assert run_cli("infer", "--q", q, "--n2", n2, "--theta", "1/2") == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {named} gives infinite odds"]
 
     def test_infer_bounds_need_small_beta(self, capsys):
         code, _ = run_cli("infer", "--q", "1/2", "--n2", "1000",
@@ -317,6 +416,21 @@ class TestMalformedInputFiles:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("command", ["analyze", "validate-config"])
+    def test_impossible_observed_record(self, command, tmp_path, capsys):
+        hypothesis = tmp_path / "h.cfg"
+        hypothesis.write_text(
+            (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
+            .replace("woman2=Marya", "woman2=MM"))
+        assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: observed: duplicate woman"]
+        # a sweep reports the impossible configuration in each scenario's row
+        code, text = run_cli("sweep", "--hypothesis", str(hypothesis))
+        rows = text.splitlines()[1:]
+        assert code == 0 and len(rows) == 42
+        assert all("error:" in row for row in rows)
+
     def test_zero_denominator_in_the_onomasticon(self, tmp_path, capsys):
         onom = tmp_path / "onom.tsv"
         onom.write_text("total female 10\ngeneric X female 1/0\n")
@@ -399,7 +513,8 @@ def modules_loaded_by(*argv):
 
 class TestImports:
     UNUSED_BY_ANALYZE = {"namecluster.sensitivity", "namecluster.demography",
-                         "namecluster.inference", "configparser"}
+                         "namecluster.inference", "configparser", "argparse",
+                         "gettext", "locale"}
 
     def test_analyze_loads_only_what_it_runs(self):
         loaded = modules_loaded_by("analyze", "--format", "records")
@@ -415,6 +530,15 @@ class TestImports:
         # the value types are NamedTuples: dataclasses would bring inspect,
         # ast, dis and tokenize into every start
         assert "dataclasses" not in modules_loaded_by(*argv)
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["sweep"], ["demography"],
+                                      ["infer", "--q", "1/9999", "--theta", "1"],
+                                      ["validate-config", "--suite", "bundled"]],
+                             ids=["analyze", "sweep", "demography", "infer",
+                                  "validate-config"])
+    def test_no_command_loads_argparse(self, argv):
+        # the flags are read from COMMANDS; argparse would bring gettext and locale
+        assert not modules_loaded_by(*argv) & {"argparse", "gettext", "locale"}
 
     def test_package_exports_resolve_to_their_definitions(self):
         for name in namecluster.__all__:

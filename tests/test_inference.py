@@ -42,8 +42,13 @@ class TestPosteriorOdds:
         assert posterior_odds(beta, N2, Q) == 1
 
     def test_zero_tail_rejected(self):
-        with pytest.raises(InferenceError):
+        with pytest.raises(InferenceError, match="q = 0"):
             posterior_odds(Fraction(1), N2, Fraction(0))
+
+    def test_single_tomb_rejected_naming_n2(self):
+        # beta = (n2-1)*q is 0 because n2 = 1, not because q = 0
+        with pytest.raises(InferenceError, match="n2 = 1"):
+            posterior_odds(Fraction(1), 1, Fraction(1, 2))
 
 
 class TestThetaLowerBound:
