@@ -20,7 +20,8 @@ def show(label, value, sig=4):
 
 def main():
     onom = nc.load_onomasticon()
-    spec = nc.baseline_spec(onom)
+    _, descriptors, observed_fields = nc.load_hypothesis_config()
+    spec = nc.build_spec(onom, descriptors)
     rules = nc.RuleLedger()
 
     print("== category weights and RR values ==")
@@ -30,7 +31,7 @@ def main():
             print(f"  {gender:6s} {cat.label:8s} weight {float(cat.weight * total):8.2f}/{total}"
                   f"   rr {float(cat.rr * total):8.2f}/{total}")
 
-    observed = nc.score(nc.TALPIYOT, spec, rules)
+    observed = nc.score(nc.TombConfiguration(**observed_fields), spec, rules)
     print("\n== observed configuration ==")
     show("women part", observed.women_part)
     show("singleton part", observed.singleton_part)

@@ -16,16 +16,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "candidates": ("ADDON_DESCRIPTORS", "BASELINE_DESCRIPTORS",
-                       "CandidateDescriptor", "Category", "HypothesisSpec",
-                       "SpecificationError", "assign_rr", "baseline_spec",
-                       "build_spec", "load_hypothesis_config"),
+        "candidates": ("CandidateDescriptor", "Category", "HypothesisSpec",
+                       "SpecificationError", "assign_rr", "build_spec",
+                       "load_hypothesis_config"),
         "demography": ("DemographyParams", "DemographyResult", "run_pipeline"),
         "inference": ("adjusted_p", "beta_of", "odds_lower_bound",
                       "posterior_odds", "tau", "theta_lower_bound"),
         "onomasticon": ("GenericNameCount", "Onomasticon", "RenditionSlice",
                         "load_onomasticon", "slice_frequency"),
-        "scoring": ("TALPIYOT", "ContractViolation", "RRValue", "RuleLedger",
+        "scoring": ("ContractViolation", "RRValue", "RuleLedger",
                     "TombConfiguration", "score", "validate"),
         "sensitivity": ("Delta", "Scenario", "ScenarioReport", "load_suite",
                         "run_scenario", "run_suite"),

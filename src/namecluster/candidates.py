@@ -160,9 +160,6 @@ def build_spec(onom: Onomasticon,
     men: list[Category] = []
     for gender, out in ((FEMALE, women), (MALE, men)):
         mine = [d for d in candidates if d.gender == gender]
-        labels = [d.resolved_label() for d in mine]
-        if len(set(labels)) != len(labels):
-            raise SpecificationError(f"duplicate {gender} category label")
         acc = Fraction(0)
         for desc in mine:
             w = _weight(onom, desc, mine)
@@ -179,28 +176,6 @@ def build_spec(onom: Onomasticon,
     return HypothesisSpec(women=tuple(women), men=tuple(men),
                           female_total=onom.female_total,
                           male_total=onom.male_total)
-
-
-BASELINE_DESCRIPTORS = (
-    CandidateDescriptor("mary_magdalene", FEMALE, "Mariam", "MM"),
-    CandidateDescriptor("mary_mother", FEMALE, "Mariam", "Marya"),
-    CandidateDescriptor("mariam_sister", FEMALE, "Mariam", "residual", label="Mariam"),
-    CandidateDescriptor("salome_sister", FEMALE, "Salome", "generic"),
-    CandidateDescriptor("joseph_father", MALE, "Joseph", "residual", label="Yosef"),
-    CandidateDescriptor("yeshua", MALE, "Yeshua", "generic"),
-    CandidateDescriptor("joses_brother", MALE, "Joseph", "Yoseh"),
-    CandidateDescriptor("james_brother", MALE, "Yaakov", "generic", label="James"),
-)
-
-ADDON_DESCRIPTORS = {
-    "joanna": CandidateDescriptor("joanna", FEMALE, "Joanna", "generic"),
-    "martha": CandidateDescriptor("martha", FEMALE, "Martha", "generic"),
-    "cleopas": CandidateDescriptor("cleopas", MALE, "Cleopas", "generic"),
-}
-
-
-def baseline_spec(onom: Onomasticon) -> HypothesisSpec:
-    return build_spec(onom, BASELINE_DESCRIPTORS)
 
 
 # ---------------------------------------------------------------------------

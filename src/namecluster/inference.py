@@ -41,11 +41,17 @@ def adjusted_p(q: Fraction, n2: int) -> Fraction:
     return p
 
 
-def posterior_odds(theta: Fraction, n2: int, q: Fraction) -> Fraction:
-    """Posterior odds theta / ((n2-1) q) for the flat 1/(n2-1) prior."""
+def nonzero_beta(q: Fraction, n2: int, infinite: str) -> Fraction:
+    """beta, which must not be 0: a quantity over it would be ``infinite``."""
     b = beta_of(q, n2)
     if b == 0:
-        raise InferenceError(f"{'q = 0' if q == 0 else 'n2 = 1'} gives infinite odds")
+        raise InferenceError(f"{'q = 0' if q == 0 else 'n2 = 1'} gives {infinite}")
+    return b
+
+
+def posterior_odds(theta: Fraction, n2: int, q: Fraction) -> Fraction:
+    """Posterior odds theta / ((n2-1) q) for the flat 1/(n2-1) prior."""
+    b = nonzero_beta(q, n2, "infinite odds")
     if not 0 < theta <= 1:
         raise InferenceError("theta must lie in (0,1]")
     return Fraction(theta) / b
@@ -70,9 +76,7 @@ def theta_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:
 def odds_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:
     """Lower confidence bound (alpha-beta)/(beta(1-beta)) for the odds."""
     check_alpha(alpha)
-    b = beta_of(q, n2)
-    if b == 0:
-        raise InferenceError("beta = 0 gives an infinite bound")
+    b = nonzero_beta(q, n2, "an infinite bound")
     if alpha <= b:
         warnings.warn("alpha <= beta: the bound degenerates to 0", stacklevel=2)
         return Fraction(0)

@@ -180,7 +180,7 @@ class RenditionSlice(NamedTuple):
 
 @checked
 class Onomasticon(NamedTuple):
-    """Immutable name-frequency tables; safe to share across threads."""
+    """Immutable name-frequency tables."""
 
     female_total: int
     male_total: int
@@ -277,15 +277,16 @@ def load_source(source: Union[str, Path], filename: str, parse):
         raise InputError(f"{path}: {exc}") from exc
     try:
         return parse(text)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except OnomasticonError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_records(text: str, handlers) -> None:
     """Pass the fields after the kind of each record to ``handlers[kind]``.
 
     A ValueError, IndexError or ZeroDivisionError from a record becomes a
-    ParseError naming its row; an OnomasticonError passes unchanged.
+    ParseError naming its row; an OnomasticonError keeps its class and gains
+    the row.
     """
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split("#", 1)[0].split()
@@ -295,8 +296,8 @@ def read_records(text: str, handlers) -> None:
             if fields[0] not in handlers:
                 raise ValueError(f"unknown record kind {fields[0]!r}")
             handlers[fields[0]](fields[1:])
-        except OnomasticonError:
-            raise
+        except OnomasticonError as exc:
+            raise type(exc)(f"row {lineno}: {exc}") from exc
         except (IndexError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"row {lineno}: {exc}") from exc
 

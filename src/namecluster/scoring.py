@@ -123,11 +123,6 @@ class RRValue(NamedTuple):
     bonus_applied: Fraction = Fraction(1)
 
 
-TALPIYOT = TombConfiguration(
-    woman1="MM", woman2="Marya", singleton1=YOSEH, singleton2="Other",
-    father=YOSEF, son=YESHUA)
-
-
 def collides(a: Category, b: Category) -> bool:
     """Whether two categories may not fill two slots of one tomb.
 

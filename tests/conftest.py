@@ -8,6 +8,8 @@ import namecluster as nc
 from namecluster.candidates import CANDIDATE, OTHER_KIND, Category, HypothesisSpec
 from namecluster.scoring import CLEOPAS, JAMES, YESHUA, YOSEF, YOSEH
 
+from bundled import DESCRIPTORS
+
 
 @pytest.fixture(scope="session")
 def onom():
@@ -16,17 +18,12 @@ def onom():
 
 @pytest.fixture(scope="session")
 def baseline(onom):
-    return nc.baseline_spec(onom)
+    return nc.build_spec(onom, DESCRIPTORS)
 
 
 @pytest.fixture(scope="session")
 def rules():
     return nc.RuleLedger()
-
-
-@pytest.fixture(scope="session")
-def observed_config():
-    return nc.TALPIYOT
 
 
 ROLE_LABELS = (YOSEF, YESHUA, YOSEH, JAMES, CLEOPAS)

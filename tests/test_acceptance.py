@@ -23,10 +23,11 @@ import namecluster as nc
 from namecluster.demography import run_pipeline
 from namecluster.inference import (adjusted_p, odds_lower_bound, posterior_odds,
                                    theta_lower_bound)
-from namecluster.scoring import TALPIYOT, score, validate
+from namecluster.scoring import score, validate
 from namecluster.sensitivity import run_suite
 from namecluster.tailspace import enumerate_tail, tuple_space_size
 
+from bundled import DESCRIPTORS, TOMB
 from conftest import random_synthetic
 from oracle import person_level_tail
 from test_sensitivity import FROZEN
@@ -38,19 +39,18 @@ def sig(x, digits=4):
 
 @pytest.fixture(scope="module")
 def baseline_run(baseline, rules):
-    observed = score(TALPIYOT, baseline, rules).value
+    observed = score(TOMB, baseline, rules).value
     return enumerate_tail(baseline, rules, observed)
 
 
 @pytest.fixture(scope="module")
 def sweep_reports(onom, rules):
-    _, descriptors, _ = nc.load_hypothesis_config()
-    return run_suite(onom, descriptors, rules, TALPIYOT, nc.load_suite())
+    return run_suite(onom, DESCRIPTORS, rules, TOMB, nc.load_suite())
 
 
 class TestCriterion1BaselineObservedRR:
     def test_exact_product_of_the_bundled_fixtures(self, baseline, rules):
-        observed = score(TALPIYOT, baseline, rules).value
+        observed = score(TOMB, baseline, rules).value
         expected = (Fraction(74, 44) / 317 * Fraction(74 * 13, 44) / 317
                     * Fraction(221 * 7, 46) / 2509
                     * Fraction(101, 2509) * Fraction(221, 2509) / Fraction(6, 5))
@@ -63,7 +63,7 @@ class TestCriterion1BaselineObservedRR:
                "product of its own printed factors (= 1.449e-08)")
     def test_reference_headline_value_at_four_significant_figures(
             self, baseline, rules):
-        observed = score(TALPIYOT, baseline, rules).value
+        observed = score(TOMB, baseline, rules).value
         assert sig(observed) == "1.451e-08"
 
 
@@ -189,7 +189,7 @@ class TestCriterion8Properties:
             assert score(swapped, baseline, rules).value == value
 
         # the observed male arrangement is the rarest of the 12 possible
-        observed_value = score(TALPIYOT, baseline, rules).value
+        observed_value = score(TOMB, baseline, rules).value
         values = [
             score(nc.TombConfiguration("MM", "Marya", a, b, f, son),
                   baseline, rules).value

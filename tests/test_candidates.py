@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import namecluster as nc
-from namecluster.candidates import (ADDON_DESCRIPTORS, BASELINE_DESCRIPTORS,
-                                    CandidateDescriptor, SpecificationError,
+from namecluster.candidates import (CandidateDescriptor, SpecificationError,
                                     build_spec, parse_hypothesis_config)
 from namecluster.onomasticon import ParseError
+
+from bundled import ADDONS, DESCRIPTORS, NAME, TOMB
 
 MM_W = Fraction(74, 44 * 317)
 MARYA_W = Fraction(74 * 13, 44 * 317)
@@ -72,29 +73,29 @@ class TestBaselineWeights:
 
 class TestSpecEdits:
     def test_add_joanna(self, onom):
-        spec = build_spec(onom, BASELINE_DESCRIPTORS + (ADDON_DESCRIPTORS["joanna"],))
+        spec = build_spec(onom, DESCRIPTORS + (ADDONS["joanna"],))
         assert spec.category("female", "Joanna").weight == Fraction(12, 317)
         assert spec.category("female", "Other").weight == Fraction(170, 317)
 
     def test_adding_candidate_preserves_existing_rr(self, onom, baseline):
-        spec = build_spec(onom, BASELINE_DESCRIPTORS + (ADDON_DESCRIPTORS["cleopas"],))
+        spec = build_spec(onom, DESCRIPTORS + (ADDONS["cleopas"],))
         for cat in baseline.men:
             if cat.kind != "other":
                 assert spec.category("male", cat.label).rr == cat.rr
 
     def test_duplicate_person_rejected(self, onom):
-        dup = BASELINE_DESCRIPTORS + (BASELINE_DESCRIPTORS[0],)
+        dup = DESCRIPTORS + (DESCRIPTORS[0],)
         with pytest.raises(SpecificationError, match="duplicate"):
             build_spec(onom, dup)
 
     def test_duplicate_label_rejected(self, onom):
-        clash = BASELINE_DESCRIPTORS + (
+        clash = DESCRIPTORS + (
             CandidateDescriptor("impostor", "female", "Mariam", "MM"),)
         with pytest.raises(SpecificationError, match="duplicate"):
             build_spec(onom, clash)
 
     def test_overfull_gender_rejected(self, onom):
-        heavy = BASELINE_DESCRIPTORS + (
+        heavy = DESCRIPTORS + (
             CandidateDescriptor("whale", "female", "", "generic",
                                 label="Whale", weight=Fraction(9, 10),
                                 rr=Fraction(9, 10)),)
@@ -105,7 +106,7 @@ class TestSpecEdits:
     def test_generic_of_the_other_gender_rejected(self, onom, rclass):
         # a frequency is over the generic's own gender total, so a male
         # candidate cannot be drawn from a female generic
-        crossed = BASELINE_DESCRIPTORS + (
+        crossed = DESCRIPTORS + (
             CandidateDescriptor("crossed", "male", "Mariam", rclass, label="X"),)
         with pytest.raises(SpecificationError, match="crossed: Mariam is female"):
             build_spec(onom, crossed)
@@ -115,7 +116,7 @@ class TestSpecEdits:
             CandidateDescriptor(d.person, d.gender, d.generic, d.rendition_class,
                                 weight=Fraction(75, 317))
             if d.person == "mary_magdalene" else d
-            for d in BASELINE_DESCRIPTORS)
+            for d in DESCRIPTORS)
         with pytest.raises(SpecificationError, match="negative residual of Mariam"):
             build_spec(onom, carved)
 
@@ -124,7 +125,7 @@ class TestSpecEdits:
             d if d.person != "mary_magdalene" else
             CandidateDescriptor(d.person, d.gender, d.generic, d.rendition_class,
                                 scale=Fraction(1, 2))
-            for d in BASELINE_DESCRIPTORS)
+            for d in DESCRIPTORS)
         spec = build_spec(onom, scaled)
         assert spec.category("female", "MM").weight == MM_W / 2
         assert spec.category("female", "MM").rr == MM_W / 2
@@ -134,7 +135,7 @@ class TestSpecEdits:
         assert spec.category("female", "Other").weight == Fraction(182, 317)
 
     def test_placeholder_candidate_with_explicit_weight(self, onom):
-        extra = BASELINE_DESCRIPTORS + (
+        extra = DESCRIPTORS + (
             CandidateDescriptor("woman_1", "female", "", "generic",
                                 label="Woman1", weight=Fraction(1, 317),
                                 rr=Fraction(1, 317)),)
@@ -142,7 +143,7 @@ class TestSpecEdits:
         assert spec.category("female", "Woman1").weight == Fraction(1, 317)
         assert sum(c.weight for c in spec.women) == 1
 
-    @given(addons=st.sets(st.sampled_from(sorted(ADDON_DESCRIPTORS))),
+    @given(addons=st.sets(st.sampled_from(sorted(ADDONS))),
            mm_scale=st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2))))
     def test_weights_always_sum_to_one(self, addons, mm_scale):
         onom = nc.load_onomasticon()
@@ -150,21 +151,25 @@ class TestSpecEdits:
             d if d.person != "mary_magdalene"
             else CandidateDescriptor(d.person, d.gender, d.generic,
                                      d.rendition_class, scale=mm_scale)
-            for d in BASELINE_DESCRIPTORS)
-        descriptors = base + tuple(ADDON_DESCRIPTORS[k] for k in sorted(addons))
+            for d in DESCRIPTORS)
+        descriptors = base + tuple(ADDONS[k] for k in sorted(addons))
         spec = build_spec(onom, descriptors)
         assert sum(c.weight for c in spec.women) == 1
         assert sum(c.weight for c in spec.men) == 1
 
 
 class TestConfigFile:
-    def test_bundled_equals_builtin_descriptors(self):
-        name, descriptors, observed = nc.load_hypothesis_config()
-        assert name == "baseline"
-        assert descriptors == BASELINE_DESCRIPTORS
-        assert observed == {"woman1": "MM", "woman2": "Marya",
-                            "singleton1": "Yoseh", "singleton2": "Other",
-                            "father": "Yosef", "son": "Yeshua"}
+    def test_bundled_files_hold_the_baseline_and_its_addons(self):
+        # the exact figures of the bundled baseline are pinned by
+        # test_acceptance.py; here, the shape of the two bundled files
+        assert NAME == "baseline"
+        assert [d.gender for d in DESCRIPTORS] == ["female"] * 4 + ["male"] * 4
+        assert len({d.person for d in DESCRIPTORS}) == 8
+        assert TOMB._asdict() == {"woman1": "MM", "woman2": "Marya",
+                                  "singleton1": "Yoseh", "singleton2": "Other",
+                                  "father": "Yosef", "son": "Yeshua"}
+        assert sorted(ADDONS) == ["cleopas", "joanna", "martha"]
+        assert not set(ADDONS) & {d.person for d in DESCRIPTORS}
 
     def test_overrides_parse(self):
         text = ("name t\n"
@@ -202,7 +207,7 @@ class TestConfigFile:
             CandidateDescriptor(d.person, d.gender, d.generic, d.rendition_class,
                                 weight=Fraction(2, 317), rr=d.rr)
             if d.person == "mary_magdalene" else d
-            for d in nc.BASELINE_DESCRIPTORS)
+            for d in DESCRIPTORS)
         spec = nc.build_spec(onom, adjusted)
         assert spec.category("female", "MM").weight == Fraction(2, 317)
         assert spec.category("female", "Mariam").weight == \

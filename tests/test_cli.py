@@ -318,6 +318,9 @@ class TestDemographyAndInfer:
         assert run_cli("infer", "--q", q, "--n2", n2, "--theta", "1/2") == (2, "")
         assert capsys.readouterr().err.splitlines() == [
             f"error: {named} gives infinite odds"]
+        assert run_cli("infer", "--q", q, "--n2", n2, "--alpha", "1/20") == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {named} gives an infinite bound"]
 
     def test_infer_bounds_need_small_beta(self, capsys):
         code, _ = run_cli("infer", "--q", "1/2", "--n2", "1000",
@@ -431,12 +434,16 @@ class TestMalformedInputFiles:
         assert code == 0 and len(rows) == 42
         assert all("error:" in row for row in rows)
 
-    def test_zero_denominator_in_the_onomasticon(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row, named", [
+        ("generic X female 1/0", "zero denominator"),
+        ("generic X female 5 10", "ossuary_persons: X: exceeds total_persons"),
+        ("slice X x 6 5", "ossuary_matching: X/x: must satisfy 0 <= k <= K")])
+    def test_bad_onomasticon_row(self, row, named, tmp_path, capsys):
         onom = tmp_path / "onom.tsv"
-        onom.write_text("total female 10\ngeneric X female 1/0\n")
+        onom.write_text(f"total female 10\n{row}\n")
         assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "row 2: zero denominator" in err[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {onom}: row 2: {named}"]
 
     @pytest.mark.parametrize("command", ["sweep", "validate-config"])
     @pytest.mark.parametrize("row", [

@@ -6,9 +6,11 @@ from itertools import permutations, product
 import pytest
 
 import namecluster as nc
-from namecluster.candidates import ADDON_DESCRIPTORS, BASELINE_DESCRIPTORS, build_spec
-from namecluster.scoring import (TALPIYOT, ContractViolation, RuleLedger,
+from namecluster.candidates import build_spec
+from namecluster.scoring import (ContractViolation, RuleLedger,
                                  TombConfiguration, score, validate)
+
+from bundled import ADDONS, DESCRIPTORS, TOMB
 
 ONE = Fraction(1)
 
@@ -29,12 +31,12 @@ def cfg(w1="Other", w2="Other", s1="Other", s2="Other", f="Other", son="Other"):
 @pytest.fixture(scope="module")
 def spec_c(onom):
     """Baseline plus Cleopas, for the uncle/nephew rules."""
-    return build_spec(onom, BASELINE_DESCRIPTORS + (ADDON_DESCRIPTORS["cleopas"],))
+    return build_spec(onom, DESCRIPTORS + (ADDONS["cleopas"],))
 
 
 class TestValidate:
     def test_observed_configuration_is_valid(self, baseline):
-        assert validate(TALPIYOT, baseline) is None
+        assert validate(TOMB, baseline) is None
 
     def test_duplicate_woman(self, baseline):
         assert validate(cfg(w1="Salome", w2="Salome"), baseline) == "duplicate woman"
@@ -60,7 +62,7 @@ class TestValidate:
 
 class TestScore:
     def test_observed_value_equals_the_slot_product(self, baseline):
-        got = score(TALPIYOT, baseline)
+        got = score(TOMB, baseline)
         assert got.women_part == MM * MARYA
         assert got.singleton_part == YOSEH
         assert got.generational_part == YESHUA * YOSEF
@@ -77,7 +79,7 @@ class TestScore:
         assert f"{float(got.value):.4g}" == "0.0003659"
 
     def test_value_decomposition(self, baseline, rules):
-        got = score(TALPIYOT, baseline, rules)
+        got = score(TOMB, baseline, rules)
         assert got.value == (got.women_part * got.singleton_part
                              * got.generational_part / got.bonus_applied)
 
@@ -247,7 +249,7 @@ class TestScoreProperties:
 
     def test_observed_males_are_in_their_best_arrangement(self, baseline, rules):
         names = ["Yoseh", "Other", "Yosef", "Yeshua"]
-        observed_value = score(TALPIYOT, baseline, rules).value
+        observed_value = score(TOMB, baseline, rules).value
         values = []
         for f, son, a, b in permutations(names):
             config = TombConfiguration("MM", "Marya", a, b, f, son)

@@ -16,11 +16,13 @@ import namecluster as nc
 from namecluster import sensitivity
 from namecluster.candidates import parse_hypothesis_config
 from namecluster.onomasticon import ParseError
-from namecluster.scoring import TALPIYOT, score
+from namecluster.scoring import score
 from namecluster.sensitivity import (Delta, Scenario, apply_deltas,
                                      matches_at_printed_precision, parse_suite,
                                      run_scenario, run_suite)
 from namecluster.tailspace import enumerate_tail, male_table
+
+from bundled import ADDONS, DESCRIPTORS, TOMB
 
 FROZEN = {
     "require-yeshua": ("0.000551952719279", "0.000552", True),
@@ -75,9 +77,8 @@ def suite():
 
 @pytest.fixture(scope="module")
 def reports(onom, rules, suite):
-    _, descriptors, _ = nc.load_hypothesis_config()
     return {r.name: r for r in
-            run_suite(onom, descriptors, rules, TALPIYOT, suite)}
+            run_suite(onom, DESCRIPTORS, rules, TOMB, suite)}
 
 
 class TestBundledSuite:
@@ -86,8 +87,7 @@ class TestBundledSuite:
         assert all(s.reference is not None for s in suite)
 
     def test_no_deltas_reproduces_the_baseline(self, onom, rules):
-        _, descriptors, _ = nc.load_hypothesis_config()
-        report = run_scenario(onom, descriptors, rules, TALPIYOT,
+        report = run_scenario(onom, DESCRIPTORS, rules, TOMB,
                               Scenario(name="baseline"))
         assert f"{float(report.adjusted_area):.3g}" == "0.000604"
         assert f"{float(report.adjusted_area):.4g}" == "0.0006041"
@@ -117,14 +117,12 @@ class TestBundledSuite:
 class TestSharing:
     def test_suite_reports_equal_scenario_by_scenario_reports(
             self, onom, rules, suite, reports):
-        _, descriptors, _ = nc.load_hypothesis_config()
         assert list(reports.values()) == [
-            run_scenario(onom, descriptors, rules, TALPIYOT, scenario)
+            run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario)
             for scenario in suite]
 
     def test_each_distinct_candidate_list_is_built_once(
             self, onom, rules, suite, monkeypatch):
-        _, descriptors, _ = nc.load_hypothesis_config()
         built = []
 
         def counting_build_spec(onom, candidates):
@@ -132,18 +130,17 @@ class TestSharing:
             return nc.build_spec(onom, candidates)
 
         monkeypatch.setattr(sensitivity, "build_spec", counting_build_spec)
-        run_suite(onom, descriptors, rules, TALPIYOT, suite)
-        distinct = {apply_deltas(descriptors, rules, s)[0] for s in suite}
+        run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
+        distinct = {apply_deltas(DESCRIPTORS, rules, s)[0] for s in suite}
         assert len(built) == len(set(built)) == len(distinct) == 24
 
     def test_cached_male_tables_give_the_results_of_fresh_ones(
             self, onom, rules, suite):
-        _, descriptors, _ = nc.load_hypothesis_config()
         cases = []
         for scenario in suite:
-            new_desc, new_rules = apply_deltas(descriptors, rules, scenario)
+            new_desc, new_rules = apply_deltas(DESCRIPTORS, rules, scenario)
             spec = nc.build_spec(onom, new_desc)
-            cases.append((spec, new_rules, score(TALPIYOT, spec, new_rules).value))
+            cases.append((spec, new_rules, score(TOMB, spec, new_rules).value))
         hits = male_table.cache_info().hits
         cached = [enumerate_tail(*case) for case in cases]
         distinct = {(spec.men, new_rules) for spec, new_rules, _ in cases}
@@ -177,34 +174,29 @@ class TestScenarioSemantics:
         assert reports["allow-father-yeshua"].observed_rr == base
 
     def test_determinism(self, onom, rules, suite):
-        _, descriptors, _ = nc.load_hypothesis_config()
-        twice = [run_scenario(onom, descriptors, rules, TALPIYOT, suite[6])
+        twice = [run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[6])
                  for _ in range(2)]
         assert twice[0] == twice[1]
 
     def test_identical_scenarios_give_identical_reports(self, onom, rules):
-        _, descriptors, _ = nc.load_hypothesis_config()
         scenario = Scenario(name="twin", deltas=(
             Delta(verb="set", param="bonus_divisor", value=Fraction(1)),))
-        pair = run_suite(onom, descriptors, rules, TALPIYOT,
+        pair = run_suite(onom, DESCRIPTORS, rules, TOMB,
                          [scenario, scenario])
         assert pair[0] == pair[1]
 
     def test_empty_suite(self, onom, rules):
-        _, descriptors, _ = nc.load_hypothesis_config()
-        assert run_suite(onom, descriptors, rules, TALPIYOT, []) == []
+        assert run_suite(onom, DESCRIPTORS, rules, TOMB, []) == []
 
     def test_bad_delta_errors_that_row_only(self, onom, rules):
-        _, descriptors, _ = nc.load_hypothesis_config()
         bad = Scenario(name="bad", deltas=(Delta(verb="remove", person="nobody"),))
         ok = Scenario(name="ok", deltas=())
-        reports = run_suite(onom, descriptors, rules, TALPIYOT, [bad, ok])
+        reports = run_suite(onom, DESCRIPTORS, rules, TOMB, [bad, ok])
         assert reports[0].error is not None
         assert reports[1].error is None
 
     def test_every_flag_spelling_sets_the_same_ledger(self, onom, rules):
-        _, descriptors, _ = nc.load_hypothesis_config()
-        reports = run_suite(onom, descriptors, rules, TALPIYOT, parse_suite("".join(
+        reports = run_suite(onom, DESCRIPTORS, rules, TOMB, parse_suite("".join(
             f"scenario {value}\nset require_yeshua_in_tomb {value}\n"
             for value in ("on", "TRUE", "1", "yes", "off", "No"))))
         on, off = reports[0], reports[4]
@@ -213,20 +205,18 @@ class TestScenarioSemantics:
             == [on.adjusted_area] * 4 + [off.adjusted_area] * 2
 
     def test_unknown_flag_word_errors_that_row_only(self, onom, rules):
-        _, descriptors, _ = nc.load_hypothesis_config()
         maybe = Scenario(name="maybe", deltas=(
             Delta(verb="set", param="allow_father_yeshua", value="maybe"),))
-        reports = run_suite(onom, descriptors, rules, TALPIYOT,
+        reports = run_suite(onom, DESCRIPTORS, rules, TOMB,
                             [maybe, Scenario(name="ok")])
         assert "maybe" in reports[0].error
         assert reports[1].error is None
 
     def test_duplicate_addition_rejected(self, onom, rules):
-        _, descriptors, _ = nc.load_hypothesis_config()
         twice = Scenario(name="dup", deltas=(
-            Delta(verb="add", descriptor=nc.ADDON_DESCRIPTORS["joanna"]),
-            Delta(verb="add", descriptor=nc.ADDON_DESCRIPTORS["joanna"])))
-        report = run_suite(onom, descriptors, rules, TALPIYOT, [twice])[0]
+            Delta(verb="add", descriptor=ADDONS["joanna"]),
+            Delta(verb="add", descriptor=ADDONS["joanna"])))
+        report = run_suite(onom, DESCRIPTORS, rules, TOMB, [twice])[0]
         assert "already present" in report.error
 
 
@@ -276,8 +266,7 @@ class TestSuiteParsing:
         assert scenario.deltas[0].descriptor == candidate
         assert (candidate.label, candidate.weight, candidate.rr, candidate.scale) \
             == ("J", Fraction(1, 2), Fraction(1, 3), Fraction(2))
-        _, descriptors, _ = nc.load_hypothesis_config()
-        with_options, plain = run_suite(onom, descriptors, rules, TALPIYOT, parse_suite(
+        with_options, plain = run_suite(onom, DESCRIPTORS, rules, TOMB, parse_suite(
             "scenario a\nadd joanna female Joanna generic weight=1/2 rr=1/3\n"
             "scenario b\nadd joanna female Joanna generic\n"))
         assert f"{float(plain.adjusted_area):.12g}" == FROZEN["add-joanna"][0]

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import namecluster as nc
 from namecluster.candidates import CandidateDescriptor
-from namecluster.scoring import (TALPIYOT, YESHUA, RuleLedger, score,
+from namecluster.scoring import (YESHUA, RuleLedger, score,
                                  score_male_slots, validate)
 from namecluster.tailspace import enumerate_tail, male_table, tuple_space_size
 
+from bundled import ADDONS, DESCRIPTORS, TOMB
 from conftest import make_spec, random_synthetic
 from oracle import person_level_tail
 
@@ -58,14 +59,14 @@ FROZEN = {
 
 
 def grown_spec(onom, added):
-    return nc.build_spec(onom, nc.BASELINE_DESCRIPTORS + tuple(
+    return nc.build_spec(onom, DESCRIPTORS + tuple(
         CandidateDescriptor(f"extra_{name.lower()}", "male", name, "generic")
         for name in added))
 
 
 @pytest.fixture(scope="module")
 def baseline_tail(baseline, rules):
-    observed = score(TALPIYOT, baseline, rules).value
+    observed = score(TOMB, baseline, rules).value
     return enumerate_tail(baseline, rules, observed)
 
 
@@ -84,7 +85,7 @@ class TestTupleSpace:
 
 class TestBaselineEnumeration:
     def test_observed(self, baseline, rules):
-        assert score(TALPIYOT, baseline, rules).value == OBSERVED
+        assert score(TOMB, baseline, rules).value == OBSERVED
 
     def test_masses(self, baseline_tail):
         assert baseline_tail.total_mass == TOTAL
@@ -117,7 +118,7 @@ class TestFrozenLargerSpaces:
     def test_masses(self, onom, added, ledger):
         spec = grown_spec(onom, added)
         rules = LEDGERS[ledger]
-        result = enumerate_tail(spec, rules, score(TALPIYOT, spec, rules).value)
+        result = enumerate_tail(spec, rules, score(TOMB, spec, rules).value)
         assert (result.valid_mass, result.tail_mass) == FROZEN[added, ledger]
 
     @pytest.mark.parametrize("rules", list(LEDGERS.values()), ids=list(LEDGERS))
@@ -155,7 +156,7 @@ class TestMaleTable:
         # male categories must give the frozen masses
         spec = grown_spec(onom, PLUS_8)
         rules = LEDGERS[ledger]
-        observed = score(TALPIYOT, spec, rules).value
+        observed = score(TOMB, spec, rules).value
         shuffled = list(spec.men)
         random.Random(13).shuffle(shuffled)
         for men in (tuple(reversed(spec.men)), tuple(shuffled)):
@@ -275,8 +276,8 @@ class TestTailMonotonicityProperties:
             self, onom, baseline, rules, baseline_tail):
         for key in ("joanna", "martha", "cleopas"):
             spec = nc.build_spec(
-                onom, nc.BASELINE_DESCRIPTORS + (nc.ADDON_DESCRIPTORS[key],))
-            observed = score(TALPIYOT, spec, rules).value
+                onom, DESCRIPTORS + (ADDONS[key],))
+            observed = score(TOMB, spec, rules).value
             assert observed == OBSERVED  # additions leave the observed RR alone
             grown = enumerate_tail(spec, rules, observed)
             assert grown.proportion >= baseline_tail.proportion
@@ -286,8 +287,8 @@ class TestTailMonotonicityProperties:
         for person in ("mary_magdalene", "joses_brother"):
             scaled = tuple(
                 d._replace(scale=Fraction(2)) if d.person == person else d
-                for d in nc.BASELINE_DESCRIPTORS)
+                for d in DESCRIPTORS)
             spec = nc.build_spec(onom, scaled)
-            observed = score(TALPIYOT, spec, rules).value
+            observed = score(TOMB, spec, rules).value
             grown = enumerate_tail(spec, rules, observed)
             assert grown.proportion >= baseline_tail.proportion

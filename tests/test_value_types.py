@@ -11,6 +11,8 @@ from namecluster.demography import DemographyParams, ParameterError
 from namecluster.onomasticon import ValidationError
 from namecluster.sensitivity import Scenario
 
+from bundled import DESCRIPTORS, TOMB
+
 # type -> (a valid value, one bad field, the error it raises, its message)
 BAD_FIELDS = {
     "GenericNameCount": (
@@ -23,10 +25,10 @@ BAD_FIELDS = {
         lambda onom: onom, {"female_total": 0},
         ValidationError, "gender totals: must be positive"),
     "Category": (
-        lambda onom: nc.baseline_spec(onom).men[0], {"rr": Fraction(2)},
+        lambda onom: nc.build_spec(onom, DESCRIPTORS).men[0], {"rr": Fraction(2)},
         SpecificationError, "category Yosef: rr outside (0,1]"),
     "HypothesisSpec": (
-        lambda onom: nc.baseline_spec(onom), {"men": ()},
+        lambda onom: nc.build_spec(onom, DESCRIPTORS), {"men": ()},
         SpecificationError, "male categories: weights must sum to 1"),
     "RuleLedger": (
         lambda onom: nc.RuleLedger(), {"bonus_divisor": Fraction(1, 2)},
@@ -63,11 +65,11 @@ def test_replace_checks_the_ledger():
 
 def test_values_are_tuples_and_compare_as_tuples(onom):
     # equality is tuple equality: a value equals a plain tuple of its fields
-    assert nc.TALPIYOT == ("MM", "Marya", "Yoseh", "Other", "Yosef", "Yeshua")
+    assert TOMB == ("MM", "Marya", "Yoseh", "Other", "Yosef", "Yeshua")
     assert nc.RuleLedger() == (Fraction(6, 5), Fraction(5), False, False, True)
     assert Scenario("s") == ("s", (), None)
     assert hash(nc.RuleLedger()) == hash(nc.RuleLedger())
-    woman1, *_, son = nc.TALPIYOT
+    woman1, *_, son = TOMB
     assert (woman1, son) == ("MM", "Yeshua")
-    spec = nc.baseline_spec(onom)
+    spec = nc.build_spec(onom, DESCRIPTORS)
     assert spec._replace(male_total=1) == spec[:-1] + (1,)
