@@ -21,7 +21,7 @@ _EXPORTS = {
                        "load_hypothesis_config"),
         "demography": ("DemographyParams", "DemographyResult", "run_pipeline"),
         "inference": ("adjusted_p", "beta_of", "odds_lower_bound",
-                      "posterior_odds", "tau", "theta_lower_bound"),
+                      "posterior_odds", "theta_lower_bound"),
         "onomasticon": ("GenericNameCount", "Onomasticon", "RenditionSlice",
                         "load_onomasticon", "slice_frequency"),
         "scoring": ("ContractViolation", "RRValue", "RuleLedger",

@@ -146,9 +146,30 @@ def _weight(onom: Onomasticon, desc: CandidateDescriptor,
     return weight * desc.scale
 
 
-def build_spec(onom: Onomasticon,
-               candidates: Sequence[CandidateDescriptor]) -> HypothesisSpec:
-    """Realize candidate descriptors into a weighted category list per gender."""
+def build_categories(onom: Onomasticon, gender: str,
+                     candidates: Sequence[CandidateDescriptor]) -> tuple[Category, ...]:
+    """One gender's categories: its candidates in order, then Other."""
+    out: list[Category] = []
+    for desc in candidates:
+        kind = RESIDUAL_GENERIC if desc.rendition_class == "residual" else CANDIDATE
+        out.append(Category(label=desc.resolved_label(), gender=gender,
+                            weight=_weight(onom, desc, candidates),
+                            rr=assign_rr(onom, desc), kind=kind))
+    other = 1 - sum(c.weight for c in out)
+    if other < 0:
+        raise SpecificationError(f"{gender} candidates: weights exceed 1")
+    out.append(Category(label=OTHER, gender=gender, weight=other,
+                        rr=Fraction(1), kind=OTHER_KIND))
+    return tuple(out)
+
+
+def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
+               memo: Optional[dict] = None) -> HypothesisSpec:
+    """Realize candidate descriptors into a weighted category list per gender.
+
+    ``memo`` maps (gender, that gender's descriptors) to the categories built
+    for them; a gender found there is not built again.
+    """
     persons = [d.person for d in candidates]
     if len(set(persons)) != len(persons):
         raise SpecificationError("duplicate candidate person")
@@ -156,24 +177,14 @@ def build_spec(onom: Onomasticon,
         if d.gender not in (FEMALE, MALE):
             raise SpecificationError(
                 f"candidate {d.person}: unknown gender {d.gender!r}")
-    women: list[Category] = []
-    men: list[Category] = []
-    for gender, out in ((FEMALE, women), (MALE, men)):
-        mine = [d for d in candidates if d.gender == gender]
-        acc = Fraction(0)
-        for desc in mine:
-            w = _weight(onom, desc, mine)
-            r = assign_rr(onom, desc)
-            kind = RESIDUAL_GENERIC if desc.rendition_class == "residual" else CANDIDATE
-            out.append(Category(label=desc.resolved_label(), gender=gender,
-                                weight=w, rr=r, kind=kind))
-            acc += w
-        other = 1 - acc
-        if other < 0:
-            raise SpecificationError(f"{gender} candidates: weights exceed 1")
-        out.append(Category(label=OTHER, gender=gender, weight=other,
-                            rr=Fraction(1), kind=OTHER_KIND))
-    return HypothesisSpec(women=tuple(women), men=tuple(men),
+    memo = {} if memo is None else memo
+    built = []
+    for gender in (FEMALE, MALE):
+        key = (gender, tuple(d for d in candidates if d.gender == gender))
+        if key not in memo:
+            memo[key] = build_categories(onom, *key)
+        built.append(memo[key])
+    return HypothesisSpec(women=built[0], men=built[1],
                           female_total=onom.female_total,
                           male_total=onom.male_total)
 

@@ -82,10 +82,3 @@ def odds_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:
         return Fraction(0)
     return (Fraction(alpha) - b) / (b * (1 - b))
 
-
-def tau(theta: Fraction, n2: int, q: Fraction) -> Fraction:
-    """Probability theta*(1-beta) + beta of attaining the tail level."""
-    if not 0 <= theta <= 1:
-        raise InferenceError("theta must lie in [0,1]")
-    b = beta_of(q, n2)
-    return Fraction(theta) * (1 - b) + b

@@ -68,6 +68,14 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def parse_field(field: str, text: str, parse=parse_fraction):
+    """``parse(text)``; a ValueError names ``field``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def parse_flag(text: str) -> bool:
     """Parse an on/off switch: on/off, true/false, 1/0 or yes/no, any case."""
     try:
@@ -195,24 +203,7 @@ class Onomasticon(NamedTuple):
         names = {(g.name, g.gender) for g in self.generics}
         if len(names) != len(self.generics):
             raise ValidationError("generics: duplicate (name, gender) entry")
-        by_name = {g.name: g for g in self.generics}
-        for s in self.slices:
-            if s.generic not in by_name:
-                raise ValidationError(f"slice generic: {s.generic}: unknown")
-        # any disjoint family of slices must fit inside its generic
-        from collections import defaultdict
-        totals = defaultdict(Fraction)
-        for s in self.slices:
-            g = by_name[s.generic]
-            if g.ossuary_persons is not None and s.ossuary_generic != g.ossuary_persons:
-                raise ValidationError(
-                    f"ossuary_generic: {s.generic}/{s.label}: disagrees with "
-                    "the generic's ossuary count")
-            totals[s.generic] += implied_count(s, g)
-        for name, tot in totals.items():
-            if tot > by_name[name].total_persons:
-                raise ValidationError(
-                    f"slices of {name}: implied counts exceed the generic total")
+        check_slices(self.generics, self.slices)
 
     def gender_total(self, gender: str) -> int:
         if gender == FEMALE:
@@ -232,6 +223,24 @@ class Onomasticon(NamedTuple):
             if s.generic == generic and s.label == label:
                 return s
         raise ValidationError(f"slice: {generic}/{label}: unknown")
+
+
+def check_slices(generics, slices) -> None:
+    """Each slice agrees with its generic, and a generic's slices fit inside it."""
+    by_name = {g.name: g for g in generics}
+    totals: dict[str, Fraction] = {}
+    for s in slices:
+        g = by_name.get(s.generic)
+        if g is None:
+            raise ValidationError(f"slice generic: {s.generic}: unknown")
+        if g.ossuary_persons is not None and s.ossuary_generic != g.ossuary_persons:
+            raise ValidationError(
+                f"ossuary_generic: {s.generic}/{s.label}: disagrees with "
+                "the generic's ossuary count")
+        totals[s.generic] = totals.get(s.generic, 0) + implied_count(s, g)
+        if totals[s.generic] > g.total_persons:
+            raise ValidationError(
+                f"slices of {s.generic}: implied counts exceed the generic total")
 
 
 def implied_count(slc: RenditionSlice, generic: GenericNameCount) -> Fraction:
@@ -260,7 +269,7 @@ def slice_frequency(slc: RenditionSlice, onom: Onomasticon) -> Fraction:
 # The onomasticon table's records:
 #   total   <gender> <persons> [<ossuary_persons>]
 #   generic <name> <gender> <total> [<ossuary>|-] [fictitious=N] [rahmani=N[?]]
-#   slice   <generic> <label> <k> <K>
+#   slice   <generic> <label> <k> <K>     (below the generic's own record)
 # A '-' ossuary entry means undetermined (not zero).
 # ---------------------------------------------------------------------------
 
@@ -311,7 +320,7 @@ def parse_options(words, parsers) -> dict:
             raise ValueError(f"expected key=value, got {word!r}")
         if key not in parsers:
             raise ValueError(f"unknown option {key!r}")
-        options[key] = parsers[key](value)
+        options[key] = parse_field(key, value, parsers[key])
     return options
 
 
@@ -325,30 +334,31 @@ def parse_onomasticon(text: str) -> Onomasticon:
     slices: list[RenditionSlice] = []
 
     def total(fields):
-        totals[fields[0]] = int(fields[1])
+        totals[fields[0]] = parse_field(f"{fields[0]}_total", fields[1], int)
         if len(fields) > 2 and fields[2] != "-":
-            ossuary_totals[fields[0]] = int(fields[2])
+            ossuary_totals[fields[0]] = parse_field(f"{fields[0]}_ossuary", fields[2], int)
 
     def generic(fields):
         name, gender, persons, *rest = fields
         ossuary = None
         if rest and "=" not in rest[0]:
             word = rest.pop(0)
-            ossuary = None if word == "-" else parse_fraction(word)
+            ossuary = None if word == "-" else parse_field("ossuary_persons", word)
         options = parse_options(rest, GENERIC_OPTIONS)
         rahmani = options.get("rahmani")
         generics.append(GenericNameCount(
-            name=name, gender=gender, total_persons=parse_fraction(persons),
+            name=name, gender=gender, total_persons=parse_field("total_persons", persons),
             ossuary_persons=ossuary,
             fictitious=options.get("fictitious", Fraction(0)),
-            rahmani=None if rahmani is None else parse_fraction(rahmani.rstrip("?")),
+            rahmani=None if rahmani is None else parse_field("rahmani", rahmani.rstrip("?")),
             rahmani_uncertain=rahmani is not None and rahmani.endswith("?")))
 
     def slice_(fields):
         slices.append(RenditionSlice(
             generic=fields[0], label=fields[1],
-            ossuary_matching=parse_fraction(fields[2]),
-            ossuary_generic=parse_fraction(fields[3])))
+            ossuary_matching=parse_field("ossuary_matching", fields[2]),
+            ossuary_generic=parse_field("ossuary_generic", fields[3])))
+        check_slices(generics, slices)  # against the generics above it
 
     read_records(text, {"total": total, "generic": generic, "slice": slice_})
     if FEMALE not in totals or MALE not in totals:

@@ -18,40 +18,43 @@ The enumeration stays exact without a Fraction per tuple, pair or triple:
   of one ledger question. The questions are asked for the M^3 singleton
   triples and 4 M^2 pairs, never the M^4 male tuples, and answered as ints.
 * Integer scaling. The male RR values are multiplied by the lcm R of their
-  denominators; an RR that does not count is 1, scaled to R. With the
-  unknown-son factor un/ud and the bonus divisor bn/bd, a singleton part is
-  the int (r_a or R) * (r_b or R) and a generational part over its bonus
-  the int (r_f or R) * (r_s or R) * (un or ud) * (bd or bn). A male score is
-  then s * g / D with the common scale D = R^4 * ud * bn. The category
+  denominators; an RR that does not count is 1, scaled to R. The category
   weights of each gender are scaled to ints by the lcm of their
   denominators in the same way, and the gender totals
   female_total^2 * male_total^4 multiply the masses at the end.
-* Male table. The male side of the enumeration depends only on the male
-  categories and the ledger, not on the women or on the observed RR, so it
-  is summarised once per (men, rules) pair by ``male_table`` and memoised:
-  the valid male mass and the ascending distinct int scores s * g, each
-  with the mass of the valid male tuples of that score that may join the
-  tail. The walk visits unordered singleton pairs (a <= b) and counts a
-  pair of two different categories twice. That is exact
-  because everything the walk asks of the two singletons is symmetric in
-  them: ``singleton_counts`` (R3 can drop only the singleton that shares the
-  father's label, and two singletons sharing it collide), the clash tests,
-  the flags father_is_singleton and yoseh_in_singles, and whether Yeshua is
-  among them.
+* Male table. The ledger's switches decide which factors count; its
+  numbers, the unknown-son factor un/ud and the bonus divisor bn/bd, say
+  only what they are worth. So ``male_table`` walks the male side once per
+  (men, require_yeshua_in_tomb, allow_father_yeshua, count_unknown_sons),
+  memoised, and sorts the valid male tuples into four classes: whether the
+  unknown-son factor counts and whether R14's bonus applies. Per class it
+  keeps the ascending distinct int bases b = s * (r_f or R) * (r_s or R),
+  with s the singleton part, and the prefix sums of the mass of the tuples
+  of each base that may join the tail. With the class factor
+  F = (un or ud) * (bd or bn), a male score is b * F / D for the common
+  scale D = R^4 * ud * bn. The walk visits unordered singleton pairs
+  (a <= b) and counts a pair of two different categories twice. That is
+  exact because everything the walk asks of the two singletons is symmetric
+  in them: ``singleton_counts`` (R3 can drop only the singleton that shares
+  the father's label, and two singletons sharing it collide), the clash
+  tests, the flags father_is_singleton and yoseh_in_singles, and whether
+  Yeshua is among them.
 * Merge. A tuple is in the tail for a women pair of score w exactly when
-  s * g <= floor(observed * D / w), because s * g is an int. With
-  observed = on/od and women RR values wn_i/wd_i, that threshold is the int
-  on * D * wd_i * wd_j // (od * wn_i * wn_j). ``enumerate_tail`` builds the
-  women-pair mass per distinct threshold and merges the thresholds with the
-  male table in one walk from the top: each male score meets the women mass
-  of every threshold at or above it. Tail mass is the sum of those products,
-  turned into one Fraction at the end.
+  b * F <= t with t = floor(observed * D / w), because b * F is an int.
+  With observed = on/od and women RR values wn_i/wd_i, t is the int
+  on * D * wd_i * wd_j // (od * wn_i * wn_j), and for positive ints
+  b * F <= t holds exactly when b <= t // F: no comparison needs an
+  epsilon. ``enumerate_tail`` sums the women-pair mass per distinct t and
+  meets it, per class, with the prefix sum of the bases <= t // F, found by
+  bisection. The sum of those products becomes one Fraction at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
 from typing import NamedTuple
 
@@ -73,17 +76,18 @@ class TailResult(NamedTuple):
 
 
 class MaleTable(NamedTuple):
-    """Valid male 4-tuple mass and tail-eligible mass per distinct score.
+    """Valid male 4-tuple mass, and per class the tail-eligible mass by base.
 
-    A male score is ``scores[i] / scale``. A mass over ``mass_scale`` is a
-    sum of products of four male category weights.
+    A male score is base * F / (r**4 * ud * bn) with F the class factor; a
+    mass over ``mass_scale`` is a sum of products of four male category
+    weights.
     """
 
-    scale: int
+    r: int
     mass_scale: int
     valid_mass: int
-    scores: tuple[int, ...]       # ascending, distinct
-    tail_masses: tuple[int, ...]  # per score: mass of the tuples that may join the tail
+    # (unknown-son factor counts, bonus applies, bases, mass below each index)
+    classes: tuple[tuple[bool, bool, tuple[int, ...], tuple[int, ...]], ...]
 
 
 def tuple_space_size(spec: HypothesisSpec) -> int:
@@ -97,31 +101,40 @@ def _scaled(values: list[Fraction]) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
+def _prefix_sums(by_base: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ascending bases, and the mass of the bases below each index."""
+    bases = tuple(sorted(by_base))
+    return bases, tuple(accumulate(map(by_base.__getitem__, bases), initial=0))
+
+
 @lru_cache(maxsize=32)
-def male_table(men: tuple[Category, ...], rules: RuleLedger) -> MaleTable:
+def male_table(men: tuple[Category, ...], require_yeshua_in_tomb: bool,
+               allow_father_yeshua: bool, count_unknown_sons: bool) -> MaleTable:
     """The male side of the enumeration, walked over singleton pairs a <= b."""
+    switches = RuleLedger(require_yeshua_in_tomb=require_yeshua_in_tomb,
+                          allow_father_yeshua=allow_father_yeshua,
+                          count_unknown_sons=count_unknown_sons)
     m = len(men)
     md, mcount = _scaled([c.weight for c in men])
     # rr[i] = men[i].rr * r; an rr that does not count is 1, scaled to r
     r, rr = _scaled([c.rr for c in men])
-    un, ud = rules.unknown_son_factor.numerator, rules.unknown_son_factor.denominator
-    bn, bd = rules.bonus_divisor.numerator, rules.bonus_divisor.denominator
+    classes = {(uc, bonus): {} for uc in (False, True) for bonus in (False, True)}
 
-    def gen_row(f: int, father_is_singleton: bool, yoseh_in_singles: bool) -> list[int]:
-        """generational_part / bonus over every son, scaled by r**2 * ud * bn."""
+    def gen_row(f: int, father_is_singleton: bool,
+                yoseh_in_singles: bool) -> list[tuple[int, dict[int, int]]]:
+        """Per son: the generational base scaled by r**2, and its class."""
         father, row = men[f], []
         for j, son in enumerate(men):
             fc, sc, uc = generational_counts(father, son, father_is_singleton,
-                                             yoseh_in_singles, rules)
-            row.append((rr[f] if fc else r) * (rr[j] if sc else r)
-                       * (un if uc else ud) * (bd if bonus_applies(father, son) else bn))
+                                             yoseh_in_singles, switches)
+            row.append(((rr[f] if fc else r) * (rr[j] if sc else r),
+                        classes[uc, bonus_applies(father, son)]))
         return row
 
     gen_rows = {(f, fis, yis): gen_row(f, fis, yis) for f in range(m)
                 for fis in (False, True) for yis in (False, True)}
     clash = [[collides(a, b) for b in men] for a in men]
     is_yeshua = [c.label == YESHUA for c in men]
-    by_score: dict[int, int] = {}
     valid = 0
     for a, s1 in enumerate(men):
         for b in range(a, m):
@@ -129,31 +142,31 @@ def male_table(men: tuple[Category, ...], rules: RuleLedger) -> MaleTable:
                 continue
             s2 = men[b]
             labels = (s1.label, s2.label)
+            sons = [son for son in range(m) if not clash[son][a] and not clash[son][b]]
+            sons_mass = sum(mcount[son] for son in sons)
             # without Yeshua among the singletons, only a Yeshua son may
             # bring the tuple into the tail when the ledger requires him
-            yeshua_son_needed = (rules.require_yeshua_in_tomb
-                                 and not is_yeshua[a] and not is_yeshua[b])
-            sons = [son for son in range(m)
-                    if not clash[son][a] and not clash[son][b]]
+            if require_yeshua_in_tomb and not is_yeshua[a] and not is_yeshua[b]:
+                sons = [son for son in sons if is_yeshua[son]]
             mass_ab = mcount[a] * mcount[b] * (1 if a == b else 2)
             for f, father in enumerate(men):
                 c1, c2 = singleton_counts(s1, s2, father)
                 s = (rr[a] if c1 else r) * (rr[b] if c2 else r)
                 gen = gen_rows[f, father.label in labels, YOSEH in labels]
+                clash_f = clash[f]
                 mass_abf = mass_ab * mcount[f]
+                # every son but the father's own category, when it is among them
+                own = clash_f[f] and not clash_f[a] and not clash_f[b]
+                valid += mass_abf * (sons_mass - (mcount[f] if own else 0))
                 for son in sons:
-                    if clash[f][son]:
+                    if clash_f[son]:
                         continue
-                    mass = mass_abf * mcount[son]
-                    valid += mass
-                    if yeshua_son_needed and not is_yeshua[son]:
-                        continue
-                    score = s * gen[son]
-                    by_score[score] = by_score.get(score, 0) + mass
-    scores = sorted(by_score)
-    return MaleTable(scale=r ** 4 * ud * bn, mass_scale=md ** 4, valid_mass=valid,
-                     scores=tuple(scores),
-                     tail_masses=tuple(by_score[s] for s in scores))
+                    g, by_base = gen[son]
+                    base = s * g
+                    by_base[base] = by_base.get(base, 0) + mass_abf * mcount[son]
+    return MaleTable(r=r, mass_scale=md ** 4, valid_mass=valid,
+                     classes=tuple((*key, *_prefix_sums(by_base))
+                                   for key, by_base in classes.items() if by_base))
 
 
 def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger,
@@ -161,12 +174,15 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger,
     """Total, valid, and tail mass of the sample space against ``observed``."""
     if observed <= 0:
         raise ValueError("observed RR must be positive")
-    table = male_table(spec.men, rules)
+    table = male_table(spec.men, rules.require_yeshua_in_tomb,
+                       rules.allow_father_yeshua, rules.count_unknown_sons)
+    un, ud = rules.unknown_son_factor.numerator, rules.unknown_son_factor.denominator
+    bn, bd = rules.bonus_divisor.numerator, rules.bonus_divisor.denominator
     women = spec.women
     wd, wcount = _scaled([c.weight for c in women])
 
-    # women pairs: mass per distinct threshold floor(observed * scale / w)
-    top = observed.numerator * table.scale
+    # women pairs: mass per distinct threshold floor(observed * D / w)
+    top = observed.numerator * table.r ** 4 * ud * bn
     valid_w = 0
     by_threshold: dict[int, int] = {}
     for i, w1 in enumerate(women):
@@ -179,14 +195,12 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger,
                  // (observed.denominator * w1.rr.numerator * w2.rr.numerator))
             by_threshold[t] = by_threshold.get(t, 0) + mass
 
-    # from the top: each male score meets every women threshold at or above it
-    thresholds = sorted(by_threshold, reverse=True)
-    tail = women_mass = k = 0
-    for score, mass in zip(reversed(table.scores), reversed(table.tail_masses)):
-        while k < len(thresholds) and thresholds[k] >= score:
-            women_mass += by_threshold[thresholds[k]]
-            k += 1
-        tail += mass * women_mass
+    # per class: each women threshold t meets the mass of the bases <= t // factor
+    tail = 0
+    for uc, bonus, bases, below in table.classes:
+        factor = (un if uc else ud) * (bd if bonus else bn)
+        for t, mass in by_threshold.items():
+            tail += mass * below[bisect_right(bases, t // factor)]
 
     totals = tuple_space_size(spec)
     denominator = wd ** 2 * table.mass_scale

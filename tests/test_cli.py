@@ -435,7 +435,8 @@ class TestMalformedInputFiles:
         assert all("error:" in row for row in rows)
 
     @pytest.mark.parametrize("row, named", [
-        ("generic X female 1/0", "zero denominator"),
+        pytest.param("generic X female 1/0", "total_persons: zero denominator",
+                     id="generic X female 1/0-zero denominator"),
         ("generic X female 5 10", "ossuary_persons: X: exceeds total_persons"),
         ("slice X x 6 5", "ossuary_matching: X/x: must satisfy 0 <= k <= K")])
     def test_bad_onomasticon_row(self, row, named, tmp_path, capsys):
@@ -444,6 +445,30 @@ class TestMalformedInputFiles:
         assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
         assert capsys.readouterr().err.splitlines() == [
             f"error: {onom}: row 2: {named}"]
+
+    @pytest.mark.parametrize("row, named", [
+        ("generic Foo male abc", "total_persons: "),
+        ("generic Foo male 5 x", "ossuary_persons: "),
+        ("generic Foo male 5 4 fictitious=x", "fictitious: "),
+        ("generic Foo male 5 4 rahmani=x?", "rahmani: "),
+        ("total male abc", "male_total: "),
+        ("total female 317 x", "female_ossuary: "),
+        ("slice Mariam X x 44", "ossuary_matching: "),
+        ("slice Mariam X 1 1/0", "ossuary_generic: zero denominator"),
+        ("slice Salome X 1 2", "ossuary_generic: Salome/X: disagrees"),
+        ("slice Nobody X 1 2", "slice generic: Nobody: unknown"),
+        ("slice Mariam X 40 44", "slices of Mariam: implied counts exceed")])
+    def test_bad_row_of_the_bundled_table_names_row_and_field(
+            self, row, named, tmp_path, capsys):
+        # appended to the bundled table, so only the row itself is wrong
+        bundled = (SRC / "namecluster" / "data" / "onomasticon.tsv").read_text()
+        onom = tmp_path / "onom.tsv"
+        onom.write_text(f"{bundled}{row}\n")
+        rows = len(bundled.splitlines()) + 1
+        assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {onom}: row {rows}: {named}")
 
     @pytest.mark.parametrize("command", ["sweep", "validate-config"])
     @pytest.mark.parametrize("row", [

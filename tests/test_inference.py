@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from namecluster.inference import (InferenceError, adjusted_p, beta_of,
-                                   odds_lower_bound, posterior_odds, tau,
+                                   odds_lower_bound, posterior_odds,
                                    theta_lower_bound)
 
 # baseline tail proportion from the bundled enumeration
@@ -84,26 +84,33 @@ class TestOddsLowerBound:
 
 
 class TestTau:
+    # tau = theta * (1 - beta) + beta: the probability of attaining the tail
+    # level among the n2 tombs, with beta from beta_of
     def test_certain_event(self):
-        assert tau(Fraction(1), N2, Q) == 1
+        beta = beta_of(Q, N2)
+        assert isinstance(beta, Fraction) and 0 < beta < 1
+        assert 1 * (1 - beta) + beta == 1
 
     def test_only_competitors_remain(self):
-        assert tau(Fraction(0), N2, Q) == beta_of(Q, N2)
+        beta = beta_of(Q, N2)
+        assert 0 * (1 - beta) + beta == beta == (N2 - 1) * Q
 
     def test_direct_evaluation(self):
         beta = Fraction(603, 10 ** 6)  # a beta near the baseline's
         q = beta / (N2 - 1)
-        value = tau(Fraction(1, 2), N2, q)
-        assert value == Fraction(1, 2) * (1 - beta) + beta
+        assert beta_of(q, N2) == beta
+        value = Fraction(1, 2) * (1 - beta) + beta
         assert f"{float(value):.4g}" == "0.5003"
 
 
 class TestIdentities:
     @given(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(99, 100)))
     def test_tau_inverts_the_theta_bound(self, alpha):
-        if alpha <= beta_of(Q, N2):
+        beta = beta_of(Q, N2)
+        if alpha <= beta:
             return
-        assert tau(theta_lower_bound(alpha, N2, Q), N2, Q) == alpha
+        theta = theta_lower_bound(alpha, N2, Q)
+        assert theta * (1 - beta) + beta == alpha
 
     @given(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)))
     def test_odds_bound_identity(self, alpha):
@@ -112,12 +119,18 @@ class TestIdentities:
             return
         assert odds_lower_bound(alpha, N2, Q) * beta * (1 - beta) == alpha - beta
 
-    @given(theta=st.fractions(min_value=0, max_value=1),
+    @given(alpha=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100)),
            scale=st.fractions(min_value=Fraction(1, 4), max_value=Fraction(4)))
-    def test_tau_affine_increasing(self, theta, scale):
+    def test_tau_affine_increasing(self, alpha, scale):
+        # tau is affine and increasing in theta, so its inverse, the theta
+        # bound, increases with alpha
         beta = beta_of(Q, N2)
-        assert tau(theta, N2, Q) == theta * (1 - beta) + beta
-        other = min(Fraction(1), theta * scale)
-        if other >= theta:
-            assert tau(other, N2, Q) >= tau(theta, N2, Q)
-
+        other = min(Fraction(99, 100), alpha * scale)
+        if min(alpha, other) <= beta:
+            return
+        low, high = sorted((alpha, other))
+        theta_low = theta_lower_bound(low, N2, Q)
+        theta_high = theta_lower_bound(high, N2, Q)
+        assert theta_low * (1 - beta) + beta == low
+        assert theta_high * (1 - beta) + beta == high
+        assert theta_high >= theta_low

@@ -100,7 +100,7 @@ class TestParsing:
             parse_onomasticon(text)
 
     def test_zero_denominator_names_the_row(self):
-        with pytest.raises(ParseError, match="row 2: zero denominator"):
+        with pytest.raises(ParseError, match="row 2: total_persons: zero denominator"):
             parse_onomasticon("total female 10\ngeneric X female 1/0\n")
 
     def test_unknown_generic_option_names_the_row(self):
@@ -169,6 +169,12 @@ class TestParsing:
         text = ("total female 317\ntotal male 2509\n"
                 "slice Ghost g 1 2\n")
         with pytest.raises(ValidationError, match="Ghost"):
+            parse_onomasticon(text)
+
+    def test_slice_above_its_generic_names_its_row(self):
+        text = ("total female 317\ntotal male 2509\n"
+                "slice Tiny a 1 8\ngeneric Tiny female 8 8\n")
+        with pytest.raises(ValidationError, match="row 3: slice generic: Tiny: unknown"):
             parse_onomasticon(text)
 
     def test_slices_overfilling_their_generic_rejected(self):

@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 import namecluster as nc
-from namecluster import sensitivity
-from namecluster.candidates import parse_hypothesis_config
+from namecluster import candidates, sensitivity
+from namecluster.candidates import build_categories, parse_hypothesis_config
 from namecluster.onomasticon import ParseError
 from namecluster.scoring import score
 from namecluster.sensitivity import (Delta, Scenario, apply_deltas,
@@ -123,28 +123,48 @@ class TestSharing:
 
     def test_each_distinct_candidate_list_is_built_once(
             self, onom, rules, suite, monkeypatch):
-        built = []
+        # categories are built once per gender and distinct list of that
+        # gender's candidates; every scenario still gets its own spec
+        built, specs = [], []
 
-        def counting_build_spec(onom, candidates):
-            built.append(tuple(candidates))
-            return nc.build_spec(onom, candidates)
+        def counting_build_categories(onom, gender, candidates):
+            built.append((gender, tuple(candidates)))
+            return build_categories(onom, gender, candidates)
 
+        def counting_build_spec(onom, candidates, memo=None):
+            specs.append(tuple(candidates))
+            return nc.build_spec(onom, candidates, memo)
+
+        monkeypatch.setattr(candidates, "build_categories", counting_build_categories)
         monkeypatch.setattr(sensitivity, "build_spec", counting_build_spec)
         run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
         distinct = {apply_deltas(DESCRIPTORS, rules, s)[0] for s in suite}
-        assert len(built) == len(set(built)) == len(distinct) == 24
+        per_gender = {(gender, tuple(d for d in desc if d.gender == gender))
+                      for desc in distinct for gender in ("female", "male")}
+        assert len(built) == len(set(built)) == len(per_gender) == 17
+        assert sum(gender == "female" for gender, _ in built) == 11
+        assert len(specs) == len(suite) == 42
+        assert len(set(specs)) == len(distinct) == 24
 
     def test_cached_male_tables_give_the_results_of_fresh_ones(
-            self, onom, rules, suite):
+            self, onom, rules, suite, reports):
+        # one walk per distinct male categories and set of ledger switches
         cases = []
         for scenario in suite:
             new_desc, new_rules = apply_deltas(DESCRIPTORS, rules, scenario)
             spec = nc.build_spec(onom, new_desc)
             cases.append((spec, new_rules, score(TOMB, spec, new_rules).value))
-        hits = male_table.cache_info().hits
+        walks = {(spec.men, new_rules.require_yeshua_in_tomb,
+                  new_rules.allow_father_yeshua, new_rules.count_unknown_sons)
+                 for spec, new_rules, _ in cases}
+        assert len(walks) == 13
+        assert len({(spec.men, new_rules) for spec, new_rules, _ in cases}) == 20
+        male_table.cache_clear()
+        assert run_suite(onom, DESCRIPTORS, rules, TOMB, suite) == list(reports.values())
+        info = male_table.cache_info()
+        assert (info.misses, info.hits) == (13, 42 - 13)
         cached = [enumerate_tail(*case) for case in cases]
-        distinct = {(spec.men, new_rules) for spec, new_rules, _ in cases}
-        assert male_table.cache_info().hits - hits >= len(cases) - len(distinct)
+        assert male_table.cache_info().misses == 13
         fresh = []
         for case in cases:
             male_table.cache_clear()

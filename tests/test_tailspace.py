@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import namecluster as nc
 from namecluster.candidates import CandidateDescriptor
-from namecluster.scoring import (YESHUA, RuleLedger, score,
-                                 score_male_slots, validate)
+from namecluster.scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies,
+                                 generational_counts, score, score_male_slots,
+                                 validate)
 from namecluster.tailspace import enumerate_tail, male_table, tuple_space_size
 
 from bundled import ADDONS, DESCRIPTORS, TOMB
@@ -56,6 +57,12 @@ FROZEN = {
         Fraction(209973101902093839843527, 64009),
         Fraction(4883057350935566827863, 11777656)),
 }
+
+
+def switches(rules):
+    """The ledger fields that decide which factors count: male_table's key."""
+    return (rules.require_yeshua_in_tomb, rules.allow_father_yeshua,
+            rules.count_unknown_sons)
 
 
 def grown_spec(onom, added):
@@ -123,12 +130,16 @@ class TestFrozenLargerSpaces:
 
     @pytest.mark.parametrize("rules", list(LEDGERS.values()), ids=list(LEDGERS))
     def test_male_score_factorisation(self, onom, rules):
-        # male_table's int scores and masses, rebuilt one valid male tuple
-        # at a time from the Fraction scores of score_male_slots
+        # male_table's int bases and masses, class by class, rebuilt one
+        # valid male tuple at a time from the Fraction scores of
+        # score_male_slots: each score is base * F / D
         spec = grown_spec(onom, PLUS_8)
-        table = male_table(spec.men, rules)
+        table = male_table(spec.men, *switches(rules))
+        un, ud = rules.unknown_son_factor.as_integer_ratio()
+        bn, bd = rules.bonus_divisor.as_integer_ratio()
+        scale = table.r ** 4 * ud * bn
         men = {c.label: c for c in spec.men}
-        valid, by_score = 0, {}
+        valid, by_class = 0, {}
         for slots in product(men, repeat=4):
             config = nc.TombConfiguration("MM", "Marya", *slots)
             if validate(config, spec) is not None:
@@ -138,15 +149,82 @@ class TestFrozenLargerSpaces:
                 mass *= men[label].weight
             assert mass.denominator == 1, slots
             valid += int(mass)
-            s1, s2, _, son = slots
+            s1, s2, father, son = slots
             if rules.require_yeshua_in_tomb and YESHUA not in (s1, s2, son):
                 continue
             singles, gen, divisor = score_male_slots(*slots, spec, rules)
-            scaled = singles * gen / divisor * table.scale
-            assert scaled.denominator == 1, slots
-            by_score[int(scaled)] = by_score.get(int(scaled), 0) + int(mass)
+            uc = generational_counts(men[father], men[son], father in (s1, s2),
+                                     YOSEH in (s1, s2), rules)[2]
+            bonus = bonus_applies(men[father], men[son])
+            factor = (un if uc else ud) * (bd if bonus else bn)
+            base = singles * gen / divisor * scale / factor
+            assert base.denominator == 1, slots
+            by_base = by_class.setdefault((uc, bonus), {})
+            by_base[int(base)] = by_base.get(int(base), 0) + int(mass)
         assert valid == table.valid_mass
-        assert by_score == dict(zip(table.scores, table.tail_masses))
+        assert {(uc, bonus) for uc, bonus, _, _ in table.classes} == set(by_class)
+        for uc, bonus, bases, below in table.classes:
+            masses = [b - a for a, b in zip(below, below[1:])]
+            assert list(bases) == sorted(by_class[uc, bonus]), (uc, bonus)
+            assert dict(zip(bases, masses)) == by_class[uc, bonus], (uc, bonus)
+        # every class occurs under the default ledger
+        assert rules != RuleLedger() or len(table.classes) == 4
+
+
+class TestSharedWalk:
+    """One male walk per set of ledger switches serves every ledger number."""
+
+    NUMBERS = list(product((Fraction(1), Fraction(6, 5), Fraction(7, 3)),
+                           (Fraction(1), Fraction(5, 2), Fraction(5), Fraction(10))))
+
+    @pytest.mark.parametrize("added", [(), PLUS_8], ids=["M5", "M13"])
+    @pytest.mark.parametrize("ledger", ["default", "non-default"])
+    def test_shared_walk_equals_fresh_walks(self, onom, added, ledger):
+        spec = grown_spec(onom, added)
+        ledgers = [LEDGERS[ledger]._replace(bonus_divisor=bonus,
+                                            unknown_son_factor=factor)
+                   for bonus, factor in self.NUMBERS]
+        male_table.cache_clear()
+        shared = [enumerate_tail(spec, rules, score(TOMB, spec, rules).value)
+                  for rules in ledgers]
+        assert male_table.cache_info().misses == 1
+        fresh = []
+        for rules in ledgers:
+            male_table.cache_clear()
+            fresh.append(enumerate_tail(spec, rules, score(TOMB, spec, rules).value))
+        assert shared == fresh
+        assert len({result.valid_mass for result in shared}) == 1
+        frozen = dict(FROZEN)
+        frozen[(), "default"] = (VALID, TAIL)
+        checked = 0
+        for name, known in LEDGERS.items():
+            if (added, name) in frozen and known in ledgers:
+                result = shared[ledgers.index(known)]
+                assert (result.valid_mass, result.tail_mass) == frozen[added, name]
+                checked += 1
+        assert checked == {((), "default"): 1, (PLUS_8, "default"): 2,
+                           (PLUS_8, "non-default"): 1}.get((added, ledger), 0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           numbers=st.lists(st.tuples(
+               st.fractions(min_value=1, max_value=10, max_denominator=7),
+               st.fractions(min_value=1, max_value=10, max_denominator=7)),
+               min_size=2, max_size=3))
+    def test_shared_walk_agrees_with_the_oracle(self, seed, numbers):
+        rng = random.Random(seed)
+        spec, switched = random_synthetic(rng)
+        men = [c.label for c in spec.men]
+        config = nc.TombConfiguration(spec.women[0].label, "Other",
+                                      rng.choice(men), "Other", "Other", "Other")
+        male_table.cache_clear()
+        for bonus, factor in numbers:
+            rules = switched._replace(bonus_divisor=bonus, unknown_son_factor=factor)
+            observed = score(config, spec, rules).value
+            result = enumerate_tail(spec, rules, observed)
+            assert (result.total_mass, result.valid_mass, result.tail_mass) \
+                == person_level_tail(spec, rules, observed)
+        assert male_table.cache_info().misses == 1
 
 
 class TestMaleTable:
@@ -177,7 +255,8 @@ class TestMaleTable:
         config = nc.TombConfiguration("W0", "Other", "Yosef", "Other",
                                       "Yosef", "Yeshua")
         observed = score(config, spec, rules).value
-        assert male_table(spec.men, rules) != male_table(variant.men, rules)
+        assert male_table(spec.men, *switches(rules)) \
+            != male_table(variant.men, *switches(rules))
         for hypothesis in (spec, variant):
             result = enumerate_tail(hypothesis, rules, observed)
             total, valid, tail = person_level_tail(hypothesis, rules, observed)
