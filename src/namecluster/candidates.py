@@ -1,11 +1,11 @@
 """A priori candidate lists and their per-category weights and RR values.
 
 A hypothesis is an ordered list of candidate categories per gender plus one
-catch-all "Other" category absorbing the complement. Sampling weights come
-from the onomasticon (slice estimator, full generic, or residual-of-generic);
-RR values follow the rarest-class rule: a slice candidate scores at its slice
-frequency, a residual-of-generic category scores at the full generic
-frequency, and Other scores 1.
+catch-all category labelled "Other", a label no candidate may take, absorbing
+the complement. Sampling weights come from the onomasticon (slice estimator,
+full generic, or residual-of-generic); RR values follow the rarest-class
+rule: a slice candidate scores at its slice frequency, a residual-of-generic
+category scores at the full generic frequency, and Other scores 1.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, checked,
 
 OTHER = "Other"
 
-CANDIDATE = "candidate"
-RESIDUAL_GENERIC = "residual_generic"
-OTHER_KIND = "other"
-
 
 class SpecificationError(InputError):
     """A candidate list cannot be realized (duplicates, negative residuals...)."""
@@ -34,19 +30,10 @@ class Category(NamedTuple):
     """One sampling category: a label, a weight, and an RR value."""
 
     label: str
-    gender: str
     weight: Fraction
     rr: Fraction
-    kind: str = CANDIDATE
 
     def check(self):
-        if self.kind not in (CANDIDATE, RESIDUAL_GENERIC, OTHER_KIND):
-            raise SpecificationError(f"category {self.label}: bad kind {self.kind!r}")
-        if self.kind == OTHER_KIND and self.rr != 1:
-            raise SpecificationError(f"category {self.label}: Other must have rr = 1")
-        if self.kind == RESIDUAL_GENERIC and self.rr < self.weight:
-            raise SpecificationError(
-                f"category {self.label}: residual weight exceeds the generic rr")
         if not 0 <= self.weight <= 1:
             raise SpecificationError(f"category {self.label}: weight outside [0,1]")
         if not 0 < self.rr <= 1:
@@ -96,8 +83,8 @@ class HypothesisSpec(NamedTuple):
                 raise SpecificationError(f"{gender} categories: duplicate label")
             if sum(c.weight for c in cats) != 1:
                 raise SpecificationError(f"{gender} categories: weights must sum to 1")
-            if sum(1 for c in cats if c.kind == OTHER_KIND) != 1:
-                raise SpecificationError(f"{gender} categories: exactly one Other")
+            if [c.rr for c in cats if c.label == OTHER] != [1]:
+                raise SpecificationError(f"{gender} categories: exactly one Other, of rr 1")
 
     def categories(self, gender: str) -> tuple[Category, ...]:
         return self.women if gender == FEMALE else self.men
@@ -151,15 +138,16 @@ def build_categories(onom: Onomasticon, gender: str,
     """One gender's categories: its candidates in order, then Other."""
     out: list[Category] = []
     for desc in candidates:
-        kind = RESIDUAL_GENERIC if desc.rendition_class == "residual" else CANDIDATE
-        out.append(Category(label=desc.resolved_label(), gender=gender,
-                            weight=_weight(onom, desc, candidates),
-                            rr=assign_rr(onom, desc), kind=kind))
+        label = desc.resolved_label()
+        weight, rr = _weight(onom, desc, candidates), assign_rr(onom, desc)
+        if desc.rendition_class == "residual" and rr < weight:
+            raise SpecificationError(
+                f"category {label}: residual weight exceeds the generic rr")
+        out.append(Category(label=label, weight=weight, rr=rr))
     other = 1 - sum(c.weight for c in out)
     if other < 0:
         raise SpecificationError(f"{gender} candidates: weights exceed 1")
-    out.append(Category(label=OTHER, gender=gender, weight=other,
-                        rr=Fraction(1), kind=OTHER_KIND))
+    out.append(Category(label=OTHER, weight=other, rr=Fraction(1)))
     return tuple(out)
 
 
@@ -207,18 +195,22 @@ OBSERVED_OPTIONS = dict.fromkeys(
 
 def parse_candidate(fields) -> CandidateDescriptor:
     """A descriptor from <person> <gender> <generic> <class> [key=value]..."""
-    person, gender, generic, rclass = fields[:4]
+    person, gender, generic, rclass, *options = fields
     return CandidateDescriptor(person, gender, generic,
                                rclass.removeprefix("slice:"),
-                               **parse_options(fields[4:], CANDIDATE_OPTIONS))
+                               **parse_options(options, CANDIDATE_OPTIONS))
 
 
 def parse_hypothesis_config(text: str):
     """Return (name, descriptors, observed-slot mapping or None)."""
     config = {"name": "custom", "observed": None}
     descriptors: list[CandidateDescriptor] = []
+
+    def name(fields):
+        (config["name"],) = fields
+
     read_records(text, {
-        "name": lambda fields: config.update(name=fields[0]),
+        "name": name,
         "candidate": lambda fields: descriptors.append(parse_candidate(fields)),
         "observed": lambda fields: config.update(
             observed=parse_options(fields, OBSERVED_OPTIONS))})

@@ -1,7 +1,7 @@
 """Name-frequency data model for the late-antiquity Jewish onomasticon.
 
-Holds per-generic person counts (split by gender and by ossuary-derived
-subset), rendition slices within a generic, and the bias-corrected
+Holds per-generic person counts (with their ossuary-derived subset), the two
+gender totals, rendition slices within a generic, and the bias-corrected
 frequency estimator for a rendition slice:
 
     f(slice) = (k / K) * G / N
@@ -138,18 +138,16 @@ def checked(cls):
 
 @checked
 class GenericNameCount(NamedTuple):
-    """Counts of nonfictitious persons bearing one generic name.
+    """Counts of the persons bearing one generic name.
 
     ``ossuary_persons`` is None when the ossuary-derived count is
     undetermined (a dash in the source tables, which is not a zero).
-    Fictitious bearers are carried separately and never enter estimates.
     """
 
     name: str
     gender: str
     total_persons: Fraction
     ossuary_persons: Optional[Fraction] = None
-    fictitious: Fraction = Fraction(0)
     rahmani: Optional[Fraction] = None
     rahmani_uncertain: bool = False
 
@@ -194,16 +192,11 @@ class Onomasticon(NamedTuple):
     male_total: int
     generics: tuple[GenericNameCount, ...]
     slices: tuple[RenditionSlice, ...]
-    female_ossuary: Optional[int] = None
-    male_ossuary: Optional[int] = None
 
     def check(self):
         if self.female_total <= 0 or self.male_total <= 0:
             raise ValidationError("gender totals: must be positive")
-        names = {(g.name, g.gender) for g in self.generics}
-        if len(names) != len(self.generics):
-            raise ValidationError("generics: duplicate (name, gender) entry")
-        check_slices(self.generics, self.slices)
+        check_rows(self.generics, self.slices)
 
     def gender_total(self, gender: str) -> int:
         if gender == FEMALE:
@@ -225,9 +218,12 @@ class Onomasticon(NamedTuple):
         raise ValidationError(f"slice: {generic}/{label}: unknown")
 
 
-def check_slices(generics, slices) -> None:
-    """Each slice agrees with its generic, and a generic's slices fit inside it."""
-    by_name = {g.name: g for g in generics}
+def check_rows(generics, slices) -> None:
+    """Generics have distinct names; slices agree with and fit inside their generic."""
+    by_name: dict[str, GenericNameCount] = {}
+    for g in generics:
+        if by_name.setdefault(g.name, g) is not g:
+            raise ValidationError(f"generic: {g.name}: duplicate name")
     totals: dict[str, Fraction] = {}
     for s in slices:
         g = by_name.get(s.generic)
@@ -262,13 +258,14 @@ def slice_frequency(slc: RenditionSlice, onom: Onomasticon) -> Fraction:
 #
 # The onomasticon table, the hypothesis config and the scenario suite share
 # one grammar: one record per line, its fields separated by whitespace, the
-# first field naming the record kind; '#' starts a comment. Options are
-# key=value words, and a key the record does not know is rejected. Numbers
-# accept exact fraction syntax "a/b", integers and decimals.
+# first field naming the record kind, which takes exactly its fields; '#'
+# starts a comment. Options are key=value words, and a key the record does
+# not know is rejected. Numbers accept exact fraction syntax "a/b", integers
+# and decimals.
 #
 # The onomasticon table's records:
-#   total   <gender> <persons> [<ossuary_persons>]
-#   generic <name> <gender> <total> [<ossuary>|-] [fictitious=N] [rahmani=N[?]]
+#   total   <female|male> <persons>       (one per gender)
+#   generic <name> <gender> <total> [<ossuary>|-] [rahmani=N[?]]  (one per name)
 #   slice   <generic> <label> <k> <K>     (below the generic's own record)
 # A '-' ossuary entry means undetermined (not zero).
 # ---------------------------------------------------------------------------
@@ -293,9 +290,8 @@ def load_source(source: Union[str, Path], filename: str, parse):
 def read_records(text: str, handlers) -> None:
     """Pass the fields after the kind of each record to ``handlers[kind]``.
 
-    A ValueError, IndexError or ZeroDivisionError from a record becomes a
-    ParseError naming its row; an OnomasticonError keeps its class and gains
-    the row.
+    A ValueError or ZeroDivisionError from a record becomes a ParseError
+    naming its row; an OnomasticonError keeps its class and gains the row.
     """
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split("#", 1)[0].split()
@@ -307,7 +303,7 @@ def read_records(text: str, handlers) -> None:
             handlers[fields[0]](fields[1:])
         except OnomasticonError as exc:
             raise type(exc)(f"row {lineno}: {exc}") from exc
-        except (IndexError, ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"row {lineno}: {exc}") from exc
 
 
@@ -324,19 +320,22 @@ def parse_options(words, parsers) -> dict:
     return options
 
 
-GENERIC_OPTIONS = {"fictitious": parse_fraction, "rahmani": str}
+GENERIC_OPTIONS = {"rahmani": str}
 
 
 def parse_onomasticon(text: str) -> Onomasticon:
     totals = {}
-    ossuary_totals = {}
     generics: list[GenericNameCount] = []
     slices: list[RenditionSlice] = []
 
     def total(fields):
-        totals[fields[0]] = parse_field(f"{fields[0]}_total", fields[1], int)
-        if len(fields) > 2 and fields[2] != "-":
-            ossuary_totals[fields[0]] = parse_field(f"{fields[0]}_ossuary", fields[2], int)
+        gender, persons = fields
+        count = parse_field(f"{gender}_total", persons, int)
+        if gender not in GENDERS:
+            raise ValueError(f"gender: expected female or male, got {gender!r}")
+        if gender in totals:
+            raise ValueError(f"{gender}_total: given twice")
+        totals[gender] = count
 
     def generic(fields):
         name, gender, persons, *rest = fields
@@ -344,30 +343,28 @@ def parse_onomasticon(text: str) -> Onomasticon:
         if rest and "=" not in rest[0]:
             word = rest.pop(0)
             ossuary = None if word == "-" else parse_field("ossuary_persons", word)
-        options = parse_options(rest, GENERIC_OPTIONS)
-        rahmani = options.get("rahmani")
+        rahmani = parse_options(rest, GENERIC_OPTIONS).get("rahmani")
         generics.append(GenericNameCount(
             name=name, gender=gender, total_persons=parse_field("total_persons", persons),
             ossuary_persons=ossuary,
-            fictitious=options.get("fictitious", Fraction(0)),
             rahmani=None if rahmani is None else parse_field("rahmani", rahmani.rstrip("?")),
             rahmani_uncertain=rahmani is not None and rahmani.endswith("?")))
+        check_rows(generics, slices)  # no generic above it has its name
 
     def slice_(fields):
+        name, label, k, big_k = fields
         slices.append(RenditionSlice(
-            generic=fields[0], label=fields[1],
-            ossuary_matching=parse_field("ossuary_matching", fields[2]),
-            ossuary_generic=parse_field("ossuary_generic", fields[3])))
-        check_slices(generics, slices)  # against the generics above it
+            generic=name, label=label,
+            ossuary_matching=parse_field("ossuary_matching", k),
+            ossuary_generic=parse_field("ossuary_generic", big_k)))
+        check_rows(generics, slices)  # against the generics above it
 
     read_records(text, {"total": total, "generic": generic, "slice": slice_})
     if FEMALE not in totals or MALE not in totals:
         raise ParseError("missing 'total' record for one or both genders")
     return Onomasticon(
         female_total=totals[FEMALE], male_total=totals[MALE],
-        generics=tuple(generics), slices=tuple(slices),
-        female_ossuary=ossuary_totals.get(FEMALE),
-        male_ossuary=ossuary_totals.get(MALE))
+        generics=tuple(generics), slices=tuple(slices))
 
 
 def load_onomasticon(source: Union[str, Path] = "bundled") -> Onomasticon:

@@ -60,7 +60,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .candidates import OTHER_KIND, Category, HypothesisSpec, SpecificationError
+from .candidates import OTHER, Category, HypothesisSpec, SpecificationError
 from .onomasticon import checked, parse_flag, parse_fraction
 
 YOSEF = "Yosef"
@@ -129,7 +129,7 @@ def collides(a: Category, b: Category) -> bool:
     Equality is category-level; the Other category never collides with
     itself.
     """
-    return a.label == b.label and a.kind != OTHER_KIND
+    return a.label == b.label and a.label != OTHER
 
 
 def validate(config: TombConfiguration, spec: HypothesisSpec) -> str | None:
@@ -160,7 +160,7 @@ def singleton_counts(s1: Category, s2: Category,
                      father: Category) -> tuple[bool, bool]:
     """Whether each singleton's RR counts after R3, R4 and R7."""
     c1 = c2 = True
-    if father.kind != OTHER_KIND:  # R3: a father-singleton is counted once
+    if father.label != OTHER:  # R3: a father-singleton is counted once
         if s1.label == father.label:
             c1 = False
         elif s2.label == father.label:
@@ -190,13 +190,12 @@ def generational_counts(father: Category, son: Category,
     full = (True, True, False)
 
     def named_for_relative(allowed: tuple[str, ...]) -> tuple[bool, bool, bool]:
-        named = (son.label in allowed and son.kind != OTHER_KIND
-                 and rules.count_unknown_sons)
+        named = son.label in allowed and rules.count_unknown_sons
         return True, named, named
 
     yoseh_present = yoseh_in_singles or son.label == YOSEH
 
-    if father.kind == OTHER_KIND:
+    if father.label == OTHER:
         return unknown  # R2
     if father.label == YESHUA:
         # R1; when allowed the father counts, with no known son of a Yeshua
@@ -222,7 +221,7 @@ def generational_counts(father: Category, son: Category,
             return full  # R13, a known grandson
         return named_for_relative((YOSEH, YOSEF, YESHUA))  # R13
     # a candidate with no familial rules contributes its plain pair product
-    return True, son.kind != OTHER_KIND, False
+    return True, son.label != OTHER, False
 
 
 def bonus_applies(father: Category, son: Category) -> bool:

@@ -158,7 +158,7 @@ def parse_suite(text: str) -> list[Scenario]:
         scenarios[-1] = last._replace(deltas=last.deltas + (Delta(verb, **values),))
 
     def set_(fields):
-        param, text = fields[0], fields[1]
+        param, text = fields
         if param not in RULE_PARSERS:
             raise ValueError(f"unknown rule parameter {param!r}")
         value = parse_field(param, text, RULE_PARSERS[param])
@@ -166,15 +166,27 @@ def parse_suite(text: str) -> list[Scenario]:
         delta("set", param=param, value=value)
 
     def reference(fields):
-        parse_fraction(fields[0])  # a number, kept as printed
-        scenarios[-1] = current("reference")._replace(reference=fields[0])
+        (printed,) = fields
+        parse_fraction(printed)  # a number, kept as printed
+        scenarios[-1] = current("reference")._replace(reference=printed)
+
+    def scenario(fields):
+        (name,) = fields
+        scenarios.append(Scenario(name))
+
+    def remove(fields):
+        (person,) = fields
+        delta("remove", person=person)
+
+    def scale(fields):
+        person, factor = fields
+        delta("scale", person=person, factor=parse_fraction(factor))
 
     read_records(text, {
-        "scenario": lambda fields: scenarios.append(Scenario(fields[0])),
+        "scenario": scenario,
         "add": lambda fields: delta("add", descriptor=parse_candidate(fields)),
-        "remove": lambda fields: delta("remove", person=fields[0]),
-        "scale": lambda fields: delta("scale", person=fields[0],
-                                      factor=parse_fraction(fields[1])),
+        "remove": remove,
+        "scale": scale,
         "set": set_,
         "reference": reference})
     return scenarios

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import namecluster as nc
-from namecluster.candidates import CANDIDATE, OTHER_KIND, Category, HypothesisSpec
+from namecluster.candidates import OTHER, Category, HypothesisSpec
 from namecluster.scoring import CLEOPAS, JAMES, YESHUA, YOSEF, YOSEH
 
 from bundled import DESCRIPTORS
@@ -36,22 +36,20 @@ def make_spec(women_counts, men_counts, women_labels=None, men_labels=None):
     the plainest well-formed hypothesis and keeps person-level enumeration
     exact.
     """
-    def cats(counts, labels, gender, default_prefix):
+    def cats(counts, labels, default_prefix):
         total = sum(counts)
         out = []
         for i, count in enumerate(counts):
             last = i == len(counts) - 1
-            label = "Other" if last else (
+            label = OTHER if last else (
                 labels[i] if labels else f"{default_prefix}{i}")
             out.append(Category(
-                label=label, gender=gender,
-                weight=Fraction(count, total),
-                rr=Fraction(1) if last else Fraction(count, total),
-                kind=OTHER_KIND if last else CANDIDATE))
+                label=label, weight=Fraction(count, total),
+                rr=Fraction(1) if last else Fraction(count, total)))
         return tuple(out), total
 
-    women, ftotal = cats(women_counts, women_labels, "female", "W")
-    men, mtotal = cats(men_counts, men_labels, "male", "M")
+    women, ftotal = cats(women_counts, women_labels, "W")
+    men, mtotal = cats(men_counts, men_labels, "M")
     return HypothesisSpec(women=women, men=men,
                           female_total=ftotal, male_total=mtotal)
 

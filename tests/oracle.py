@@ -11,7 +11,7 @@ category labels since identically-labelled tuples score identically.
 from fractions import Fraction
 from itertools import product
 
-from namecluster.candidates import OTHER_KIND
+from namecluster.candidates import OTHER
 from namecluster.scoring import YESHUA, TombConfiguration, score
 
 
@@ -23,20 +23,18 @@ def person_level_tail(spec, rules, observed):
            for _ in range(int(c.weight * spec.male_total))]
     assert len(women) == spec.female_total and len(men) == spec.male_total
 
-    other_w = {c.label for c in spec.women if c.kind == OTHER_KIND}
-    other_m = {c.label for c in spec.men if c.kind == OTHER_KIND}
     score_memo = {}
     total = valid = tail = 0
     for w1, w2 in product(women, repeat=2):
         for s1, s2, f, son in product(men, repeat=4):
             total += 1
-            if w1 == w2 and w1 not in other_w:
+            if w1 == w2 and w1 != OTHER:
                 continue
-            if s1 == s2 and s1 not in other_m:
+            if s1 == s2 and s1 != OTHER:
                 continue
-            if f == son and f not in other_m:
+            if f == son and f != OTHER:
                 continue
-            if son not in other_m and (son == s1 or son == s2):
+            if son != OTHER and (son == s1 or son == s2):
                 continue
             valid += 1
             key = (w1, w2, s1, s2, f, son)

@@ -54,7 +54,6 @@ class TestBaselineWeights:
 
     def test_residual_categories_keep_generic_rr(self, baseline):
         mariam = baseline.category("female", "Mariam")
-        assert mariam.kind == "residual_generic"
         assert mariam.rr == Fraction(74, 317) > mariam.weight
         yosef = baseline.category("male", "Yosef")
         assert yosef.rr == Fraction(221, 2509) > yosef.weight
@@ -80,8 +79,7 @@ class TestSpecEdits:
     def test_adding_candidate_preserves_existing_rr(self, onom, baseline):
         spec = build_spec(onom, DESCRIPTORS + (ADDONS["cleopas"],))
         for cat in baseline.men:
-            if cat.kind != "other":
-                assert spec.category("male", cat.label).rr == cat.rr
+            assert spec.category("male", cat.label).rr == cat.rr
 
     def test_duplicate_person_rejected(self, onom):
         dup = DESCRIPTORS + (DESCRIPTORS[0],)
@@ -93,6 +91,22 @@ class TestSpecEdits:
             CandidateDescriptor("impostor", "female", "Mariam", "MM"),)
         with pytest.raises(SpecificationError, match="duplicate"):
             build_spec(onom, clash)
+
+    def test_candidate_labelled_other_rejected(self, onom):
+        # the catch-all is known by its label alone, so no candidate may take it
+        impostor = DESCRIPTORS + (
+            CandidateDescriptor("impostor", "male", "Simon", "generic", label="Other"),)
+        with pytest.raises(SpecificationError,
+                           match="^male categories: duplicate label$"):
+            build_spec(onom, impostor)
+
+    def test_residual_weight_above_its_rr_rejected(self, onom):
+        lowered = tuple(
+            d._replace(rr=Fraction(1, 2509)) if d.person == "joseph_father" else d
+            for d in DESCRIPTORS)
+        with pytest.raises(SpecificationError,
+                           match="^category Yosef: residual weight exceeds the generic rr$"):
+            build_spec(onom, lowered)
 
     def test_overfull_gender_rejected(self, onom):
         heavy = DESCRIPTORS + (

@@ -449,10 +449,11 @@ class TestMalformedInputFiles:
     @pytest.mark.parametrize("row, named", [
         ("generic Foo male abc", "total_persons: "),
         ("generic Foo male 5 x", "ossuary_persons: "),
-        ("generic Foo male 5 4 fictitious=x", "fictitious: "),
         ("generic Foo male 5 4 rahmani=x?", "rahmani: "),
         ("total male abc", "male_total: "),
-        ("total female 317 x", "female_ossuary: "),
+        ("total Female 5", "gender: expected female or male, got 'Female'"),
+        ("total female 10", "female_total: given twice"),
+        ("generic Joseph female 3 1", "generic: Joseph: duplicate name"),
         ("slice Mariam X x 44", "ossuary_matching: "),
         ("slice Mariam X 1 1/0", "ossuary_generic: zero denominator"),
         ("slice Salome X 1 2", "ossuary_generic: Salome/X: disagrees"),
@@ -469,6 +470,36 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {onom}: row {rows}: {named}")
+
+    def test_a_name_of_both_genders_names_its_second_row(self, tmp_path, capsys):
+        # a female Yeshua above the male one: one name is one generic
+        bundled = (SRC / "namecluster" / "data" / "onomasticon.tsv").read_text()
+        male = "generic\tYeshua\tmale"
+        onom = tmp_path / "onom.tsv"
+        onom.write_text(bundled.replace(male, f"generic Yeshua female 3 1\n{male}"))
+        row = bundled[:bundled.index(male)].count("\n") + 2
+        assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {onom}: row {row}: generic: Yeshua: duplicate name"]
+
+    @pytest.mark.parametrize("flag, bundled, row", [
+        ("--onomasticon", "onomasticon.tsv", "total female 317 193 junk"),
+        ("--hypothesis", "baseline.cfg", "name a b c"),
+        ("--suite", "scenarios.cfg", "scenario a b"),
+        ("--suite", "scenarios.cfg", "reference 1 2"),
+        ("--suite", "scenarios.cfg", "remove mary_magdalene extra"),
+        ("--suite", "scenarios.cfg", "scale mary_magdalene 2 3")])
+    def test_a_trailing_field_names_its_row(self, flag, bundled, row, tmp_path,
+                                            capsys):
+        # appended to a bundled file, so only the row itself is wrong
+        text = (SRC / "namecluster" / "data" / bundled).read_text()
+        path = tmp_path / bundled
+        path.write_text(f"{text}{row}\n")
+        assert run_cli("validate-config", flag, str(path)) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"error: {path}: row {len(text.splitlines()) + 1}: too many values")
 
     @pytest.mark.parametrize("command", ["sweep", "validate-config"])
     @pytest.mark.parametrize("row", [

@@ -19,20 +19,11 @@ class TestBundledFixture:
         assert onom.female_total == 317
         assert onom.male_total == 2509
 
-    def test_ossuary_derived_totals(self, onom):
-        assert onom.male_ossuary == 519
-        assert onom.female_ossuary == 193
-
     def test_generic_counts(self, onom):
         expected = {"Mariam": 74, "Salome": 61, "Joseph": 221, "Yeshua": 101,
                     "Yaakov": 43, "Joanna": 12, "Martha": 21, "Cleopas": 7}
         for name, count in expected.items():
             assert onom.generic(name).total_persons == count
-
-    def test_fictitious_carried_but_separate(self, onom):
-        mariam = onom.generic("Mariam")
-        assert mariam.total_persons == 74
-        assert mariam.fictitious == 6
 
     def test_uncertain_entry_stored_at_lower_value(self, onom):
         yeshua = onom.generic("Yeshua")
@@ -104,9 +95,19 @@ class TestParsing:
             parse_onomasticon("total female 10\ngeneric X female 1/0\n")
 
     def test_unknown_generic_option_names_the_row(self):
-        for word, named in (("fictitous=1", "'fictitous'"), ("rahmani", "'rahmani'")):
+        # fictitious bearers enter no estimate, so the table takes no such option
+        for word, named in (("fictitous=1", "unknown option 'fictitous'"),
+                            ("fictitious=1", "unknown option 'fictitious'"),
+                            ("rahmani", "'rahmani'")):
             with pytest.raises(ParseError, match=f"row 1: .*{named}"):
                 parse_onomasticon(f"generic X female 5 4 {word}\n")
+
+    def test_one_name_is_one_generic_whatever_its_gender(self, onom):
+        with pytest.raises(ValidationError,
+                           match="^generic: Yeshua: duplicate name$"):
+            onom._replace(generics=(
+                GenericNameCount("Yeshua", "female", Fraction(3)),
+                GenericNameCount("Yeshua", "male", Fraction(1))), slices=())
 
     def test_unknown_record_kind(self):
         with pytest.raises(ParseError, match="frobnicate"):
@@ -134,7 +135,7 @@ class TestParsing:
                 parse_fraction(text)
 
     def test_overlarge_exponent_in_a_row_names_the_row(self):
-        text = ("total female 10 5\ntotal male 10 5\n"
+        text = ("total female 10\ntotal male 10\n"
                 "generic Broken female 1e-999999999\n")
         with pytest.raises(ParseError, match="row 3"):
             parse_onomasticon(text)
