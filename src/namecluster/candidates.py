@@ -98,12 +98,15 @@ class HypothesisSpec(NamedTuple):
 
 def _frequency(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
     """The generic's frequency for a generic or residual class, else the slice's."""
-    g = onom.generic(desc.generic)
-    if g.gender != desc.gender:
-        raise SpecificationError(f"candidate {desc.person}: {g.name} is {g.gender}")
-    if desc.rendition_class in ("generic", "residual"):
-        return g.total_persons / onom.gender_total(g.gender)
-    return slice_frequency(onom.slice(desc.generic, desc.rendition_class), onom)
+    try:
+        g = onom.generic(desc.generic)
+        if g.gender != desc.gender:
+            raise SpecificationError(f"{g.name} is {g.gender}")
+        if desc.rendition_class in ("generic", "residual"):
+            return g.total_persons / onom.gender_total(g.gender)
+        return slice_frequency(onom.slice(desc.generic, desc.rendition_class), onom)
+    except InputError as exc:  # such as a generic or a slice the table lacks
+        raise SpecificationError(f"candidate {desc.person}: {exc}") from exc
 
 
 def assign_rr(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:

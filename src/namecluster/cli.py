@@ -12,7 +12,6 @@ is one ``error: ...`` line on stderr.
 
 from __future__ import annotations
 
-import json
 import sys
 import warnings
 from fractions import Fraction
@@ -20,9 +19,9 @@ from types import SimpleNamespace
 
 # sensitivity, demography and inference are imported by the commands that run
 # them, so that a CLI start loads only what its subcommand needs
-from .candidates import build_spec, load_hypothesis_config
+from .candidates import SpecificationError, build_spec, load_hypothesis_config
 from .onomasticon import InputError, format_decimal, format_fraction, \
-    load_onomasticon, parse_flag, parse_fraction
+    load_onomasticon, parse_flag, parse_fraction, source_path
 from .scoring import (RULE_PARSERS, ContractViolation, RuleLedger,
                       TombConfiguration, score, validate)
 from .tailspace import enumerate_tail, tuple_space_size
@@ -112,7 +111,12 @@ def parse_n2(config, args) -> int:
 def scored_inputs(config, args):
     """(name, spec, rules, observed RR, n2); an impossible observed is an input error."""
     onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(config, args)
-    spec = build_spec(onom, descriptors)
+    try:
+        spec = build_spec(onom, descriptors)
+    except SpecificationError as exc:  # a candidate the table cannot realize
+        hypothesis = setting(config, args, "hypothesis", "file", "bundled")
+        raise SpecificationError(
+            f"{source_path(hypothesis, 'baseline.cfg')}: {exc}") from exc
     reason = validate(observed, spec)
     if reason is not None:
         raise ConfigError(f"observed: {reason}")
@@ -122,6 +126,7 @@ def scored_inputs(config, args):
 def emit(rows, fmt, out):
     """rows: list of (field, exact Fraction, sig)."""
     if fmt == "records":
+        import json  # only records need it; a table start skips its import
         for field, value, sig in rows:
             out.write(json.dumps({"field": field, "decimal": format_decimal(value, sig),
                                   "fraction": format_fraction(value)}) + "\n")
@@ -154,6 +159,7 @@ def cmd_sweep(config, args, out):
     suite = load_suite(setting(config, args, "sweep", "suite", "bundled"))
     reports = run_suite(onom, descriptors, rules, observed, suite, n2=n2)
     if args.format == "records":
+        import json
         for r in reports:
             record = {"scenario": r.name}
             if r.error:

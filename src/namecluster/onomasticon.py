@@ -259,9 +259,9 @@ def slice_frequency(slc: RenditionSlice, onom: Onomasticon) -> Fraction:
 # The onomasticon table, the hypothesis config and the scenario suite share
 # one grammar: one record per line, its fields separated by whitespace, the
 # first field naming the record kind, which takes exactly its fields; '#'
-# starts a comment. Options are key=value words, and a key the record does
-# not know is rejected. Numbers accept exact fraction syntax "a/b", integers
-# and decimals.
+# starts a comment. Options are key=value words, each given at most once,
+# and a key the record does not know is rejected. Numbers accept exact
+# fraction syntax "a/b", integers and decimals.
 #
 # The onomasticon table's records:
 #   total   <female|male> <persons>       (one per gender)
@@ -273,10 +273,15 @@ def slice_frequency(slc: RenditionSlice, onom: Onomasticon) -> Fraction:
 DATA = Path(__file__).parent / "data"
 
 
+def source_path(source: Union[str, Path], filename: str) -> Union[str, Path]:
+    """The path ``source`` names: the packaged ``filename`` for "bundled"."""
+    return DATA / filename if source == "bundled" else source
+
+
 def load_source(source: Union[str, Path], filename: str, parse):
     """``parse`` of the text of a path, or of the packaged ``filename`` for
     "bundled". An unreadable file and a malformed row name the file."""
-    path = DATA / filename if source == "bundled" else source
+    path = source_path(source, filename)
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:  # missing, a directory, not text...
@@ -308,7 +313,8 @@ def read_records(text: str, handlers) -> None:
 
 
 def parse_options(words, parsers) -> dict:
-    """``key=value`` words as {key: parsers[key](value)}; other words raise."""
+    """``key=value`` words as {key: parsers[key](value)}; other words, and a
+    key given twice, raise."""
     options = {}
     for word in words:
         key, eq, value = word.partition("=")
@@ -316,6 +322,8 @@ def parse_options(words, parsers) -> dict:
             raise ValueError(f"expected key=value, got {word!r}")
         if key not in parsers:
             raise ValueError(f"unknown option {key!r}")
+        if key in options:
+            raise ValueError(f"{key}: given twice")
         options[key] = parse_field(key, value, parsers[key])
     return options
 
@@ -333,6 +341,8 @@ def parse_onomasticon(text: str) -> Onomasticon:
         count = parse_field(f"{gender}_total", persons, int)
         if gender not in GENDERS:
             raise ValueError(f"gender: expected female or male, got {gender!r}")
+        if count <= 0:
+            raise ValueError(f"{gender}_total: must be positive")
         if gender in totals:
             raise ValueError(f"{gender}_total: given twice")
         totals[gender] = count

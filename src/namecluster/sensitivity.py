@@ -9,11 +9,12 @@ multiplies the proportion by n2. When a scenario carries a reference value,
 the report records whether the result matches it at the reference's printed
 precision.
 
-``run_suite`` builds each gender's categories once per distinct list of
-that gender's candidates (11 lists of women and 6 of men for the bundled
-suite), and the enumerator walks the male side once per male categories and
-set of ledger switches (13 walks): a scenario that changes only the bonus
-divisor or the unknown-son factor reuses the walk.
+``run_suite`` passes one memo to every ``run_scenario``, so each gender's
+categories are built once per distinct list of that gender's candidates (11
+lists of women and 6 of men for the bundled suite), and the male side is
+walked once per male categories and set of ledger switches (13 walks): a
+scenario that changes only the bonus divisor or the unknown-son factor
+reuses the walk.
 """
 
 from __future__ import annotations
@@ -91,9 +92,21 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
 
 
 def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
-                 rules: RuleLedger, observed: TombConfiguration,
-                 scenario: Scenario, n2: int = 1100) -> ScenarioReport:
-    return _run(onom, descriptors, rules, observed, scenario, n2, memo={})
+                 rules: RuleLedger, observed: TombConfiguration, scenario: Scenario,
+                 n2: int = 1100, memo: Optional[dict] = None) -> ScenarioReport:
+    """One scenario's report; ``memo`` shares categories and male tables
+    through ``build_spec`` and ``enumerate_tail``."""
+    new_desc, new_rules = apply_deltas(descriptors, rules, scenario)
+    spec = build_spec(onom, new_desc, memo)
+    observed_rr = score(observed, spec, new_rules).value
+    result = enumerate_tail(spec, new_rules, observed_rr, memo)
+    adjusted = n2 * result.proportion
+    matches = None
+    if scenario.reference is not None:
+        matches = matches_at_printed_precision(adjusted, scenario.reference)
+    return ScenarioReport(name=scenario.name, observed_rr=observed_rr,
+                          proportion=result.proportion, adjusted_area=adjusted,
+                          reference=scenario.reference, matches_reference=matches)
 
 
 def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
@@ -102,34 +115,19 @@ def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
     """Run scenarios in order; a failing scenario yields an error report.
 
     Scenarios that end with the same candidates of one gender share its
-    categories.
+    categories, and those with the same men and switches share a male table.
     """
     memo: dict = {}
     reports = []
     for scenario in suite:
         try:
-            reports.append(_run(onom, descriptors, rules, observed, scenario,
-                                n2, memo))
+            reports.append(run_scenario(onom, descriptors, rules, observed,
+                                        scenario, n2, memo))
         except (ValueError, ZeroDivisionError) as exc:
             reports.append(ScenarioReport(name=scenario.name,
                                           reference=scenario.reference,
                                           error=str(exc)))
     return reports
-
-
-def _run(onom, descriptors, rules, observed, scenario, n2, memo) -> ScenarioReport:
-    """``run_scenario``, sharing categories through ``build_spec``'s ``memo``."""
-    new_desc, new_rules = apply_deltas(descriptors, rules, scenario)
-    spec = build_spec(onom, new_desc, memo)
-    observed_rr = score(observed, spec, new_rules).value
-    result = enumerate_tail(spec, new_rules, observed_rr)
-    adjusted = n2 * result.proportion
-    matches = None
-    if scenario.reference is not None:
-        matches = matches_at_printed_precision(adjusted, scenario.reference)
-    return ScenarioReport(name=scenario.name, observed_rr=observed_rr,
-                          proportion=result.proportion, adjusted_area=adjusted,
-                          reference=scenario.reference, matches_reference=matches)
 
 
 # ---------------------------------------------------------------------------

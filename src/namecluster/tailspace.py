@@ -26,19 +26,19 @@ The enumeration stays exact without a Fraction per tuple, pair or triple:
   numbers, the unknown-son factor un/ud and the bonus divisor bn/bd, say
   only what they are worth. So ``male_table`` walks the male side once per
   (men, require_yeshua_in_tomb, allow_father_yeshua, count_unknown_sons),
-  memoised, and sorts the valid male tuples into four classes: whether the
-  unknown-son factor counts and whether R14's bonus applies. Per class it
-  keeps the ascending distinct int bases b = s * (r_f or R) * (r_s or R),
-  with s the singleton part, and the prefix sums of the mass of the tuples
-  of each base that may join the tail. With the class factor
-  F = (un or ud) * (bd or bn), a male score is b * F / D for the common
-  scale D = R^4 * ud * bn. The walk visits unordered singleton pairs
-  (a <= b) and counts a pair of two different categories twice. That is
-  exact because everything the walk asks of the two singletons is symmetric
-  in them: ``singleton_counts`` (R3 can drop only the singleton that shares
-  the father's label, and two singletons sharing it collide), the clash
-  tests, the flags father_is_singleton and yoseh_in_singles, and whether
-  Yeshua is among them.
+  kept in the caller's memo, and sorts the valid male tuples into four
+  classes: whether the unknown-son factor counts and whether R14's bonus
+  applies. Per class it keeps the ascending distinct int bases
+  b = s * (r_f or R) * (r_s or R), with s the singleton part, and the prefix
+  sums of the mass of the tuples of each base that may join the tail. With
+  the class factor F = (un or ud) * (bd or bn), a male score is b * F / D
+  for the common scale D = R^4 * ud * bn. The walk visits unordered
+  singleton pairs (a <= b) and counts a pair of two different categories
+  twice. That is exact because everything the walk asks of the two
+  singletons is symmetric in them: ``singleton_counts`` (R3 can drop only
+  the singleton that shares the father's label, and two singletons sharing
+  it collide), the clash tests, the flags father_is_singleton and
+  yoseh_in_singles, and whether Yeshua is among them.
 * Merge. A tuple is in the tail for a women pair of score w exactly when
   b * F <= t with t = floor(observed * D / w), because b * F is an int.
   With observed = on/od and women RR values wn_i/wd_i, t is the int
@@ -53,10 +53,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import lcm
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .candidates import Category, HypothesisSpec
 from .scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies, collides,
@@ -107,13 +106,8 @@ def _prefix_sums(by_base: dict[int, int]) -> tuple[tuple[int, ...], tuple[int, .
     return bases, tuple(accumulate(map(by_base.__getitem__, bases), initial=0))
 
 
-@lru_cache(maxsize=32)
-def male_table(men: tuple[Category, ...], require_yeshua_in_tomb: bool,
-               allow_father_yeshua: bool, count_unknown_sons: bool) -> MaleTable:
+def male_table(men: tuple[Category, ...], rules: RuleLedger) -> MaleTable:
     """The male side of the enumeration, walked over singleton pairs a <= b."""
-    switches = RuleLedger(require_yeshua_in_tomb=require_yeshua_in_tomb,
-                          allow_father_yeshua=allow_father_yeshua,
-                          count_unknown_sons=count_unknown_sons)
     m = len(men)
     md, mcount = _scaled([c.weight for c in men])
     # rr[i] = men[i].rr * r; an rr that does not count is 1, scaled to r
@@ -126,7 +120,7 @@ def male_table(men: tuple[Category, ...], require_yeshua_in_tomb: bool,
         father, row = men[f], []
         for j, son in enumerate(men):
             fc, sc, uc = generational_counts(father, son, father_is_singleton,
-                                             yoseh_in_singles, switches)
+                                             yoseh_in_singles, rules)
             row.append(((rr[f] if fc else r) * (rr[j] if sc else r),
                         classes[uc, bonus_applies(father, son)]))
         return row
@@ -146,7 +140,7 @@ def male_table(men: tuple[Category, ...], require_yeshua_in_tomb: bool,
             sons_mass = sum(mcount[son] for son in sons)
             # without Yeshua among the singletons, only a Yeshua son may
             # bring the tuple into the tail when the ledger requires him
-            if require_yeshua_in_tomb and not is_yeshua[a] and not is_yeshua[b]:
+            if rules.require_yeshua_in_tomb and not is_yeshua[a] and not is_yeshua[b]:
                 sons = [son for son in sons if is_yeshua[son]]
             mass_ab = mcount[a] * mcount[b] * (1 if a == b else 2)
             for f, father in enumerate(men):
@@ -169,13 +163,21 @@ def male_table(men: tuple[Category, ...], require_yeshua_in_tomb: bool,
                                    for key, by_base in classes.items() if by_base))
 
 
-def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger,
-                   observed: Fraction) -> TailResult:
-    """Total, valid, and tail mass of the sample space against ``observed``."""
+def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
+                   memo: Optional[dict] = None) -> TailResult:
+    """Total, valid, and tail mass of the sample space against ``observed``.
+
+    ``memo`` maps (men, the three ledger switches) to the male table walked
+    for them; a table found there is not walked again.
+    """
     if observed <= 0:
         raise ValueError("observed RR must be positive")
-    table = male_table(spec.men, rules.require_yeshua_in_tomb,
-                       rules.allow_father_yeshua, rules.count_unknown_sons)
+    memo = {} if memo is None else memo
+    key = (spec.men, rules.require_yeshua_in_tomb, rules.allow_father_yeshua,
+           rules.count_unknown_sons)
+    table = memo.get(key)  # one lookup: the men hash through their Fractions
+    if table is None:
+        table = memo[key] = male_table(spec.men, rules)
     un, ud = rules.unknown_son_factor.numerator, rules.unknown_son_factor.denominator
     bn, bd = rules.bonus_divisor.numerator, rules.bonus_divisor.denominator
     women = spec.women

@@ -453,6 +453,8 @@ class TestMalformedInputFiles:
         ("total male abc", "male_total: "),
         ("total Female 5", "gender: expected female or male, got 'Female'"),
         ("total female 10", "female_total: given twice"),
+        ("total female 0", "female_total: must be positive"),
+        ("total male -5", "male_total: must be positive"),
         ("generic Joseph female 3 1", "generic: Joseph: duplicate name"),
         ("slice Mariam X x 44", "ossuary_matching: "),
         ("slice Mariam X 1 1/0", "ossuary_generic: zero denominator"),
@@ -500,6 +502,54 @@ class TestMalformedInputFiles:
         assert len(err) == 1
         assert err[0].startswith(
             f"error: {path}: row {len(text.splitlines()) + 1}: too many values")
+
+    @pytest.mark.parametrize("flag, bundled, row, named", [
+        ("--hypothesis", "baseline.cfg",
+         "candidate simon male Simon generic rr=1/2 rr=101/2509", "rr"),
+        ("--hypothesis", "baseline.cfg", "observed son=Yeshua son=Yeshua", "son"),
+        ("--suite", "scenarios.cfg",
+         "add joanna2 female Joanna generic weight=1/9 weight=1/8", "weight"),
+        ("--onomasticon", "onomasticon.tsv",
+         "generic Foo male 5 4 rahmani=1 rahmani=2", "rahmani")])
+    def test_a_repeated_option_names_its_row(self, flag, bundled, row, named,
+                                             tmp_path, capsys):
+        # appended to a bundled file, so only the row itself is wrong
+        text = (SRC / "namecluster" / "data" / bundled).read_text()
+        path = tmp_path / bundled
+        path.write_text(f"{text}{row}\n")
+        assert run_cli("validate-config", flag, str(path)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: row {len(text.splitlines()) + 1}: {named}: given twice"]
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("Mariam slice:MM", "Mariam slice:ZZ", "slice: Mariam/ZZ: unknown"),
+        ("Yaakov generic", "Jacob generic", "generic: Jacob: unknown")])
+    def test_a_candidate_the_table_lacks_names_file_and_candidate(
+            self, old, new, named, tmp_path, capsys):
+        bundled = (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
+        person = "mary_magdalene" if "Mariam" in old else "james_brother"
+        hypothesis = tmp_path / "h.cfg"
+        hypothesis.write_text(bundled.replace(old, new))
+        for command in ("analyze", "validate-config"):
+            assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {hypothesis}: candidate {person}: {named}"]
+        # a sweep names the candidate in each scenario's row
+        code, text = run_cli("sweep", "--hypothesis", str(hypothesis))
+        rows = text.splitlines()[1:]
+        assert code == 0 and len(rows) == 42
+        assert all(f"error: candidate {person}: {named}" in row for row in rows)
+
+    def test_the_bundled_hypothesis_is_named_against_a_table_without_it(
+            self, tmp_path, capsys):
+        bundled = (SRC / "namecluster" / "data" / "onomasticon.tsv").read_text()
+        onom = tmp_path / "onom.tsv"
+        onom.write_text("".join(line for line in bundled.splitlines(keepends=True)
+                                if not line.startswith("slice\tMariam")))
+        assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {SRC / 'namecluster' / 'data' / 'baseline.cfg'}: "
+            "candidate mary_magdalene: slice: Mariam/MM: unknown"]
 
     @pytest.mark.parametrize("command", ["sweep", "validate-config"])
     @pytest.mark.parametrize("row", [
@@ -583,6 +633,11 @@ class TestImports:
         loaded = modules_loaded_by("analyze", "--format", "records")
         assert "namecluster.tailspace" in loaded
         assert not loaded & self.UNUSED_BY_ANALYZE
+
+    def test_only_records_load_json(self):
+        assert "json" not in modules_loaded_by("analyze")
+        assert "json" in modules_loaded_by("analyze", "--format", "records")
+        assert "json" in modules_loaded_by("sweep", "--format", "records")
 
     def test_sweep_loads_sensitivity(self):
         assert "namecluster.sensitivity" in modules_loaded_by("sweep")

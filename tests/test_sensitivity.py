@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import namecluster as nc
-from namecluster import candidates, sensitivity
+from namecluster import candidates, sensitivity, tailspace
 from namecluster.candidates import build_categories, parse_hypothesis_config
 from namecluster.onomasticon import ParseError
 from namecluster.scoring import score
@@ -147,7 +147,7 @@ class TestSharing:
         assert len(set(specs)) == len(distinct) == 24
 
     def test_cached_male_tables_give_the_results_of_fresh_ones(
-            self, onom, rules, suite, reports):
+            self, onom, rules, suite, reports, monkeypatch):
         # one walk per distinct male categories and set of ledger switches
         cases = []
         for scenario in suite:
@@ -159,17 +159,40 @@ class TestSharing:
                  for spec, new_rules, _ in cases}
         assert len(walks) == 13
         assert len({(spec.men, new_rules) for spec, new_rules, _ in cases}) == 20
-        male_table.cache_clear()
+        walked, enumerated = [], []
+
+        def counting_male_table(men, rules):
+            walked.append(men)
+            return male_table(men, rules)
+
+        def counting_enumerate_tail(*args):
+            enumerated.append(args)
+            return enumerate_tail(*args)
+
+        monkeypatch.setattr(tailspace, "male_table", counting_male_table)
+        monkeypatch.setattr(sensitivity, "enumerate_tail", counting_enumerate_tail)
         assert run_suite(onom, DESCRIPTORS, rules, TOMB, suite) == list(reports.values())
-        info = male_table.cache_info()
-        assert (info.misses, info.hits) == (13, 42 - 13)
-        cached = [enumerate_tail(*case) for case in cases]
-        assert male_table.cache_info().misses == 13
-        fresh = []
-        for case in cases:
-            male_table.cache_clear()
-            fresh.append(enumerate_tail(*case))
+        assert (len(walked), len(enumerated)) == (13, 42)
+        # the suite's memo dies with the call: a second suite walks again
+        run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
+        assert len(walked) == 2 * 13
+        memo = {}
+        cached = [enumerate_tail(*case, memo) for case in cases]
+        assert len(walked) == 3 * 13 and len(memo) == 13
+        fresh = [enumerate_tail(*case) for case in cases]
+        assert len(walked) == 3 * 13 + 42
         assert cached == fresh
+
+    def test_a_given_memo_is_shared_by_categories_and_male_tables(self, onom, rules,
+                                                                 suite):
+        # two category lists and one male table; a second run builds nothing
+        memo = {}
+        first = run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[0], memo=memo)
+        assert len(memo) == 3
+        kept = dict(memo)
+        assert run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[0], memo=memo) == first
+        assert memo == kept and all(memo[key] is kept[key] for key in kept)
+        assert first == run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[0])
 
 
 class TestScenarioSemantics:

@@ -59,12 +59,6 @@ FROZEN = {
 }
 
 
-def switches(rules):
-    """The ledger fields that decide which factors count: male_table's key."""
-    return (rules.require_yeshua_in_tomb, rules.allow_father_yeshua,
-            rules.count_unknown_sons)
-
-
 def grown_spec(onom, added):
     return nc.build_spec(onom, DESCRIPTORS + tuple(
         CandidateDescriptor(f"extra_{name.lower()}", "male", name, "generic")
@@ -134,7 +128,7 @@ class TestFrozenLargerSpaces:
         # valid male tuple at a time from the Fraction scores of
         # score_male_slots: each score is base * F / D
         spec = grown_spec(onom, PLUS_8)
-        table = male_table(spec.men, *switches(rules))
+        table = male_table(spec.men, rules)
         un, ud = rules.unknown_son_factor.as_integer_ratio()
         bn, bd = rules.bonus_divisor.as_integer_ratio()
         scale = table.r ** 4 * ud * bn
@@ -184,14 +178,12 @@ class TestSharedWalk:
         ledgers = [LEDGERS[ledger]._replace(bonus_divisor=bonus,
                                             unknown_son_factor=factor)
                    for bonus, factor in self.NUMBERS]
-        male_table.cache_clear()
-        shared = [enumerate_tail(spec, rules, score(TOMB, spec, rules).value)
+        memo = {}  # one entry per male walk
+        shared = [enumerate_tail(spec, rules, score(TOMB, spec, rules).value, memo)
                   for rules in ledgers]
-        assert male_table.cache_info().misses == 1
-        fresh = []
-        for rules in ledgers:
-            male_table.cache_clear()
-            fresh.append(enumerate_tail(spec, rules, score(TOMB, spec, rules).value))
+        assert len(memo) == 1
+        fresh = [enumerate_tail(spec, rules, score(TOMB, spec, rules).value)
+                 for rules in ledgers]
         assert shared == fresh
         assert len({result.valid_mass for result in shared}) == 1
         frozen = dict(FROZEN)
@@ -217,14 +209,14 @@ class TestSharedWalk:
         men = [c.label for c in spec.men]
         config = nc.TombConfiguration(spec.women[0].label, "Other",
                                       rng.choice(men), "Other", "Other", "Other")
-        male_table.cache_clear()
+        memo = {}  # one entry per male walk
         for bonus, factor in numbers:
             rules = switched._replace(bonus_divisor=bonus, unknown_son_factor=factor)
             observed = score(config, spec, rules).value
-            result = enumerate_tail(spec, rules, observed)
+            result = enumerate_tail(spec, rules, observed, memo)
             assert (result.total_mass, result.valid_mass, result.tail_mass) \
                 == person_level_tail(spec, rules, observed)
-        assert male_table.cache_info().misses == 1
+        assert len(memo) == 1
 
 
 class TestMaleTable:
@@ -255,8 +247,7 @@ class TestMaleTable:
         config = nc.TombConfiguration("W0", "Other", "Yosef", "Other",
                                       "Yosef", "Yeshua")
         observed = score(config, spec, rules).value
-        assert male_table(spec.men, *switches(rules)) \
-            != male_table(variant.men, *switches(rules))
+        assert male_table(spec.men, rules) != male_table(variant.men, rules)
         for hypothesis in (spec, variant):
             result = enumerate_tail(hypothesis, rules, observed)
             total, valid, tail = person_level_tail(hypothesis, rules, observed)
