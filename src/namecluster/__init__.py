@@ -17,13 +17,12 @@ _EXPORTS = {
     name: module
     for module, names in {
         "candidates": ("CandidateDescriptor", "Category", "HypothesisSpec",
-                       "SpecificationError", "assign_rr", "build_spec",
-                       "load_hypothesis_config"),
+                       "assign_rr", "build_spec", "load_hypothesis_config"),
         "demography": ("DemographyParams", "DemographyResult", "run_pipeline"),
         "inference": ("adjusted_p", "beta_of", "odds_lower_bound",
                       "posterior_odds", "theta_lower_bound"),
-        "onomasticon": ("GenericNameCount", "Onomasticon", "RenditionSlice",
-                        "load_onomasticon", "slice_frequency"),
+        "onomasticon": ("GenericNameCount", "InputError", "Onomasticon",
+                        "RenditionSlice", "load_onomasticon", "slice_frequency"),
         "scoring": ("ContractViolation", "RRValue", "RuleLedger",
                     "TombConfiguration", "score", "validate"),
         "sensitivity": ("Delta", "Scenario", "ScenarioReport", "load_suite",

@@ -21,10 +21,6 @@ from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, checked,
 OTHER = "Other"
 
 
-class SpecificationError(InputError):
-    """A candidate list cannot be realized (duplicates, negative residuals...)."""
-
-
 @checked
 class Category(NamedTuple):
     """One sampling category: a label, a weight, and an RR value."""
@@ -35,9 +31,9 @@ class Category(NamedTuple):
 
     def check(self):
         if not 0 <= self.weight <= 1:
-            raise SpecificationError(f"category {self.label}: weight outside [0,1]")
+            raise InputError(f"category {self.label}: weight outside [0,1]")
         if not 0 < self.rr <= 1:
-            raise SpecificationError(f"category {self.label}: rr outside (0,1]")
+            raise InputError(f"category {self.label}: rr outside (0,1]")
 
 
 class CandidateDescriptor(NamedTuple):
@@ -80,11 +76,11 @@ class HypothesisSpec(NamedTuple):
         for gender, cats in ((FEMALE, self.women), (MALE, self.men)):
             labels = [c.label for c in cats]
             if len(set(labels)) != len(labels):
-                raise SpecificationError(f"{gender} categories: duplicate label")
+                raise InputError(f"{gender} categories: duplicate label")
             if sum(c.weight for c in cats) != 1:
-                raise SpecificationError(f"{gender} categories: weights must sum to 1")
+                raise InputError(f"{gender} categories: weights must sum to 1")
             if [c.rr for c in cats if c.label == OTHER] != [1]:
-                raise SpecificationError(f"{gender} categories: exactly one Other, of rr 1")
+                raise InputError(f"{gender} categories: exactly one Other, of rr 1")
 
     def categories(self, gender: str) -> tuple[Category, ...]:
         return self.women if gender == FEMALE else self.men
@@ -93,7 +89,7 @@ class HypothesisSpec(NamedTuple):
         for c in self.categories(gender):
             if c.label == label:
                 return c
-        raise SpecificationError(f"category: {gender}/{label}: unknown")
+        raise InputError(f"category: {gender}/{label}: unknown")
 
 
 def _frequency(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
@@ -101,12 +97,12 @@ def _frequency(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
     try:
         g = onom.generic(desc.generic)
         if g.gender != desc.gender:
-            raise SpecificationError(f"{g.name} is {g.gender}")
+            raise InputError(f"{g.name} is {g.gender}")
         if desc.rendition_class in ("generic", "residual"):
             return g.total_persons / onom.gender_total(g.gender)
         return slice_frequency(onom.slice(desc.generic, desc.rendition_class), onom)
     except InputError as exc:  # such as a generic or a slice the table lacks
-        raise SpecificationError(f"candidate {desc.person}: {exc}") from exc
+        raise InputError(f"candidate {desc.person}: {exc}") from exc
 
 
 def assign_rr(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
@@ -131,7 +127,7 @@ def _weight(onom: Onomasticon, desc: CandidateDescriptor,
                        if sib.generic == desc.generic
                        and sib.rendition_class not in ("generic", "residual")))
         if weight < 0:
-            raise SpecificationError(
+            raise InputError(
                 f"candidate {desc.person}: negative residual of {desc.generic}")
     return weight * desc.scale
 
@@ -144,12 +140,12 @@ def build_categories(onom: Onomasticon, gender: str,
         label = desc.resolved_label()
         weight, rr = _weight(onom, desc, candidates), assign_rr(onom, desc)
         if desc.rendition_class == "residual" and rr < weight:
-            raise SpecificationError(
+            raise InputError(
                 f"category {label}: residual weight exceeds the generic rr")
         out.append(Category(label=label, weight=weight, rr=rr))
     other = 1 - sum(c.weight for c in out)
     if other < 0:
-        raise SpecificationError(f"{gender} candidates: weights exceed 1")
+        raise InputError(f"{gender} candidates: weights exceed 1")
     out.append(Category(label=OTHER, weight=other, rr=Fraction(1)))
     return tuple(out)
 
@@ -163,11 +159,10 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
     """
     persons = [d.person for d in candidates]
     if len(set(persons)) != len(persons):
-        raise SpecificationError("duplicate candidate person")
+        raise InputError("duplicate candidate person")
     for d in candidates:
         if d.gender not in (FEMALE, MALE):
-            raise SpecificationError(
-                f"candidate {d.person}: unknown gender {d.gender!r}")
+            raise InputError(f"candidate {d.person}: unknown gender {d.gender!r}")
     memo = {} if memo is None else memo
     built = []
     for gender in (FEMALE, MALE):

@@ -4,14 +4,16 @@
 read against COMMANDS, the table of each command's flags: a flag's name
 matches exactly, the word after it is its value, verbatim, and ``--config``
 may also follow the command. Flags override the INI-style ``--config`` file
-(one section per module). Output is an aligned text table or JSON records of
-exact fractions with decimals, byte-deterministic for identical inputs. Exit
-codes: 0 success, 1 computation contract violation, 2 input error; an error
-is one ``error: ...`` line on stderr.
+(one section per module, holding only keys in CONFIG_KEYS). Output is an
+aligned text table or JSON records of exact fractions with decimals,
+byte-deterministic for identical inputs. Exit codes: 0 success, 1 computation
+contract violation (or a closed stdout), 2 input error; an error is one
+``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -19,18 +21,13 @@ from types import SimpleNamespace
 
 # sensitivity, demography and inference are imported by the commands that run
 # them, so that a CLI start loads only what its subcommand needs
-from .candidates import SpecificationError, build_spec, load_hypothesis_config
+from .candidates import build_spec, load_hypothesis_config
 from .onomasticon import InputError, format_decimal, format_fraction, \
     load_onomasticon, parse_flag, parse_fraction, source_path
-from .scoring import (RULE_PARSERS, ContractViolation, RuleLedger,
-                      TombConfiguration, score, validate)
+from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration, score, validate
 from .tailspace import enumerate_tail, tuple_space_size
 
 SIG = 4  # default report precision for tail areas
-
-
-class ConfigError(InputError):
-    """A setting from the command line or the --config file is unusable."""
 
 
 def read_config(path):
@@ -41,11 +38,16 @@ def read_config(path):
     # no interpolation: a '%' in a value is a character, not a reference
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        if parser.read(path):
-            return parser
+        found = parser.read(path)
     except (configparser.Error, ValueError) as exc:  # also not text, a NUL in the path
-        raise ConfigError(" ".join(f"config file {path}: {exc}".split())) from exc
-    raise ConfigError(f"config file not found: {path}")
+        raise InputError(" ".join(f"config file {path}: {exc}".split())) from exc
+    if not found:
+        raise InputError(f"config file not found: {path}")
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if key not in CONFIG_KEYS.get(section, ()):
+                raise InputError(f"config file {path}: [{section}] {key}: unknown key")
+    return parser
 
 
 def setting(config, args, section, key, default=None, parse=None):
@@ -62,7 +64,7 @@ EXPECTED = {int: "an integer", parse_fraction: "a fraction a/b or a decimal",
 
 
 def parse_value(key, raw, parse=parse_fraction):
-    """``parse(raw)`` for setting ``key``; a bad value raises ConfigError."""
+    """``parse(raw)`` for setting ``key``; a bad value raises InputError."""
     try:
         return parse(raw)
     except ValueError as exc:
@@ -70,7 +72,7 @@ def parse_value(key, raw, parse=parse_fraction):
         reason = " ".join(str(exc).split())
         if EXPECTED[parse] not in reason:  # the parser's reason adds something
             message += f" ({reason})"
-        raise ConfigError(message) from None
+        raise InputError(message) from None
 
 
 def settings_given(config, args, section, parsers) -> dict:
@@ -91,11 +93,11 @@ def load_analysis_inputs(config, args):
     name, descriptors, observed_fields = load_hypothesis_config(
         setting(config, args, "hypothesis", "file", "bundled"))
     if observed_fields is None:
-        raise ConfigError("hypothesis config lacks an 'observed' record")
+        raise InputError("hypothesis config lacks an 'observed' record")
     try:
         observed = TombConfiguration(**observed_fields)
     except TypeError as exc:
-        raise ConfigError(f"bad observed record: {exc}") from exc
+        raise InputError(f"bad observed record: {exc}") from exc
     rules = RuleLedger(**settings_given(config, args, "rules", RULE_PARSERS))
     return onom, name, descriptors, observed, rules, parse_n2(config, args)
 
@@ -104,22 +106,25 @@ def parse_n2(config, args) -> int:
     """The number of candidate tombs: an integer of at least 1."""
     n2 = setting(config, args, "analysis", "n2", "1100", int)
     if n2 < 1:
-        raise ConfigError(f"--n2 must be an integer >= 1, got {n2}")
+        raise InputError(f"--n2 must be an integer >= 1, got {n2}")
     return n2
 
 
 def scored_inputs(config, args):
     """(name, spec, rules, observed RR, n2); an impossible observed is an input error."""
     onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(config, args)
+    hypothesis = source_path(setting(config, args, "hypothesis", "file", "bundled"),
+                             "baseline.cfg")
     try:
         spec = build_spec(onom, descriptors)
-    except SpecificationError as exc:  # a candidate the table cannot realize
-        hypothesis = setting(config, args, "hypothesis", "file", "bundled")
-        raise SpecificationError(
-            f"{source_path(hypothesis, 'baseline.cfg')}: {exc}") from exc
-    reason = validate(observed, spec)
+    except InputError as exc:  # a candidate the table cannot realize
+        raise InputError(f"{hypothesis}: {exc}") from exc
+    try:
+        reason = validate(observed, spec)
+    except InputError as exc:  # a label the hypothesis lacks
+        raise InputError(f"{hypothesis}: observed: {exc}") from exc
     if reason is not None:
-        raise ConfigError(f"observed: {reason}")
+        raise InputError(f"observed: {reason}")
     return name, spec, rules, score(observed, spec, rules).value, n2
 
 
@@ -197,22 +202,26 @@ def cmd_demography(config, args, out):
 
 
 def cmd_infer(config, args, out):
-    from .inference import (InferenceError, adjusted_p, beta_of,
-                            odds_lower_bound, posterior_odds, theta_lower_bound)
+    from .inference import (adjusted_p, beta_of, odds_lower_bound, posterior_odds,
+                            theta_lower_bound)
     q = setting(config, args, "inference", "q", parse=parse_fraction)
     if q is None:
-        raise ConfigError("infer requires --q")
+        raise InputError("infer requires --q")
     if not 0 <= q <= 1:
-        raise ConfigError("--q must be a tail area between 0 and 1")
+        raise InputError("--q must be a tail area between 0 and 1")
     n2 = parse_n2(config, args)
-    if (args.theta or args.alpha) and beta_of(q, n2) >= 1:
-        raise InferenceError("(n2-1)*q must be below 1 for the bound formulas")
+    given = [setting(config, args, "inference", key) for key in REPEATED]
+    # a flag's values come as a list, a --config value as one string
+    thetas, alphas = ([value] if isinstance(value, str) else value or []
+                      for value in given)
+    if (thetas or alphas) and beta_of(q, n2) >= 1:
+        raise InputError("(n2-1)*q must be below 1 for the bound formulas")
     rows = [("adjusted-p", adjusted_p(q, n2), SIG),
             ("beta", beta_of(q, n2), SIG)]
-    for theta in args.theta or []:
+    for theta in thetas:
         t = parse_value("theta", theta)
         rows.append((f"odds[theta={theta}]", posterior_odds(t, n2, q), SIG))
-    for alpha in args.alpha or []:
+    for alpha in alphas:
         a = parse_value("alpha", alpha)
         rows.append((f"theta-bound[alpha={alpha}]",
                      theta_lower_bound(a, n2, q), SIG))
@@ -245,6 +254,12 @@ ANALYSIS = {**COMMON, "--onomasticon": ("source", "onomasticon table path or 'bu
             "--n2": ("n2", "number of candidate tombs"), **typed(RULE_PARSERS)}
 SUITE = {"--suite": ("suite", "scenario suite path or 'bundled'")}
 REPEATED = ("theta", "alpha")  # attributes that collect every value given
+# the keys of each --config section: every setting some command reads, so
+# that one file serves all commands
+CONFIG_KEYS = {"onomasticon": ("source",), "hypothesis": ("file",),
+               "analysis": ("n2",), "rules": tuple(RULE_PARSERS), "sweep": ("suite",),
+               "demography": tuple(DEMOGRAPHY_PARSERS), "inference": ("q", *REPEATED),
+               "output": ("format",)}
 
 # command: (function, summary, {flag: (attribute, help text or value parser)})
 COMMANDS = {
@@ -276,19 +291,19 @@ def parse_args(argv) -> SimpleNamespace:
             args.command, flags = word, COMMANDS[word][2]
             vars(args).update({k: getattr(args, k, None) for k, _ in flags.values()})
         elif not word.startswith("--"):
-            raise ConfigError(f"stray word {word!r}" if args.command
-                              else f"unknown command {word!r}; {commands}")
+            raise InputError(f"stray word {word!r}" if args.command
+                             else f"unknown command {word!r}; {commands}")
         elif flag not in flags:
-            raise ConfigError(f"unknown flag {flag!r} for {args.command}" if args.command
-                              else f"unknown flag {flag!r} before the command")
+            raise InputError(f"unknown flag {flag!r} for {args.command}" if args.command
+                             else f"unknown flag {flag!r} before the command")
         elif not eq and (value := next(words, None)) is None:
-            raise ConfigError(f"{flag} needs a value")
+            raise InputError(f"{flag} needs a value")
         else:
             key = flags[flag][0]
             setattr(args, key, (getattr(args, key) or []) + [value]
                     if key in REPEATED else value)
     if args.command is None and not args.help:
-        raise ConfigError(f"no command; {commands}")
+        raise InputError(f"no command; {commands}")
     return args
 
 
@@ -318,12 +333,19 @@ def main(argv=None, out=None) -> int:
         config = read_config(args.config)
         args.format = setting(config, args, "output", "format", "table")
         if args.format not in ("table", "records"):
-            raise ConfigError(f"--format must be table or records, got {args.format!r}")
-        return COMMANDS[args.command][0](config, args, out)
+            raise InputError(f"--format must be table or records, got {args.format!r}")
+        code = COMMANDS[args.command][0](config, args, out)
+        out.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # stdout was closed, as by `namecluster sweep | head -1`: point it at
+        # devnull, as the signal module's docs advise, so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ContractViolation, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # ContractViolation is a ValueError
         # OverflowError: a number too large for a float; the reports print
         # such figures exactly, so none is known to reach this
         print(f"computation error: {exc}", file=sys.stderr)

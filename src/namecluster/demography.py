@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 from .onomasticon import InputError, checked
 
-
-class ParameterError(InputError):
-    """A pipeline input or intermediate is out of range."""
+# tomb counts the result reports beside its figures; no computation reads them
+EXCAVATED_TOMBS = 100           # n1
+FULL_POPULATION_TOMBS = 10_000  # n3
 
 
 def round_to(value: Fraction, unit: int) -> int:
@@ -34,17 +34,15 @@ class DemographyParams(NamedTuple):
     literacy_affluence_fraction: Fraction = Fraction(12, 100)
     female_male_inscription_ratio: Fraction = Fraction(1, 2)
     tomb_size: int = 6
-    excavated_tombs: int = 100
-    full_population_tombs: int = 10_000
 
     def check(self):
         for name in ("non_jewish_fraction", "juvenile_fraction",
                      "literacy_affluence_fraction", "female_male_inscription_ratio"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
-                raise ParameterError(f"{name} outside [0,1]")
+                raise InputError(f"{name} outside [0,1]")
         if self.total_deceased < 0 or self.tomb_size <= 0:
-            raise ParameterError("counts must be nonnegative, tomb_size positive")
+            raise InputError("counts must be nonnegative, tomb_size positive")
 
 
 class DemographyResult(NamedTuple):
@@ -64,7 +62,7 @@ def run_pipeline(params: DemographyParams = DemographyParams()) -> DemographyRes
     adult_raw = (deceased * (1 - params.non_jewish_fraction)
                  * (1 - params.juvenile_fraction))
     if adult_raw < 0:
-        raise ParameterError("negative adult population")
+        raise InputError("negative adult population")
     males = round_to(adult_raw * params.literacy_affluence_fraction, 10)
     females = males * params.female_male_inscription_ratio
     trials_raw = (males + females) / params.tomb_size
@@ -76,5 +74,5 @@ def run_pipeline(params: DemographyParams = DemographyParams()) -> DemographyRes
         inscribed_females=females,
         trials_raw=trials_raw,
         trials=round_to(trials_raw, 100),
-        excavated=params.excavated_tombs,
-        full_population_tombs=params.full_population_tombs)
+        excavated=EXCAVATED_TOMBS,
+        full_population_tombs=FULL_POPULATION_TOMBS)

@@ -21,10 +21,6 @@ from fractions import Fraction
 from .onomasticon import InputError
 
 
-class InferenceError(InputError):
-    """An inference input or quantity is out of range."""
-
-
 def beta_of(q: Fraction, n2: int) -> Fraction:
     return (n2 - 1) * Fraction(q)
 
@@ -32,7 +28,7 @@ def beta_of(q: Fraction, n2: int) -> Fraction:
 def adjusted_p(q: Fraction, n2: int) -> Fraction:
     """Upper bound n2*q on the step-one p-value; clamped at 1 with a warning."""
     if q < 0:
-        raise InferenceError("q must be nonnegative")
+        raise InputError("q must be nonnegative")
     p = n2 * Fraction(q)
     if p > 1:
         warnings.warn("n2*q exceeds 1; reporting the clamped bound 1",
@@ -45,7 +41,7 @@ def nonzero_beta(q: Fraction, n2: int, infinite: str) -> Fraction:
     """beta, which must not be 0: a quantity over it would be ``infinite``."""
     b = beta_of(q, n2)
     if b == 0:
-        raise InferenceError(f"{'q = 0' if q == 0 else 'n2 = 1'} gives {infinite}")
+        raise InputError(f"{'q = 0' if q == 0 else 'n2 = 1'} gives {infinite}")
     return b
 
 
@@ -53,14 +49,14 @@ def posterior_odds(theta: Fraction, n2: int, q: Fraction) -> Fraction:
     """Posterior odds theta / ((n2-1) q) for the flat 1/(n2-1) prior."""
     b = nonzero_beta(q, n2, "infinite odds")
     if not 0 < theta <= 1:
-        raise InferenceError("theta must lie in (0,1]")
+        raise InputError("theta must lie in (0,1]")
     return Fraction(theta) / b
 
 
 def check_alpha(alpha: Fraction) -> None:
     """A confidence complement must lie in (0,1): above 1 no bound is a probability."""
     if not 0 < alpha < 1:
-        raise InferenceError("alpha must lie in (0,1)")
+        raise InputError("alpha must lie in (0,1)")
 
 
 def theta_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:

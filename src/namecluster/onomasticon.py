@@ -27,23 +27,8 @@ GENDERS = (FEMALE, MALE)
 
 
 class InputError(ValueError):
-    """Base of every error in the program's inputs; the CLI exits 2 on it."""
-
-
-class OnomasticonError(InputError):
-    """Base class for onomasticon data problems."""
-
-
-class ParseError(OnomasticonError):
-    """A fixture row could not be parsed; the message names the row."""
-
-
-class ValidationError(OnomasticonError):
-    """An invariant is violated; the message names the offending field."""
-
-
-class UndefinedEstimatorError(OnomasticonError):
-    """Rendition frequency requested for a slice with no ossuary bearers."""
+    """Any error in the program's inputs; the message names the bad field and
+    the CLI exits 2 on it."""
 
 
 # largest decimal exponent accepted (Python's default limit on the digits of
@@ -153,15 +138,14 @@ class GenericNameCount(NamedTuple):
 
     def check(self):
         if self.gender not in GENDERS:
-            raise ValidationError(f"gender: {self.name}: {self.gender!r}")
+            raise InputError(f"gender: {self.name}: {self.gender!r}")
         if self.total_persons < 0:
-            raise ValidationError(f"total_persons: {self.name}: negative")
+            raise InputError(f"total_persons: {self.name}: negative")
         if self.ossuary_persons is not None:
             if self.ossuary_persons < 0:
-                raise ValidationError(f"ossuary_persons: {self.name}: negative")
+                raise InputError(f"ossuary_persons: {self.name}: negative")
             if self.ossuary_persons > self.total_persons:
-                raise ValidationError(
-                    f"ossuary_persons: {self.name}: exceeds total_persons")
+                raise InputError(f"ossuary_persons: {self.name}: exceeds total_persons")
 
 
 @checked
@@ -179,7 +163,7 @@ class RenditionSlice(NamedTuple):
 
     def check(self):
         if not 0 <= self.ossuary_matching <= self.ossuary_generic:
-            raise ValidationError(
+            raise InputError(
                 f"ossuary_matching: {self.generic}/{self.label}: "
                 "must satisfy 0 <= k <= K")
 
@@ -195,7 +179,7 @@ class Onomasticon(NamedTuple):
 
     def check(self):
         if self.female_total <= 0 or self.male_total <= 0:
-            raise ValidationError("gender totals: must be positive")
+            raise InputError("gender totals: must be positive")
         check_rows(self.generics, self.slices)
 
     def gender_total(self, gender: str) -> int:
@@ -203,19 +187,19 @@ class Onomasticon(NamedTuple):
             return self.female_total
         if gender == MALE:
             return self.male_total
-        raise ValidationError(f"gender: {gender!r}")
+        raise InputError(f"gender: {gender!r}")
 
     def generic(self, name: str) -> GenericNameCount:
         for g in self.generics:
             if g.name == name:
                 return g
-        raise ValidationError(f"generic: {name}: unknown")
+        raise InputError(f"generic: {name}: unknown")
 
     def slice(self, generic: str, label: str) -> RenditionSlice:
         for s in self.slices:
             if s.generic == generic and s.label == label:
                 return s
-        raise ValidationError(f"slice: {generic}/{label}: unknown")
+        raise InputError(f"slice: {generic}/{label}: unknown")
 
 
 def check_rows(generics, slices) -> None:
@@ -223,27 +207,26 @@ def check_rows(generics, slices) -> None:
     by_name: dict[str, GenericNameCount] = {}
     for g in generics:
         if by_name.setdefault(g.name, g) is not g:
-            raise ValidationError(f"generic: {g.name}: duplicate name")
+            raise InputError(f"generic: {g.name}: duplicate name")
     totals: dict[str, Fraction] = {}
     for s in slices:
         g = by_name.get(s.generic)
         if g is None:
-            raise ValidationError(f"slice generic: {s.generic}: unknown")
+            raise InputError(f"slice generic: {s.generic}: unknown")
         if g.ossuary_persons is not None and s.ossuary_generic != g.ossuary_persons:
-            raise ValidationError(
+            raise InputError(
                 f"ossuary_generic: {s.generic}/{s.label}: disagrees with "
                 "the generic's ossuary count")
         totals[s.generic] = totals.get(s.generic, 0) + implied_count(s, g)
         if totals[s.generic] > g.total_persons:
-            raise ValidationError(
+            raise InputError(
                 f"slices of {s.generic}: implied counts exceed the generic total")
 
 
 def implied_count(slc: RenditionSlice, generic: GenericNameCount) -> Fraction:
     """Persons in the slice, scaled from ossuary proportions: (k/K) * G."""
     if slc.ossuary_generic == 0:
-        raise UndefinedEstimatorError(
-            f"slice {slc.generic}/{slc.label}: no ossuary bearers (K = 0)")
+        raise InputError(f"slice {slc.generic}/{slc.label}: no ossuary bearers (K = 0)")
     return slc.ossuary_matching / slc.ossuary_generic * generic.total_persons
 
 
@@ -283,20 +266,16 @@ def load_source(source: Union[str, Path], filename: str, parse):
     "bundled". An unreadable file and a malformed row name the file."""
     path = source_path(source, filename)
     try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:  # missing, a directory, not text...
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # missing, a directory, not text, a bad row
         raise InputError(f"{path}: {exc}") from exc
-    try:
-        return parse(text)
-    except OnomasticonError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_records(text: str, handlers) -> None:
     """Pass the fields after the kind of each record to ``handlers[kind]``.
 
-    A ValueError or ZeroDivisionError from a record becomes a ParseError
-    naming its row; an OnomasticonError keeps its class and gains the row.
+    A ValueError or ZeroDivisionError from a record becomes an InputError
+    naming its row.
     """
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split("#", 1)[0].split()
@@ -306,10 +285,8 @@ def read_records(text: str, handlers) -> None:
             if fields[0] not in handlers:
                 raise ValueError(f"unknown record kind {fields[0]!r}")
             handlers[fields[0]](fields[1:])
-        except OnomasticonError as exc:
-            raise type(exc)(f"row {lineno}: {exc}") from exc
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"row {lineno}: {exc}") from exc
+            raise InputError(f"row {lineno}: {exc}") from exc
 
 
 def parse_options(words, parsers) -> dict:
@@ -371,7 +348,7 @@ def parse_onomasticon(text: str) -> Onomasticon:
 
     read_records(text, {"total": total, "generic": generic, "slice": slice_})
     if FEMALE not in totals or MALE not in totals:
-        raise ParseError("missing 'total' record for one or both genders")
+        raise InputError("missing 'total' record for one or both genders")
     return Onomasticon(
         female_total=totals[FEMALE], male_total=totals[MALE],
         generics=tuple(generics), slices=tuple(slices))

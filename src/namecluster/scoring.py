@@ -60,8 +60,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .candidates import OTHER, Category, HypothesisSpec, SpecificationError
-from .onomasticon import checked, parse_flag, parse_fraction
+from .candidates import OTHER, Category, HypothesisSpec
+from .onomasticon import InputError, checked, parse_flag, parse_fraction
 
 YOSEF = "Yosef"
 YESHUA = "Yeshua"
@@ -87,13 +87,13 @@ class RuleLedger(NamedTuple):
 
     def check(self):
         if self.bonus_divisor < 1:
-            raise SpecificationError("bonus_divisor must be >= 1")
+            raise InputError("bonus_divisor must be >= 1")
         if self.unknown_son_factor < 1:
-            raise SpecificationError("unknown_son_factor must be >= 1")
+            raise InputError("unknown_son_factor must be >= 1")
         for name in ("require_yeshua_in_tomb", "allow_father_yeshua", "count_unknown_sons"):
             value = getattr(self, name)
             if not isinstance(value, bool):  # a word such as 'off' would be truthy
-                raise SpecificationError(f"{name} must be True or False, got {value!r}")
+                raise InputError(f"{name} must be True or False, got {value!r}")
 
 
 # how a flag, a --config value and a suite's `set` record read each field

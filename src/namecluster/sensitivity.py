@@ -23,9 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .candidates import (CandidateDescriptor, SpecificationError, build_spec,
-                         parse_candidate)
-from .onomasticon import (Onomasticon, format_decimal, load_source,
+from .candidates import CandidateDescriptor, build_spec, parse_candidate
+from .onomasticon import (InputError, Onomasticon, format_decimal, load_source,
                           parse_field, parse_fraction, read_records)
 from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail
@@ -73,12 +72,12 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
         persons = [c.person for c in out]
         if d.verb == "add":
             if d.descriptor.person in persons:
-                raise SpecificationError(
+                raise InputError(
                     f"{scenario.name}: candidate {d.descriptor.person} already present")
             out.append(d.descriptor)
         elif d.verb in ("remove", "scale"):
             if d.person not in persons:
-                raise SpecificationError(f"{scenario.name}: no candidate named {d.person}")
+                raise InputError(f"{scenario.name}: no candidate named {d.person}")
             if d.verb == "remove":
                 out = [c for c in out if c.person != d.person]
             else:
@@ -87,7 +86,7 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
         elif d.verb == "set":
             rules = rules._replace(**{d.param: d.value})
         else:
-            raise SpecificationError(f"{scenario.name}: unknown delta verb {d.verb!r}")
+            raise InputError(f"{scenario.name}: unknown delta verb {d.verb!r}")
     return tuple(out), rules
 
 

@@ -13,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import namecluster
-from namecluster.cli import COMMANDS, main
+from namecluster import cli
+from namecluster.cli import COMMANDS, main, setting
+from namecluster.demography import DemographyParams
 from namecluster.onomasticon import parse_fraction
+from namecluster.scoring import RuleLedger
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -295,6 +298,29 @@ class TestDemographyAndInfer:
         assert values["theta-bound[alpha=1/20]"] == "0.04943"
         assert values["odds-bound[alpha=1/20]"] == "81.9"
 
+    def test_theta_and_alpha_from_the_config_file(self, tmp_path, capsys):
+        q = "253644329313582025/461894801863030415245482"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[inference]\nq = {q}\ntheta = 1/2\nalpha = 1/20\n")
+        from_file = run_cli("--config", str(cfg), "infer")
+        assert from_file == run_cli("infer", "--q", q, "--theta", "1/2",
+                                    "--alpha", "1/20")
+        assert [line.split()[0] for line in from_file[1].splitlines()] == [
+            "adjusted-p", "beta", "odds[theta=1/2]", "theta-bound[alpha=1/20]",
+            "odds-bound[alpha=1/20]"]
+        # a flag replaces the file's value, and the other key still applies
+        code, text = run_cli("--config", str(cfg), "infer", "--theta", "1",
+                             "--theta", "1/4")
+        assert code == 0
+        assert [line.split()[0] for line in text.splitlines()][2:] == [
+            "odds[theta=1]", "odds[theta=1/4]", "theta-bound[alpha=1/20]",
+            "odds-bound[alpha=1/20]"]
+        cfg.write_text(f"[inference]\nq = {q}\nalpha = abc\n")
+        assert run_cli("--config", str(cfg), "infer") == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --alpha must be a fraction a/b or a decimal, got 'abc' "
+            "(Invalid literal for Fraction: 'abc')"]
+
     def test_infer_requires_q(self, capsys):
         code, _ = run_cli("infer")
         assert code == 2
@@ -392,6 +418,22 @@ def test_inference_warnings_are_one_stderr_line_each(argv, warning):
     assert run.stderr.splitlines() == warning
 
 
+def test_a_closed_stdout_ends_without_a_word_on_stderr(tmp_path):
+    # a table far longer than a pipe holds, so the reader closes mid-write
+    suite = tmp_path / "long.cfg"
+    suite.write_text("".join(f"scenario {'s' * 200}{i}\nremove nobody\n"
+                             for i in range(1000)))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-m", "namecluster", "sweep",
+                           "--suite", str(suite)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=path)) as run:
+        assert run.stdout.readline().startswith(b"scenario ")
+        run.stdout.close()
+        assert run.wait(timeout=120) == 1
+        assert run.stderr.read() == b""
+
+
 class TestMalformedInputFiles:
     """A bad row in any input file: exit 2, one stderr line naming the row."""
 
@@ -433,6 +475,20 @@ class TestMalformedInputFiles:
         rows = text.splitlines()[1:]
         assert code == 0 and len(rows) == 42
         assert all("error:" in row for row in rows)
+
+    @pytest.mark.parametrize("command", ["analyze", "validate-config"])
+    @pytest.mark.parametrize("old, new, named", [
+        ("woman1=MM", "woman1=Nobody", "female/Nobody"),
+        ("son=Yeshua", "son=Mariam", "male/Mariam")])
+    def test_an_observed_label_the_hypothesis_lacks_names_the_file(
+            self, command, old, new, named, tmp_path, capsys):
+        hypothesis = tmp_path / "h.cfg"
+        hypothesis.write_text(
+            (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
+            .replace(old, new))
+        assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {hypothesis}: observed: category: {named}: unknown"]
 
     @pytest.mark.parametrize("row, named", [
         pytest.param("generic X female 1/0", "total_persons: zero denominator",
@@ -602,6 +658,47 @@ class TestValidateConfig:
         assert (code, text) == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and named in err[0]
+
+    @pytest.mark.parametrize("body, section, key", [
+        ("[rules]\nbonus_divisr = 2\n", "rules", "bonus_divisr"),
+        ("[analysi]\nn2 = 5\n", "analysi", "n2"),
+        ("[analysis]\nn2 = 5\n[rules]\nn2 = 5\n", "rules", "n2"),
+        ("[DEFAULT]\nn2 = 5\n", "DEFAULT", "n2")])
+    @pytest.mark.parametrize("command", ["analyze", "demography"])
+    def test_a_key_no_command_reads_exits_2_naming_it(
+            self, body, section, key, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(body)
+        assert run_cli("--config", str(cfg), command) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config file {cfg}: [{section}] {key}: unknown key"]
+
+    def test_one_config_file_serves_every_command(self, tmp_path):
+        # every key any command reads, most at their defaults
+        values = {"source": "bundled", "file": "bundled", "suite": "bundled",
+                  "format": "table", "n2": "1100", "q": "1/999999", "theta": "1",
+                  "alpha": "1/20", **RuleLedger()._asdict(),
+                  **DemographyParams()._asdict()}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {values[key]}\n" for key in keys)
+            for section, keys in cli.CONFIG_KEYS.items()))
+        for command in COMMANDS:
+            assert run_cli("--config", str(cfg), command)[0] == 0
+
+    def test_the_config_keys_are_those_the_commands_read(self, monkeypatch):
+        read = set()
+
+        def recording(config, args, section, key, *rest, **kwargs):
+            read.add((section, key))
+            return setting(config, args, section, key, *rest, **kwargs)
+
+        monkeypatch.setattr(cli, "setting", recording)
+        for command in COMMANDS:
+            q = ["--q", "1/999999"] if command == "infer" else []
+            assert run_cli(command, *q)[0] == 0
+        assert read == {(section, key) for section, keys in cli.CONFIG_KEYS.items()
+                        for key in keys}
 
     def test_broken_onomasticon_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "onom.tsv"

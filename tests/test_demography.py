@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from namecluster.demography import (DemographyParams, ParameterError,
-                                    round_to, run_pipeline)
+from namecluster.demography import DemographyParams, round_to, run_pipeline
+from namecluster.onomasticon import InputError
 
 
 class TestDefaults:
@@ -39,11 +39,11 @@ class TestDefaults:
 
 class TestValidation:
     def test_fraction_out_of_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match=r"^juvenile_fraction outside \[0,1\]$"):
             DemographyParams(juvenile_fraction=Fraction(3, 2))
 
     def test_negative_deceased(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InputError, match="^counts must be nonnegative"):
             DemographyParams(total_deceased=-1)
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from namecluster.inference import (InferenceError, adjusted_p, beta_of,
-                                   odds_lower_bound, posterior_odds,
-                                   theta_lower_bound)
+from namecluster.inference import (adjusted_p, beta_of, odds_lower_bound,
+                                   posterior_odds, theta_lower_bound)
+from namecluster.onomasticon import InputError
 
 # baseline tail proportion from the bundled enumeration
 Q = Fraction(253644329313582025, 461894801863030415245482)
@@ -42,12 +42,12 @@ class TestPosteriorOdds:
         assert posterior_odds(beta, N2, Q) == 1
 
     def test_zero_tail_rejected(self):
-        with pytest.raises(InferenceError, match="q = 0"):
+        with pytest.raises(InputError, match="q = 0"):
             posterior_odds(Fraction(1), N2, Fraction(0))
 
     def test_single_tomb_rejected_naming_n2(self):
         # beta = (n2-1)*q is 0 because n2 = 1, not because q = 0
-        with pytest.raises(InferenceError, match="n2 = 1"):
+        with pytest.raises(InputError, match="n2 = 1"):
             posterior_odds(Fraction(1), 1, Fraction(1, 2))
 
 

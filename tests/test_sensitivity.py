@@ -15,7 +15,7 @@ import pytest
 import namecluster as nc
 from namecluster import candidates, sensitivity, tailspace
 from namecluster.candidates import build_categories, parse_hypothesis_config
-from namecluster.onomasticon import ParseError
+from namecluster.onomasticon import InputError
 from namecluster.scoring import score
 from namecluster.sensitivity import (Delta, Scenario, apply_deltas,
                                      matches_at_printed_precision, parse_suite,
@@ -282,7 +282,7 @@ class TestSuiteParsing:
         assert flag.value is False
 
     def test_overlarge_exponent_names_the_row(self):
-        with pytest.raises(ParseError, match="row 2"):
+        with pytest.raises(InputError, match="^row 2: decimal exponent beyond"):
             parse_suite("scenario big\nscale mary_magdalene 1e999999999\n")
 
     @pytest.mark.parametrize("row, message", [
@@ -295,11 +295,11 @@ class TestSuiteParsing:
         ("add joanna female Joanna generic weigth=1/2", "'weigth'"),
         ("add joanna female Joanna generic label", "'label'")])
     def test_bad_row_is_named(self, row, message):
-        with pytest.raises(ParseError, match=f"row 3: .*{message}"):
+        with pytest.raises(InputError, match=f"row 3: .*{message}"):
             parse_suite(f"scenario bad\nremove salome_sister\n{row}\n")
 
     def test_record_before_the_first_scenario_is_rejected(self):
-        with pytest.raises(ParseError, match="row 1: 'remove'"):
+        with pytest.raises(InputError, match="^row 1: 'remove' record before the first scenario$"):
             parse_suite("remove salome_sister\nscenario late\n")
 
     def test_add_takes_the_options_of_a_candidate(self, onom, rules):
