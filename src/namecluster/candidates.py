@@ -11,6 +11,7 @@ category scores at the full generic frequency, and Other scores 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -77,7 +78,10 @@ class HypothesisSpec(NamedTuple):
             labels = [c.label for c in cats]
             if len(set(labels)) != len(labels):
                 raise InputError(f"{gender} categories: duplicate label")
-            if sum(c.weight for c in cats) != 1:
+            # sum to 1 in integers over the lcm of the denominators: a
+            # Fraction sum reduces at every step
+            den = lcm(*(c.weight.denominator for c in cats))
+            if sum(c.weight.numerator * den // c.weight.denominator for c in cats) != den:
                 raise InputError(f"{gender} categories: weights must sum to 1")
             if [c.rr for c in cats if c.label == OTHER] != [1]:
                 raise InputError(f"{gender} categories: exactly one Other, of rr 1")
@@ -167,9 +171,10 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
     built = []
     for gender in (FEMALE, MALE):
         key = (gender, tuple(d for d in candidates if d.gender == gender))
-        if key not in memo:
-            memo[key] = build_categories(onom, *key)
-        built.append(memo[key])
+        categories = memo.get(key)
+        if categories is None:
+            categories = memo[key] = build_categories(onom, *key)
+        built.append(categories)
     return HypothesisSpec(women=built[0], men=built[1],
                           female_total=onom.female_total,
                           male_total=onom.male_total)

@@ -128,13 +128,43 @@ def scored_inputs(config, args):
     return name, spec, rules, score(observed, spec, rules).value, n2
 
 
+class JsonText(dict):
+    """What json.dumps writes for each code point, as str.translate looks it
+    up: printable ASCII as itself, seven short escapes, else ``\\uXXXX``, and
+    above U+FFFF the ``\\uXXXX`` of each half of its surrogate pair."""
+
+    def __missing__(self, n):
+        if n > 0xFFFF:
+            return self[0xD800 | (n - 0x10000) >> 10] + self[0xDC00 | n & 0x3FF]
+        return f"\\u{n:04x}"
+
+
+JSON_TEXT = JsonText({n: chr(n) for n in range(32, 127)})
+JSON_TEXT.update({ord(c): "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')})
+LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def quoted(text: str) -> str:
+    """``text`` as json.dumps writes a str; text it keeps as it is skips the table."""
+    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
+        text = text.translate(JSON_TEXT)
+    return f'"{text}"'
+
+
+def record_line(record: dict) -> str:
+    """``json.dumps(record) + "\\n"`` for str keys and str, bool or None values;
+    importing json would cost each records start 2.5 ms."""
+    return "{%s}\n" % ", ".join(
+        f"{quoted(key)}: {quoted(value) if isinstance(value, str) else LITERALS[value]}"
+        for key, value in record.items())
+
+
 def emit(rows, fmt, out):
     """rows: list of (field, exact Fraction, sig)."""
     if fmt == "records":
-        import json  # only records need it; a table start skips its import
         for field, value, sig in rows:
-            out.write(json.dumps({"field": field, "decimal": format_decimal(value, sig),
-                                  "fraction": format_fraction(value)}) + "\n")
+            out.write(record_line({"field": field, "decimal": format_decimal(value, sig),
+                                   "fraction": format_fraction(value)}))
     else:
         width = max(len(field) for field, _, _ in rows)
         for field, value, sig in rows:
@@ -144,11 +174,14 @@ def emit(rows, fmt, out):
 def cmd_analyze(config, args, out):
     name, spec, rules, observed_rr, n2 = scored_inputs(config, args)
     result = enumerate_tail(spec, rules, observed_rr)
+    adjusted = n2 * result.proportion
+    if adjusted > 1:  # the paper's n2*q, reported as it is
+        warnings.warn("n2*q exceeds 1; adjusted-area is the unclamped n2*q")
     rows = [
         ("observed-rr", result.observed_rr, SIG),
         ("valid-mass-ratio", result.valid_ratio, SIG),
         ("proportion", result.proportion, SIG),
-        ("adjusted-area", n2 * result.proportion, SIG),
+        ("adjusted-area", adjusted, SIG),
     ]
     if args.format == "records":
         rows += [("tuple-space", Fraction(tuple_space_size(spec)), 10),
@@ -163,8 +196,11 @@ def cmd_sweep(config, args, out):
     onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(config, args)
     suite = load_suite(setting(config, args, "sweep", "suite", "bundled"))
     reports = run_suite(onom, descriptors, rules, observed, suite, n2=n2)
+    above = sum(not r.error and r.adjusted_area > 1 for r in reports)
+    if above:  # one line for the run, however many scenarios exceed 1
+        warnings.warn(f"n2*q exceeds 1 in {above} of {len(reports)} scenarios; "
+                      "adjusted is the unclamped n2*q")
     if args.format == "records":
-        import json
         for r in reports:
             record = {"scenario": r.name}
             if r.error:
@@ -175,7 +211,7 @@ def cmd_sweep(config, args, out):
                 record["observed_rr_fraction"] = format_fraction(r.observed_rr)
                 record["reference"] = r.reference
                 record["match"] = r.matches_reference
-            out.write(json.dumps(record) + "\n")
+            out.write(record_line(record))
     else:
         width = max(len(r.name) for r in reports) if reports else 8
         out.write(f"{'scenario'.ljust(width)}  {'adjusted':>10}  {'reference':>10}  match\n")

@@ -202,13 +202,15 @@ class Onomasticon(NamedTuple):
         raise InputError(f"slice: {generic}/{label}: unknown")
 
 
-def check_rows(generics, slices) -> None:
-    """Generics have distinct names; slices agree with and fit inside their generic."""
-    by_name: dict[str, GenericNameCount] = {}
+def check_rows(generics, slices, by_name=None, totals=None) -> None:
+    """Generics have distinct names; slices agree with and fit inside their
+    generic. A reader checks each row as it comes by passing on ``by_name``,
+    the generics above it by name, and ``totals``, their slices' counts."""
+    by_name = {} if by_name is None else by_name
+    totals = {} if totals is None else totals
     for g in generics:
         if by_name.setdefault(g.name, g) is not g:
             raise InputError(f"generic: {g.name}: duplicate name")
-    totals: dict[str, Fraction] = {}
     for s in slices:
         g = by_name.get(s.generic)
         if g is None:
@@ -310,7 +312,10 @@ GENERIC_OPTIONS = {"rahmani": str}
 
 def parse_onomasticon(text: str) -> Onomasticon:
     totals = {}
-    generics: list[GenericNameCount] = []
+    # the state check_rows keeps of the rows above: generics by name, and
+    # the implied counts of their slices
+    by_name: dict[str, GenericNameCount] = {}
+    implied: dict[str, Fraction] = {}
     slices: list[RenditionSlice] = []
 
     def total(fields):
@@ -331,12 +336,12 @@ def parse_onomasticon(text: str) -> Onomasticon:
             word = rest.pop(0)
             ossuary = None if word == "-" else parse_field("ossuary_persons", word)
         rahmani = parse_options(rest, GENERIC_OPTIONS).get("rahmani")
-        generics.append(GenericNameCount(
+        check_rows([GenericNameCount(
             name=name, gender=gender, total_persons=parse_field("total_persons", persons),
             ossuary_persons=ossuary,
             rahmani=None if rahmani is None else parse_field("rahmani", rahmani.rstrip("?")),
-            rahmani_uncertain=rahmani is not None and rahmani.endswith("?")))
-        check_rows(generics, slices)  # no generic above it has its name
+            rahmani_uncertain=rahmani is not None and rahmani.endswith("?"))],
+            (), by_name, implied)  # no generic above it has its name
 
     def slice_(fields):
         name, label, k, big_k = fields
@@ -344,14 +349,14 @@ def parse_onomasticon(text: str) -> Onomasticon:
             generic=name, label=label,
             ossuary_matching=parse_field("ossuary_matching", k),
             ossuary_generic=parse_field("ossuary_generic", big_k)))
-        check_rows(generics, slices)  # against the generics above it
+        check_rows((), slices[-1:], by_name, implied)  # against the rows above it
 
     read_records(text, {"total": total, "generic": generic, "slice": slice_})
     if FEMALE not in totals or MALE not in totals:
         raise InputError("missing 'total' record for one or both genders")
     return Onomasticon(
         female_total=totals[FEMALE], male_total=totals[MALE],
-        generics=tuple(generics), slices=tuple(slices))
+        generics=tuple(by_name.values()), slices=tuple(slices))
 
 
 def load_onomasticon(source: Union[str, Path] = "bundled") -> Onomasticon:

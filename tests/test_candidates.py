@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import namecluster as nc
-from namecluster.candidates import (CandidateDescriptor, build_spec,
+from namecluster.candidates import (OTHER, CandidateDescriptor, Category,
+                                    HypothesisSpec, build_spec,
                                     parse_hypothesis_config)
 from namecluster.onomasticon import InputError
 
@@ -170,6 +171,21 @@ class TestSpecEdits:
         spec = build_spec(onom, descriptors)
         assert sum(c.weight for c in spec.women) == 1
         assert sum(c.weight for c in spec.men) == 1
+
+
+@given(weights=st.lists(st.fractions(0, 1, max_denominator=10 ** 12), max_size=5),
+       off=st.sampled_from([0, Fraction(1, 10 ** 40), Fraction(-1, 10 ** 40)]))
+def test_a_spec_takes_weights_that_sum_to_exactly_1(weights, off):
+    # Other keeps between 3/16 and 1/2, so a weight off by a hair stays in [0, 1]
+    cats = tuple(Category(f"c{i}", w / 16, Fraction(1, 2))
+                 for i, w in enumerate([Fraction(8), *weights]))
+    cats += (Category(OTHER, 1 - sum(c.weight for c in cats) + off, Fraction(1)),)
+    build = lambda: HypothesisSpec(women=cats, men=cats, female_total=1, male_total=1)
+    if off:
+        with pytest.raises(InputError, match="^female categories: weights must sum to 1$"):
+            build()
+    else:
+        assert build().men == cats
 
 
 class TestConfigFile:

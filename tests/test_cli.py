@@ -250,6 +250,16 @@ class TestSweep:
         assert first["match"] is True
         assert parse_fraction(first["adjusted_fraction"]) > 0
 
+    def test_records_of_hostile_scenario_names_parse_back(self, tmp_path):
+        names = ['say"hi"', "back\\slash", "café", "smile😀", 'all"\\é😀']
+        suite = tmp_path / "suite.cfg"
+        suite.write_text("".join(f"scenario {name}\nset bonus_divisor 1\n\n"
+                                 for name in names), encoding="utf-8")
+        code, text = run_cli("sweep", "--suite", str(suite), "--format", "records")
+        assert code == 0
+        assert [json.loads(line)["scenario"] for line in text.splitlines()] == names
+        assert text.isascii()
+
     def test_bad_delta_errors_only_its_row(self, tmp_path):
         suite = tmp_path / "suite.cfg"
         suite.write_text("scenario broken\nremove nobody\n\n"
@@ -377,23 +387,27 @@ class TestFiguresBeyondTheFloatRange:
             "odds[theta=1]": "9.099e+396"}
 
     def test_analyze_huge_n2(self):
-        code, text = run_cli("analyze", "--n2", self.BIG, "--format", "records")
+        with pytest.warns(UserWarning, match=r"n2\*q exceeds 1"):
+            code, text = run_cli("analyze", "--n2", self.BIG, "--format", "records")
         assert code == 0
         by_field = {r["field"]: r for r in map(json.loads, text.splitlines())}
         area = by_field["adjusted-area"]
         assert area["decimal"] == "5.491e+393"
         assert parse_fraction(area["fraction"]) \
             == 10 ** 400 * parse_fraction(by_field["proportion"]["fraction"])
-        assert run_cli("analyze", "--n2", self.BIG)[0] == 0
+        with pytest.warns(UserWarning, match=r"n2\*q exceeds 1"):
+            assert run_cli("analyze", "--n2", self.BIG)[0] == 0
 
     def test_sweep_huge_n2(self):
-        code, text = run_cli("sweep", "--n2", self.BIG, "--format", "records")
+        with pytest.warns(UserWarning, match=r"n2\*q exceeds 1"):
+            code, text = run_cli("sweep", "--n2", self.BIG, "--format", "records")
         assert code == 0
         records = [json.loads(line) for line in text.splitlines()]
         assert len(records) == 42
         assert records[0]["adjusted"] == "5.018e+393"
         assert all(r["match"] is False for r in records)
-        assert run_cli("sweep", "--n2", self.BIG)[0] == 0
+        with pytest.warns(UserWarning, match=r"n2\*q exceeds 1"):
+            assert run_cli("sweep", "--n2", self.BIG)[0] == 0
 
     def test_demography_huge_total(self):
         code, text = run_cli("demography", "--total-deceased", self.BIG)
@@ -402,20 +416,65 @@ class TestFiguresBeyondTheFloatRange:
             "deceased-per-gender"] == "5e+399"
 
 
+def run_process(*argv):
+    """``python -m namecluster argv`` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "namecluster", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 @pytest.mark.parametrize("argv, warning", [
     (["infer", "--q", "1/3", "--n2", "10"],
      ["warning: n2*q exceeds 1; reporting the clamped bound 1"]),
     (["infer", "--q", "1/3000", "--n2", "10", "--alpha", "1/1000"],
      ["warning: alpha <= beta: the bound degenerates to 0"] * 2),
+    # the adjusted area stays the paper's unclamped n2*q; only stderr tells
+    (["analyze", "--n2", "10000000"],
+     ["warning: n2*q exceeds 1; adjusted-area is the unclamped n2*q"]),
+    (["sweep", "--n2", "10000000"],
+     ["warning: n2*q exceeds 1 in 42 of 42 scenarios; adjusted is the unclamped n2*q"]),
 ])
-def test_inference_warnings_are_one_stderr_line_each(argv, warning):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "namecluster", *argv],
-                         capture_output=True, text=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=path))
+def test_warnings_are_one_stderr_line_each(argv, warning):
+    run = run_process(*argv)
     with pytest.warns(UserWarning):
         assert (run.returncode, run.stdout) == run_cli(*argv)
+    assert run.returncode == 0
     assert run.stderr.splitlines() == warning
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_the_bundled_n2_gives_an_empty_stderr(command):
+    run = run_process(command, "--format", "records")
+    assert run.returncode == 0
+    assert run.stdout == (ROOT / "perfbench" / "expected"
+                          / f"{command}.records").read_text()
+    assert run.stderr == ""
+
+
+class TestRecordLine:
+    """cli.record_line writes exactly what json.dumps writes, plus a newline."""
+
+    # st.characters() alone seldom draws a text of printable ASCII only, in
+    # which a quote or a backslash must still be escaped, and a surrogate
+    # (category Cs) almost never
+    TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12) \
+        | st.text(st.characters() | st.characters(categories=["Cs"]), max_size=12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(record=st.dictionaries(TEXT, st.one_of(TEXT, st.none(), st.booleans()),
+                                  max_size=5))
+    def test_equals_json_dumps(self, record):
+        assert cli.record_line(record) == json.dumps(record) + "\n"
+
+    @pytest.mark.parametrize("text, written", [
+        ('"\\\n\r\t\b\f', '"\\"\\\\\\n\\r\\t\\b\\f"'),
+        ("\x00\x1f\x7f é", '"\\u0000\\u001f\\u007f \\u00e9"'),
+        ("😀", '"\\ud83d\\ude00"'),
+        ("\ud800", '"\\ud800"')])
+    def test_escapes(self, text, written):
+        assert cli.record_line({"k": text, "n": None, "t": True, "f": False}) \
+            == f'{{"k": {written}, "n": null, "t": true, "f": false}}\n'
 
 
 def test_a_closed_stdout_ends_without_a_word_on_stderr(tmp_path):
@@ -731,10 +790,15 @@ class TestImports:
         assert "namecluster.tailspace" in loaded
         assert not loaded & self.UNUSED_BY_ANALYZE
 
-    def test_only_records_load_json(self):
-        assert "json" not in modules_loaded_by("analyze")
-        assert "json" in modules_loaded_by("analyze", "--format", "records")
-        assert "json" in modules_loaded_by("sweep", "--format", "records")
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["analyze", "--format", "records"], ["sweep"],
+        ["sweep", "--format", "records"], ["demography", "--format", "records"],
+        ["infer", "--q", "1/9999", "--theta", "1", "--format", "records"]],
+        ids=["analyze", "analyze-records", "sweep", "sweep-records",
+             "demography-records", "infer-records"])
+    def test_no_command_loads_json(self, argv):
+        # records are written by cli.record_line; json would cost 2.5 ms a start
+        assert "json" not in modules_loaded_by(*argv)
 
     def test_sweep_loads_sensitivity(self):
         assert "namecluster.sensitivity" in modules_loaded_by("sweep")

@@ -1,5 +1,6 @@
 """Onomasticon data model, bundled fixture, and the rendition estimator."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import namecluster as nc
+from namecluster import onomasticon
 from namecluster.onomasticon import (GenericNameCount, InputError, Onomasticon,
                                      RenditionSlice, format_decimal,
                                      parse_flag, parse_fraction,
@@ -183,5 +185,16 @@ class TestParsing:
         text = ("total female 317\ntotal male 2509\n"
                 "generic Tiny female 8 8\n"
                 "slice Tiny a 7 8\nslice Tiny b 6 8\n")
-        with pytest.raises(InputError, match="implied counts exceed"):
+        with pytest.raises(InputError,
+                           match="^row 5: slices of Tiny: implied counts exceed"):
             parse_onomasticon(text)
+
+    def test_each_row_is_checked_as_read_and_once_in_the_table(self, monkeypatch):
+        # not again after every later row, so a table loads in linear time
+        checked = []
+        check_rows = onomasticon.check_rows
+        monkeypatch.setattr(onomasticon, "check_rows", lambda generics, slices, *state:
+                            checked.extend([*generics, *slices])
+                            or check_rows(generics, slices, *state))
+        onom = nc.load_onomasticon()
+        assert Counter(checked) == Counter([*onom.generics, *onom.slices] * 2)
