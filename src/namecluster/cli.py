@@ -3,12 +3,12 @@
 ``namecluster [--config PATH] COMMAND [--flag VALUE | --flag=VALUE]...`` is
 read against COMMANDS, the table of each command's flags: a flag's name
 matches exactly, the word after it is its value, verbatim, and ``--config``
-may also follow the command. Flags override the INI-style ``--config`` file
-(one section per module, holding only keys in CONFIG_KEYS). Output is an
-aligned text table or JSON records of exact fractions with decimals,
-byte-deterministic for identical inputs. Exit codes: 0 success, 1 computation
-contract violation (or a closed stdout), 2 input error; an error is one
-``error: ...`` line on stderr.
+may also follow the command. Each setting in SETTINGS is resolved once: its
+flag, else its key in the INI-style ``--config`` file, else its default.
+Output is an aligned text table or JSON records of exact fractions with
+decimals, byte-deterministic for identical inputs. Exit codes: 0 success, 1
+computation contract violation (or a closed stdout), 2 input error; an error
+is one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -45,25 +45,17 @@ def read_config(path):
         raise InputError(f"config file not found: {path}")
     for section in (parser.default_section, *parser.sections()):
         for key in parser[section]:
-            if key not in CONFIG_KEYS.get(section, ()):
+            if key not in SETTINGS or SETTINGS[key][0] != section:
                 raise InputError(f"config file {path}: [{section}] {key}: unknown key")
     return parser
 
 
-def setting(config, args, section, key, default=None, parse=None):
-    """The flag, else the --config value, else ``default``; typed by ``parse``."""
-    raw = getattr(args, key, None)
-    if raw is None:
-        raw = default if config is None else config.get(section, key, fallback=default)
-    return raw if raw is None or parse is None else parse_value(key, raw, parse)
-
-
-# what each setting parser accepts, for the error message
+# what each setting parser accepts, for the error message and the help
 EXPECTED = {int: "an integer", parse_fraction: "a fraction a/b or a decimal",
             parse_flag: "on/off, true/false, 1/0 or yes/no"}
 
 
-def parse_value(key, raw, parse=parse_fraction):
+def parse_value(key, raw, parse):
     """``parse(raw)`` for setting ``key``; a bad value raises InputError."""
     try:
         return parse(raw)
@@ -75,46 +67,77 @@ def parse_value(key, raw, parse=parse_fraction):
         raise InputError(message) from None
 
 
-def settings_given(config, args, section, parsers) -> dict:
-    """{key: parsers[key](value)} for each key a flag or --config value sets."""
-    values = {key: setting(config, args, section, key, parse=parse)
-              for key, parse in parsers.items()}
-    return {key: value for key, value in values.items() if value is not None}
-
-
 DEMOGRAPHY_PARSERS = {
     "total_deceased": int, "tomb_size": int, "non_jewish_fraction": parse_fraction,
     "juvenile_fraction": parse_fraction, "literacy_affluence_fraction": parse_fraction,
     "female_male_inscription_ratio": parse_fraction}
 
+# key: (--config section, default, value parser, help or None for EXPECTED);
+# a --config file may set any of them, so that one file serves all commands
+SETTINGS = {
+    "config": (None, None, None, "INI config file; flags override it"),
+    "format": ("output", "table", None, "table or records"),
+    "source": ("onomasticon", "bundled", None, "onomasticon table path or 'bundled'"),
+    "file": ("hypothesis", "bundled", None, "hypothesis config path or 'bundled'"),
+    "n2": ("analysis", "1100", int, "number of candidate tombs"),
+    **{key: ("rules", None, parse, None) for key, parse in RULE_PARSERS.items()},
+    # no default: validate-config checks a suite only when one is named
+    "suite": ("sweep", None, None, "scenario suite path or 'bundled'"),
+    **{key: ("demography", None, parse, None)
+       for key, parse in DEMOGRAPHY_PARSERS.items()},
+    "q": ("inference", None, parse_fraction, "tail area in [0, 1]"),
+    "theta": ("inference", (), parse_fraction, "P(B|A) in (0, 1]; repeatable"),
+    "alpha": ("inference", (), parse_fraction, "confidence complement in (0, 1); repeatable"),
+}
+REPEATED = ("theta", "alpha")  # settings that collect every value given
 
-def load_analysis_inputs(config, args):
-    onom = load_onomasticon(setting(config, args, "onomasticon", "source", "bundled"))
-    name, descriptors, observed_fields = load_hypothesis_config(
-        setting(config, args, "hypothesis", "file", "bundled"))
+
+def resolve(args, config) -> None:
+    """Set each setting of ``args.command`` to the flag, else the --config
+    value, else the default, typed by its parser. A REPEATED setting becomes
+    a list of (word, value) pairs, so that a report names the word as given."""
+    for key in COMMANDS[args.command][2].values():
+        section, default, parse, _ = SETTINGS[key]
+        value = getattr(args, key)
+        if value is None:  # with a config, args.config is set: "config" is not looked up
+            value = default if config is None else config.get(section, key, fallback=default)
+        if key in REPEATED:
+            words = [value] if isinstance(value, str) else value
+            value = [(word, parse_value(key, word, parse)) for word in words]
+        elif value is not None and parse is not None:
+            value = parse_value(key, value, parse)
+        setattr(args, key, value)
+
+
+def given(args, keys) -> dict:
+    """{key: value} for each of ``keys`` that a flag or --config value sets."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def load_analysis_inputs(args):
+    onom = load_onomasticon(args.source)
+    name, descriptors, observed_fields = load_hypothesis_config(args.file)
     if observed_fields is None:
         raise InputError("hypothesis config lacks an 'observed' record")
     try:
         observed = TombConfiguration(**observed_fields)
     except TypeError as exc:
         raise InputError(f"bad observed record: {exc}") from exc
-    rules = RuleLedger(**settings_given(config, args, "rules", RULE_PARSERS))
-    return onom, name, descriptors, observed, rules, parse_n2(config, args)
+    rules = RuleLedger(**given(args, RULE_PARSERS))
+    return onom, name, descriptors, observed, rules, check_n2(args.n2)
 
 
-def parse_n2(config, args) -> int:
-    """The number of candidate tombs: an integer of at least 1."""
-    n2 = setting(config, args, "analysis", "n2", "1100", int)
+def check_n2(n2: int) -> int:
+    """The number of candidate tombs, which must be at least 1."""
     if n2 < 1:
         raise InputError(f"--n2 must be an integer >= 1, got {n2}")
     return n2
 
 
-def scored_inputs(config, args):
+def scored_inputs(args):
     """(name, spec, rules, observed RR, n2); an impossible observed is an input error."""
-    onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(config, args)
-    hypothesis = source_path(setting(config, args, "hypothesis", "file", "bundled"),
-                             "baseline.cfg")
+    onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(args)
+    hypothesis = source_path(args.file, "baseline.cfg")
     try:
         spec = build_spec(onom, descriptors)
     except InputError as exc:  # a candidate the table cannot realize
@@ -171,8 +194,8 @@ def emit(rows, fmt, out):
             out.write(f"{field.ljust(width)}  {format_decimal(value, sig)}\n")
 
 
-def cmd_analyze(config, args, out):
-    name, spec, rules, observed_rr, n2 = scored_inputs(config, args)
+def cmd_analyze(args, out):
+    name, spec, rules, observed_rr, n2 = scored_inputs(args)
     result = enumerate_tail(spec, rules, observed_rr)
     adjusted = n2 * result.proportion
     if adjusted > 1:  # the paper's n2*q, reported as it is
@@ -191,10 +214,10 @@ def cmd_analyze(config, args, out):
     return 0
 
 
-def cmd_sweep(config, args, out):
+def cmd_sweep(args, out):
     from .sensitivity import load_suite, run_suite
-    onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(config, args)
-    suite = load_suite(setting(config, args, "sweep", "suite", "bundled"))
+    onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(args)
+    suite = load_suite("bundled" if args.suite is None else args.suite)
     reports = run_suite(onom, descriptors, rules, observed, suite, n2=n2)
     above = sum(not r.error and r.adjusted_area > 1 for r in reports)
     if above:  # one line for the run, however many scenarios exceed 1
@@ -226,10 +249,9 @@ def cmd_sweep(config, args, out):
     return 0
 
 
-def cmd_demography(config, args, out):
+def cmd_demography(args, out):
     from .demography import DemographyParams, run_pipeline
-    result = run_pipeline(DemographyParams(
-        **settings_given(config, args, "demography", DEMOGRAPHY_PARSERS)))
+    result = run_pipeline(DemographyParams(**given(args, DEMOGRAPHY_PARSERS)))
     # the reported figures, in the result's field order; not the raw values
     rows = [(name.replace("_", "-"), Fraction(value), 6)
             for name, value in result._asdict().items() if not name.endswith("_raw")]
@@ -237,78 +259,58 @@ def cmd_demography(config, args, out):
     return 0
 
 
-def cmd_infer(config, args, out):
+def cmd_infer(args, out):
     from .inference import (adjusted_p, beta_of, odds_lower_bound, posterior_odds,
                             theta_lower_bound)
-    q = setting(config, args, "inference", "q", parse=parse_fraction)
+    q = args.q
     if q is None:
         raise InputError("infer requires --q")
     if not 0 <= q <= 1:
         raise InputError("--q must be a tail area between 0 and 1")
-    n2 = parse_n2(config, args)
-    given = [setting(config, args, "inference", key) for key in REPEATED]
-    # a flag's values come as a list, a --config value as one string
-    thetas, alphas = ([value] if isinstance(value, str) else value or []
-                      for value in given)
-    if (thetas or alphas) and beta_of(q, n2) >= 1:
+    n2 = check_n2(args.n2)
+    if (args.theta or args.alpha) and beta_of(q, n2) >= 1:
         raise InputError("(n2-1)*q must be below 1 for the bound formulas")
     rows = [("adjusted-p", adjusted_p(q, n2), SIG),
             ("beta", beta_of(q, n2), SIG)]
-    for theta in thetas:
-        t = parse_value("theta", theta)
-        rows.append((f"odds[theta={theta}]", posterior_odds(t, n2, q), SIG))
-    for alpha in alphas:
-        a = parse_value("alpha", alpha)
-        rows.append((f"theta-bound[alpha={alpha}]",
-                     theta_lower_bound(a, n2, q), SIG))
-        rows.append((f"odds-bound[alpha={alpha}]",
-                     odds_lower_bound(a, n2, q), SIG))
+    for word, theta in args.theta:
+        rows.append((f"odds[theta={word}]", posterior_odds(theta, n2, q), SIG))
+    for word, alpha in args.alpha:
+        rows.append((f"theta-bound[alpha={word}]",
+                     theta_lower_bound(alpha, n2, q), SIG))
+        rows.append((f"odds-bound[alpha={word}]",
+                     odds_lower_bound(alpha, n2, q), SIG))
     emit(rows, args.format, out)
     return 0
 
 
-def cmd_validate_config(config, args, out):
+def cmd_validate_config(args, out):
     from .sensitivity import load_suite
-    name, spec, *_ = scored_inputs(config, args)
-    suite_source = setting(config, args, "sweep", "suite", None)
-    n_scenarios = len(load_suite(suite_source)) if suite_source else 0
+    name, spec, *_ = scored_inputs(args)
+    n_scenarios = len(load_suite(args.suite)) if args.suite else 0
     suite = f"; suite of {n_scenarios} scenarios" if n_scenarios else ""
     out.write(f"ok: hypothesis '{name}' with {len(spec.women)} women / "
               f"{len(spec.men)} men categories{suite}\n")
     return 0
 
 
-def typed(parsers) -> dict:
-    """{--flag: (attribute, value parser)} for the settings that ``parsers`` read."""
-    return {f"--{key.replace('_', '-')}": (key, parse) for key, parse in parsers.items()}
+def flags(*keys) -> dict:
+    """{--flag: key}: --key with - for _, but an input file's flag names its file."""
+    files = {"source": "--onomasticon", "file": "--hypothesis"}
+    return {files.get(key, f"--{key.replace('_', '-')}"): key for key in keys}
 
 
-COMMON = {"--config": ("config", "INI config file; flags override it"),
-          "--format": ("format", "table or records")}
-ANALYSIS = {**COMMON, "--onomasticon": ("source", "onomasticon table path or 'bundled'"),
-            "--hypothesis": ("file", "hypothesis config path or 'bundled'"),
-            "--n2": ("n2", "number of candidate tombs"), **typed(RULE_PARSERS)}
-SUITE = {"--suite": ("suite", "scenario suite path or 'bundled'")}
-REPEATED = ("theta", "alpha")  # attributes that collect every value given
-# the keys of each --config section: every setting some command reads, so
-# that one file serves all commands
-CONFIG_KEYS = {"onomasticon": ("source",), "hypothesis": ("file",),
-               "analysis": ("n2",), "rules": tuple(RULE_PARSERS), "sweep": ("suite",),
-               "demography": tuple(DEMOGRAPHY_PARSERS), "inference": ("q", *REPEATED),
-               "output": ("format",)}
+ANALYSIS = ("config", "format", "source", "file", "n2", *RULE_PARSERS)
 
-# command: (function, summary, {flag: (attribute, help text or value parser)})
+# command: (function, summary, {flag: the key of its setting})
 COMMANDS = {
-    "analyze": (cmd_analyze, "headline figures for the baseline", ANALYSIS),
-    "sweep": (cmd_sweep, "run the sensitivity scenario suite", {**ANALYSIS, **SUITE}),
+    "analyze": (cmd_analyze, "headline figures for the baseline", flags(*ANALYSIS)),
+    "sweep": (cmd_sweep, "run the sensitivity scenario suite", flags(*ANALYSIS, "suite")),
     "demography": (cmd_demography, "population pipeline",
-                   {**COMMON, **typed(DEMOGRAPHY_PARSERS)}),
-    "infer": (cmd_infer, "p-value, odds and confidence bounds", {
-        **COMMON, "--q": ("q", "tail area in [0, 1]"), "--n2": ANALYSIS["--n2"],
-        "--theta": ("theta", "P(B|A) in (0, 1]; repeatable"),
-        "--alpha": ("alpha", "confidence complement in (0, 1); repeatable")}),
+                   flags("config", "format", *DEMOGRAPHY_PARSERS)),
+    "infer": (cmd_infer, "p-value, odds and confidence bounds",
+              flags("config", "format", "q", "n2", *REPEATED)),
     "validate-config": (cmd_validate_config, "parse and check all inputs",
-                        {**ANALYSIS, **SUITE}),
+                        flags(*ANALYSIS, "suite")),
 }
 
 
@@ -316,7 +318,7 @@ def parse_args(argv) -> SimpleNamespace:
     """The words of the grammar as attributes: a flag's value, its last value,
     a list for a REPEATED flag, or None. ``-h``/``--help`` ends the reading."""
     args = SimpleNamespace(command=None, config=None, help=False)
-    flags, words = {"--config": COMMON["--config"]}, iter(argv)
+    known, words = flags("config"), iter(argv)
     commands = f"the commands are {', '.join(COMMANDS)}"
     for word in words:
         flag, eq, value = word.partition("=")
@@ -324,18 +326,18 @@ def parse_args(argv) -> SimpleNamespace:
             args.help = True
             break
         if args.command is None and word in COMMANDS:
-            args.command, flags = word, COMMANDS[word][2]
-            vars(args).update({k: getattr(args, k, None) for k, _ in flags.values()})
+            args.command, known = word, COMMANDS[word][2]
+            vars(args).update({key: getattr(args, key, None) for key in known.values()})
         elif not word.startswith("--"):
             raise InputError(f"stray word {word!r}" if args.command
                              else f"unknown command {word!r}; {commands}")
-        elif flag not in flags:
+        elif flag not in known:
             raise InputError(f"unknown flag {flag!r} for {args.command}" if args.command
                              else f"unknown flag {flag!r} before the command")
         elif not eq and (value := next(words, None)) is None:
             raise InputError(f"{flag} needs a value")
         else:
-            key = flags[flag][0]
+            key = known[flag]
             setattr(args, key, (getattr(args, key) or []) + [value]
                     if key in REPEATED else value)
     if args.command is None and not args.help:
@@ -350,8 +352,8 @@ def help_text(command) -> str:
         rows = {name: summary for name, (_, summary, _) in COMMANDS.items()}
     else:
         head = f"usage: namecluster {command} [--flag VALUE]...\n{COMMANDS[command][1]}:"
-        rows = {f"{flag} VALUE": EXPECTED.get(text, text)
-                for flag, (_, text) in COMMANDS[command][2].items()}
+        rows = {f"{flag} VALUE": SETTINGS[key][3] or EXPECTED[SETTINGS[key][2]]
+                for flag, key in COMMANDS[command][2].items()}
     width = max(map(len, rows))
     return "\n".join([head] + [f"  {k.ljust(width)}  {v}" for k, v in rows.items()]) + "\n"
 
@@ -366,11 +368,10 @@ def main(argv=None, out=None) -> int:
         if args.help:
             out.write(help_text(args.command))
             return 0
-        config = read_config(args.config)
-        args.format = setting(config, args, "output", "format", "table")
+        resolve(args, read_config(args.config))
         if args.format not in ("table", "records"):
             raise InputError(f"--format must be table or records, got {args.format!r}")
-        code = COMMANDS[args.command][0](config, args, out)
+        code = COMMANDS[args.command][0](args, out)
         out.flush()  # a closed stdout fails here, not in the interpreter's last flush
         return code
     except BrokenPipeError:

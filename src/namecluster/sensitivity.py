@@ -48,7 +48,6 @@ class Scenario(NamedTuple):
 class ScenarioReport(NamedTuple):
     name: str
     observed_rr: Optional[Fraction] = None
-    proportion: Optional[Fraction] = None
     adjusted_area: Optional[Fraction] = None
     reference: Optional[str] = None
     matches_reference: Optional[bool] = None
@@ -104,8 +103,8 @@ def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
     if scenario.reference is not None:
         matches = matches_at_printed_precision(adjusted, scenario.reference)
     return ScenarioReport(name=scenario.name, observed_rr=observed_rr,
-                          proportion=result.proportion, adjusted_area=adjusted,
-                          reference=scenario.reference, matches_reference=matches)
+                          adjusted_area=adjusted, reference=scenario.reference,
+                          matches_reference=matches)
 
 
 def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],

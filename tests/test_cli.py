@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import namecluster
 from namecluster import cli
-from namecluster.cli import COMMANDS, main, setting
+from namecluster.cli import COMMANDS, SETTINGS, main
 from namecluster.demography import DemographyParams
-from namecluster.onomasticon import parse_fraction
+from namecluster.onomasticon import parse_flag, parse_fraction
 from namecluster.scoring import RuleLedger
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -228,6 +228,85 @@ WORDS = sorted({*COMMANDS, "-h", *(flag for _, _, flags in COMMANDS.values()
                      max_size=6))
 def test_arbitrary_argv_ends_in_an_exit_code(argv):
     assert main(argv, out=io.StringIO()) in (0, 1, 2)
+
+
+# the help screens, word for word: `namecluster --help` and each `COMMAND --help`
+HELP = {
+    "": (
+        "usage: namecluster [--config PATH] COMMAND [--flag VALUE]...\n"
+        "commands:\n"
+        "  analyze          headline figures for the baseline\n"
+        "  sweep            run the sensitivity scenario suite\n"
+        "  demography       population pipeline\n"
+        "  infer            p-value, odds and confidence bounds\n"
+        "  validate-config  parse and check all inputs\n"),
+    "analyze": (
+        "usage: namecluster analyze [--flag VALUE]...\n"
+        "headline figures for the baseline:\n"
+        "  --config VALUE                  INI config file; flags override it\n"
+        "  --format VALUE                  table or records\n"
+        "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
+        "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
+        "  --n2 VALUE                      number of candidate tombs\n"
+        "  --bonus-divisor VALUE           a fraction a/b or a decimal\n"
+        "  --unknown-son-factor VALUE      a fraction a/b or a decimal\n"
+        "  --require-yeshua-in-tomb VALUE  on/off, true/false, 1/0 or yes/no\n"
+        "  --allow-father-yeshua VALUE     on/off, true/false, 1/0 or yes/no\n"
+        "  --count-unknown-sons VALUE      on/off, true/false, 1/0 or yes/no\n"),
+    "sweep": (
+        "usage: namecluster sweep [--flag VALUE]...\n"
+        "run the sensitivity scenario suite:\n"
+        "  --config VALUE                  INI config file; flags override it\n"
+        "  --format VALUE                  table or records\n"
+        "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
+        "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
+        "  --n2 VALUE                      number of candidate tombs\n"
+        "  --bonus-divisor VALUE           a fraction a/b or a decimal\n"
+        "  --unknown-son-factor VALUE      a fraction a/b or a decimal\n"
+        "  --require-yeshua-in-tomb VALUE  on/off, true/false, 1/0 or yes/no\n"
+        "  --allow-father-yeshua VALUE     on/off, true/false, 1/0 or yes/no\n"
+        "  --count-unknown-sons VALUE      on/off, true/false, 1/0 or yes/no\n"
+        "  --suite VALUE                   scenario suite path or 'bundled'\n"),
+    "demography": (
+        "usage: namecluster demography [--flag VALUE]...\n"
+        "population pipeline:\n"
+        "  --config VALUE                         INI config file; flags override it\n"
+        "  --format VALUE                         table or records\n"
+        "  --total-deceased VALUE                 an integer\n"
+        "  --tomb-size VALUE                      an integer\n"
+        "  --non-jewish-fraction VALUE            a fraction a/b or a decimal\n"
+        "  --juvenile-fraction VALUE              a fraction a/b or a decimal\n"
+        "  --literacy-affluence-fraction VALUE    a fraction a/b or a decimal\n"
+        "  --female-male-inscription-ratio VALUE  a fraction a/b or a decimal\n"),
+    "infer": (
+        "usage: namecluster infer [--flag VALUE]...\n"
+        "p-value, odds and confidence bounds:\n"
+        "  --config VALUE  INI config file; flags override it\n"
+        "  --format VALUE  table or records\n"
+        "  --q VALUE       tail area in [0, 1]\n"
+        "  --n2 VALUE      number of candidate tombs\n"
+        "  --theta VALUE   P(B|A) in (0, 1]; repeatable\n"
+        "  --alpha VALUE   confidence complement in (0, 1); repeatable\n"),
+    "validate-config": (
+        "usage: namecluster validate-config [--flag VALUE]...\n"
+        "parse and check all inputs:\n"
+        "  --config VALUE                  INI config file; flags override it\n"
+        "  --format VALUE                  table or records\n"
+        "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
+        "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
+        "  --n2 VALUE                      number of candidate tombs\n"
+        "  --bonus-divisor VALUE           a fraction a/b or a decimal\n"
+        "  --unknown-son-factor VALUE      a fraction a/b or a decimal\n"
+        "  --require-yeshua-in-tomb VALUE  on/off, true/false, 1/0 or yes/no\n"
+        "  --allow-father-yeshua VALUE     on/off, true/false, 1/0 or yes/no\n"
+        "  --count-unknown-sons VALUE      on/off, true/false, 1/0 or yes/no\n"
+        "  --suite VALUE                   scenario suite path or 'bundled'\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=["top", *COMMANDS])
+def test_help_screens_are_word_for_word(command):
+    assert run_cli(*filter(None, [command, "--help"])) == (0, HELP[command])
 
 
 class TestSweep:
@@ -738,32 +817,87 @@ class TestValidateConfig:
                   "format": "table", "n2": "1100", "q": "1/999999", "theta": "1",
                   "alpha": "1/20", **RuleLedger()._asdict(),
                   **DemographyParams()._asdict()}
+        sections = {}  # each --config section of SETTINGS: its lines
+        for key, (section, *_) in SETTINGS.items():
+            if section is not None:
+                sections.setdefault(section, []).append(f"{key} = {values[key]}\n")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(
-            f"[{section}]\n" + "".join(f"{key} = {values[key]}\n" for key in keys)
-            for section, keys in cli.CONFIG_KEYS.items()))
+        cfg.write_text("".join(f"[{section}]\n" + "".join(lines)
+                               for section, lines in sections.items()))
         for command in COMMANDS:
             assert run_cli("--config", str(cfg), command)[0] == 0
 
-    def test_the_config_keys_are_those_the_commands_read(self, monkeypatch):
+    def test_the_config_keys_are_those_the_commands_read(self, monkeypatch, tmp_path):
         read = set()
 
-        def recording(config, args, section, key, *rest, **kwargs):
-            read.add((section, key))
-            return setting(config, args, section, key, *rest, **kwargs)
+        class Recording:
+            """The resolved settings, noting each one a command reads."""
 
-        monkeypatch.setattr(cli, "setting", recording)
+            def __init__(self, args):
+                self.args = args
+
+            def __getattr__(self, key):
+                if key in SETTINGS:
+                    read.add((SETTINGS[key][0], key))
+                return getattr(self.args, key)
+
+        for name, (run, summary, flags) in list(COMMANDS.items()):
+            monkeypatch.setitem(COMMANDS, name, (
+                lambda args, out, run=run: run(Recording(args), out), summary, flags))
         for command in COMMANDS:
             q = ["--q", "1/999999"] if command == "infer" else []
             assert run_cli(command, *q)[0] == 0
-        assert read == {(section, key) for section, keys in cli.CONFIG_KEYS.items()
-                        for key in keys}
+        # the (section, key) pairs that a --config file may hold, tried one by one
+        accepted, cfg = set(), tmp_path / "run.cfg"
+        for key, (section, *_) in SETTINGS.items():
+            cfg.write_text(f"[{section}]\n{key} = 1\n")
+            try:
+                cli.read_config(str(cfg))
+            except namecluster.InputError:
+                continue
+            accepted.add((section, key))
+        assert read == accepted
 
     def test_broken_onomasticon_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "onom.tsv"
         bad.write_text("generic Broken female\n")
         code, _ = run_cli("analyze", "--onomasticon", str(bad))
         assert code == 2
+
+
+# a good value of each typed setting, one that changes the output, and a bad
+# value for each parser
+GOOD = {"n2": "1000", "bonus_divisor": "1", "unknown_son_factor": "2",
+        "require_yeshua_in_tomb": "on", "allow_father_yeshua": "on",
+        "count_unknown_sons": "off", "total_deceased": "50000", "tomb_size": "4",
+        "non_jewish_fraction": "1/10", "juvenile_fraction": "1/3",
+        "literacy_affluence_fraction": "1/5", "female_male_inscription_ratio": "1/3",
+        "q": "1/99999", "theta": "1/2", "alpha": "1/20"}
+BAD = {int: "1e3", parse_fraction: "1/0", parse_flag: "maybe"}
+# a command that reads each --config section
+READER = {"analysis": ["analyze"], "rules": ["analyze"], "demography": ["demography"],
+          "inference": ["infer", "--q", "1/99999"]}
+
+
+@pytest.mark.parametrize("key", [key for key, (_, _, parse, _) in SETTINGS.items()
+                                 if parse is not None])
+def test_every_typed_setting_reads_the_same_from_the_config_file(key, tmp_path, capsys):
+    section, _, parse, _ = SETTINGS[key]
+    argv = ["infer"] if key == "q" else READER[section]
+    flag, = (flag for flag, read in COMMANDS[argv[0]][2].items() if read == key)
+    cfg = tmp_path / "run.cfg"
+    # a bad value: exit 2 and the one line that the flag gives
+    cfg.write_text(f"[{section}]\n{key} = {BAD[parse]}\n")
+    assert run_cli("--config", str(cfg), *argv) == (2, "")
+    from_file = capsys.readouterr().err
+    assert run_cli(*argv, flag, BAD[parse]) == (2, "")
+    assert capsys.readouterr().err == from_file
+    assert len(from_file.splitlines()) == 1 and flag in from_file
+    # a good value: the output that the flag gives, which is not the default's
+    cfg.write_text(f"[{section}]\n{key} = {GOOD[key]}\n")
+    code, text = run_cli("--config", str(cfg), *argv)
+    assert (code, text) == run_cli(*argv, flag, GOOD[key])
+    assert code == 0 and text != run_cli(*argv)[1]
 
 
 def modules_loaded_by(*argv):

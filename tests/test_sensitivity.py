@@ -109,10 +109,6 @@ class TestBundledSuite:
             rel = abs(got - float(reference)) / float(reference)
             assert rel < 0.07, f"{name}: {rel:.3%}"
 
-    def test_adjusted_area_is_n2_times_proportion(self, reports):
-        for report in reports.values():
-            assert report.adjusted_area == 1100 * report.proportion
-
 
 class TestSharing:
     def test_suite_reports_equal_scenario_by_scenario_reports(
