@@ -1,5 +1,25 @@
+"""The program: ``python -m namecluster`` and the installed ``namecluster``
+script both call ``run``; ``cli.main`` is the in-process API."""
+
+import gc
 import sys
 
 from .cli import main
 
-sys.exit(main())
+
+def run():
+    """Run the CLI on ``sys.argv`` and exit with its code.
+
+    Every object still held when ``main`` returns is only freed by the
+    interpreter's exit. Frozen into the collector's permanent generation,
+    they give the shutdown collections nothing to walk, which saves several
+    milliseconds of CPU a run. atexit handlers, the final flush of stdout
+    and stderr, and the exit code stay Python's own.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

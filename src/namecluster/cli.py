@@ -4,7 +4,8 @@
 read against COMMANDS, the table of each command's flags: a flag's name
 matches exactly, the word after it is its value, verbatim, and ``--config``
 may also follow the command. Each setting in SETTINGS is resolved once: its
-flag, else its key in the INI-style ``--config`` file, else its default.
+flag, else its key in the INI-style ``--config`` file, else its default,
+checked against BOUNDS.
 Output is an aligned text table or JSON records of exact fractions with
 decimals, byte-deterministic for identical inputs. Exit codes: 0 success, 1
 computation contract violation (or a closed stdout), 2 input error; an error
@@ -32,8 +33,9 @@ SIG = 4  # default report precision for tail areas
 
 def read_config(path):
     """The parsed --config file, or None when none is given."""
-    if not path:
+    if path is None:
         return None
+    nonempty("config", path)
     import configparser
     # no interpolation: a '%' in a value is a character, not a reference
     parser = configparser.ConfigParser(interpolation=None)
@@ -55,22 +57,55 @@ EXPECTED = {int: "an integer", parse_fraction: "a fraction a/b or a decimal",
             parse_flag: "on/off, true/false, 1/0 or yes/no"}
 
 
+def flag_of(key) -> str:
+    """--key with - for _, but an input file's flag names its file."""
+    return {"source": "--onomasticon", "file": "--hypothesis"}.get(
+        key, f"--{key.replace('_', '-')}")
+
+
 def parse_value(key, raw, parse):
-    """``parse(raw)`` for setting ``key``; a bad value raises InputError."""
+    """``parse(raw)`` for setting ``key``; a bad value, or one outside the
+    setting's BOUNDS, raises InputError naming the flag and the word."""
     try:
-        return parse(raw)
+        value = parse(raw)
     except ValueError as exc:
-        message = f"--{key.replace('_', '-')} must be {EXPECTED[parse]}, got {raw!r}"
+        message = f"{flag_of(key)} must be {EXPECTED[parse]}, got {raw!r}"
         reason = " ".join(str(exc).split())
         if EXPECTED[parse] not in reason:  # the parser's reason adds something
             message += f" ({reason})"
         raise InputError(message) from None
+    if key in BOUNDS and not BOUNDS[key][1](value):
+        raise InputError(f"{flag_of(key)} must {BOUNDS[key][0]}, got {raw!r}")
+    return value
+
+
+def nonempty(key, path) -> None:
+    """An empty ``path`` of setting ``key`` raises InputError: it would read
+    as the current directory."""
+    if path == "":
+        raise InputError(f"{flag_of(key)} must name a file, got ''")
 
 
 DEMOGRAPHY_PARSERS = {
     "total_deceased": int, "tomb_size": int, "non_jewish_fraction": parse_fraction,
     "juvenile_fraction": parse_fraction, "literacy_affluence_fraction": parse_fraction,
     "female_male_inscription_ratio": parse_fraction}
+
+# key: (what its value must do, its test); RuleLedger, DemographyParams and
+# inference test the same ranges for library callers, naming fields, not flags
+AT_LEAST_ONE = ("be >= 1", lambda v: v >= 1)
+UNIT = ("lie in [0,1]", lambda v: 0 <= v <= 1)
+BOUNDS = {
+    "n2": ("be an integer >= 1", AT_LEAST_ONE[1]),
+    "bonus_divisor": AT_LEAST_ONE, "unknown_son_factor": AT_LEAST_ONE,
+    "total_deceased": ("be nonnegative", lambda v: v >= 0),
+    "tomb_size": ("be positive", lambda v: v > 0),
+    **dict.fromkeys(("non_jewish_fraction", "juvenile_fraction",
+                     "literacy_affluence_fraction", "female_male_inscription_ratio"), UNIT),
+    "q": ("be a tail area between 0 and 1", UNIT[1]),
+    "theta": ("lie in (0,1]", lambda v: 0 < v <= 1),
+    "alpha": ("lie in (0,1)", lambda v: 0 < v < 1),
+}
 
 # key: (--config section, default, value parser, help or None for EXPECTED);
 # a --config file may set any of them, so that one file serves all commands
@@ -90,6 +125,7 @@ SETTINGS = {
     "alpha": ("inference", (), parse_fraction, "confidence complement in (0, 1); repeatable"),
 }
 REPEATED = ("theta", "alpha")  # settings that collect every value given
+PATHS = ("source", "file", "suite")  # settings that name an input file
 
 
 def resolve(args, config) -> None:
@@ -101,6 +137,8 @@ def resolve(args, config) -> None:
         value = getattr(args, key)
         if value is None:  # with a config, args.config is set: "config" is not looked up
             value = default if config is None else config.get(section, key, fallback=default)
+        if key in PATHS:
+            nonempty(key, value)
         if key in REPEATED:
             words = [value] if isinstance(value, str) else value
             value = [(word, parse_value(key, word, parse)) for word in words]
@@ -124,14 +162,7 @@ def load_analysis_inputs(args):
     except TypeError as exc:
         raise InputError(f"bad observed record: {exc}") from exc
     rules = RuleLedger(**given(args, RULE_PARSERS))
-    return onom, name, descriptors, observed, rules, check_n2(args.n2)
-
-
-def check_n2(n2: int) -> int:
-    """The number of candidate tombs, which must be at least 1."""
-    if n2 < 1:
-        raise InputError(f"--n2 must be an integer >= 1, got {n2}")
-    return n2
+    return onom, name, descriptors, observed, rules, args.n2
 
 
 def scored_inputs(args):
@@ -262,12 +293,9 @@ def cmd_demography(args, out):
 def cmd_infer(args, out):
     from .inference import (adjusted_p, beta_of, odds_lower_bound, posterior_odds,
                             theta_lower_bound)
-    q = args.q
+    q, n2 = args.q, args.n2
     if q is None:
         raise InputError("infer requires --q")
-    if not 0 <= q <= 1:
-        raise InputError("--q must be a tail area between 0 and 1")
-    n2 = check_n2(args.n2)
     if (args.theta or args.alpha) and beta_of(q, n2) >= 1:
         raise InputError("(n2-1)*q must be below 1 for the bound formulas")
     rows = [("adjusted-p", adjusted_p(q, n2), SIG),
@@ -294,9 +322,8 @@ def cmd_validate_config(args, out):
 
 
 def flags(*keys) -> dict:
-    """{--flag: key}: --key with - for _, but an input file's flag names its file."""
-    files = {"source": "--onomasticon", "file": "--hypothesis"}
-    return {files.get(key, f"--{key.replace('_', '-')}"): key for key in keys}
+    """{--flag: key}, each flag as flag_of names it."""
+    return {flag_of(key): key for key in keys}
 
 
 ANALYSIS = ("config", "format", "source", "file", "n2", *RULE_PARSERS)
@@ -390,6 +417,3 @@ def main(argv=None, out=None) -> int:
     finally:
         warnings.formatwarning = formatwarning
 
-
-if __name__ == "__main__":
-    sys.exit(main())

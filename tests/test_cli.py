@@ -1,5 +1,6 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
+import gc
 import importlib
 import io
 import json
@@ -121,12 +122,13 @@ class TestAnalyze:
     def test_q_at_its_bounds_is_accepted(self, q):
         assert run_cli("infer", "--q", q, "--n2", "1")[0] == 0
 
-    @pytest.mark.parametrize("alpha", [["--alpha", "2"], ["--alpha=0"]])
-    def test_alpha_outside_0_1_exits_2(self, alpha, capsys):
+    @pytest.mark.parametrize("alpha, word", [(["--alpha", "2"], "2"),
+                                             (["--alpha=0"], "0")])
+    def test_alpha_outside_0_1_exits_2(self, alpha, word, capsys):
         # a bound for alpha = 2 read 2.011: a probability above 1
         assert run_cli("infer", "--q", "1/100000", *alpha) == (2, "")
         assert capsys.readouterr().err.splitlines() == [
-            "error: alpha must lie in (0,1)"]
+            f"error: --alpha must lie in (0,1), got '{word}'"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,7 +163,7 @@ class TestFlagReader:
     def test_the_word_after_a_flag_is_its_value_verbatim(self, capsys):
         assert run_cli("demography", "--juvenile-fraction", "-1/2") == (2, "")
         assert capsys.readouterr().err.splitlines() == [
-            "error: juvenile_fraction outside [0,1]"]
+            "error: --juvenile-fraction must lie in [0,1], got '-1/2'"]
         code, text = run_cli("analyze", "--hypothesis", "--help")
         assert (code, text) == (2, "")
         assert capsys.readouterr().err.startswith("error: --help: ")
@@ -495,12 +497,16 @@ class TestFiguresBeyondTheFloatRange:
             "deceased-per-gender"] == "5e+399"
 
 
+def run_python(*args):
+    """``python args`` in a fresh interpreter that imports this checkout's src."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
 def run_process(*argv):
     """``python -m namecluster argv`` in a fresh interpreter."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "namecluster", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return run_python("-m", "namecluster", *argv)
 
 
 @pytest.mark.parametrize("argv, warning", [
@@ -570,6 +576,43 @@ def test_a_closed_stdout_ends_without_a_word_on_stderr(tmp_path):
         run.stdout.close()
         assert run.wait(timeout=120) == 1
         assert run.stderr.read() == b""
+
+
+class TestExitPath:
+    """``python -m namecluster`` and the installed script run __main__.run:
+    main, then gc.freeze, then Python's own exit."""
+
+    SCRIPT = ("import atexit, runpy, sys\n"
+              "atexit.register(print, 'atexit ran')\n"
+              "sys.argv = ['namecluster', *{argv!r}]\n"
+              "runpy.run_module('namecluster', run_name='__main__', alter_sys=True)\n")
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["analyze"], 0, ""),
+        (["analyze", "--bogus", "1"], 2, "error: unknown flag '--bogus' for analyze\n")])
+    def test_an_atexit_handler_runs_and_the_exit_code_is_mains(self, argv, code, err):
+        run = run_python("-c", self.SCRIPT.format(argv=argv))
+        out = io.StringIO()
+        assert run.returncode == code == main(argv, out=out)
+        assert run.stdout == out.getvalue() + "atexit ran\n"
+        assert run.stderr == err
+
+    def test_main_in_process_leaves_the_collector_as_it_was(self):
+        enabled = gc.isenabled()
+        assert run_cli("analyze")[0] == 0
+        assert main(["analyze", "--bogus", "1"], out=io.StringIO()) == 2
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() == enabled
+
+    def test_importing_the_entry_runs_nothing(self):
+        run = run_python("-c", "import namecluster.__main__")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+
+    def test_the_installed_script_calls_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["scripts"]["namecluster"] == "namecluster.__main__:run"
 
 
 class TestMalformedInputFiles:
@@ -768,6 +811,10 @@ class TestValidateConfig:
         assert text.startswith("ok:")
         assert "42 scenarios" in text
 
+    def test_without_a_suite_no_suite_is_checked(self):
+        assert run_cli("validate-config") == (
+            0, "ok: hypothesis 'baseline' with 5 women / 5 men categories\n")
+
     def test_config_file_sections_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[rules]\nbonus_divisor = 1\n[output]\nformat = table\n")
@@ -898,6 +945,50 @@ def test_every_typed_setting_reads_the_same_from_the_config_file(key, tmp_path, 
     code, text = run_cli("--config", str(cfg), *argv)
     assert (code, text) == run_cli(*argv, flag, GOOD[key])
     assert code == 0 and text != run_cli(*argv)[1]
+
+
+@pytest.mark.parametrize("argv, flag, word, must", [
+    (["analyze"], "--bonus-divisor", "1/2", "be >= 1"),
+    (["analyze"], "--unknown-son-factor", "0", "be >= 1"),
+    (["analyze"], "--n2", "0", "be an integer >= 1"),
+    (["infer"], "--q", "2", "be a tail area between 0 and 1"),
+    (["infer", "--q", "1/99999"], "--theta", "0", "lie in (0,1]"),
+    (["infer", "--q", "1/99999"], "--alpha", "2", "lie in (0,1)"),
+    (["demography"], "--juvenile-fraction", "2", "lie in [0,1]"),
+    (["demography"], "--tomb-size", "0", "be positive"),
+    (["demography"], "--total-deceased", "-1", "be nonnegative")])
+def test_a_range_error_names_the_flag_and_the_word(argv, flag, word, must, tmp_path,
+                                                   capsys):
+    line = [f"error: {flag} must {must}, got {word!r}"]
+    assert run_cli(*argv, flag, word) == (2, "")
+    assert capsys.readouterr().err.splitlines() == line
+    key = COMMANDS[argv[0]][2][flag]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{SETTINGS[key][0]}]\n{key} = {word}\n")
+    assert run_cli("--config", str(cfg), *argv) == (2, "")
+    assert capsys.readouterr().err.splitlines() == line
+
+
+@pytest.mark.parametrize("command, flag, section, key", [
+    ("analyze", "--onomasticon", "onomasticon", "source"),
+    ("analyze", "--hypothesis", "hypothesis", "file"),
+    ("sweep", "--suite", "sweep", "suite"),
+    ("validate-config", "--suite", "sweep", "suite"),
+    ("analyze", "--config", None, None)])
+def test_an_empty_path_exits_2_naming_its_flag(command, flag, section, key, tmp_path,
+                                               capsys):
+    # an empty path would read as the current directory
+    runs = [[command, flag, ""], [command, f"{flag}="]]
+    if section is None:
+        runs.append([flag, "", command])
+    else:  # the same line from the --config file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{key} =\n")
+        runs.append(["--config", str(cfg), command])
+    for argv in runs:
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag} must name a file, got ''"]
 
 
 def modules_loaded_by(*argv):
