@@ -10,6 +10,9 @@ Output is an aligned text table or JSON records of exact fractions with
 decimals, byte-deterministic for identical inputs. Exit codes: 0 success, 1
 computation contract violation (or a closed stdout), 2 input error; an error
 is one ``error: ...`` line on stderr.
+
+Of the commands only analyze is here: the others and the help screen are in
+commands.py, which only they load, so an analyze start compiles none of it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
-# sensitivity, demography and inference are imported by the commands that run
-# them, so that a CLI start loads only what its subcommand needs
 from .candidates import build_spec, load_hypothesis_config
 from .onomasticon import InputError, format_decimal, format_fraction, \
     load_onomasticon, parse_flag, parse_fraction, source_path
@@ -245,99 +246,33 @@ def cmd_analyze(args, out):
     return 0
 
 
-def cmd_sweep(args, out):
-    from .sensitivity import load_suite, run_suite
-    onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(args)
-    suite = load_suite("bundled" if args.suite is None else args.suite)
-    reports = run_suite(onom, descriptors, rules, observed, suite, n2=n2)
-    above = sum(not r.error and r.adjusted_area > 1 for r in reports)
-    if above:  # one line for the run, however many scenarios exceed 1
-        warnings.warn(f"n2*q exceeds 1 in {above} of {len(reports)} scenarios; "
-                      "adjusted is the unclamped n2*q")
-    if args.format == "records":
-        for r in reports:
-            record = {"scenario": r.name}
-            if r.error:
-                record["error"] = r.error
-            else:
-                record["adjusted"] = format_decimal(r.adjusted_area, SIG)
-                record["adjusted_fraction"] = format_fraction(r.adjusted_area)
-                record["observed_rr_fraction"] = format_fraction(r.observed_rr)
-                record["reference"] = r.reference
-                record["match"] = r.matches_reference
-            out.write(record_line(record))
-    else:
-        width = max(len(r.name) for r in reports) if reports else 8
-        out.write(f"{'scenario'.ljust(width)}  {'adjusted':>10}  {'reference':>10}  match\n")
-        for r in reports:
-            if r.error:
-                out.write(f"{r.name.ljust(width)}  error: {r.error}\n")
-                continue
-            ref = r.reference if r.reference is not None else "-"
-            match = {True: "yes", False: "NO", None: "-"}[r.matches_reference]
-            out.write(f"{r.name.ljust(width)}  {format_decimal(r.adjusted_area, SIG):>10}"
-                      f"  {ref:>10}  {match}\n")
-    return 0
-
-
-def cmd_demography(args, out):
-    from .demography import DemographyParams, run_pipeline
-    result = run_pipeline(DemographyParams(**given(args, DEMOGRAPHY_PARSERS)))
-    # the reported figures, in the result's field order; not the raw values
-    rows = [(name.replace("_", "-"), Fraction(value), 6)
-            for name, value in result._asdict().items() if not name.endswith("_raw")]
-    emit(rows, args.format, out)
-    return 0
-
-
-def cmd_infer(args, out):
-    from .inference import (adjusted_p, beta_of, odds_lower_bound, posterior_odds,
-                            theta_lower_bound)
-    q, n2 = args.q, args.n2
-    if q is None:
-        raise InputError("infer requires --q")
-    if (args.theta or args.alpha) and beta_of(q, n2) >= 1:
-        raise InputError("(n2-1)*q must be below 1 for the bound formulas")
-    rows = [("adjusted-p", adjusted_p(q, n2), SIG),
-            ("beta", beta_of(q, n2), SIG)]
-    for word, theta in args.theta:
-        rows.append((f"odds[theta={word}]", posterior_odds(theta, n2, q), SIG))
-    for word, alpha in args.alpha:
-        rows.append((f"theta-bound[alpha={word}]",
-                     theta_lower_bound(alpha, n2, q), SIG))
-        rows.append((f"odds-bound[alpha={word}]",
-                     odds_lower_bound(alpha, n2, q), SIG))
-    emit(rows, args.format, out)
-    return 0
-
-
-def cmd_validate_config(args, out):
-    from .sensitivity import load_suite
-    name, spec, *_ = scored_inputs(args)
-    n_scenarios = len(load_suite(args.suite)) if args.suite else 0
-    suite = f"; suite of {n_scenarios} scenarios" if n_scenarios else ""
-    out.write(f"ok: hypothesis '{name}' with {len(spec.women)} women / "
-              f"{len(spec.men)} men categories{suite}\n")
-    return 0
-
-
 def flags(*keys) -> dict:
     """{--flag: key}, each flag as flag_of names it."""
     return {flag_of(key): key for key in keys}
 
 
-ANALYSIS = ("config", "format", "source", "file", "n2", *RULE_PARSERS)
+def deferred(name):
+    """A function that runs ``commands.<name>``, importing commands.py first."""
+    def run(args, out):
+        from . import commands
+        return getattr(commands, name)(args, out)
+    return run
+
+
+ANALYSIS = ("source", "file", "n2", *RULE_PARSERS)  # the inputs of an analysis
 
 # command: (function, summary, {flag: the key of its setting})
 COMMANDS = {
-    "analyze": (cmd_analyze, "headline figures for the baseline", flags(*ANALYSIS)),
-    "sweep": (cmd_sweep, "run the sensitivity scenario suite", flags(*ANALYSIS, "suite")),
-    "demography": (cmd_demography, "population pipeline",
+    "analyze": (cmd_analyze, "headline figures for the baseline",
+                flags("config", "format", *ANALYSIS)),
+    "sweep": (deferred("cmd_sweep"), "run the sensitivity scenario suite",
+              flags("config", "format", *ANALYSIS, "suite")),
+    "demography": (deferred("cmd_demography"), "population pipeline",
                    flags("config", "format", *DEMOGRAPHY_PARSERS)),
-    "infer": (cmd_infer, "p-value, odds and confidence bounds",
+    "infer": (deferred("cmd_infer"), "p-value, odds and confidence bounds",
               flags("config", "format", "q", "n2", *REPEATED)),
-    "validate-config": (cmd_validate_config, "parse and check all inputs",
-                        flags(*ANALYSIS, "suite")),
+    "validate-config": (deferred("cmd_validate_config"), "parse and check all inputs",
+                        flags("config", *ANALYSIS, "suite")),
 }
 
 
@@ -372,19 +307,6 @@ def parse_args(argv) -> SimpleNamespace:
     return args
 
 
-def help_text(command) -> str:
-    """The command list, or ``command``'s flags, as COMMANDS gives them."""
-    if command is None:
-        head = "usage: namecluster [--config PATH] COMMAND [--flag VALUE]...\ncommands:"
-        rows = {name: summary for name, (_, summary, _) in COMMANDS.items()}
-    else:
-        head = f"usage: namecluster {command} [--flag VALUE]...\n{COMMANDS[command][1]}:"
-        rows = {f"{flag} VALUE": SETTINGS[key][3] or EXPECTED[SETTINGS[key][2]]
-                for flag, key in COMMANDS[command][2].items()}
-    width = max(map(len, rows))
-    return "\n".join([head] + [f"  {k.ljust(width)}  {v}" for k, v in rows.items()]) + "\n"
-
-
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     # a warning is one stderr line, without its source
@@ -393,10 +315,12 @@ def main(argv=None, out=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args.help:
+            from .commands import help_text
             out.write(help_text(args.command))
             return 0
         resolve(args, read_config(args.config))
-        if args.format not in ("table", "records"):
+        # validate-config writes one text line: it takes no --format
+        if getattr(args, "format", "table") not in ("table", "records"):
             raise InputError(f"--format must be table or records, got {args.format!r}")
         code = COMMANDS[args.command][0](args, out)
         out.flush()  # a closed stdout fails here, not in the interpreter's last flush

@@ -153,8 +153,12 @@ class TestFlagReader:
         (["analyze", "--n", "5"], "'--n'"),  # no prefix matching: not --n2
         (["--format", "records", "analyze"], "'--format'"),
         (["infer", "--q", "1/9", "--suite", "bundled"], "'--suite'"),
+        # validate-config writes one text line, never records
+        (["validate-config", "--format", "records"],
+         "unknown flag '--format' for validate-config"),
     ], ids=["unknown-flag", "unknown-command", "no-command", "flag-without-value",
-            "stray-word", "flag-prefix", "flag-before-command", "other-command-flag"])
+            "stray-word", "flag-prefix", "flag-before-command", "other-command-flag",
+            "format-for-validate-config"])
     def test_bad_word_exits_2_with_one_line_naming_it(self, argv, word, capsys):
         assert run_cli(*argv) == (2, "")
         err = capsys.readouterr().err.splitlines()
@@ -203,11 +207,12 @@ class TestFlagReader:
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_help_lists_its_flags(self, command):
-        code, text = run_cli(command, "--format", "records", "-h", "--bogus")
+        code, text = run_cli(command, "--config", "run.cfg", "-h", "--bogus")
         assert code == 0
         listed = [line.split()[0] for line in text.splitlines()[2:]]
         assert listed == list(COMMANDS[command][2])
-        assert {"--config", "--format"} <= set(listed)
+        assert "--config" in listed
+        assert ("--format" in listed) == (command != "validate-config")
         assert ("--n2" in listed) == (command != "demography")
 
     def test_unreadable_config_or_path_exits_2(self, tmp_path, capsys):
@@ -293,7 +298,6 @@ HELP = {
         "usage: namecluster validate-config [--flag VALUE]...\n"
         "parse and check all inputs:\n"
         "  --config VALUE                  INI config file; flags override it\n"
-        "  --format VALUE                  table or records\n"
         "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
         "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
         "  --n2 VALUE                      number of candidate tombs\n"
@@ -815,6 +819,13 @@ class TestValidateConfig:
         assert run_cli("validate-config") == (
             0, "ok: hypothesis 'baseline' with 5 women / 5 men categories\n")
 
+    def test_an_empty_suite_is_named(self, tmp_path):
+        suite = tmp_path / "empty.cfg"
+        suite.write_text("# no scenario\n")
+        assert run_cli("validate-config", "--suite", str(suite)) == (
+            0, "ok: hypothesis 'baseline' with 5 women / 5 men categories"
+               "; suite of 0 scenarios\n")
+
     def test_config_file_sections_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[rules]\nbonus_divisor = 1\n[output]\nformat = table\n")
@@ -1007,8 +1018,8 @@ def modules_loaded_by(*argv):
 
 class TestImports:
     UNUSED_BY_ANALYZE = {"namecluster.sensitivity", "namecluster.demography",
-                         "namecluster.inference", "configparser", "argparse",
-                         "gettext", "locale"}
+                         "namecluster.inference", "namecluster.commands",
+                         "configparser", "argparse", "gettext", "locale"}
 
     def test_analyze_loads_only_what_it_runs(self):
         loaded = modules_loaded_by("analyze", "--format", "records")
@@ -1027,6 +1038,14 @@ class TestImports:
 
     def test_sweep_loads_sensitivity(self):
         assert "namecluster.sensitivity" in modules_loaded_by("sweep")
+
+    @pytest.mark.parametrize("argv", [["sweep"], ["validate-config"], ["demography"],
+                                      ["infer", "--q", "1/9999"], ["--help"]],
+                             ids=["sweep", "validate-config", "demography", "infer",
+                                  "help"])
+    def test_every_other_command_and_the_help_load_commands(self, argv):
+        # analyze alone runs without compiling the other commands' code
+        assert "namecluster.commands" in modules_loaded_by(*argv)
 
     @pytest.mark.parametrize("argv", [["analyze"], ["sweep"], ["demography"],
                                       ["validate-config", "--suite", "bundled"]])
