@@ -6,6 +6,11 @@ the complement. Sampling weights come from the onomasticon (slice estimator,
 full generic, or residual-of-generic); RR values follow the rarest-class
 rule: a slice candidate scores at its slice frequency, a residual-of-generic
 category scores at the full generic frequency, and Other scores 1.
+``build_categories`` reads each candidate's table frequency once and derives
+from it both the weight and the RR; a residual's weight is that frequency less
+its generic's slice weights. A generic is taken whole once, or split into
+slices plus at most one residual: two candidates that would draw the same
+table persons are rejected.
 """
 
 from __future__ import annotations
@@ -109,40 +114,68 @@ def _frequency(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
         raise InputError(f"candidate {desc.person}: {exc}") from exc
 
 
-def assign_rr(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
+def assign_rr(onom: Onomasticon, desc: CandidateDescriptor,
+              frequency: Optional[Fraction] = None) -> Fraction:
     """RR value of a candidate: its rarest resolvable class frequency.
 
     Slice candidates score at the slice frequency, generic candidates at the
     generic frequency, and residual candidates at the *full* generic
     frequency (a residual rendition is common and carries reduced evidentiary
-    value). Explicit overrides win; ``scale`` applies afterwards.
+    value). Explicit overrides win; ``scale`` applies afterwards. A caller
+    that has read the candidate's table frequency passes it as ``frequency``.
     """
-    return (_frequency(onom, desc) if desc.rr is None else desc.rr) * desc.scale
+    rr = desc.rr
+    if rr is None:
+        rr = _frequency(onom, desc) if frequency is None else frequency
+    return rr * desc.scale
 
 
-def _weight(onom: Onomasticon, desc: CandidateDescriptor,
-            siblings: Sequence[CandidateDescriptor]) -> Fraction:
-    """The override, else the frequency less, for a residual, its slices' weights."""
-    if desc.weight is not None:
-        return desc.weight * desc.scale
-    weight = _frequency(onom, desc)
-    if desc.rendition_class == "residual":
-        weight -= sum((_weight(onom, sib, siblings) for sib in siblings
-                       if sib.generic == desc.generic
-                       and sib.rendition_class not in ("generic", "residual")))
-        if weight < 0:
-            raise InputError(
-                f"candidate {desc.person}: negative residual of {desc.generic}")
-    return weight * desc.scale
+def _check_overlaps(candidates: Sequence[CandidateDescriptor]) -> None:
+    """Reject two candidates that draw the same table persons.
+
+    A generic is taken whole once, or split into slices plus at most one
+    residual. A candidate with an explicit weight draws no table persons; two
+    candidates of one label are left to the duplicate-label check.
+    """
+    drawn: dict[str, list[CandidateDescriptor]] = {}
+    for desc in candidates:
+        if desc.weight is not None:
+            continue
+        for prior in drawn.setdefault(desc.generic, []):
+            classes = (prior.rendition_class, desc.rendition_class)
+            if ((classes[0] == classes[1] or "generic" in classes)
+                    and prior.resolved_label() != desc.resolved_label()):
+                raise InputError(f"candidates {prior.person} and {desc.person}: "
+                                 f"both draw persons of {desc.generic}")
+        drawn[desc.generic].append(desc)
 
 
 def build_categories(onom: Onomasticon, gender: str,
                      candidates: Sequence[CandidateDescriptor]) -> tuple[Category, ...]:
-    """One gender's categories: its candidates in order, then Other."""
+    """One gender's categories: its candidates in order, then Other.
+
+    Each candidate's table frequency is read once; it gives the candidate's
+    weight (an override aside) and its RR. A residual weighs its generic's
+    frequency less the weights of the generic's slices, before its scale.
+    """
+    _check_overlaps(candidates)
+    frequencies = [None if d.weight is not None and d.rr is not None
+                   else _frequency(onom, d) for d in candidates]
+    weights = [freq if desc.weight is None else desc.weight
+               for desc, freq in zip(candidates, frequencies)]  # before scale
+    sliced: dict[str, Fraction] = {}
+    for desc, weight in zip(candidates, weights):
+        if desc.rendition_class not in ("generic", "residual"):
+            sliced[desc.generic] = sliced.get(desc.generic, 0) + weight * desc.scale
     out: list[Category] = []
-    for desc in candidates:
+    for desc, freq, weight in zip(candidates, frequencies, weights):
         label = desc.resolved_label()
-        weight, rr = _weight(onom, desc, candidates), assign_rr(onom, desc)
+        if desc.weight is None and desc.rendition_class == "residual":
+            weight -= sliced.get(desc.generic, 0)
+            if weight < 0:
+                raise InputError(
+                    f"candidate {desc.person}: negative residual of {desc.generic}")
+        weight, rr = weight * desc.scale, assign_rr(onom, desc, freq)
         if desc.rendition_class == "residual" and rr < weight:
             raise InputError(
                 f"category {label}: residual weight exceeds the generic rr")

@@ -44,9 +44,15 @@ The enumeration stays exact without a Fraction per tuple, pair or triple:
   With observed = on/od and women RR values wn_i/wd_i, t is the int
   on * D * wd_i * wd_j // (od * wn_i * wn_j), and for positive ints
   b * F <= t holds exactly when b <= t // F: no comparison needs an
-  epsilon. ``enumerate_tail`` sums the women-pair mass per distinct t and
-  meets it, per class, with the prefix sum of the bases <= t // F, found by
-  bisection. The sum of those products becomes one Fraction at the end.
+  epsilon. ``enumerate_tail`` reads each woman's scaled weight, RR
+  numerator and RR denominator once, and builds the women's collision table
+  once with ``collides``, as ``male_table`` does for the men, so the pair
+  loop touches only ints. Like the male walk, it visits unordered pairs
+  (i <= j) and counts a pair of two different categories twice, since t,
+  the pair mass and ``collides`` are symmetric in the two women. It sums
+  the women-pair mass per distinct t and meets it, per class, with the
+  prefix sum of the bases <= t // F, found by bisection. The sum of those
+  products becomes one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -168,33 +174,41 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
     """Total, valid, and tail mass of the sample space against ``observed``.
 
     ``memo`` maps (men, the three ledger switches) to the male table walked
-    for them; a table found there is not walked again.
+    for them; a table found there is not walked again. The men enter the key
+    as their labels and the ints of their weights and RR values, which hash
+    far faster than the Fractions; equal men give equal ints, as a Fraction
+    is kept in lowest terms.
     """
     if observed <= 0:
         raise ValueError("observed RR must be positive")
     memo = {} if memo is None else memo
-    key = (spec.men, rules.require_yeshua_in_tomb, rules.allow_father_yeshua,
+    key = (tuple((c.label, c.weight.numerator, c.weight.denominator,
+                  c.rr.numerator, c.rr.denominator) for c in spec.men),
+           rules.require_yeshua_in_tomb, rules.allow_father_yeshua,
            rules.count_unknown_sons)
-    table = memo.get(key)  # one lookup: the men hash through their Fractions
+    table = memo.get(key)
     if table is None:
         table = memo[key] = male_table(spec.men, rules)
     un, ud = rules.unknown_son_factor.numerator, rules.unknown_son_factor.denominator
     bn, bd = rules.bonus_divisor.numerator, rules.bonus_divisor.denominator
     women = spec.women
     wd, wcount = _scaled([c.weight for c in women])
+    rr_num = [c.rr.numerator for c in women]
+    rr_den = [c.rr.denominator for c in women]
+    clash = [[collides(a, b) for b in women] for a in women]
 
     # women pairs: mass per distinct threshold floor(observed * D / w)
-    top = observed.numerator * table.r ** 4 * ud * bn
+    top, od = observed.numerator * table.r ** 4 * ud * bn, observed.denominator
     valid_w = 0
     by_threshold: dict[int, int] = {}
-    for i, w1 in enumerate(women):
-        for j, w2 in enumerate(women):
-            if collides(w1, w2):
+    for i, clash_i in enumerate(clash):
+        top_i, od_i, count_i = top * rr_den[i], od * rr_num[i], wcount[i]
+        for j in range(i, len(women)):
+            if clash_i[j]:
                 continue
-            mass = wcount[i] * wcount[j]
+            mass = count_i * wcount[j] * (1 if i == j else 2)
             valid_w += mass
-            t = (top * w1.rr.denominator * w2.rr.denominator
-                 // (observed.denominator * w1.rr.numerator * w2.rr.numerator))
+            t = top_i * rr_den[j] // (od_i * rr_num[j])
             by_threshold[t] = by_threshold.get(t, 0) + mass
 
     # per class: each women threshold t meets the mass of the bases <= t // factor

@@ -158,6 +158,36 @@ class TestSpecEdits:
         assert spec.category("female", "Woman1").weight == Fraction(1, 317)
         assert sum(c.weight for c in spec.women) == 1
 
+    @pytest.mark.parametrize("first, second", [
+        pytest.param(CandidateDescriptor("a", "male", "Joseph", "generic", label="J1"),
+                     CandidateDescriptor("b", "male", "Joseph", "generic", label="J2"),
+                     id="generic-twice"),
+        pytest.param(CandidateDescriptor("a", "male", "Joseph", "generic", label="J"),
+                     CandidateDescriptor("b", "male", "Joseph", "Yoseh"),
+                     id="generic-and-slice"),
+        pytest.param(CandidateDescriptor("a", "male", "Joseph", "residual", label="Yosef"),
+                     CandidateDescriptor("b", "male", "Joseph", "generic", label="J"),
+                     id="residual-and-generic"),
+        pytest.param(CandidateDescriptor("a", "female", "Mariam", "MM"),
+                     CandidateDescriptor("b", "female", "Mariam", "MM", label="MM2"),
+                     id="slice-under-two-labels"),
+        pytest.param(CandidateDescriptor("a", "male", "Joseph", "residual", label="R1"),
+                     CandidateDescriptor("b", "male", "Joseph", "residual", label="R2"),
+                     id="two-residuals")])
+    def test_candidates_drawing_the_same_persons_rejected(self, onom, first, second):
+        # each would count the generic's persons twice
+        with pytest.raises(InputError, match=(
+                f"^candidates a and b: both draw persons of {first.generic}$")):
+            build_spec(onom, (first, second))
+
+    def test_an_explicit_weight_draws_no_table_persons(self, onom):
+        spec = build_spec(onom, (
+            CandidateDescriptor("a", "male", "Joseph", "generic", label="J1"),
+            CandidateDescriptor("b", "male", "Joseph", "generic", label="J2",
+                                weight=Fraction(1, 2509))))
+        assert [c.weight for c in spec.men] == [
+            Fraction(221, 2509), Fraction(1, 2509), Fraction(2287, 2509)]
+
     @given(addons=st.sets(st.sampled_from(sorted(ADDONS))),
            mm_scale=st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2))))
     def test_weights_always_sum_to_one(self, addons, mm_scale):

@@ -14,7 +14,8 @@ import pytest
 
 import namecluster as nc
 from namecluster import candidates, sensitivity, tailspace
-from namecluster.candidates import build_categories, parse_hypothesis_config
+from namecluster.candidates import (_frequency, build_categories,
+                                    parse_hypothesis_config)
 from namecluster.onomasticon import InputError
 from namecluster.scoring import score
 from namecluster.sensitivity import (Delta, Scenario, apply_deltas,
@@ -142,6 +143,23 @@ class TestSharing:
         assert len(specs) == len(suite) == 42
         assert len(set(specs)) == len(distinct) == 24
 
+    def test_each_candidate_frequency_is_read_once(
+            self, onom, rules, suite, monkeypatch):
+        # one table read per candidate of each list built gives its weight,
+        # its RR and its share of a residual's slices
+        reads = []
+
+        def counting_frequency(onom, desc):
+            reads.append(desc)
+            return _frequency(onom, desc)
+
+        monkeypatch.setattr(candidates, "_frequency", counting_frequency)
+        nc.build_spec(onom, DESCRIPTORS)
+        assert len(reads) == len(DESCRIPTORS) == 8
+        reads.clear()
+        run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
+        assert len(reads) == 80
+
     def test_cached_male_tables_give_the_results_of_fresh_ones(
             self, onom, rules, suite, reports, monkeypatch):
         # one walk per distinct male categories and set of ledger switches
@@ -257,6 +275,15 @@ class TestScenarioSemantics:
             Delta(verb="add", descriptor=ADDONS["joanna"])))
         report = run_suite(onom, DESCRIPTORS, rules, TOMB, [twice])[0]
         assert "already present" in report.error
+
+    def test_an_addition_drawing_taken_persons_errors_that_row_only(
+            self, onom, rules):
+        reports = run_suite(onom, DESCRIPTORS, rules, TOMB, parse_suite(
+            "scenario over\nadd x male Joseph generic label=J2\n\nscenario ok\n"))
+        assert reports[0].error == (
+            "candidates joseph_father and x: both draw persons of Joseph")
+        assert reports[0].adjusted_area is None
+        assert reports[1].error is None
 
 
 class TestSuiteParsing:
