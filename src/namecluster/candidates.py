@@ -15,10 +15,11 @@ table persons are rejected.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, checked,
                           load_source, parse_fraction, parse_options,
@@ -28,12 +29,11 @@ OTHER = "Other"
 
 
 @checked
-class Category(NamedTuple):
+class Category(namedtuple("Category", "label weight rr")):
     """One sampling category: a label, a weight, and an RR value."""
 
-    label: str
-    weight: Fraction
-    rr: Fraction
+    __slots__ = ()
+    # label: str; weight, rr: Fraction
 
     def check(self):
         if not 0 <= self.weight <= 1:
@@ -42,7 +42,9 @@ class Category(NamedTuple):
             raise InputError(f"category {self.label}: rr outside (0,1]")
 
 
-class CandidateDescriptor(NamedTuple):
+class CandidateDescriptor(namedtuple(
+        "CandidateDescriptor", "person gender generic rendition_class label weight rr scale",
+        defaults=("", "generic", None, None, None, Fraction(1)))):
     """How one a priori person maps onto the onomasticon.
 
     ``rendition_class`` is a slice label, "generic", or "residual" (the
@@ -52,14 +54,9 @@ class CandidateDescriptor(NamedTuple):
     otherwise to Other.
     """
 
-    person: str
-    gender: str
-    generic: str = ""
-    rendition_class: str = "generic"
-    label: Optional[str] = None
-    weight: Optional[Fraction] = None
-    rr: Optional[Fraction] = None
-    scale: Fraction = Fraction(1)
+    __slots__ = ()
+    # person, gender, generic, rendition_class: str; label: str or None;
+    # weight, rr: Fraction or None; scale: Fraction
 
     def resolved_label(self) -> str:
         if self.label:
@@ -70,13 +67,11 @@ class CandidateDescriptor(NamedTuple):
 
 
 @checked
-class HypothesisSpec(NamedTuple):
+class HypothesisSpec(namedtuple("HypothesisSpec", "women men female_total male_total")):
     """Ordered categories per gender; weights sum to exactly 1 per gender."""
 
-    women: tuple[Category, ...]
-    men: tuple[Category, ...]
-    female_total: int
-    male_total: int
+    __slots__ = ()
+    # women, men: tuple[Category, ...]; female_total, male_total: int
 
     def check(self):
         for gender, cats in ((FEMALE, self.women), (MALE, self.men)):

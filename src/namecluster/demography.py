@@ -10,8 +10,8 @@ raw exact values are always carried alongside.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .onomasticon import InputError, checked
 
@@ -27,13 +27,13 @@ def round_to(value: Fraction, unit: int) -> int:
 
 
 @checked
-class DemographyParams(NamedTuple):
-    total_deceased: int = 132_200
-    non_jewish_fraction: Fraction = Fraction(5, 100)
-    juvenile_fraction: Fraction = Fraction(42, 100)
-    literacy_affluence_fraction: Fraction = Fraction(12, 100)
-    female_male_inscription_ratio: Fraction = Fraction(1, 2)
-    tomb_size: int = 6
+class DemographyParams(namedtuple(
+        "DemographyParams", "total_deceased non_jewish_fraction juvenile_fraction "
+        "literacy_affluence_fraction female_male_inscription_ratio tomb_size",
+        defaults=(132_200, Fraction(5, 100), Fraction(42, 100), Fraction(12, 100),
+                  Fraction(1, 2), 6))):
+    __slots__ = ()
+    # total_deceased, tomb_size: int; the four fractions: Fraction
 
     def check(self):
         for name in ("non_jewish_fraction", "juvenile_fraction",
@@ -45,16 +45,18 @@ class DemographyParams(NamedTuple):
             raise InputError("counts must be nonnegative, tomb_size positive")
 
 
-class DemographyResult(NamedTuple):
-    deceased_per_gender: Fraction
-    adult_jewish_per_gender_raw: Fraction
-    adult_jewish_per_gender: int      # reported, rounded to tens
-    inscribed_males: int              # n-males, rounded to tens
-    inscribed_females: Fraction
-    trials_raw: Fraction
-    trials: int                       # n2, rounded to hundreds
-    excavated: int                    # n1, informational
-    full_population_tombs: int       # n3, informational
+class DemographyResult(namedtuple(
+        "DemographyResult", "deceased_per_gender adult_jewish_per_gender_raw "
+        "adult_jewish_per_gender inscribed_males inscribed_females trials_raw trials "
+        "excavated full_population_tombs")):
+    __slots__ = ()
+    # deceased_per_gender, adult_jewish_per_gender_raw: Fraction
+    # adult_jewish_per_gender: int, reported, rounded to tens
+    # inscribed_males: int, n-males, rounded to tens
+    # inscribed_females, trials_raw: Fraction
+    # trials: int, n2, rounded to hundreds
+    # excavated: int, n1, informational
+    # full_population_tombs: int, n3, informational
 
 
 def run_pipeline(params: DemographyParams = DemographyParams()) -> DemographyResult:

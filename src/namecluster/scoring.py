@@ -57,8 +57,8 @@ values.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .candidates import OTHER, Category, HypothesisSpec
 from .onomasticon import InputError, checked, parse_flag, parse_fraction
@@ -76,14 +76,15 @@ class ContractViolation(ValueError):
 
 
 @checked
-class RuleLedger(NamedTuple):
+class RuleLedger(namedtuple(
+        "RuleLedger", "bonus_divisor unknown_son_factor require_yeshua_in_tomb "
+        "allow_father_yeshua count_unknown_sons",
+        defaults=(Fraction(6, 5), Fraction(5), False, False, True))):
     """Numeric parameters and toggles of the configurational adjustments."""
 
-    bonus_divisor: Fraction = Fraction(6, 5)
-    unknown_son_factor: Fraction = Fraction(5)
-    require_yeshua_in_tomb: bool = False
-    allow_father_yeshua: bool = False
-    count_unknown_sons: bool = True
+    __slots__ = ()
+    # bonus_divisor, unknown_son_factor: Fraction; require_yeshua_in_tomb,
+    # allow_father_yeshua, count_unknown_sons: bool
 
     def check(self):
         if self.bonus_divisor < 1:
@@ -102,25 +103,19 @@ RULE_PARSERS = {"bonus_divisor": parse_fraction, "unknown_son_factor": parse_fra
                                  "count_unknown_sons"), parse_flag)}
 
 
-class TombConfiguration(NamedTuple):
-    """Category labels for the six inscribed slots."""
+class TombConfiguration(namedtuple(
+        "TombConfiguration", "woman1 woman2 singleton1 singleton2 father son")):
+    """Category labels for the six inscribed slots, each a str."""
 
-    woman1: str
-    woman2: str
-    singleton1: str
-    singleton2: str
-    father: str
-    son: str
+    __slots__ = ()
 
 
-class RRValue(NamedTuple):
-    """Score of a configuration, factored by slot group."""
+class RRValue(namedtuple(
+        "RRValue", "value women_part singleton_part generational_part bonus_applied",
+        defaults=(Fraction(1),))):
+    """Score of a configuration, factored by slot group; every field a Fraction."""
 
-    value: Fraction
-    women_part: Fraction
-    singleton_part: Fraction
-    generational_part: Fraction
-    bonus_applied: Fraction = Fraction(1)
+    __slots__ = ()
 
 
 def collides(a: Category, b: Category) -> bool:

@@ -19,9 +19,10 @@ reuses the walk.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .candidates import CandidateDescriptor, build_spec, parse_candidate
 from .onomasticon import (InputError, Onomasticon, format_decimal, load_source,
@@ -30,28 +31,29 @@ from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail
 
 
-class Delta(NamedTuple):
-    verb: str                      # add | remove | scale | set
-    person: Optional[str] = None
-    descriptor: Optional[CandidateDescriptor] = None
-    factor: Optional[Fraction] = None
-    param: Optional[str] = None    # a RuleLedger field
-    value: Union[Fraction, bool, None] = None  # its value, as RULE_PARSERS reads it
+class Delta(namedtuple("Delta", "verb person descriptor factor param value",
+                       defaults=(None,) * 5)):
+    __slots__ = ()
+    # verb: str, add | remove | scale | set
+    # person: str or None
+    # descriptor: CandidateDescriptor or None
+    # factor: Fraction or None
+    # param: a RuleLedger field, or None
+    # value: its value as RULE_PARSERS reads it (Fraction or bool), or None
 
 
-class Scenario(NamedTuple):
-    name: str
-    deltas: tuple[Delta, ...] = ()
-    reference: Optional[str] = None   # printed-value string for golden checks
+class Scenario(namedtuple("Scenario", "name deltas reference", defaults=((), None))):
+    __slots__ = ()
+    # name: str; deltas: tuple[Delta, ...]; reference: the printed-value
+    # string for golden checks, or None
 
 
-class ScenarioReport(NamedTuple):
-    name: str
-    observed_rr: Optional[Fraction] = None
-    adjusted_area: Optional[Fraction] = None
-    reference: Optional[str] = None
-    matches_reference: Optional[bool] = None
-    error: Optional[str] = None
+class ScenarioReport(namedtuple(
+        "ScenarioReport", "name observed_rr adjusted_area reference matches_reference "
+        "error", defaults=(None,) * 5)):
+    __slots__ = ()
+    # name: str; observed_rr, adjusted_area: Fraction or None; reference,
+    # error: str or None; matches_reference: bool or None
 
 
 def printed_digits(text: str) -> int:

@@ -58,29 +58,29 @@ The enumeration stays exact without a Fraction per tuple, pair or triple:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .candidates import Category, HypothesisSpec
 from .scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies, collides,
                       generational_counts, singleton_counts)
 
 
-class TailResult(NamedTuple):
-    total_mass: Fraction
-    valid_mass: Fraction
-    tail_mass: Fraction
-    proportion: Fraction
-    observed_rr: Fraction
+class TailResult(namedtuple(
+        "TailResult", "total_mass valid_mass tail_mass proportion observed_rr")):
+    """The enumeration's masses and tail proportion; every field a Fraction."""
+
+    __slots__ = ()
 
     @property
     def valid_ratio(self) -> Fraction:
         return self.valid_mass / self.total_mass
 
 
-class MaleTable(NamedTuple):
+class MaleTable(namedtuple("MaleTable", "r mass_scale valid_mass classes")):
     """Valid male 4-tuple mass, and per class the tail-eligible mass by base.
 
     A male score is base * F / (r**4 * ud * bn) with F the class factor; a
@@ -88,11 +88,10 @@ class MaleTable(NamedTuple):
     weights.
     """
 
-    r: int
-    mass_scale: int
-    valid_mass: int
-    # (unknown-son factor counts, bonus applies, bases, mass below each index)
-    classes: tuple[tuple[bool, bool, tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ()
+    # r, mass_scale, valid_mass: int; classes: a tuple of (unknown-son factor
+    # counts, bonus applies, bases, mass below each index), of types
+    # (bool, bool, tuple[int, ...], tuple[int, ...])
 
 
 def tuple_space_size(spec: HypothesisSpec) -> int:

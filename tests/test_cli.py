@@ -1050,8 +1050,9 @@ class TestImports:
     @pytest.mark.parametrize("argv", [["analyze"], ["sweep"], ["demography"],
                                       ["validate-config", "--suite", "bundled"]])
     def test_no_command_loads_dataclasses(self, argv):
-        # the value types are NamedTuples: dataclasses would bring inspect,
-        # ast, dis and tokenize into every start
+        # the value types subclass collections.namedtuple, about 0.2 ms each to
+        # build; dataclasses would bring inspect, ast, dis and tokenize into
+        # every start
         assert "dataclasses" not in modules_loaded_by(*argv)
 
     @pytest.mark.parametrize("argv", [["analyze"], ["sweep"], ["demography"],
