@@ -1,4 +1,5 @@
-"""Command-line interface: analyze, sweep, demography, infer, validate-config.
+"""Command-line interface: analyze, explain, sweep, demography, infer,
+validate-config.
 
 ``namecluster [--config PATH] COMMAND [--flag VALUE | --flag=VALUE]...`` is
 read against COMMANDS, the table of each command's flags: a flag's name
@@ -163,12 +164,13 @@ def load_analysis_inputs(args):
     except TypeError as exc:
         raise InputError(f"bad observed record: {exc}") from exc
     rules = RuleLedger(**given(args, RULE_PARSERS))
-    return onom, name, descriptors, observed, rules, args.n2
+    return onom, name, descriptors, observed, rules
 
 
 def scored_inputs(args):
-    """(name, spec, rules, observed RR, n2); an impossible observed is an input error."""
-    onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(args)
+    """(name, spec, rules, observed configuration, its RRValue); an impossible
+    observed is an input error."""
+    onom, name, descriptors, observed, rules = load_analysis_inputs(args)
     hypothesis = source_path(args.file, "baseline.cfg")
     try:
         spec = build_spec(onom, descriptors)
@@ -180,7 +182,7 @@ def scored_inputs(args):
         raise InputError(f"{hypothesis}: observed: {exc}") from exc
     if reason is not None:
         raise InputError(f"observed: {reason}")
-    return name, spec, rules, score(observed, spec, rules).value, n2
+    return name, spec, rules, observed, score(observed, spec, rules)
 
 
 class JsonText(dict):
@@ -227,9 +229,9 @@ def emit(rows, fmt, out):
 
 
 def cmd_analyze(args, out):
-    name, spec, rules, observed_rr, n2 = scored_inputs(args)
-    result = enumerate_tail(spec, rules, observed_rr)
-    adjusted = n2 * result.proportion
+    _, spec, rules, _, scored = scored_inputs(args)
+    result = enumerate_tail(spec, rules, scored.value)
+    adjusted = args.n2 * result.proportion
     if adjusted > 1:  # the paper's n2*q, reported as it is
         warnings.warn("n2*q exceeds 1; adjusted-area is the unclamped n2*q")
     rows = [
@@ -265,6 +267,9 @@ ANALYSIS = ("source", "file", "n2", *RULE_PARSERS)  # the inputs of an analysis
 COMMANDS = {
     "analyze": (cmd_analyze, "headline figures for the baseline",
                 flags("config", "format", *ANALYSIS)),
+    # n2 aside: explain enumerates nothing
+    "explain": (deferred("cmd_explain"), "the observed RR's factors and their rules",
+                flags("config", "format", *(key for key in ANALYSIS if key != "n2"))),
     "sweep": (deferred("cmd_sweep"), "run the sensitivity scenario suite",
               flags("config", "format", *ANALYSIS, "suite")),
     "demography": (deferred("cmd_demography"), "population pipeline",

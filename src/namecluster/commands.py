@@ -1,5 +1,5 @@
-"""The commands other than analyze: sweep, demography, infer, validate-config,
-and the help screen.
+"""The commands other than analyze: explain, sweep, demography, infer,
+validate-config, and the help screen.
 
 cli.COMMANDS imports this module only when one of them, or ``--help``, runs,
 so that an analyze start compiles none of their code.
@@ -15,13 +15,33 @@ from fractions import Fraction
 from .cli import COMMANDS, DEMOGRAPHY_PARSERS, EXPECTED, SETTINGS, SIG, emit, given, \
     load_analysis_inputs, record_line, scored_inputs
 from .onomasticon import InputError, format_decimal, format_fraction
+from .scoring import male_factors
+
+
+def cmd_explain(args, out):
+    """Each category's weight and RR, each factor of the observed RR with the
+    ledger rule that set it, then the parts of the score and its value."""
+    _, spec, rules, observed, scored = scored_inputs(args)
+    rows = [(f"{word}[{gender}/{c.label}]", value, SIG)
+            for gender in ("female", "male") for c in spec.categories(gender)
+            for word, value in (("weight", c.weight), ("rr", c.rr))]
+    women = [(slot, label, None, spec.category("female", label).rr)
+             for slot, label in zip(("woman1", "woman2"), observed)]
+    for slot, label, rule, factor in women + male_factors(*observed[2:], spec, rules):
+        field = f"{slot}[{label}]" if label else slot
+        rows.append((f"{field} {rule}" if rule else field, factor, SIG))
+    parts = scored._asdict()
+    parts["value"] = parts.pop("value")  # the product, after its parts
+    rows += [(name.replace("_", "-"), value, SIG) for name, value in parts.items()]
+    emit(rows, args.format, out)
+    return 0
 
 
 def cmd_sweep(args, out):
     from .sensitivity import load_suite, run_suite
-    onom, name, descriptors, observed, rules, n2 = load_analysis_inputs(args)
+    onom, name, descriptors, observed, rules = load_analysis_inputs(args)
     suite = load_suite("bundled" if args.suite is None else args.suite)
-    reports = run_suite(onom, descriptors, rules, observed, suite, n2=n2)
+    reports = run_suite(onom, descriptors, rules, observed, suite, n2=args.n2)
     above = sum(not r.error and r.adjusted_area > 1 for r in reports)
     if above:  # one line for the run, however many scenarios exceed 1
         warnings.warn(f"n2*q exceeds 1 in {above} of {len(reports)} scenarios; "

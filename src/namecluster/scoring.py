@@ -37,13 +37,15 @@ none of the written adjustments; the pair is unknowable and scores 1 (this
 is what reproduces the reference valid and tail masses exactly).
 
 The ledger answers three questions, which factors count and not what they
-are worth: ``singleton_counts`` says whether each singleton's RR counts
-under R3, R4 and R7, ``generational_counts`` whether the father's RR, the
-son's RR and the unknown-son factor count under R1, R2, R5-R13 and the
-uncovered case, and ``bonus_applies`` whether R14 divides the score. A
-factor that does not count is 1. ``score_male_slots`` evaluates the three
-answers as the exact Fractions (singleton part, generational part, bonus
-divisor), and the male score is
+are worth, and names the rule behind each answer: ``singleton_counts`` gives
+the rule of R3, R4 and R7 that drops each singleton's RR, or None when it
+counts; ``generational_counts`` gives the rule that decides the pair (R1,
+R2, R5-R13, "uncovered" or "plain") with whether the father's RR, the son's
+RR and the unknown-son factor count; and ``bonus_applies`` says whether R14
+divides the score. A factor that does not count is 1. ``male_factors``
+lists the male slots' factors, each with its rule, as ``namecluster
+explain`` prints them, and ``score_male_slots`` multiplies them into
+(singleton part, generational part, bonus divisor); the male score is
 
   singleton part * generational part / bonus divisor
 
@@ -152,34 +154,29 @@ def validate(config: TombConfiguration, spec: HypothesisSpec) -> str | None:
 
 
 def singleton_counts(s1: Category, s2: Category,
-                     father: Category) -> tuple[bool, bool]:
-    """Whether each singleton's RR counts after R3, R4 and R7."""
-    c1 = c2 = True
-    if father.label != OTHER:  # R3: a father-singleton is counted once
-        if s1.label == father.label:
-            c1 = False
-        elif s2.label == father.label:
-            c2 = False
-    if {s1.label, s2.label} == {YOSEF, YOSEH}:  # R4
-        if s1.label == YOSEF:
-            c1 = False
-        else:
-            c2 = False
-    if father.label == YOSEH:  # R7
-        if s1.label == YOSEF:
-            c1 = False
-        if s2.label == YOSEF:
-            c2 = False
-    return c1, c2
+                     father: Category) -> tuple[str | None, str | None]:
+    """The rule that drops each singleton's RR, the first of R3, R4 and R7 in
+    R-order, or None when it counts."""
+    def dropped_by(me: Category, other: Category) -> str | None:
+        if me.label == father.label != OTHER:
+            return "R3"  # a father-singleton is counted once
+        if me.label == YOSEF and other.label == YOSEH:
+            return "R4"
+        if me.label == YOSEF and father.label == YOSEH:
+            return "R7"
+        return None
+    return dropped_by(s1, s2), dropped_by(s2, s1)
 
 
 def generational_counts(father: Category, son: Category,
                         father_is_singleton: bool, yoseh_in_singles: bool,
-                        rules: RuleLedger) -> tuple[bool, bool, bool]:
-    """Whether the father's RR, the son's RR and the unknown-son factor count.
+                        rules: RuleLedger) -> tuple[str, tuple[bool, bool, bool]]:
+    """The deciding rule, and whether the father's RR, the son's RR and the
+    unknown-son factor count.
 
-    Of the singletons it needs only whether one shares the father's label and
-    whether one is Yoseh.
+    The rule is R1, R2, R5-R13, "uncovered" or "plain". Of the singletons
+    the answer needs only whether one shares the father's label and whether
+    one is Yoseh.
     """
     unknown = (False, False, False)
     full = (True, True, False)
@@ -191,32 +188,32 @@ def generational_counts(father: Category, son: Category,
     yoseh_present = yoseh_in_singles or son.label == YOSEH
 
     if father.label == OTHER:
-        return unknown  # R2
+        return "R2", unknown
     if father.label == YESHUA:
-        # R1; when allowed the father counts, with no known son of a Yeshua
-        return rules.allow_father_yeshua, False, False
+        # when allowed the father counts, with no known son of a Yeshua
+        return "R1", (rules.allow_father_yeshua, False, False)
     if father.label == YOSEH:
-        return named_for_relative((YESHUA, YOSEF, JAMES, CLEOPAS))  # R5
+        return "R5", named_for_relative((YESHUA, YOSEF, JAMES, CLEOPAS))
     if father.label == CLEOPAS:
-        return named_for_relative((YOSEF, JAMES, YOSEH))  # R6
+        return "R6", named_for_relative((YOSEF, JAMES, YOSEH))
     if father.label == YOSEF:
         if son.label == CLEOPAS and not yoseh_present:
-            return named_for_relative((CLEOPAS,))  # R11
+            return "R11", named_for_relative((CLEOPAS,))
         if yoseh_present:
             if father_is_singleton:
-                return unknown  # uncovered case: unknowable pair
-            return full if son.label in (YESHUA, YOSEH, JAMES) else unknown  # R8
+                return "uncovered", unknown  # an unknowable pair
+            return "R8", full if son.label in (YESHUA, YOSEH, JAMES) else unknown
         if father_is_singleton:
-            return named_for_relative((YESHUA, JAMES))  # R10
-        return full if son.label in (YESHUA, JAMES) else unknown  # R9
+            return "R10", named_for_relative((YESHUA, JAMES))
+        return "R9", full if son.label in (YESHUA, JAMES) else unknown
     if father.label == JAMES:
         if father_is_singleton:
-            return named_for_relative((YOSEH, YESHUA, YOSEF, CLEOPAS))  # R12
+            return "R12", named_for_relative((YOSEH, YESHUA, YOSEF, CLEOPAS))
         if son.label == CLEOPAS:
-            return full  # R13, a known grandson
-        return named_for_relative((YOSEH, YOSEF, YESHUA))  # R13
+            return "R13", full  # a known grandson
+        return "R13", named_for_relative((YOSEH, YOSEF, YESHUA))
     # a candidate with no familial rules contributes its plain pair product
-    return True, son.label != OTHER, False
+    return "plain", (True, son.label != OTHER, False)
 
 
 def bonus_applies(father: Category, son: Category) -> bool:
@@ -224,25 +221,40 @@ def bonus_applies(father: Category, son: Category) -> bool:
     return father.label == YOSEF and son.label == YESHUA
 
 
-def score_male_slots(singleton1: str, singleton2: str, father_label: str,
-                     son_label: str, spec: HypothesisSpec,
-                     rules: RuleLedger) -> tuple[Fraction, Fraction, Fraction]:
-    """(singleton part, generational part, bonus divisor) of the male slots.
+def male_factors(singleton1: str, singleton2: str, father_label: str,
+                 son_label: str, spec: HypothesisSpec,
+                 rules: RuleLedger) -> list[tuple[str, str | None, str | None, Fraction]]:
+    """(slot, label, rule, factor) of the two singletons, the father, the son,
+    the unknown-son factor and the bonus divisor, in that order.
 
-    Each part is the product of the factors that the ledger says count.
+    A factor that does not count is 1; ``rule`` names the ledger rule that
+    decided it, or is None where none did.
     """
     s1 = spec.category("male", singleton1)
     s2 = spec.category("male", singleton2)
     father = spec.category("male", father_label)
     son = spec.category("male", son_label)
     singles = (s1.label, s2.label)
-    c1, c2 = singleton_counts(s1, s2, father)
-    fc, sc, uc = generational_counts(father, son, father.label in singles,
-                                     YOSEH in singles, rules)
-    return ((s1.rr if c1 else ONE) * (s2.rr if c2 else ONE),
-            (father.rr if fc else ONE) * (son.rr if sc else ONE)
-            * (rules.unknown_son_factor if uc else ONE),
-            rules.bonus_divisor if bonus_applies(father, son) else ONE)
+    r1, r2 = singleton_counts(s1, s2, father)
+    rule, (fc, sc, uc) = generational_counts(father, son, father.label in singles,
+                                             YOSEH in singles, rules)
+    bonus = bonus_applies(father, son)
+    return [("singleton1", s1.label, r1, ONE if r1 else s1.rr),
+            ("singleton2", s2.label, r2, ONE if r2 else s2.rr),
+            ("father", father.label, rule, father.rr if fc else ONE),
+            ("son", son.label, rule, son.rr if sc else ONE),
+            ("unknown-son-factor", None, rule, rules.unknown_son_factor if uc else ONE),
+            ("bonus-divisor", None, "R14" if bonus else None,
+             rules.bonus_divisor if bonus else ONE)]
+
+
+def score_male_slots(singleton1: str, singleton2: str, father_label: str,
+                     son_label: str, spec: HypothesisSpec,
+                     rules: RuleLedger) -> tuple[Fraction, Fraction, Fraction]:
+    """(singleton part, generational part, bonus divisor) of ``male_factors``."""
+    s1, s2, father, son, unknown, divisor = (factor for *_, factor in male_factors(
+        singleton1, singleton2, father_label, son_label, spec, rules))
+    return s1 * s2, father * son * unknown, divisor
 
 
 def score(config: TombConfiguration, spec: HypothesisSpec,

@@ -16,7 +16,8 @@ The enumeration stays exact without a Fraction per tuple, pair or triple:
   part of (s1, s2, father) times a generational part of (father, son, two
   flags) over a bonus divisor of (father, son), each built from the answer
   of one ledger question. The questions are asked for the M^3 singleton
-  triples and 4 M^2 pairs, never the M^4 male tuples, and answered as ints.
+  triples and 4 M^2 pairs, never the M^4 male tuples, and answered as ints;
+  the rule names that come with the answers are not read here.
 * Integer scaling. The male RR values are multiplied by the lcm R of their
   denominators; an RR that does not count is 1, scaled to R. The category
   weights of each gender are scaled to ints by the lcm of their
@@ -124,8 +125,8 @@ def male_table(men: tuple[Category, ...], rules: RuleLedger) -> MaleTable:
         """Per son: the generational base scaled by r**2, and its class."""
         father, row = men[f], []
         for j, son in enumerate(men):
-            fc, sc, uc = generational_counts(father, son, father_is_singleton,
-                                             yoseh_in_singles, rules)
+            _, (fc, sc, uc) = generational_counts(father, son, father_is_singleton,
+                                                  yoseh_in_singles, rules)
             row.append(((rr[f] if fc else r) * (rr[j] if sc else r),
                         classes[uc, bonus_applies(father, son)]))
         return row
@@ -149,8 +150,8 @@ def male_table(men: tuple[Category, ...], rules: RuleLedger) -> MaleTable:
                 sons = [son for son in sons if is_yeshua[son]]
             mass_ab = mcount[a] * mcount[b] * (1 if a == b else 2)
             for f, father in enumerate(men):
-                c1, c2 = singleton_counts(s1, s2, father)
-                s = (rr[a] if c1 else r) * (rr[b] if c2 else r)
+                dropped1, dropped2 = singleton_counts(s1, s2, father)
+                s = (r if dropped1 else rr[a]) * (r if dropped2 else rr[b])
                 gen = gen_rows[f, father.label in labels, YOSEH in labels]
                 clash_f = clash[f]
                 mass_abf = mass_ab * mcount[f]

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -213,7 +214,7 @@ class TestFlagReader:
         assert listed == list(COMMANDS[command][2])
         assert "--config" in listed
         assert ("--format" in listed) == (command != "validate-config")
-        assert ("--n2" in listed) == (command != "demography")
+        assert ("--n2" in listed) == (command not in ("demography", "explain"))
 
     def test_unreadable_config_or_path_exits_2(self, tmp_path, capsys):
         binary = tmp_path / "run.cfg"
@@ -243,6 +244,7 @@ HELP = {
         "usage: namecluster [--config PATH] COMMAND [--flag VALUE]...\n"
         "commands:\n"
         "  analyze          headline figures for the baseline\n"
+        "  explain          the observed RR's factors and their rules\n"
         "  sweep            run the sensitivity scenario suite\n"
         "  demography       population pipeline\n"
         "  infer            p-value, odds and confidence bounds\n"
@@ -255,6 +257,18 @@ HELP = {
         "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
         "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
         "  --n2 VALUE                      number of candidate tombs\n"
+        "  --bonus-divisor VALUE           a fraction a/b or a decimal\n"
+        "  --unknown-son-factor VALUE      a fraction a/b or a decimal\n"
+        "  --require-yeshua-in-tomb VALUE  on/off, true/false, 1/0 or yes/no\n"
+        "  --allow-father-yeshua VALUE     on/off, true/false, 1/0 or yes/no\n"
+        "  --count-unknown-sons VALUE      on/off, true/false, 1/0 or yes/no\n"),
+    "explain": (
+        "usage: namecluster explain [--flag VALUE]...\n"
+        "the observed RR's factors and their rules:\n"
+        "  --config VALUE                  INI config file; flags override it\n"
+        "  --format VALUE                  table or records\n"
+        "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
+        "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
         "  --bonus-divisor VALUE           a fraction a/b or a decimal\n"
         "  --unknown-son-factor VALUE      a fraction a/b or a decimal\n"
         "  --require-yeshua-in-tomb VALUE  on/off, true/false, 1/0 or yes/no\n"
@@ -313,6 +327,45 @@ HELP = {
 @pytest.mark.parametrize("command", list(HELP), ids=["top", *COMMANDS])
 def test_help_screens_are_word_for_word(command):
     assert run_cli(*filter(None, [command, "--help"])) == (0, HELP[command])
+
+
+def records_of(*argv):
+    """{field: exact value} of ``argv`` run with --format records."""
+    code, text = run_cli(*argv, "--format", "records")
+    assert code == 0
+    return {r["field"]: Fraction(r["fraction"]) for r in map(json.loads, text.splitlines())}
+
+
+class TestExplain:
+    def test_records_of_the_bundled_inputs(self):
+        explained = records_of("explain")
+        for gender in ("female", "male"):
+            weights = [v for f, v in explained.items() if f.startswith(f"weight[{gender}/")]
+            assert len(weights) == 5 and sum(weights) == 1
+        # the observed father Yosef is no singleton and a Yoseh is present
+        assert explained["father[Yosef] R8"] == Fraction(17, 193)
+        assert explained["son[Yeshua] R8"] == Fraction(101, 2509)
+        assert explained["unknown-son-factor R8"] == 1
+        assert explained["bonus-divisor R14"] == explained["bonus-applied"] == Fraction(6, 5)
+        assert list(explained)[-5:] == ["women-part", "singleton-part",
+                                        "generational-part", "bonus-applied", "value"]
+        assert explained["value"] == records_of("analyze")["observed-rr"]
+
+    def test_the_table_has_the_records_rows(self):
+        code, text = run_cli("explain")
+        assert code == 0
+        assert [line.rsplit(None, 1)[0] for line in text.splitlines()] == list(
+            records_of("explain"))
+
+    def test_rule_flags_reach_the_factors(self):
+        argv = ["--bonus-divisor", "7/3", "--unknown-son-factor", "5/2"]
+        explained = records_of("explain", *argv)
+        assert explained["bonus-divisor R14"] == Fraction(7, 3)
+        assert explained["value"] == records_of("analyze", *argv)["observed-rr"]
+
+    def test_n2_is_no_flag_of_explain(self, capsys):
+        assert run_cli("explain", "--n2", "5") == (2, "")
+        assert capsys.readouterr().err == "error: unknown flag '--n2' for explain\n"
 
 
 class TestSweep:
@@ -1029,12 +1082,19 @@ class TestImports:
     @pytest.mark.parametrize("argv", [
         ["analyze"], ["analyze", "--format", "records"], ["sweep"],
         ["sweep", "--format", "records"], ["demography", "--format", "records"],
-        ["infer", "--q", "1/9999", "--theta", "1", "--format", "records"]],
+        ["infer", "--q", "1/9999", "--theta", "1", "--format", "records"],
+        ["explain", "--format", "records"]],
         ids=["analyze", "analyze-records", "sweep", "sweep-records",
-             "demography-records", "infer-records"])
+             "demography-records", "infer-records", "explain-records"])
     def test_no_command_loads_json(self, argv):
         # records are written by cli.record_line; json would cost 2.5 ms a start
         assert "json" not in modules_loaded_by(*argv)
+
+    def test_explain_loads_only_what_it_runs(self):
+        loaded = modules_loaded_by("explain", "--format", "records")
+        assert "namecluster.commands" in loaded
+        assert not loaded & {"namecluster.sensitivity", "namecluster.demography",
+                             "namecluster.inference", "configparser"}
 
     def test_sweep_loads_sensitivity(self):
         assert "namecluster.sensitivity" in modules_loaded_by("sweep")

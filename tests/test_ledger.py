@@ -7,7 +7,8 @@ rule gives. No row calls or mirrors the ``if`` chain of ``scoring``. The
 tests compare the table with ``singleton_counts``, ``generational_counts``
 and ``bonus_applies`` on every realism-valid tuple over the five ledger
 labels, one label that no rule names and Other, under all eight settings of
-the three switches.
+the three switches: both the answers and the rules that the code names
+beside them.
 """
 
 import itertools
@@ -25,6 +26,8 @@ LABELS = (YESHUA, YOSEF, YOSEH, JAMES, CLEOPAS, PLAIN, OTHER)
 SWITCHES = ("require_yeshua_in_tomb", "allow_father_yeshua", "count_unknown_sons")
 SETTINGS = [RuleLedger(**dict(zip(SWITCHES, values)))
             for values in itertools.product((False, True), repeat=3)]
+SETTING_IDS = ["".join("+" if getattr(rules, switch) else "-" for switch in SWITCHES)
+               for rules in SETTINGS]
 CATEGORY = {label: Category(label, Fraction(1, 7), Fraction(1, 2)) for label in LABELS}
 
 
@@ -146,37 +149,66 @@ def r14(t):
     return t.father == YOSEF and t.son == YESHUA
 
 
-def table(t):
-    """(names of the rows that decide ``t``, the table's three answers)."""
-    names, counts = set(), []
-    for me, other in [(t.s1, t.s2), (t.s2, t.s1)]:
-        deciding = {name for name, names_me in SINGLETON_ROWS if names_me(t, me, other)}
-        names |= deciding
-        counts.append(not deciding)
+def deciding(t):
+    """The rows that decide ``t``: per singleton the names of the singleton
+    rows that name it, in table order, and the one generational row."""
+    singles = [[name for name, names_me in SINGLETON_ROWS if names_me(t, me, other)]
+               for me, other in [(t.s1, t.s2), (t.s2, t.s1)]]
     rows = [(name, answer) for name, condition, answer in GENERATIONAL_ROWS
             if condition(t)]
     assert len(rows) == 1, (t, [name for name, _ in rows])
-    name, answer = rows[0]
-    names.add(name)
-    if r14(t):
-        names.add("R14")
-    return names, (tuple(counts), answer(t) if callable(answer) else answer, r14(t))
+    return singles, rows[0]
+
+
+def table(t):
+    """(names of the rows that decide ``t``, the table's three answers)."""
+    singles, (name, answer) = deciding(t)
+    names = {*singles[0], *singles[1], name} | ({"R14"} if r14(t) else set())
+    return names, (tuple(not rows for rows in singles),
+                   answer(t) if callable(answer) else answer, r14(t))
+
+
+def code(t):
+    """What ``scoring`` gives for ``t``: the rule that drops each singleton
+    or None, and the deciding generational rule with its answer."""
+    s1, s2, father, son = (CATEGORY[label] for label in t[:4])
+    return (singleton_counts(s1, s2, father),
+            generational_counts(father, son, t.father_is_singleton,
+                                YOSEH in (t.s1, t.s2), t.rules))
 
 
 def ledger(t):
     """The three answers of ``scoring`` for ``t``."""
-    s1, s2, father, son = (CATEGORY[label] for label in t[:4])
-    return (singleton_counts(s1, s2, father),
-            generational_counts(father, son, t.father_is_singleton,
-                                YOSEH in (t.s1, t.s2), t.rules),
-            bonus_applies(father, son))
+    dropped, (_, answer) = code(t)
+    return (tuple(rule is None for rule in dropped), answer,
+            bonus_applies(CATEGORY[t.father], CATEGORY[t.son]))
 
 
-@pytest.mark.parametrize("rules", SETTINGS, ids=lambda rules: "".join(
-    "+" if getattr(rules, switch) else "-" for switch in SWITCHES))
+def rules_named(t):
+    """The rules that ``scoring`` names for ``t``: per singleton, then the pair."""
+    dropped, (rule, _) = code(t)
+    return (*dropped, rule)
+
+
+def rules_of_table(t):
+    """The rules that the table names for ``t``: per singleton the first of
+    its deciding rows, or None, then the deciding row's name up to its first
+    space (``R5 named`` is R5)."""
+    singles, (name, _) = deciding(t)
+    return (*(rows[0] if rows else None for rows in singles), name.split(" ")[0])
+
+
+@pytest.mark.parametrize("rules", SETTINGS, ids=SETTING_IDS)
 def test_the_ledger_answers_as_the_table(rules):
     wrong = [(t[:4], ledger(t), table(t)) for t in tombs(rules)
              if ledger(t) != table(t)[1]]
+    assert not wrong, f"{len(wrong)} tombs, such as {wrong[:3]}"
+
+
+@pytest.mark.parametrize("rules", SETTINGS, ids=SETTING_IDS)
+def test_the_ledger_names_the_tables_rule(rules):
+    wrong = [(t[:4], rules_named(t), rules_of_table(t)) for t in tombs(rules)
+             if rules_named(t) != rules_of_table(t)]
     assert not wrong, f"{len(wrong)} tombs, such as {wrong[:3]}"
 
 
@@ -194,4 +226,4 @@ def test_the_uncovered_case_is_reachable():
     assert t.valid
     names, (_, answer, _) = table(t)
     assert "uncovered" in names and answer == UNKNOWN
-    assert ledger(t)[1] == UNKNOWN
+    assert ledger(t)[1] == UNKNOWN and rules_named(t)[2] == "uncovered"

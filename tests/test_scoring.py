@@ -8,7 +8,7 @@ import pytest
 import namecluster as nc
 from namecluster.candidates import build_spec
 from namecluster.scoring import (ContractViolation, RuleLedger,
-                                 TombConfiguration, score, validate)
+                                 TombConfiguration, male_factors, score, validate)
 
 from bundled import ADDONS, DESCRIPTORS, TOMB
 
@@ -82,6 +82,39 @@ class TestScore:
         got = score(TOMB, baseline, rules)
         assert got.value == (got.women_part * got.singleton_part
                              * got.generational_part / got.bonus_applied)
+
+
+class TestMaleFactors:
+    """The factor rows that ``namecluster explain`` prints multiply to the score."""
+
+    @pytest.mark.parametrize("ledger", [
+        RuleLedger(), RuleLedger(bonus_divisor=Fraction(7, 3),
+                                 unknown_son_factor=Fraction(5, 2))],
+        ids=["default", "fractional"])
+    def test_the_factors_multiply_to_the_score_on_every_valid_tuple(self, baseline,
+                                                                   ledger):
+        women = (baseline.category("female", TOMB.woman1).rr
+                 * baseline.category("female", TOMB.woman2).rr)
+        valid = 0
+        for slots in product([c.label for c in baseline.men], repeat=4):
+            config = TombConfiguration(TOMB.woman1, TOMB.woman2, *slots)
+            if validate(config, baseline) is not None:
+                continue
+            value = women
+            for slot, _, _, factor in male_factors(*slots, baseline, ledger):
+                value = value / factor if slot == "bonus-divisor" else value * factor
+            assert value == score(config, baseline, ledger).value, slots
+            valid += 1
+        # (s1, s2, son): 21 with son Other, any of 5 fathers; 52 with a named
+        # son, any father but him
+        assert valid == 21 * 5 + 52 * 4
+
+    def test_the_observed_factors_and_their_rules(self, baseline):
+        assert male_factors(*TOMB[2:], baseline, RuleLedger()) == [
+            ("singleton1", "Yoseh", None, YOSEH), ("singleton2", "Other", None, ONE),
+            ("father", "Yosef", "R8", YOSEF), ("son", "Yeshua", "R8", YESHUA),
+            ("unknown-son-factor", None, "R8", ONE),
+            ("bonus-divisor", None, "R14", Fraction(6, 5))]
 
 
 class TestGenerationalRules:

@@ -147,8 +147,8 @@ class TestFrozenLargerSpaces:
             if rules.require_yeshua_in_tomb and YESHUA not in (s1, s2, son):
                 continue
             singles, gen, divisor = score_male_slots(*slots, spec, rules)
-            uc = generational_counts(men[father], men[son], father in (s1, s2),
-                                     YOSEH in (s1, s2), rules)[2]
+            _, (_, _, uc) = generational_counts(men[father], men[son], father in (s1, s2),
+                                                YOSEH in (s1, s2), rules)
             bonus = bonus_applies(men[father], men[son])
             factor = (un if uc else ud) * (bd if bonus else bn)
             base = singles * gen / divisor * scale / factor
