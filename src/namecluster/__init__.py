@@ -17,7 +17,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "candidates": ("CandidateDescriptor", "Category", "HypothesisSpec",
-                       "assign_rr", "build_spec", "load_hypothesis_config"),
+                       "build_spec", "load_hypothesis_config"),
         "demography": ("DemographyParams", "DemographyResult", "run_pipeline"),
         "inference": ("adjusted_p", "beta_of", "odds_lower_bound",
                       "posterior_odds", "theta_lower_bound"),

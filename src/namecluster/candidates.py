@@ -109,22 +109,6 @@ def _frequency(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
         raise InputError(f"candidate {desc.person}: {exc}") from exc
 
 
-def assign_rr(onom: Onomasticon, desc: CandidateDescriptor,
-              frequency: Optional[Fraction] = None) -> Fraction:
-    """RR value of a candidate: its rarest resolvable class frequency.
-
-    Slice candidates score at the slice frequency, generic candidates at the
-    generic frequency, and residual candidates at the *full* generic
-    frequency (a residual rendition is common and carries reduced evidentiary
-    value). Explicit overrides win; ``scale`` applies afterwards. A caller
-    that has read the candidate's table frequency passes it as ``frequency``.
-    """
-    rr = desc.rr
-    if rr is None:
-        rr = _frequency(onom, desc) if frequency is None else frequency
-    return rr * desc.scale
-
-
 def _check_overlaps(candidates: Sequence[CandidateDescriptor]) -> None:
     """Reject two candidates that draw the same table persons.
 
@@ -150,8 +134,8 @@ def build_categories(onom: Onomasticon, gender: str,
     """One gender's categories: its candidates in order, then Other.
 
     Each candidate's table frequency is read once; it gives the candidate's
-    weight (an override aside) and its RR. A residual weighs its generic's
-    frequency less the weights of the generic's slices, before its scale.
+    weight and its RR, an override aside, each times its scale. A residual
+    weighs its generic's frequency less the weights of the generic's slices.
     """
     _check_overlaps(candidates)
     frequencies = [None if d.weight is not None and d.rr is not None
@@ -170,7 +154,8 @@ def build_categories(onom: Onomasticon, gender: str,
             if weight < 0:
                 raise InputError(
                     f"candidate {desc.person}: negative residual of {desc.generic}")
-        weight, rr = weight * desc.scale, assign_rr(onom, desc, freq)
+        weight *= desc.scale
+        rr = (freq if desc.rr is None else desc.rr) * desc.scale
         if desc.rendition_class == "residual" and rr < weight:
             raise InputError(
                 f"category {label}: residual weight exceeds the generic rr")
@@ -211,11 +196,11 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
 # ---------------------------------------------------------------------------
 # hypothesis config files (grammar: see onomasticon.py)
 #
-#   name <identifier>
+#   name <identifier>                     (at most once)
 #   candidate <person> <gender> <generic> <class> [label=..] [weight=a/b]
 #             [rr=a/b] [scale=a/b]
 #   observed woman1=.. woman2=.. singleton1=.. singleton2=.. father=.. son=..
-# <class> is slice:<label>, generic, or residual.
+# <class> is slice:<label>, generic, or residual. observed is given once, in full.
 # ---------------------------------------------------------------------------
 
 CANDIDATE_OPTIONS = {"label": str, "weight": parse_fraction,
@@ -234,18 +219,30 @@ def parse_candidate(fields) -> CandidateDescriptor:
 
 def parse_hypothesis_config(text: str):
     """Return (name, descriptors, observed-slot mapping or None)."""
-    config = {"name": "custom", "observed": None}
+    config = {}
     descriptors: list[CandidateDescriptor] = []
 
+    def once(kind, value):
+        if kind in config:
+            raise ValueError(f"{kind}: given twice")
+        config[kind] = value
+
     def name(fields):
-        (config["name"],) = fields
+        (value,) = fields
+        once("name", value)
+
+    def observed(fields):
+        slots = parse_options(fields, OBSERVED_OPTIONS)
+        missing = [slot for slot in OBSERVED_OPTIONS if slot not in slots]
+        if missing:
+            raise ValueError(f"observed: missing {', '.join(missing)}")
+        once("observed", slots)
 
     read_records(text, {
         "name": name,
         "candidate": lambda fields: descriptors.append(parse_candidate(fields)),
-        "observed": lambda fields: config.update(
-            observed=parse_options(fields, OBSERVED_OPTIONS))})
-    return config["name"], tuple(descriptors), config["observed"]
+        "observed": observed})
+    return config.get("name", "custom"), tuple(descriptors), config.get("observed")
 
 
 def load_hypothesis_config(source: Union[str, Path] = "bundled"):

@@ -21,14 +21,13 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .candidates import build_spec, load_hypothesis_config
 from .onomasticon import InputError, format_decimal, format_fraction, \
     load_onomasticon, parse_flag, parse_fraction, source_path
-from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration, score, validate
-from .tailspace import enumerate_tail, tuple_space_size
+from .scoring import RULE_PARSERS, ContractViolation, RuleLedger, TombConfiguration, score
+from .tailspace import enumerate_tail
 
 SIG = 4  # default report precision for tail areas
 
@@ -159,12 +158,8 @@ def load_analysis_inputs(args):
     name, descriptors, observed_fields = load_hypothesis_config(args.file)
     if observed_fields is None:
         raise InputError("hypothesis config lacks an 'observed' record")
-    try:
-        observed = TombConfiguration(**observed_fields)
-    except TypeError as exc:
-        raise InputError(f"bad observed record: {exc}") from exc
     rules = RuleLedger(**given(args, RULE_PARSERS))
-    return onom, name, descriptors, observed, rules
+    return onom, name, descriptors, TombConfiguration(**observed_fields), rules
 
 
 def scored_inputs(args):
@@ -177,12 +172,12 @@ def scored_inputs(args):
     except InputError as exc:  # a candidate the table cannot realize
         raise InputError(f"{hypothesis}: {exc}") from exc
     try:
-        reason = validate(observed, spec)
+        scored = score(observed, spec, rules)
     except InputError as exc:  # a label the hypothesis lacks
         raise InputError(f"{hypothesis}: observed: {exc}") from exc
-    if reason is not None:
-        raise InputError(f"observed: {reason}")
-    return name, spec, rules, observed, score(observed, spec, rules)
+    except ContractViolation as exc:  # slots that collide
+        raise InputError(f"observed: {exc}") from exc
+    return name, spec, rules, observed, scored
 
 
 class JsonText(dict):
@@ -241,7 +236,7 @@ def cmd_analyze(args, out):
         ("adjusted-area", adjusted, SIG),
     ]
     if args.format == "records":
-        rows += [("tuple-space", Fraction(tuple_space_size(spec)), 10),
+        rows += [("tuple-space", result.total_mass, 10),
                  ("valid-mass", result.valid_mass, 10),
                  ("tail-mass", result.tail_mass, 10)]
     emit(rows, args.format, out)

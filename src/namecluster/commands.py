@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cli import COMMANDS, DEMOGRAPHY_PARSERS, EXPECTED, SETTINGS, SIG, emit, given, \
     load_analysis_inputs, record_line, scored_inputs
 from .onomasticon import InputError, format_decimal, format_fraction
-from .scoring import male_factors
+from .scoring import factors
 
 
 def cmd_explain(args, out):
@@ -25,9 +25,7 @@ def cmd_explain(args, out):
     rows = [(f"{word}[{gender}/{c.label}]", value, SIG)
             for gender in ("female", "male") for c in spec.categories(gender)
             for word, value in (("weight", c.weight), ("rr", c.rr))]
-    women = [(slot, label, None, spec.category("female", label).rr)
-             for slot, label in zip(("woman1", "woman2"), observed)]
-    for slot, label, rule, factor in women + male_factors(*observed[2:], spec, rules):
+    for slot, label, rule, factor in factors(observed, spec, rules):
         field = f"{slot}[{label}]" if label else slot
         rows.append((f"{field} {rule}" if rule else field, factor, SIG))
     parts = scored._asdict()

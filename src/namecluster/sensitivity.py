@@ -139,7 +139,7 @@ def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
 #   remove <person>
 #   scale <person> <factor>
 #   set <param> <value>                 (a RuleLedger field; checked when read)
-#   reference <decimal>                 (the printed reference value)
+#   reference <decimal>                 (the printed reference value, once)
 # Every record after a scenario's own belongs to that scenario.
 # ---------------------------------------------------------------------------
 
@@ -166,7 +166,10 @@ def parse_suite(text: str) -> list[Scenario]:
     def reference(fields):
         (printed,) = fields
         parse_fraction(printed)  # a number, kept as printed
-        scenarios[-1] = current("reference")._replace(reference=printed)
+        last = current("reference")
+        if last.reference is not None:
+            raise ValueError("reference: given twice")
+        scenarios[-1] = last._replace(reference=printed)
 
     def scenario(fields):
         (name,) = fields

@@ -351,11 +351,14 @@ class TestExplain:
                                         "generational-part", "bonus-applied", "value"]
         assert explained["value"] == records_of("analyze")["observed-rr"]
 
-    def test_the_table_has_the_records_rows(self):
-        code, text = run_cli("explain")
+    @pytest.mark.parametrize("argv", [
+        [], ["--bonus-divisor", "7/3", "--unknown-son-factor", "5/2"]],
+        ids=["bundled", "fractional-rules"])
+    def test_the_table_has_the_records_rows(self, argv):
+        code, text = run_cli("explain", *argv)
         assert code == 0
         assert [line.rsplit(None, 1)[0] for line in text.splitlines()] == list(
-            records_of("explain"))
+            records_of("explain", *argv))
 
     def test_rule_flags_reach_the_factors(self):
         argv = ["--bonus-divisor", "7/3", "--unknown-son-factor", "5/2"]
@@ -398,15 +401,23 @@ class TestSweep:
         assert [json.loads(line)["scenario"] for line in text.splitlines()] == names
         assert text.isascii()
 
-    def test_bad_delta_errors_only_its_row(self, tmp_path):
+    @pytest.mark.parametrize("delta, error", [
+        ("remove nobody", "broken: no candidate named nobody"),
+        ("add x male Joseph generic label=J2",
+         "candidates joseph_father and x: both draw persons of Joseph")],
+        ids=["unknown-person", "overlap"])
+    def test_bad_delta_errors_only_its_row(self, delta, error, tmp_path):
         suite = tmp_path / "suite.cfg"
-        suite.write_text("scenario broken\nremove nobody\n\n"
+        suite.write_text(f"scenario broken\n{delta}\n\n"
                          "scenario fine\nset bonus_divisor 1\nreference 0.000726\n")
         code, text = run_cli("sweep", "--suite", str(suite))
         assert code == 0
         lines = text.splitlines()
-        assert "error" in lines[1]
+        assert lines[1].split(None, 1) == ["broken", f"error: {error}"]
         assert lines[2].rstrip().endswith("yes")
+        code, text = run_cli("sweep", "--suite", str(suite), "--format", "records")
+        assert code == 0
+        assert json.loads(text.splitlines()[0]) == {"scenario": "broken", "error": error}
 
     def test_zero_denominator_in_a_set_delta_exits_2_naming_its_row(
             self, tmp_path, capsys):
@@ -728,6 +739,22 @@ class TestMalformedInputFiles:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {hypothesis}: observed: category: {named}: unknown"]
 
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    @pytest.mark.parametrize("observed, named", [
+        ("observed woman1=MM woman2=Marya",
+         "{path}: row {row}: observed: missing singleton1, singleton2, father, son"),
+        ("", "hypothesis config lacks an 'observed' record")], ids=["partial", "absent"])
+    def test_an_observed_record_that_is_partial_or_absent(
+            self, command, observed, named, tmp_path, capsys):
+        lines = (SRC / "namecluster" / "data" / "baseline.cfg").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines, 1) if line.startswith("observed"))
+        lines[row - 1] = observed
+        hypothesis = tmp_path / "h.cfg"
+        hypothesis.write_text("\n".join(lines) + "\n")
+        assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + named.format(path=hypothesis, row=row)]
+
     @pytest.mark.parametrize("row, named", [
         pytest.param("generic X female 1/0", "total_persons: zero denominator",
                      id="generic X female 1/0-zero denominator"),
@@ -801,6 +828,10 @@ class TestMalformedInputFiles:
         ("--hypothesis", "baseline.cfg",
          "candidate simon male Simon generic rr=1/2 rr=101/2509", "rr"),
         ("--hypothesis", "baseline.cfg", "observed son=Yeshua son=Yeshua", "son"),
+        ("--hypothesis", "baseline.cfg", "name other", "name"),
+        ("--hypothesis", "baseline.cfg", "observed woman1=Salome woman2=Marya "
+         "singleton1=Yoseh singleton2=Other father=Yosef son=Yeshua", "observed"),
+        ("--suite", "scenarios.cfg", "reference 0.5", "reference"),
         ("--suite", "scenarios.cfg",
          "add joanna2 female Joanna generic weight=1/9 weight=1/8", "weight"),
         ("--onomasticon", "onomasticon.tsv",
@@ -816,23 +847,28 @@ class TestMalformedInputFiles:
             f"error: {path}: row {len(text.splitlines()) + 1}: {named}: given twice"]
 
     @pytest.mark.parametrize("old, new, named", [
-        ("Mariam slice:MM", "Mariam slice:ZZ", "slice: Mariam/ZZ: unknown"),
-        ("Yaakov generic", "Jacob generic", "generic: Jacob: unknown")])
-    def test_a_candidate_the_table_lacks_names_file_and_candidate(
+        ("Mariam slice:MM", "Mariam slice:ZZ",
+         "candidate mary_magdalene: slice: Mariam/ZZ: unknown"),
+        ("Yaakov generic", "Jacob generic",
+         "candidate james_brother: generic: Jacob: unknown"),
+        # a second candidate that draws the persons of the generic Joseph
+        ("\nobserved", "\ncandidate x male Joseph generic label=J2\nobserved",
+         "candidates joseph_father and x: both draw persons of Joseph")],
+        ids=["unknown-slice", "unknown-generic", "overlap"])
+    def test_a_candidate_the_table_cannot_realize_names_file_and_candidate(
             self, old, new, named, tmp_path, capsys):
         bundled = (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
-        person = "mary_magdalene" if "Mariam" in old else "james_brother"
         hypothesis = tmp_path / "h.cfg"
         hypothesis.write_text(bundled.replace(old, new))
         for command in ("analyze", "validate-config"):
             assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
             assert capsys.readouterr().err.splitlines() == [
-                f"error: {hypothesis}: candidate {person}: {named}"]
+                f"error: {hypothesis}: {named}"]
         # a sweep names the candidate in each scenario's row
         code, text = run_cli("sweep", "--hypothesis", str(hypothesis))
         rows = text.splitlines()[1:]
         assert code == 0 and len(rows) == 42
-        assert all(f"error: candidate {person}: {named}" in row for row in rows)
+        assert all(f"error: {named}" in row for row in rows)
 
     def test_the_bundled_hypothesis_is_named_against_a_table_without_it(
             self, tmp_path, capsys):
