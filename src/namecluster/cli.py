@@ -6,7 +6,7 @@ read against COMMANDS, the table of each command's flags: a flag's name
 matches exactly, the word after it is its value, verbatim, and ``--config``
 may also follow the command. Each setting in SETTINGS is resolved once: its
 flag, else its key in the INI-style ``--config`` file, else its default,
-checked against BOUNDS.
+checked against onomasticon.BOUNDS.
 Output is an aligned text table or JSON records of exact fractions with
 decimals, byte-deterministic for identical inputs. Exit codes: 0 success, 1
 computation contract violation (or a closed stdout), 2 input error; an error
@@ -24,7 +24,7 @@ import warnings
 from types import SimpleNamespace
 
 from .candidates import build_spec, load_hypothesis_config
-from .onomasticon import InputError, format_decimal, format_fraction, \
+from .onomasticon import BOUNDS, InputError, format_decimal, format_fraction, \
     load_onomasticon, parse_flag, parse_fraction, source_path
 from .scoring import RULE_PARSERS, ContractViolation, RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail
@@ -92,22 +92,6 @@ DEMOGRAPHY_PARSERS = {
     "juvenile_fraction": parse_fraction, "literacy_affluence_fraction": parse_fraction,
     "female_male_inscription_ratio": parse_fraction}
 
-# key: (what its value must do, its test); RuleLedger, DemographyParams and
-# inference test the same ranges for library callers, naming fields, not flags
-AT_LEAST_ONE = ("be >= 1", lambda v: v >= 1)
-UNIT = ("lie in [0,1]", lambda v: 0 <= v <= 1)
-BOUNDS = {
-    "n2": ("be an integer >= 1", AT_LEAST_ONE[1]),
-    "bonus_divisor": AT_LEAST_ONE, "unknown_son_factor": AT_LEAST_ONE,
-    "total_deceased": ("be nonnegative", lambda v: v >= 0),
-    "tomb_size": ("be positive", lambda v: v > 0),
-    **dict.fromkeys(("non_jewish_fraction", "juvenile_fraction",
-                     "literacy_affluence_fraction", "female_male_inscription_ratio"), UNIT),
-    "q": ("be a tail area between 0 and 1", UNIT[1]),
-    "theta": ("lie in (0,1]", lambda v: 0 < v <= 1),
-    "alpha": ("lie in (0,1)", lambda v: 0 < v < 1),
-}
-
 # key: (--config section, default, value parser, help or None for EXPECTED);
 # a --config file may set any of them, so that one file serves all commands
 SETTINGS = {
@@ -157,7 +141,8 @@ def load_analysis_inputs(args):
     onom = load_onomasticon(args.source)
     name, descriptors, observed_fields = load_hypothesis_config(args.file)
     if observed_fields is None:
-        raise InputError("hypothesis config lacks an 'observed' record")
+        raise InputError(f"{source_path(args.file, 'baseline.cfg')}: "
+                         "hypothesis config lacks an 'observed' record")
     rules = RuleLedger(**given(args, RULE_PARSERS))
     return onom, name, descriptors, TombConfiguration(**observed_fields), rules
 
@@ -173,10 +158,8 @@ def scored_inputs(args):
         raise InputError(f"{hypothesis}: {exc}") from exc
     try:
         scored = score(observed, spec, rules)
-    except InputError as exc:  # a label the hypothesis lacks
+    except (InputError, ContractViolation) as exc:  # a label it lacks, slots that collide
         raise InputError(f"{hypothesis}: observed: {exc}") from exc
-    except ContractViolation as exc:  # slots that collide
-        raise InputError(f"observed: {exc}") from exc
     return name, spec, rules, observed, scored
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .onomasticon import InputError, checked
+from .onomasticon import InputError, check_range, checked
 
 # tomb counts the result reports beside its figures; no computation reads them
 EXCAVATED_TOMBS = 100           # n1
@@ -36,13 +36,8 @@ class DemographyParams(namedtuple(
     # total_deceased, tomb_size: int; the four fractions: Fraction
 
     def check(self):
-        for name in ("non_jewish_fraction", "juvenile_fraction",
-                     "literacy_affluence_fraction", "female_male_inscription_ratio"):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise InputError(f"{name} outside [0,1]")
-        if self.total_deceased < 0 or self.tomb_size <= 0:
-            raise InputError("counts must be nonnegative, tomb_size positive")
+        for name in self._fields:
+            check_range(name, getattr(self, name))
 
 
 class DemographyResult(namedtuple(

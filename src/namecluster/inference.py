@@ -18,17 +18,18 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .onomasticon import InputError
+from .onomasticon import InputError, check_range
 
 
 def beta_of(q: Fraction, n2: int) -> Fraction:
+    check_range("n2", n2)
     return (n2 - 1) * Fraction(q)
 
 
 def adjusted_p(q: Fraction, n2: int) -> Fraction:
     """Upper bound n2*q on the step-one p-value; clamped at 1 with a warning."""
-    if q < 0:
-        raise InputError("q must be nonnegative")
+    check_range("q", q)
+    check_range("n2", n2)
     p = n2 * Fraction(q)
     if p > 1:
         warnings.warn("n2*q exceeds 1; reporting the clamped bound 1",
@@ -48,20 +49,13 @@ def nonzero_beta(q: Fraction, n2: int, infinite: str) -> Fraction:
 def posterior_odds(theta: Fraction, n2: int, q: Fraction) -> Fraction:
     """Posterior odds theta / ((n2-1) q) for the flat 1/(n2-1) prior."""
     b = nonzero_beta(q, n2, "infinite odds")
-    if not 0 < theta <= 1:
-        raise InputError("theta must lie in (0,1]")
+    check_range("theta", theta)
     return Fraction(theta) / b
-
-
-def check_alpha(alpha: Fraction) -> None:
-    """A confidence complement must lie in (0,1): above 1 no bound is a probability."""
-    if not 0 < alpha < 1:
-        raise InputError("alpha must lie in (0,1)")
 
 
 def theta_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:
     """100(1-alpha)% lower confidence bound for theta; 0 when degenerate."""
-    check_alpha(alpha)
+    check_range("alpha", alpha)
     b = beta_of(q, n2)
     if alpha <= b:
         warnings.warn("alpha <= beta: the bound degenerates to 0", stacklevel=2)
@@ -71,7 +65,7 @@ def theta_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:
 
 def odds_lower_bound(alpha: Fraction, n2: int, q: Fraction) -> Fraction:
     """Lower confidence bound (alpha-beta)/(beta(1-beta)) for the odds."""
-    check_alpha(alpha)
+    check_range("alpha", alpha)
     b = nonzero_beta(q, n2, "an infinite bound")
     if alpha <= b:
         warnings.warn("alpha <= beta: the bound degenerates to 0", stacklevel=2)

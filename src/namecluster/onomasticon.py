@@ -32,6 +32,29 @@ class InputError(ValueError):
     the CLI exits 2 on it."""
 
 
+# key: (what its value must do, its test): each range, stated once for the CLI,
+# --config, suite `set` rows and the value types and functions that take it
+BOUNDS = {
+    "n2": ("be an integer >= 1", lambda v: v >= 1),
+    **dict.fromkeys(("bonus_divisor", "unknown_son_factor"), ("be >= 1", lambda v: v >= 1)),
+    "total_deceased": ("be nonnegative", lambda v: v >= 0),
+    **dict.fromkeys(("tomb_size", "female_total", "male_total"),
+                    ("be positive", lambda v: v > 0)),
+    **dict.fromkeys(("non_jewish_fraction", "juvenile_fraction",
+                     "literacy_affluence_fraction", "female_male_inscription_ratio"),
+                    ("lie in [0,1]", lambda v: 0 <= v <= 1)),
+    "q": ("be a tail area between 0 and 1", lambda v: 0 <= v <= 1),
+    "theta": ("lie in (0,1]", lambda v: 0 < v <= 1),
+    "alpha": ("lie in (0,1)", lambda v: 0 < v < 1),
+}
+
+
+def check_range(key: str, value) -> None:
+    """Raise InputError naming ``key`` unless ``value`` is in its BOUNDS range."""
+    if not BOUNDS[key][1](value):
+        raise InputError(f"{key} must {BOUNDS[key][0]}")
+
+
 # largest decimal exponent accepted (Python's default limit on the digits of
 # an int read from str): an unbounded exponent would let a short text build an
 # astronomically large int
@@ -181,8 +204,8 @@ class Onomasticon(namedtuple("Onomasticon", "female_total male_total generics sl
     # slices: tuple[RenditionSlice, ...]
 
     def check(self):
-        if self.female_total <= 0 or self.male_total <= 0:
-            raise InputError("gender totals: must be positive")
+        check_range("female_total", self.female_total)
+        check_range("male_total", self.male_total)
         check_rows(self.generics, self.slices)
 
     def gender_total(self, gender: str) -> int:
@@ -326,8 +349,7 @@ def parse_onomasticon(text: str) -> Onomasticon:
         count = parse_field(f"{gender}_total", persons, int)
         if gender not in GENDERS:
             raise ValueError(f"gender: expected female or male, got {gender!r}")
-        if count <= 0:
-            raise ValueError(f"{gender}_total: must be positive")
+        check_range(f"{gender}_total", count)
         if gender in totals:
             raise ValueError(f"{gender}_total: given twice")
         totals[gender] = count

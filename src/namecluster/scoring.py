@@ -63,7 +63,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .candidates import OTHER, Category, HypothesisSpec
-from .onomasticon import InputError, checked, parse_flag, parse_fraction
+from .onomasticon import BOUNDS, InputError, check_range, checked, parse_flag, parse_fraction
 
 YOSEF = "Yosef"
 YESHUA = "Yeshua"
@@ -89,13 +89,10 @@ class RuleLedger(namedtuple(
     # allow_father_yeshua, count_unknown_sons: bool
 
     def check(self):
-        if self.bonus_divisor < 1:
-            raise InputError("bonus_divisor must be >= 1")
-        if self.unknown_son_factor < 1:
-            raise InputError("unknown_son_factor must be >= 1")
-        for name in ("require_yeshua_in_tomb", "allow_father_yeshua", "count_unknown_sons"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):  # a word such as 'off' would be truthy
+        for name, value in zip(self._fields, self):
+            if name in BOUNDS:  # the two numbers
+                check_range(name, value)
+            elif not isinstance(value, bool):  # a word such as 'off' would be truthy
                 raise InputError(f"{name} must be True or False, got {value!r}")
 
 
@@ -135,12 +132,8 @@ def validate(config: TombConfiguration, spec: HypothesisSpec) -> str | None:
     Slots collide as judged by ``collides``. A father may share a category
     with a singleton.
     """
-    w1 = spec.category("female", config.woman1)
-    w2 = spec.category("female", config.woman2)
-    s1 = spec.category("male", config.singleton1)
-    s2 = spec.category("male", config.singleton2)
-    father = spec.category("male", config.father)
-    son = spec.category("male", config.son)
+    w1, w2 = (spec.category("female", label) for label in config[:2])
+    s1, s2, father, son = (spec.category("male", label) for label in config[2:])
 
     if collides(w1, w2):
         return "duplicate woman"

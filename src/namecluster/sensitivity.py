@@ -133,7 +133,7 @@ def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
 # ---------------------------------------------------------------------------
 # suite files (grammar: see onomasticon.py)
 #
-#   scenario <name>
+#   scenario <name>                     (each name once)
 #   add <person> <gender> <generic> <class> [label=..] [weight=a/b]
 #       [rr=a/b] [scale=a/b]           (as a hypothesis file's candidate)
 #   remove <person>
@@ -173,6 +173,8 @@ def parse_suite(text: str) -> list[Scenario]:
 
     def scenario(fields):
         (name,) = fields
+        if any(s.name == name for s in scenarios):  # its records would share one key
+            raise ValueError(f"scenario: {name}: given twice")
         scenarios.append(Scenario(name))
 
     def remove(fields):

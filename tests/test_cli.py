@@ -718,7 +718,7 @@ class TestMalformedInputFiles:
             .replace("woman2=Marya", "woman2=MM"))
         assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
         assert capsys.readouterr().err.splitlines() == [
-            "error: observed: duplicate woman"]
+            f"error: {hypothesis}: observed: duplicate woman"]
         # a sweep reports the impossible configuration in each scenario's row
         code, text = run_cli("sweep", "--hypothesis", str(hypothesis))
         rows = text.splitlines()[1:]
@@ -743,7 +743,8 @@ class TestMalformedInputFiles:
     @pytest.mark.parametrize("observed, named", [
         ("observed woman1=MM woman2=Marya",
          "{path}: row {row}: observed: missing singleton1, singleton2, father, son"),
-        ("", "hypothesis config lacks an 'observed' record")], ids=["partial", "absent"])
+        ("", "{path}: hypothesis config lacks an 'observed' record")],
+        ids=["partial", "absent"])
     def test_an_observed_record_that_is_partial_or_absent(
             self, command, observed, named, tmp_path, capsys):
         lines = (SRC / "namecluster" / "data" / "baseline.cfg").read_text().splitlines()
@@ -774,8 +775,8 @@ class TestMalformedInputFiles:
         ("total male abc", "male_total: "),
         ("total Female 5", "gender: expected female or male, got 'Female'"),
         ("total female 10", "female_total: given twice"),
-        ("total female 0", "female_total: must be positive"),
-        ("total male -5", "male_total: must be positive"),
+        ("total female 0", "female_total must be positive"),
+        ("total male -5", "male_total must be positive"),
         ("generic Joseph female 3 1", "generic: Joseph: duplicate name"),
         ("slice Mariam X x 44", "ossuary_matching: "),
         ("slice Mariam X 1 1/0", "ossuary_generic: zero denominator"),

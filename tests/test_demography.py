@@ -39,11 +39,11 @@ class TestDefaults:
 
 class TestValidation:
     def test_fraction_out_of_range(self):
-        with pytest.raises(InputError, match=r"^juvenile_fraction outside \[0,1\]$"):
+        with pytest.raises(InputError, match=r"^juvenile_fraction must lie in \[0,1\]$"):
             DemographyParams(juvenile_fraction=Fraction(3, 2))
 
     def test_negative_deceased(self):
-        with pytest.raises(InputError, match="^counts must be nonnegative"):
+        with pytest.raises(InputError, match="^total_deceased must be nonnegative$"):
             DemographyParams(total_deceased=-1)
 
 

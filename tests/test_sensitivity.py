@@ -325,6 +325,10 @@ class TestSuiteParsing:
         with pytest.raises(InputError, match="^row 1: 'remove' record before the first scenario$"):
             parse_suite("remove salome_sister\nscenario late\n")
 
+    def test_a_scenario_name_given_twice_is_rejected(self):
+        with pytest.raises(InputError, match="^row 3: scenario: a: given twice$"):
+            parse_suite("scenario a\nset bonus_divisor 1\nscenario a\nset bonus_divisor 2\n")
+
     def test_add_takes_the_options_of_a_candidate(self, onom, rules):
         fields = "joanna female Joanna generic label=J weight=1/2 rr=1/3 scale=2"
         (scenario,) = parse_suite(f"scenario opts\nadd {fields}\n")

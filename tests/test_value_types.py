@@ -88,7 +88,7 @@ BAD_FIELDS = {
         "ossuary_matching: Mariam/MM: must satisfy 0 <= k <= K"),
     "Onomasticon": (
         lambda onom: onom, {"female_total": 0},
-        "gender totals: must be positive"),
+        "female_total must be positive"),
     "Category": (
         lambda onom: nc.build_spec(onom, DESCRIPTORS).men[0], {"rr": Fraction(2)},
         "category Yosef: rr outside (0,1]"),
@@ -100,7 +100,7 @@ BAD_FIELDS = {
         "bonus_divisor must be >= 1"),
     "DemographyParams": (
         lambda onom: DemographyParams(), {"juvenile_fraction": Fraction(2)},
-        "juvenile_fraction outside [0,1]"),
+        "juvenile_fraction must lie in [0,1]"),
 }
 
 
