@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .onomasticon import InputError, check_range, checked
+from .onomasticon import check_range, checked
 
 # tomb counts the result reports beside its figures; no computation reads them
 EXCAVATED_TOMBS = 100           # n1
@@ -58,8 +58,6 @@ def run_pipeline(params: DemographyParams = DemographyParams()) -> DemographyRes
     deceased = Fraction(params.total_deceased, 2)
     adult_raw = (deceased * (1 - params.non_jewish_fraction)
                  * (1 - params.juvenile_fraction))
-    if adult_raw < 0:
-        raise InputError("negative adult population")
     males = round_to(adult_raw * params.literacy_affluence_fraction, 10)
     females = males * params.female_male_inscription_ratio
     trials_raw = (males + females) / params.tomb_size

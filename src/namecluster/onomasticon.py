@@ -152,8 +152,8 @@ def checked(cls):
 
 @checked
 class GenericNameCount(namedtuple(
-        "GenericNameCount", "name gender total_persons ossuary_persons rahmani "
-        "rahmani_uncertain", defaults=(None, None, False))):
+        "GenericNameCount", "name gender total_persons ossuary_persons",
+        defaults=(None,))):
     """Counts of the persons bearing one generic name.
 
     ``ossuary_persons`` is None when the ossuary-derived count is
@@ -161,8 +161,7 @@ class GenericNameCount(namedtuple(
     """
 
     __slots__ = ()
-    # name, gender: str; total_persons: Fraction; ossuary_persons, rahmani:
-    # Fraction or None; rahmani_uncertain: bool
+    # name, gender: str; total_persons: Fraction; ossuary_persons: Fraction or None
 
     def check(self):
         if self.gender not in GENDERS:
@@ -176,23 +175,16 @@ class GenericNameCount(namedtuple(
                 raise InputError(f"ossuary_persons: {self.name}: exceeds total_persons")
 
 
-@checked
-class RenditionSlice(namedtuple(
-        "RenditionSlice", "generic label ossuary_matching ossuary_generic")):
+class RenditionSlice(namedtuple("RenditionSlice", "generic label ossuary_matching")):
     """A named group of renditions within a generic name.
 
-    ``ossuary_matching`` (k) of the ``ossuary_generic`` (K) ossuary-derived
-    bearers of the generic were written in a rendition belonging to the slice.
+    ``ossuary_matching`` (k) of the generic's ``ossuary_persons`` (K) were
+    written in a rendition belonging to the slice; ``implied_count`` checks
+    k against K, which only the generic states.
     """
 
     __slots__ = ()
-    # generic, label: str; ossuary_matching, ossuary_generic: Fraction
-
-    def check(self):
-        if not 0 <= self.ossuary_matching <= self.ossuary_generic:
-            raise InputError(
-                f"ossuary_matching: {self.generic}/{self.label}: "
-                "must satisfy 0 <= k <= K")
+    # generic, label: str; ossuary_matching: Fraction
 
 
 @checked
@@ -229,9 +221,9 @@ class Onomasticon(namedtuple("Onomasticon", "female_total male_total generics sl
 
 
 def check_rows(generics, slices, by_name=None, totals=None) -> None:
-    """Generics have distinct names; slices agree with and fit inside their
-    generic. A reader checks each row as it comes by passing on ``by_name``,
-    the generics above it by name, and ``totals``, their slices' counts."""
+    """Generics have distinct names; slices fit inside their generic. A
+    reader checks each row as it comes by passing on ``by_name``, the
+    generics above it by name, and ``totals``, their slices' counts."""
     by_name = {} if by_name is None else by_name
     totals = {} if totals is None else totals
     for g in generics:
@@ -241,10 +233,6 @@ def check_rows(generics, slices, by_name=None, totals=None) -> None:
         g = by_name.get(s.generic)
         if g is None:
             raise InputError(f"slice generic: {s.generic}: unknown")
-        if g.ossuary_persons is not None and s.ossuary_generic != g.ossuary_persons:
-            raise InputError(
-                f"ossuary_generic: {s.generic}/{s.label}: disagrees with "
-                "the generic's ossuary count")
         totals[s.generic] = totals.get(s.generic, 0) + implied_count(s, g)
         if totals[s.generic] > g.total_persons:
             raise InputError(
@@ -252,10 +240,18 @@ def check_rows(generics, slices, by_name=None, totals=None) -> None:
 
 
 def implied_count(slc: RenditionSlice, generic: GenericNameCount) -> Fraction:
-    """Persons in the slice, scaled from ossuary proportions: (k/K) * G."""
-    if slc.ossuary_generic == 0:
+    """Persons in the slice, scaled from ossuary proportions: (k/K) * G,
+    where K is the generic's ossuary count and 0 <= k <= K."""
+    k, big_k = slc.ossuary_matching, generic.ossuary_persons
+    if big_k is None:
+        raise InputError(f"slice {slc.generic}/{slc.label}: "
+                         "the generic's ossuary count is undetermined")
+    if big_k == 0:
         raise InputError(f"slice {slc.generic}/{slc.label}: no ossuary bearers (K = 0)")
-    return slc.ossuary_matching / slc.ossuary_generic * generic.total_persons
+    if not 0 <= k <= big_k:
+        raise InputError(f"ossuary_matching: {slc.generic}/{slc.label}: "
+                         "must satisfy 0 <= k <= K")
+    return k / big_k * generic.total_persons
 
 
 def slice_frequency(slc: RenditionSlice, onom: Onomasticon) -> Fraction:
@@ -276,9 +272,10 @@ def slice_frequency(slc: RenditionSlice, onom: Onomasticon) -> Fraction:
 #
 # The onomasticon table's records:
 #   total   <female|male> <persons>       (one per gender)
-#   generic <name> <gender> <total> [<ossuary>|-] [rahmani=N[?]]  (one per name)
-#   slice   <generic> <label> <k> <K>     (below the generic's own record)
-# A '-' ossuary entry means undetermined (not zero).
+#   generic <name> <gender> <total> [<ossuary>|-]   (one per name)
+#   slice   <generic> <label> <k>         (below the generic's own record)
+# A '-' ossuary entry means undetermined (not zero). A slice's k counts
+# among its generic's ossuary bearers K, so its generic needs a K above 0.
 # ---------------------------------------------------------------------------
 
 DATA = Path(__file__).parent / "data"
@@ -333,9 +330,6 @@ def parse_options(words, parsers) -> dict:
     return options
 
 
-GENERIC_OPTIONS = {"rahmani": str}
-
-
 def parse_onomasticon(text: str) -> Onomasticon:
     totals = {}
     # the state check_rows keeps of the rows above: generics by name, and
@@ -356,24 +350,16 @@ def parse_onomasticon(text: str) -> Onomasticon:
 
     def generic(fields):
         name, gender, persons, *rest = fields
-        ossuary = None
-        if rest and "=" not in rest[0]:
-            word = rest.pop(0)
-            ossuary = None if word == "-" else parse_field("ossuary_persons", word)
-        rahmani = parse_options(rest, GENERIC_OPTIONS).get("rahmani")
+        ossuary, = rest or ["-"]
         check_rows([GenericNameCount(
-            name=name, gender=gender, total_persons=parse_field("total_persons", persons),
-            ossuary_persons=ossuary,
-            rahmani=None if rahmani is None else parse_field("rahmani", rahmani.rstrip("?")),
-            rahmani_uncertain=rahmani is not None and rahmani.endswith("?"))],
+            name, gender, parse_field("total_persons", persons),
+            None if ossuary == "-" else parse_field("ossuary_persons", ossuary))],
             (), by_name, implied)  # no generic above it has its name
 
     def slice_(fields):
-        name, label, k, big_k = fields
+        name, label, k = fields
         slices.append(RenditionSlice(
-            generic=name, label=label,
-            ossuary_matching=parse_field("ossuary_matching", k),
-            ossuary_generic=parse_field("ossuary_generic", big_k)))
+            generic=name, label=label, ossuary_matching=parse_field("ossuary_matching", k)))
         check_rows((), slices[-1:], by_name, implied)  # against the rows above it
 
     read_records(text, {"total": total, "generic": generic, "slice": slice_})

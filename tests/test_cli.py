@@ -760,36 +760,42 @@ class TestMalformedInputFiles:
         pytest.param("generic X female 1/0", "total_persons: zero denominator",
                      id="generic X female 1/0-zero denominator"),
         ("generic X female 5 10", "ossuary_persons: X: exceeds total_persons"),
-        ("slice X x 6 5", "ossuary_matching: X/x: must satisfy 0 <= k <= K")])
+        ("generic X female 10 5\nslice X x 6",
+         "ossuary_matching: X/x: must satisfy 0 <= k <= K")])
     def test_bad_onomasticon_row(self, row, named, tmp_path, capsys):
         onom = tmp_path / "onom.tsv"
         onom.write_text(f"total female 10\n{row}\n")
         assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {onom}: row 2: {named}"]
+            f"error: {onom}: row {1 + len(row.splitlines())}: {named}"]
 
     @pytest.mark.parametrize("row, named", [
         ("generic Foo male abc", "total_persons: "),
         ("generic Foo male 5 x", "ossuary_persons: "),
-        ("generic Foo male 5 4 rahmani=x?", "rahmani: "),
+        # a row of the table's earlier grammar: a generic's option, a slice's K
+        ("generic Mariam female 74 44 rahmani=18", "too many values"),
+        ("slice Mariam MM 1 44", "too many values"),
         ("total male abc", "male_total: "),
         ("total Female 5", "gender: expected female or male, got 'Female'"),
         ("total female 10", "female_total: given twice"),
         ("total female 0", "female_total must be positive"),
         ("total male -5", "male_total must be positive"),
         ("generic Joseph female 3 1", "generic: Joseph: duplicate name"),
-        ("slice Mariam X x 44", "ossuary_matching: "),
-        ("slice Mariam X 1 1/0", "ossuary_generic: zero denominator"),
-        ("slice Salome X 1 2", "ossuary_generic: Salome/X: disagrees"),
-        ("slice Nobody X 1 2", "slice generic: Nobody: unknown"),
-        ("slice Mariam X 40 44", "slices of Mariam: implied counts exceed")])
+        ("slice Mariam X x", "ossuary_matching: "),
+        ("slice Mariam X 1/0", "ossuary_matching: zero denominator"),
+        ("slice Mariam X -1", "ossuary_matching: Mariam/X: must satisfy 0 <= k <= K"),
+        ("slice Nobody X 1", "slice generic: Nobody: unknown"),
+        ("slice Mariam X 40", "slices of Mariam: implied counts exceed"),
+        # K is the generic's alone, so a slice needs a generic with K > 0
+        ("slice Cleopas x 1", "slice Cleopas/x: the generic's ossuary count is undetermined"),
+        ("generic Zero male 5 0\nslice Zero z 0", "slice Zero/z: no ossuary bearers (K = 0)")])
     def test_bad_row_of_the_bundled_table_names_row_and_field(
             self, row, named, tmp_path, capsys):
-        # appended to the bundled table, so only the row itself is wrong
+        # appended to the bundled table, so only the last row is wrong
         bundled = (SRC / "namecluster" / "data" / "onomasticon.tsv").read_text()
         onom = tmp_path / "onom.tsv"
         onom.write_text(f"{bundled}{row}\n")
-        rows = len(bundled.splitlines()) + 1
+        rows = len(f"{bundled}{row}".splitlines())
         assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
@@ -834,9 +840,7 @@ class TestMalformedInputFiles:
          "singleton1=Yoseh singleton2=Other father=Yosef son=Yeshua", "observed"),
         ("--suite", "scenarios.cfg", "reference 0.5", "reference"),
         ("--suite", "scenarios.cfg",
-         "add joanna2 female Joanna generic weight=1/9 weight=1/8", "weight"),
-        ("--onomasticon", "onomasticon.tsv",
-         "generic Foo male 5 4 rahmani=1 rahmani=2", "rahmani")])
+         "add joanna2 female Joanna generic weight=1/9 weight=1/8", "weight")])
     def test_a_repeated_option_names_its_row(self, flag, bundled, row, named,
                                              tmp_path, capsys):
         # appended to a bundled file, so only the row itself is wrong

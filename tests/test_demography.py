@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from namecluster.demography import DemographyParams, round_to, run_pipeline
-from namecluster.onomasticon import InputError
+from namecluster.onomasticon import BOUNDS, InputError
+
+
+def in_bounds(key, values):
+    """``values`` filtered to the range BOUNDS gives ``key``."""
+    return values.filter(BOUNDS[key][1])
 
 
 class TestDefaults:
@@ -67,6 +72,18 @@ class TestProperties:
             literacy_affluence_fraction=Fraction(f)))
         more = run_pipeline(DemographyParams(literacy_affluence_fraction=1))
         assert base.trials <= more.trials
+
+    @given(st.builds(
+        DemographyParams,
+        total_deceased=in_bounds("total_deceased", st.integers(-10, 10 ** 7)),
+        **{key: in_bounds(key, st.fractions(-1, 2))
+           for key in ("non_jewish_fraction", "juvenile_fraction",
+                       "literacy_affluence_fraction", "female_male_inscription_ratio")},
+        tomb_size=in_bounds("tomb_size", st.integers(-5, 50))))
+    def test_every_figure_is_nonnegative_in_range(self, params):
+        # the value type bounds every input, so no population can go negative
+        result = run_pipeline(params)
+        assert all(figure >= 0 for figure in result), result
 
     @given(st.integers(min_value=1, max_value=50))
     def test_scale_equivariance_before_rounding(self, c):

@@ -26,21 +26,16 @@ class TestBundledFixture:
         for name, count in expected.items():
             assert onom.generic(name).total_persons == count
 
-    def test_uncertain_entry_stored_at_lower_value(self, onom):
-        yeshua = onom.generic("Yeshua")
-        assert yeshua.rahmani == 10
-        assert yeshua.rahmani_uncertain
-
     def test_undetermined_ossuary_is_not_zero(self, onom):
         assert onom.generic("Cleopas").ossuary_persons is None
 
     def test_slices(self, onom):
-        mm = onom.slice("Mariam", "MM")
-        assert (mm.ossuary_matching, mm.ossuary_generic) == (1, 44)
-        marya = onom.slice("Mariam", "Marya")
-        assert (marya.ossuary_matching, marya.ossuary_generic) == (13, 44)
-        yoseh = onom.slice("Joseph", "Yoseh")
-        assert (yoseh.ossuary_matching, yoseh.ossuary_generic) == (7, 46)
+        # k is the slice's, K the generic's
+        assert onom.slice("Mariam", "MM") == ("Mariam", "MM", 1)
+        assert onom.slice("Mariam", "Marya") == ("Mariam", "Marya", 13)
+        assert onom.slice("Joseph", "Yoseh") == ("Joseph", "Yoseh", 7)
+        assert onom.generic("Mariam").ossuary_persons == 44
+        assert onom.generic("Joseph").ossuary_persons == 46
 
 
 class TestSliceFrequency:
@@ -60,20 +55,29 @@ class TestSliceFrequency:
         assert round(float(f * 317), 2) == 1.68
 
     def test_full_class_is_generic_frequency(self, onom):
-        full = RenditionSlice("Salome", "all", Fraction(41), Fraction(41))
+        full = RenditionSlice("Salome", "all", Fraction(41))
         assert nc.slice_frequency(full, onom) == Fraction(61, 317)
 
-    def test_zero_ossuary_bearers_rejected(self, onom):
-        degenerate = RenditionSlice("Salome", "none", Fraction(0), Fraction(0))
-        with pytest.raises(InputError,
-                           match=r"^slice Salome/none: no ossuary bearers \(K = 0\)$"):
-            nc.slice_frequency(degenerate, onom)
+    def test_zero_or_undetermined_ossuary_bearers_rejected(self):
+        for ossuary, named in ((Fraction(0), r"no ossuary bearers \(K = 0\)"),
+                               (None, "the generic's ossuary count is undetermined")):
+            onom = Onomasticon(317, 2509, (GenericNameCount("X", "male", 10, ossuary),), ())
+            with pytest.raises(InputError, match=f"^slice X/none: {named}$"):
+                nc.slice_frequency(RenditionSlice("X", "none", Fraction(0)), onom)
+
+    def test_k_outside_0_to_K_rejected(self):
+        # a slice built by hand skips the table's check; the estimator makes it
+        onom = Onomasticon(317, 2509, (GenericNameCount("X", "female", 10, 5),), ())
+        for k in (Fraction(6), Fraction(-1)):
+            with pytest.raises(InputError,
+                               match=r"^ossuary_matching: X/x: must satisfy 0 <= k <= K$"):
+                nc.slice_frequency(RenditionSlice("X", "x", k), onom)
 
     @given(st.integers(min_value=1, max_value=400))
     def test_homogeneous_in_generic_total(self, scale):
         base = GenericNameCount("X", "male", Fraction(10), Fraction(5))
         scaled = GenericNameCount("X", "male", Fraction(10 * scale), Fraction(5))
-        slc = RenditionSlice("X", "x", Fraction(2), Fraction(5))
+        slc = RenditionSlice("X", "x", Fraction(2))
         onom_base = Onomasticon(317, 2509, (base,), (slc,))
         onom_scaled = Onomasticon(317, 2509, (scaled,), (slc,))
         assert (nc.slice_frequency(slc, onom_scaled)
@@ -97,11 +101,10 @@ class TestParsing:
             parse_onomasticon("total female 10\ngeneric X female 1/0\n")
 
     def test_unknown_generic_option_names_the_row(self):
-        # fictitious bearers enter no estimate, so the table takes no such option
-        for word, named in (("fictitous=1", "unknown option 'fictitous'"),
-                            ("fictitious=1", "unknown option 'fictitious'"),
-                            ("rahmani", "'rahmani'")):
-            with pytest.raises(InputError, match=f"row 1: .*{named}"):
+        # fictitious bearers and Rahmani counts enter no estimate, so a generic
+        # takes no option words; the table keeps them as comments
+        for word in ("fictitious=1", "rahmani=18", "rahmani=10?", "rahmani"):
+            with pytest.raises(InputError, match="^row 1: too many values"):
                 parse_onomasticon(f"generic X female 5 4 {word}\n")
 
     def test_one_name_is_one_generic_whatever_its_gender(self, onom):
@@ -120,10 +123,6 @@ class TestParsing:
                 "generic Odd female 5 9\n")
         with pytest.raises(InputError, match="^row 3: ossuary_persons: Odd: exceeds total_persons$"):
             parse_onomasticon(text)
-
-    def test_slice_exceeding_generic_rejected(self):
-        with pytest.raises(InputError, match="^ossuary_matching: X/x: must satisfy"):
-            RenditionSlice("X", "x", Fraction(6), Fraction(5))
 
     def test_fraction_syntax(self):
         assert parse_fraction("33/46") == Fraction(33, 46)
@@ -171,20 +170,20 @@ class TestParsing:
 
     def test_slice_of_unknown_generic_rejected(self):
         text = ("total female 317\ntotal male 2509\n"
-                "slice Ghost g 1 2\n")
+                "slice Ghost g 1\n")
         with pytest.raises(InputError, match="^row 3: slice generic: Ghost: unknown$"):
             parse_onomasticon(text)
 
     def test_slice_above_its_generic_names_its_row(self):
         text = ("total female 317\ntotal male 2509\n"
-                "slice Tiny a 1 8\ngeneric Tiny female 8 8\n")
+                "slice Tiny a 1\ngeneric Tiny female 8 8\n")
         with pytest.raises(InputError, match="row 3: slice generic: Tiny: unknown"):
             parse_onomasticon(text)
 
     def test_slices_overfilling_their_generic_rejected(self):
         text = ("total female 317\ntotal male 2509\n"
                 "generic Tiny female 8 8\n"
-                "slice Tiny a 7 8\nslice Tiny b 6 8\n")
+                "slice Tiny a 7\nslice Tiny b 6\n")
         with pytest.raises(InputError,
                            match="^row 5: slices of Tiny: implied counts exceed"):
             parse_onomasticon(text)

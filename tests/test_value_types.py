@@ -33,10 +33,8 @@ MODULES = ["namecluster"] + [f"namecluster.{m.name}"
 # type -> (module, fields, defaults), as first defined with typing.NamedTuple
 FIELDS = {
     "GenericNameCount": (
-        "onomasticon", "name gender total_persons ossuary_persons rahmani rahmani_uncertain",
-        {"ossuary_persons": None, "rahmani": None, "rahmani_uncertain": False}),
-    "RenditionSlice": (
-        "onomasticon", "generic label ossuary_matching ossuary_generic", {}),
+        "onomasticon", "name gender total_persons ossuary_persons", {"ossuary_persons": None}),
+    "RenditionSlice": ("onomasticon", "generic label ossuary_matching", {}),
     "Onomasticon": ("onomasticon", "female_total male_total generics slices", {}),
     "Category": ("candidates", "label weight rr", {}),
     "CandidateDescriptor": (
@@ -83,9 +81,6 @@ BAD_FIELDS = {
     "GenericNameCount": (
         lambda onom: onom.generic("Mariam"), {"gender": "neuter"},
         "gender: Mariam: 'neuter'"),
-    "RenditionSlice": (
-        lambda onom: onom.slice("Mariam", "MM"), {"ossuary_matching": Fraction(99)},
-        "ossuary_matching: Mariam/MM: must satisfy 0 <= k <= K"),
     "Onomasticon": (
         lambda onom: onom, {"female_total": 0},
         "female_total must be positive"),
