@@ -77,7 +77,8 @@ class HypothesisSpec(namedtuple("HypothesisSpec", "women men female_total male_t
         for gender, cats in ((FEMALE, self.women), (MALE, self.men)):
             labels = [c.label for c in cats]
             if len(set(labels)) != len(labels):
-                raise InputError(f"{gender} categories: duplicate label")
+                label = next(label for i, label in enumerate(labels) if label in labels[:i])
+                raise InputError(f"{gender} categories: {label}: duplicate label")
             # sum to 1 in integers over the lcm of the denominators: a
             # Fraction sum reduces at every step
             den = lcm(*(c.weight.denominator for c in cats))
@@ -176,7 +177,8 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
     """
     persons = [d.person for d in candidates]
     if len(set(persons)) != len(persons):
-        raise InputError("duplicate candidate person")
+        person = next(person for i, person in enumerate(persons) if person in persons[:i])
+        raise InputError(f"candidate {person}: given twice")
     for d in candidates:
         if d.gender not in (FEMALE, MALE):
             raise InputError(f"candidate {d.person}: unknown gender {d.gender!r}")
@@ -220,7 +222,7 @@ def parse_candidate(fields) -> CandidateDescriptor:
 def parse_hypothesis_config(text: str):
     """Return (name, descriptors, observed-slot mapping or None)."""
     config = {}
-    descriptors: list[CandidateDescriptor] = []
+    descriptors: dict[str, CandidateDescriptor] = {}  # by person
 
     def once(kind, value):
         if kind in config:
@@ -238,11 +240,13 @@ def parse_hypothesis_config(text: str):
             raise ValueError(f"observed: missing {', '.join(missing)}")
         once("observed", slots)
 
-    read_records(text, {
-        "name": name,
-        "candidate": lambda fields: descriptors.append(parse_candidate(fields)),
-        "observed": observed})
-    return config.get("name", "custom"), tuple(descriptors), config.get("observed")
+    def candidate(fields):
+        desc = parse_candidate(fields)
+        if descriptors.setdefault(desc.person, desc) is not desc:
+            raise ValueError(f"candidate: {desc.person}: given twice")
+
+    read_records(text, {"name": name, "candidate": candidate, "observed": observed})
+    return config.get("name", "custom"), tuple(descriptors.values()), config.get("observed")
 
 
 def load_hypothesis_config(source: Union[str, Path] = "bundled"):

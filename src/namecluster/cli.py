@@ -36,7 +36,7 @@ def read_config(path):
     """The parsed --config file, or None when none is given."""
     if path is None:
         return None
-    nonempty("config", path)
+    parse_value("config", path, str)
     import configparser
     # no interpolation: a '%' in a value is a character, not a reference
     parser = configparser.ConfigParser(interpolation=None)
@@ -80,13 +80,6 @@ def parse_value(key, raw, parse):
     return value
 
 
-def nonempty(key, path) -> None:
-    """An empty ``path`` of setting ``key`` raises InputError: it would read
-    as the current directory."""
-    if path == "":
-        raise InputError(f"{flag_of(key)} must name a file, got ''")
-
-
 DEMOGRAPHY_PARSERS = {
     "total_deceased": int, "tomb_size": int, "non_jewish_fraction": parse_fraction,
     "juvenile_fraction": parse_fraction, "literacy_affluence_fraction": parse_fraction,
@@ -110,25 +103,22 @@ SETTINGS = {
     "alpha": ("inference", (), parse_fraction, "confidence complement in (0, 1); repeatable"),
 }
 REPEATED = ("theta", "alpha")  # settings that collect every value given
-PATHS = ("source", "file", "suite")  # settings that name an input file
 
 
 def resolve(args, config) -> None:
     """Set each setting of ``args.command`` to the flag, else the --config
-    value, else the default, typed by its parser. A REPEATED setting becomes
-    a list of (word, value) pairs, so that a report names the word as given."""
+    value, else the default, each word read by parse_value. A REPEATED setting
+    becomes a list of (word, value) pairs, so a report names the word as given."""
     for key in COMMANDS[args.command][2].values():
         section, default, parse, _ = SETTINGS[key]
         value = getattr(args, key)
         if value is None:  # with a config, args.config is set: "config" is not looked up
             value = default if config is None else config.get(section, key, fallback=default)
-        if key in PATHS:
-            nonempty(key, value)
         if key in REPEATED:
             words = [value] if isinstance(value, str) else value
             value = [(word, parse_value(key, word, parse)) for word in words]
-        elif value is not None and parse is not None:
-            value = parse_value(key, value, parse)
+        elif value is not None:
+            value = parse_value(key, value, parse or str)
         setattr(args, key, value)
 
 
@@ -302,9 +292,6 @@ def main(argv=None, out=None) -> int:
             out.write(help_text(args.command))
             return 0
         resolve(args, read_config(args.config))
-        # validate-config writes one text line: it takes no --format
-        if getattr(args, "format", "table") not in ("table", "records"):
-            raise InputError(f"--format must be table or records, got {args.format!r}")
         code = COMMANDS[args.command][0](args, out)
         out.flush()  # a closed stdout fails here, not in the interpreter's last flush
         return code

@@ -32,9 +32,12 @@ class InputError(ValueError):
     the CLI exits 2 on it."""
 
 
-# key: (what its value must do, its test): each range, stated once for the CLI,
+# key: (what its word or value must do, its test), stated once for the CLI,
 # --config, suite `set` rows and the value types and functions that take it
 BOUNDS = {
+    "format": ("be table or records", lambda v: v in ("table", "records")),
+    # an empty path would read as the current directory
+    **dict.fromkeys(("config", "source", "file", "suite"), ("name a file", bool)),
     "n2": ("be an integer >= 1", lambda v: v >= 1),
     **dict.fromkeys(("bonus_divisor", "unknown_son_factor"), ("be >= 1", lambda v: v >= 1)),
     "total_deceased": ("be nonnegative", lambda v: v >= 0),
@@ -221,9 +224,9 @@ class Onomasticon(namedtuple("Onomasticon", "female_total male_total generics sl
 
 
 def check_rows(generics, slices, by_name=None, totals=None) -> None:
-    """Generics have distinct names; slices fit inside their generic. A
-    reader checks each row as it comes by passing on ``by_name``, the
-    generics above it by name, and ``totals``, their slices' counts."""
+    """Generics have distinct names; a generic's slices have distinct labels
+    and fit inside it. A reader checks each row as it comes by passing on
+    ``by_name``, the generics above it, and ``totals``, their slices' counts."""
     by_name = {} if by_name is None else by_name
     totals = {} if totals is None else totals
     for g in generics:
@@ -233,8 +236,11 @@ def check_rows(generics, slices, by_name=None, totals=None) -> None:
         g = by_name.get(s.generic)
         if g is None:
             raise InputError(f"slice generic: {s.generic}: unknown")
-        totals[s.generic] = totals.get(s.generic, 0) + implied_count(s, g)
-        if totals[s.generic] > g.total_persons:
+        counts = totals.setdefault(s.generic, {})
+        if s.label in counts:
+            raise InputError(f"slice: {s.generic}/{s.label}: duplicate label")
+        counts[s.label] = implied_count(s, g)
+        if sum(counts.values()) > g.total_persons:
             raise InputError(
                 f"slices of {s.generic}: implied counts exceed the generic total")
 
@@ -335,7 +341,7 @@ def parse_onomasticon(text: str) -> Onomasticon:
     # the state check_rows keeps of the rows above: generics by name, and
     # the implied counts of their slices
     by_name: dict[str, GenericNameCount] = {}
-    implied: dict[str, Fraction] = {}
+    implied: dict[str, dict[str, Fraction]] = {}
     slices: list[RenditionSlice] = []
 
     def total(fields):

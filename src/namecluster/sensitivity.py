@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .candidates import CandidateDescriptor, build_spec, parse_candidate
-from .onomasticon import (InputError, Onomasticon, format_decimal, load_source,
-                          parse_field, parse_fraction, read_records)
+from .onomasticon import (BOUNDS, InputError, Onomasticon, check_range, format_decimal,
+                          load_source, parse_field, parse_fraction, read_records)
 from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration, score
 from .tailspace import enumerate_tail
 
@@ -160,7 +160,8 @@ def parse_suite(text: str) -> list[Scenario]:
         if param not in RULE_PARSERS:
             raise ValueError(f"unknown rule parameter {param!r}")
         value = parse_field(param, text, RULE_PARSERS[param])
-        RuleLedger()._replace(**{param: value})  # in range
+        if param in BOUNDS:  # the two numbers; a switch is a bool as parsed
+            check_range(param, value)
         delta("set", param=param, value=value)
 
     def reference(fields):

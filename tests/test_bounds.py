@@ -3,11 +3,13 @@
 A value on the boundary is accepted by the CLI and by the library. A value
 just outside exits 2 with the CLI's one line, which names the flag and the
 word, and each library function or value type that takes it raises
-``<key> must <requirement>``. The test is parametrized by BOUNDS itself, so a
-row added there without a case here fails.
+``<key> must <requirement>``. A word setting (the format, an input path) is
+taken by no library call: only the CLI and its --config judge it. The test is
+parametrized by BOUNDS itself, so a row added there without a case here fails.
 """
 
 import io
+import os
 import warnings
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ from namecluster.cli import COMMANDS, main
 from namecluster.demography import DemographyParams
 from namecluster.inference import (adjusted_p, beta_of, odds_lower_bound,
                                    posterior_odds, theta_lower_bound)
-from namecluster.onomasticon import BOUNDS, InputError, load_onomasticon
+from namecluster.onomasticon import BOUNDS, DATA, InputError, load_onomasticon
 from namecluster.scoring import RuleLedger
 
 Q = Fraction(1, 99999)  # a tail area whose beta, at n2 = 1100, is about 0.011
@@ -37,9 +39,19 @@ def total(key):
     return None, [lambda v: load_onomasticon()._replace(**{key: v})]
 
 
+def path(filename):
+    # an empty path would read as the current directory
+    return ["validate-config"], [], [str(DATA / filename)], [""]
+
+
 # key: (the CLI words before its flag, or None; the library calls that take
 # the value; the words on the boundary, which are accepted; words just outside)
 CASES = {
+    "format": (["demography"], [], ["table", "records"], ["bogus", "", "Table"]),
+    "config": (["demography"], [], [os.devnull], [""]),
+    "source": path("onomasticon.tsv"),
+    "file": path("baseline.cfg"),
+    "suite": path("scenarios.cfg"),
     # beta_of serves the odds and both bounds
     "n2": (["infer", "--q", "0"], [lambda v: adjusted_p(Q, v), lambda v: beta_of(Q, v)],
            ["1"], ["0"]),

@@ -84,13 +84,13 @@ class TestSpecEdits:
 
     def test_duplicate_person_rejected(self, onom):
         dup = DESCRIPTORS + (DESCRIPTORS[0],)
-        with pytest.raises(InputError, match="^duplicate candidate person$"):
+        with pytest.raises(InputError, match="^candidate mary_magdalene: given twice$"):
             build_spec(onom, dup)
 
     def test_duplicate_label_rejected(self, onom):
         clash = DESCRIPTORS + (
             CandidateDescriptor("impostor", "female", "Mariam", "MM"),)
-        with pytest.raises(InputError, match="^female categories: duplicate label$"):
+        with pytest.raises(InputError, match="^female categories: MM: duplicate label$"):
             build_spec(onom, clash)
 
     def test_candidate_labelled_other_rejected(self, onom):
@@ -98,7 +98,7 @@ class TestSpecEdits:
         impostor = DESCRIPTORS + (
             CandidateDescriptor("impostor", "male", "Simon", "generic", label="Other"),)
         with pytest.raises(InputError,
-                           match="^male categories: duplicate label$"):
+                           match="^male categories: Other: duplicate label$"):
             build_spec(onom, impostor)
 
     def test_residual_weight_above_its_rr_rejected(self, onom):

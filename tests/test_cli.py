@@ -786,6 +786,7 @@ class TestMalformedInputFiles:
         ("slice Mariam X -1", "ossuary_matching: Mariam/X: must satisfy 0 <= k <= K"),
         ("slice Nobody X 1", "slice generic: Nobody: unknown"),
         ("slice Mariam X 40", "slices of Mariam: implied counts exceed"),
+        ("slice Mariam MM 20", "slice: Mariam/MM: duplicate label"),
         # K is the generic's alone, so a slice needs a generic with K > 0
         ("slice Cleopas x 1", "slice Cleopas/x: the generic's ossuary count is undetermined"),
         ("generic Zero male 5 0\nslice Zero z 0", "slice Zero/z: no ossuary bearers (K = 0)")])
@@ -836,6 +837,8 @@ class TestMalformedInputFiles:
          "candidate simon male Simon generic rr=1/2 rr=101/2509", "rr"),
         ("--hypothesis", "baseline.cfg", "observed son=Yeshua son=Yeshua", "son"),
         ("--hypothesis", "baseline.cfg", "name other", "name"),
+        ("--hypothesis", "baseline.cfg", "candidate yeshua male Yeshua generic",
+         "candidate: yeshua"),
         ("--hypothesis", "baseline.cfg", "observed woman1=Salome woman2=Marya "
          "singleton1=Yoseh singleton2=Other father=Yosef son=Yeshua", "observed"),
         ("--suite", "scenarios.cfg", "reference 0.5", "reference"),
@@ -885,6 +888,15 @@ class TestMalformedInputFiles:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {SRC / 'namecluster' / 'data' / 'baseline.cfg'}: "
             "candidate mary_magdalene: slice: Mariam/MM: unknown"]
+
+    def test_a_second_candidate_of_one_label_names_the_label(self, tmp_path, capsys):
+        # a new person whose label, like yeshua's, resolves to Yeshua
+        bundled = (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
+        hypothesis = tmp_path / "h.cfg"
+        hypothesis.write_text(f"{bundled}candidate jesus male Yeshua generic\n")
+        assert run_cli("analyze", "--hypothesis", str(hypothesis)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {hypothesis}: male categories: Yeshua: duplicate label"]
 
     @pytest.mark.parametrize("command", ["sweep", "validate-config"])
     @pytest.mark.parametrize("row", [

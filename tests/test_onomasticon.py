@@ -114,6 +114,12 @@ class TestParsing:
                 GenericNameCount("Yeshua", "female", Fraction(3)),
                 GenericNameCount("Yeshua", "male", Fraction(1))), slices=())
 
+    def test_a_slice_label_is_one_slice_of_its_generic(self, onom):
+        # a second MM would never be read: slice() returns the first
+        with pytest.raises(InputError, match="^slice: Mariam/MM: duplicate label$"):
+            Onomasticon(onom.female_total, onom.male_total, onom.generics,
+                        onom.slices + (RenditionSlice("Mariam", "MM", Fraction(20)),))
+
     def test_unknown_record_kind(self):
         with pytest.raises(InputError, match="^row 1: unknown record kind 'frobnicate'$"):
             parse_onomasticon("frobnicate x y z\n")
