@@ -21,6 +21,8 @@ from __future__ import annotations
 import os
 import sys
 import warnings
+# the C escaper that json.dumps calls, without the cost of importing json
+from _json import encode_basestring_ascii as quoted
 from types import SimpleNamespace
 
 from .candidates import build_spec, load_hypothesis_config
@@ -153,32 +155,11 @@ def scored_inputs(args):
     return name, spec, rules, observed, scored
 
 
-class JsonText(dict):
-    """What json.dumps writes for each code point, as str.translate looks it
-    up: printable ASCII as itself, seven short escapes, else ``\\uXXXX``, and
-    above U+FFFF the ``\\uXXXX`` of each half of its surrogate pair."""
-
-    def __missing__(self, n):
-        if n > 0xFFFF:
-            return self[0xD800 | (n - 0x10000) >> 10] + self[0xDC00 | n & 0x3FF]
-        return f"\\u{n:04x}"
-
-
-JSON_TEXT = JsonText({n: chr(n) for n in range(32, 127)})
-JSON_TEXT.update({ord(c): "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')})
 LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def quoted(text: str) -> str:
-    """``text`` as json.dumps writes a str; text it keeps as it is skips the table."""
-    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
-        text = text.translate(JSON_TEXT)
-    return f'"{text}"'
-
-
 def record_line(record: dict) -> str:
-    """``json.dumps(record) + "\\n"`` for str keys and str, bool or None values;
-    importing json would cost each records start 2.5 ms."""
+    """``json.dumps(record) + "\\n"`` for str keys and str, bool or None values."""
     return "{%s}\n" % ", ".join(
         f"{quoted(key)}: {quoted(value) if isinstance(value, str) else LITERALS[value]}"
         for key, value in record.items())

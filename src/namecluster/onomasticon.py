@@ -294,7 +294,10 @@ def source_path(source: Union[str, Path], filename: str) -> Union[str, Path]:
 
 def load_source(source: Union[str, Path], filename: str, parse):
     """``parse`` of the text of a path, or of the packaged ``filename`` for
-    "bundled". An unreadable file and a malformed row name the file."""
+    "bundled". An unreadable file and a malformed row name the file; an
+    empty path, which Path reads as the current directory, names ``filename``."""
+    if source == "":
+        raise InputError(f"{filename}: the path is empty")
     path = source_path(source, filename)
     try:
         return parse(Path(path).read_text())

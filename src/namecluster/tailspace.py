@@ -40,20 +40,18 @@ The enumeration stays exact without a Fraction per tuple, pair or triple:
   the singleton that shares the father's label, and two singletons sharing
   it collide), the clash tests, the flags father_is_singleton and
   yoseh_in_singles, and whether Yeshua is among them.
-* Merge. A tuple is in the tail for a women pair of score w exactly when
-  b * F <= t with t = floor(observed * D / w), because b * F is an int.
-  With observed = on/od and women RR values wn_i/wd_i, t is the int
-  on * D * wd_i * wd_j // (od * wn_i * wn_j), and for positive ints
-  b * F <= t holds exactly when b <= t // F: no comparison needs an
-  epsilon. ``enumerate_tail`` reads each woman's scaled weight, RR
-  numerator and RR denominator once, and builds the women's collision table
-  once with ``collides``, as ``male_table`` does for the men, so the pair
-  loop touches only ints. Like the male walk, it visits unordered pairs
-  (i <= j) and counts a pair of two different categories twice, since t,
-  the pair mass and ``collides`` are symmetric in the two women. It sums
-  the women-pair mass per distinct t and meets it, per class, with the
-  prefix sum of the bases <= t // F, found by bisection. The sum of those
-  products becomes one Fraction at the end.
+* Merge. ``distribution`` reads no threshold. It reads each woman's scaled
+  weight and RR once as ints, builds the women's collision table once with
+  ``collides``, as ``male_table`` does for the men, and sums the valid
+  women-pair mass per pair RR wn/wd over unordered pairs (i <= j), counting
+  a pair of two different categories twice: the pair RR, its mass and
+  ``collides`` are symmetric in the two women. The observed RR, un/ud and
+  bn/bd enter in ``tail`` alone. A tuple is in the tail for a pair exactly
+  when b * F <= t = floor(observed * D * wd / wn), as b * F is an int, and
+  for positive ints that holds exactly when b <= t // F: no comparison
+  needs an epsilon. Per class, each pair's mass meets the prefix sum of the
+  bases <= t // F, found by bisection, and the sum of those products becomes
+  one Fraction at the end. So one distribution serves any threshold.
 """
 
 from __future__ import annotations
@@ -93,6 +91,14 @@ class MaleTable(namedtuple("MaleTable", "r mass_scale valid_mass classes")):
     # r, mass_scale, valid_mass: int; classes: a tuple of (unknown-son factor
     # counts, bonus applies, bases, mass below each index), of types
     # (bool, bool, tuple[int, ...], tuple[int, ...])
+
+
+class Distribution(namedtuple("Distribution", "table pairs scale size")):
+    """The space apart from any threshold: the male table, each valid women
+    pair's int mass over ``scale ** 2`` by its pair RR (numerator,
+    denominator), and ``tuple_space_size``."""
+
+    __slots__ = ()
 
 
 def tuple_space_size(spec: HypothesisSpec) -> int:
@@ -169,9 +175,9 @@ def male_table(men: tuple[Category, ...], rules: RuleLedger) -> MaleTable:
                                    for key, by_base in classes.items() if by_base))
 
 
-def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
-                   memo: Optional[dict] = None) -> TailResult:
-    """Total, valid, and tail mass of the sample space against ``observed``.
+def distribution(spec: HypothesisSpec, rules: RuleLedger,
+                 memo: Optional[dict] = None) -> Distribution:
+    """The space of ``spec`` apart from any threshold; of ``rules``, the switches.
 
     ``memo`` maps (men, the three ledger switches) to the male table walked
     for them; a table found there is not walked again. The men enter the key
@@ -179,8 +185,6 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
     far faster than the Fractions; equal men give equal ints, as a Fraction
     is kept in lowest terms.
     """
-    if observed <= 0:
-        raise ValueError("observed RR must be positive")
     memo = {} if memo is None else memo
     key = (tuple((c.label, c.weight.numerator, c.weight.denominator,
                   c.rr.numerator, c.rr.denominator) for c in spec.men),
@@ -189,39 +193,45 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
     table = memo.get(key)
     if table is None:
         table = memo[key] = male_table(spec.men, rules)
-    un, ud = rules.unknown_son_factor.numerator, rules.unknown_son_factor.denominator
-    bn, bd = rules.bonus_divisor.numerator, rules.bonus_divisor.denominator
-    women = spec.women
-    wd, wcount = _scaled([c.weight for c in women])
-    rr_num = [c.rr.numerator for c in women]
-    rr_den = [c.rr.denominator for c in women]
-    clash = [[collides(a, b) for b in women] for a in women]
-
-    # women pairs: mass per distinct threshold floor(observed * D / w)
-    top, od = observed.numerator * table.r ** 4 * ud * bn, observed.denominator
-    valid_w = 0
-    by_threshold: dict[int, int] = {}
+    scale, wcount = _scaled([c.weight for c in spec.women])
+    rr = [(c.rr.numerator, c.rr.denominator) for c in spec.women]
+    clash = [[collides(a, b) for b in spec.women] for a in spec.women]
+    pairs: dict[tuple[int, int], int] = {}
     for i, clash_i in enumerate(clash):
-        top_i, od_i, count_i = top * rr_den[i], od * rr_num[i], wcount[i]
-        for j in range(i, len(women)):
+        (num_i, den_i), count_i = rr[i], wcount[i]
+        for j in range(i, len(clash)):
             if clash_i[j]:
                 continue
-            mass = count_i * wcount[j] * (1 if i == j else 2)
-            valid_w += mass
-            t = top_i * rr_den[j] // (od_i * rr_num[j])
-            by_threshold[t] = by_threshold.get(t, 0) + mass
+            pair = num_i * rr[j][0], den_i * rr[j][1]
+            pairs[pair] = pairs.get(pair, 0) + count_i * wcount[j] * (1 if i == j else 2)
+    return Distribution(table=table, pairs=pairs, scale=scale, size=tuple_space_size(spec))
 
-    # per class: each women threshold t meets the mass of the bases <= t // factor
-    tail = 0
+
+def tail(dist: Distribution, rules: RuleLedger, observed: Fraction) -> TailResult:
+    """The masses of ``dist`` and its tail at or below a positive ``observed``,
+    under the ledger's two numbers."""
+    table = dist.table
+    un, ud = rules.unknown_son_factor.numerator, rules.unknown_son_factor.denominator
+    bn, bd = rules.bonus_divisor.numerator, rules.bonus_divisor.denominator
+    # each pair RR wn/wd: the threshold floor(observed * D * wd / wn)
+    top, od = observed.numerator * table.r ** 4 * ud * bn, observed.denominator
+    thresholds = [(top * wd // (od * wn), mass) for (wn, wd), mass in dist.pairs.items()]
+    in_tail = 0
     for uc, bonus, bases, below in table.classes:
         factor = (un if uc else ud) * (bd if bonus else bn)
-        for t, mass in by_threshold.items():
-            tail += mass * below[bisect_right(bases, t // factor)]
-
-    totals = tuple_space_size(spec)
-    denominator = wd ** 2 * table.mass_scale
-    total = Fraction(totals)
-    valid = Fraction(valid_w * table.valid_mass * totals, denominator)
-    tail_mass = Fraction(tail * totals, denominator)
-    return TailResult(total_mass=total, valid_mass=valid, tail_mass=tail_mass,
+        for t, mass in thresholds:
+            in_tail += mass * below[bisect_right(bases, t // factor)]
+    denominator = dist.scale ** 2 * table.mass_scale
+    valid = Fraction(sum(dist.pairs.values()) * table.valid_mass * dist.size, denominator)
+    tail_mass = Fraction(in_tail * dist.size, denominator)
+    return TailResult(total_mass=Fraction(dist.size), valid_mass=valid, tail_mass=tail_mass,
                       proportion=tail_mass / valid, observed_rr=observed)
+
+
+def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
+                   memo: Optional[dict] = None) -> TailResult:
+    """Total, valid, and tail mass of the sample space against ``observed``;
+    ``memo`` is ``distribution``'s."""
+    if observed <= 0:
+        raise ValueError("observed RR must be positive")
+    return tail(distribution(spec, rules, memo), rules, observed)

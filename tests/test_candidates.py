@@ -101,6 +101,14 @@ class TestSpecEdits:
                            match="^male categories: Other: duplicate label$"):
             build_spec(onom, impostor)
 
+    def test_categories_without_other_rejected(self, baseline):
+        # a file cannot build it: a candidate labelled Other is a duplicate label
+        women = tuple(c._replace(label="Rest") if c.label == OTHER else c
+                      for c in baseline.women)
+        with pytest.raises(InputError,
+                           match="^female categories: exactly one Other, of rr 1$"):
+            baseline._replace(women=women)
+
     def test_residual_weight_above_its_rr_rejected(self, onom):
         lowered = tuple(
             d._replace(rr=Fraction(1, 2509)) if d.person == "joseph_father" else d
@@ -230,6 +238,10 @@ class TestConfigFile:
                                   "father": "Yosef", "son": "Yeshua"}
         assert sorted(ADDONS) == ["cleopas", "joanna", "martha"]
         assert not set(ADDONS) & {d.person for d in DESCRIPTORS}
+
+    def test_an_empty_path_names_the_hypothesis(self):
+        with pytest.raises(InputError, match=r"^baseline\.cfg: the path is empty$"):
+            nc.load_hypothesis_config("")
 
     def test_overrides_parse(self):
         text = ("name t\n"

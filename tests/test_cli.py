@@ -756,6 +756,18 @@ class TestMalformedInputFiles:
         assert capsys.readouterr().err.splitlines() == [
             "error: " + named.format(path=hypothesis, row=row)]
 
+    @pytest.mark.parametrize("candidate, named", [
+        ("male Yeshua generic weight=2", "category Yeshua: weight outside [0,1]"),
+        ("Male Yeshua generic", "candidate yeshua: unknown gender 'Male'")])
+    def test_a_bad_candidate_of_the_bundled_hypothesis_is_named(
+            self, candidate, named, tmp_path, capsys):
+        bundled = (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
+        edited = bundled.replace("male Yeshua generic", candidate)
+        hypothesis = tmp_path / "h.cfg"
+        hypothesis.write_text(edited)
+        assert run_cli("analyze", "--hypothesis", str(hypothesis)) == (2, "")
+        assert capsys.readouterr().err.splitlines() == [f"error: {hypothesis}: {named}"]
+
     @pytest.mark.parametrize("row, named", [
         pytest.param("generic X female 1/0", "total_persons: zero denominator",
                      id="generic X female 1/0-zero denominator"),
@@ -789,7 +801,9 @@ class TestMalformedInputFiles:
         ("slice Mariam MM 20", "slice: Mariam/MM: duplicate label"),
         # K is the generic's alone, so a slice needs a generic with K > 0
         ("slice Cleopas x 1", "slice Cleopas/x: the generic's ossuary count is undetermined"),
-        ("generic Zero male 5 0\nslice Zero z 0", "slice Zero/z: no ossuary bearers (K = 0)")])
+        ("generic Zero male 5 0\nslice Zero z 0", "slice Zero/z: no ossuary bearers (K = 0)"),
+        ("generic Zed male -5", "total_persons: Zed: negative"),
+        ("generic Zed male 5 -1", "ossuary_persons: Zed: negative")])
     def test_bad_row_of_the_bundled_table_names_row_and_field(
             self, row, named, tmp_path, capsys):
         # appended to the bundled table, so only the last row is wrong

@@ -37,6 +37,11 @@ class TestBundledFixture:
         assert onom.generic("Mariam").ossuary_persons == 44
         assert onom.generic("Joseph").ossuary_persons == 46
 
+    def test_a_gender_it_lacks_is_named(self, onom):
+        # the readers admit female and male only, so only the library reaches this
+        with pytest.raises(InputError, match="^gender: 'x'$"):
+            onom.gender_total("x")
+
 
 class TestSliceFrequency:
     def test_yoseh(self, onom):
@@ -85,6 +90,11 @@ class TestSliceFrequency:
 
 
 class TestParsing:
+    def test_an_empty_path_names_the_table(self):
+        # Path("") is the current directory, whose error names no file
+        with pytest.raises(InputError, match=r"^onomasticon\.tsv: the path is empty$"):
+            nc.load_onomasticon("")
+
     def test_empty_source_rejected(self, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")

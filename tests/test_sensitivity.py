@@ -269,6 +269,12 @@ class TestScenarioSemantics:
         assert "maybe" in reports[0].error
         assert reports[1].error is None
 
+    def test_an_unknown_delta_verb_names_its_scenario(self, rules):
+        # the suite reader rejects an unknown record kind first, so only the
+        # library reaches this
+        with pytest.raises(InputError, match="^s: unknown delta verb 'bogus'$"):
+            apply_deltas(DESCRIPTORS, rules, Scenario("s", (Delta("bogus"),)))
+
     def test_duplicate_addition_rejected(self, onom, rules):
         twice = Scenario(name="dup", deltas=(
             Delta(verb="add", descriptor=ADDONS["joanna"]),
@@ -303,6 +309,10 @@ class TestSuiteParsing:
         assert scenario.reference == "0.001"
         (flag,) = parse_suite("scenario f\nset count_unknown_sons Off\n")[0].deltas
         assert flag.value is False
+
+    def test_an_empty_path_names_the_suite(self):
+        with pytest.raises(InputError, match=r"^scenarios\.cfg: the path is empty$"):
+            nc.load_suite("")
 
     def test_overlarge_exponent_names_the_row(self):
         with pytest.raises(InputError, match="^row 2: decimal exponent beyond"):

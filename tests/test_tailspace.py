@@ -13,7 +13,9 @@ from namecluster.candidates import CandidateDescriptor
 from namecluster.scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies,
                                  generational_counts, score, score_male_slots,
                                  validate)
-from namecluster.tailspace import enumerate_tail, male_table, tuple_space_size
+from namecluster.onomasticon import format_decimal
+from namecluster.tailspace import (distribution, enumerate_tail, male_table, tail,
+                                   tuple_space_size)
 
 from bundled import ADDONS, DESCRIPTORS, TOMB
 from conftest import make_spec, random_synthetic
@@ -253,6 +255,54 @@ class TestMaleTable:
             total, valid, tail = person_level_tail(hypothesis, rules, observed)
             assert (result.total_mass, result.valid_mass, result.tail_mass) \
                 == (total, valid, tail)
+
+
+class TestDistribution:
+    """One space, read by ``tail`` at any threshold and under any ledger numbers."""
+
+    def test_one_space_read_at_three_thresholds(self, baseline, rules):
+        # the exact observed RR, the reference's printed 1.451e-08 on the same
+        # step of the tail, and the decimal 1.449e-08 just below the exact one
+        thresholds = [OBSERVED, Fraction("1.451e-08"), Fraction("1.449e-08")]
+        memo = {}
+        dist = distribution(baseline, rules, memo)
+        results = [tail(dist, rules, observed) for observed in thresholds]
+        assert results == [enumerate_tail(baseline, rules, observed)
+                           for observed in thresholds]
+        assert [r.observed_rr for r in results] == thresholds
+        assert results[0].tail_mass == results[1].tail_mass == TAIL
+        assert results[2].tail_mass < TAIL
+        assert format_decimal(1100 * results[2].proportion, 3) == "0.000543"
+        assert len(memo) == 1
+
+    @pytest.mark.parametrize("ledger", ["default", "non-default"])
+    def test_the_ledger_numbers_leave_the_space_alone(self, baseline, ledger):
+        rules = LEDGERS[ledger]
+        other = rules._replace(bonus_divisor=FRACTIONAL.bonus_divisor,
+                               unknown_son_factor=FRACTIONAL.unknown_son_factor)
+        memo = {}
+        first, second = (distribution(baseline, r, memo) for r in (rules, other))
+        assert len(memo) == 1
+        assert second.table is first.table
+        assert second.pairs == first.pairs
+
+    def test_one_space_agrees_with_the_oracle_at_every_threshold(self):
+        rng = random.Random(20261019)
+        for trial in range(6):
+            spec, rules = random_synthetic(rng)
+            women, men = [c.label for c in spec.women], [c.label for c in spec.men]
+            tombs = [nc.TombConfiguration(*map(rng.choice, (women,) * 2 + (men,) * 4))
+                     for _ in range(12)]
+            # achievable scores, which ties reach, and half the least of them
+            scores = sorted({score(tomb, spec, rules).value for tomb in tombs
+                             if validate(tomb, spec) is None})
+            thresholds = scores[:3] + [scores[0] / 2]
+            assert len(thresholds) >= 3, f"trial {trial}"
+            dist = distribution(spec, rules)
+            for observed in thresholds:
+                result = tail(dist, rules, observed)
+                assert (result.total_mass, result.valid_mass, result.tail_mass) \
+                    == person_level_tail(spec, rules, observed), f"trial {trial}"
 
 
 class TestPersonLevelOracle:

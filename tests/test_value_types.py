@@ -1,6 +1,6 @@
 """Value types: namedtuple subclasses, checked on construction and _replace.
 
-Each of the 16 value types is ``class X(namedtuple("X", ...))`` with
+Each of the 17 value types is ``class X(namedtuple("X", ...))`` with
 ``__slots__ = ()``, so its values are tuples with no instance dict. Building
 one costs about 0.2 ms at a CLI start, against 0.3 ms as a
 ``typing.NamedTuple``, which checks and compiles every field's annotation
@@ -22,7 +22,7 @@ import namecluster as nc
 from namecluster.demography import DemographyParams
 from namecluster.onomasticon import InputError
 from namecluster.sensitivity import Scenario
-from namecluster.tailspace import male_table
+from namecluster.tailspace import distribution, male_table
 
 from bundled import DESCRIPTORS, TOMB
 
@@ -56,6 +56,7 @@ FIELDS = {
     "TailResult": (
         "tailspace", "total_mass valid_mass tail_mass proportion observed_rr", {}),
     "MaleTable": ("tailspace", "r mass_scale valid_mass classes", {}),
+    "Distribution": ("tailspace", "table pairs scale size", {}),
     "Delta": (
         "sensitivity", "verb person descriptor factor param value",
         dict.fromkeys(("person", "descriptor", "factor", "param", "value"))),
@@ -156,7 +157,8 @@ def one_of_each(onom):
     params = DemographyParams()
     values = [onom.generics[0], onom.slices[0], onom, spec.men[0], DESCRIPTORS[0],
               spec, rules, TOMB, observed, nc.enumerate_tail(spec, rules, observed.value),
-              male_table(spec.men, rules), scenario.deltas[0], scenario,
+              male_table(spec.men, rules), distribution(spec, rules),
+              scenario.deltas[0], scenario,
               nc.run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario), params,
               nc.run_pipeline(params)]
     return {type(value).__name__: value for value in values}
