@@ -172,8 +172,9 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
                memo: Optional[dict] = None) -> HypothesisSpec:
     """Realize candidate descriptors into a weighted category list per gender.
 
-    ``memo`` maps (gender, that gender's descriptors) to the categories built
-    for them; a gender found there is not built again.
+    ``memo`` maps (gender, that gender's descriptors) to the table and the
+    categories built from it; a gender found there is built again only from
+    another table object.
     """
     persons = [d.person for d in candidates]
     if len(set(persons)) != len(persons):
@@ -186,10 +187,10 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
     built = []
     for gender in (FEMALE, MALE):
         key = (gender, tuple(d for d in candidates if d.gender == gender))
-        categories = memo.get(key)
-        if categories is None:
-            categories = memo[key] = build_categories(onom, *key)
-        built.append(categories)
+        hit = memo.get(key)
+        if hit is None or hit[0] is not onom:  # built from another table
+            hit = memo[key] = onom, build_categories(onom, *key)
+        built.append(hit[1])
     return HypothesisSpec(women=built[0], men=built[1],
                           female_total=onom.female_total,
                           male_total=onom.male_total)
@@ -214,8 +215,10 @@ OBSERVED_OPTIONS = dict.fromkeys(
 def parse_candidate(fields) -> CandidateDescriptor:
     """A descriptor from <person> <gender> <generic> <class> [key=value]..."""
     person, gender, generic, rclass, *options = fields
-    return CandidateDescriptor(person, gender, generic,
-                               rclass.removeprefix("slice:"),
+    label = rclass.removeprefix("slice:")
+    if rclass not in ("generic", "residual") and label in (rclass, "", "generic", "residual"):
+        raise ValueError(f"class: expected generic, residual or slice:<label>, got {rclass!r}")
+    return CandidateDescriptor(person, gender, generic, label,
                                **parse_options(options, CANDIDATE_OPTIONS))
 
 

@@ -179,7 +179,10 @@ def emit(rows, fmt, out):
 
 def cmd_analyze(args, out):
     _, spec, rules, _, scored = scored_inputs(args)
-    result = enumerate_tail(spec, rules, scored.value)
+    try:
+        result = enumerate_tail(spec, rules, scored.value)
+    except InputError as exc:  # a space whose valid tombs all weigh 0
+        raise InputError(f"{source_path(args.file, 'baseline.cfg')}: {exc}") from exc
     adjusted = args.n2 * result.proportion
     if adjusted > 1:  # the paper's n2*q, reported as it is
         warnings.warn("n2*q exceeds 1; adjusted-area is the unclamped n2*q")

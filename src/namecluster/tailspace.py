@@ -64,6 +64,7 @@ from math import lcm
 from typing import Optional
 
 from .candidates import Category, HypothesisSpec
+from .onomasticon import InputError
 from .scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies, collides,
                       generational_counts, singleton_counts)
 
@@ -209,7 +210,7 @@ def distribution(spec: HypothesisSpec, rules: RuleLedger,
 
 def tail(dist: Distribution, rules: RuleLedger, observed: Fraction) -> TailResult:
     """The masses of ``dist`` and its tail at or below a positive ``observed``,
-    under the ledger's two numbers."""
+    under the ledger's two numbers; a space of no valid mass is an InputError."""
     table = dist.table
     un, ud = rules.unknown_son_factor.numerator, rules.unknown_son_factor.denominator
     bn, bd = rules.bonus_divisor.numerator, rules.bonus_divisor.denominator
@@ -223,6 +224,8 @@ def tail(dist: Distribution, rules: RuleLedger, observed: Fraction) -> TailResul
             in_tail += mass * below[bisect_right(bases, t // factor)]
     denominator = dist.scale ** 2 * table.mass_scale
     valid = Fraction(sum(dist.pairs.values()) * table.valid_mass * dist.size, denominator)
+    if not valid:  # the proportion would be 0/0
+        raise InputError("no realism-valid tomb has positive mass")
     tail_mass = Fraction(in_tail * dist.size, denominator)
     return TailResult(total_mass=Fraction(dist.size), valid_mass=valid, tail_mass=tail_mass,
                       proportion=tail_mass / valid, observed_rr=observed)

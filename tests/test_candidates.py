@@ -82,6 +82,15 @@ class TestSpecEdits:
         for cat in baseline.men:
             assert spec.category("male", cat.label).rr == cat.rr
 
+    def test_a_memo_serves_only_the_table_it_was_built_from(self, onom):
+        # one memo across edited tables: Salome's total + 1 kept her old weight
+        more = onom._replace(generics=tuple(
+            g._replace(total_persons=g.total_persons + 1) if g.name == "Salome" else g
+            for g in onom.generics))
+        memo = {}
+        for table in (onom, more, onom):
+            assert build_spec(table, DESCRIPTORS, memo) == build_spec(table, DESCRIPTORS)
+
     def test_duplicate_person_rejected(self, onom):
         dup = DESCRIPTORS + (DESCRIPTORS[0],)
         with pytest.raises(InputError, match="^candidate mary_magdalene: given twice$"):

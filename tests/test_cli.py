@@ -60,54 +60,10 @@ class TestAnalyze:
         first = run_cli("sweep", "--suite", str(suite), "--format", "records")
         assert first == run_cli("sweep", "--suite", str(suite), "--format", "records")
 
-    def test_missing_hypothesis_file_exits_2(self, capsys):
-        code, _ = run_cli("analyze", "--hypothesis", "/nonexistent/h.cfg")
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
     def test_rule_override_flag(self):
         code, text = run_cli("analyze", "--bonus-divisor", "1")
         assert code == 0
         assert "0.000726" in text
-
-    @pytest.mark.parametrize("command", [["analyze"], ["infer", "--q", "1/9"]],
-                             ids=["analyze", "infer"])
-    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
-    def test_bad_n2_exits_2_naming_n2(self, command, value, capsys):
-        code, text = run_cli(*command, "--n2", value)
-        assert (code, text) == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "n2" in err[0]
-
-    @pytest.mark.parametrize("argv, flag", [
-        (["analyze", "--bonus-divisor", "1/0"], "--bonus-divisor"),
-        (["analyze", "--bonus-divisor", "abc"], "--bonus-divisor"),
-        (["analyze", "--unknown-son-factor", "1/0"], "--unknown-son-factor"),
-        (["infer", "--q", "1/0"], "--q"),
-        (["infer", "--q", "1/9999", "--alpha", "1/0"], "--alpha"),
-        (["infer", "--q", "1/9999", "--theta", "1/0"], "--theta"),
-        (["demography", "--total-deceased", "1e3"], "--total-deceased"),
-        (["analyze", "--format", "bogus"], "--format"),
-        (["sweep", "--format", "bogus"], "--format"),
-        (["demography", "--format", "bogus"], "--format"),
-        (["infer", "--q", "1/9", "--format", "bogus"], "--format"),
-        (["analyze", "--allow-father-yeshua", "maybe"], "--allow-father-yeshua"),
-        (["sweep", "--count-unknown-sons", "enabled"], "--count-unknown-sons"),
-        (["infer", "--q", "1e-999999999"], "--q"),
-        (["infer", "--q", "1e4301"], "--q"),
-        (["demography", "--juvenile-fraction", "1e-16000000"],
-         "--juvenile-fraction"),
-        (["infer", "--q", "2"], "--q"),
-        (["infer", "--q=-1/9"], "--q"),
-        (["infer", "--q", "1e400"], "--q"),
-        (["infer", "--q", "1e-5000"], "--q must be a fraction a/b or a decimal, "
-                                      "got '1e-5000' (decimal exponent beyond"),
-    ])
-    def test_bad_flag_value_exits_2_naming_the_flag(self, argv, flag, capsys):
-        code, text = run_cli(*argv)
-        assert (code, text) == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and flag in err[0]
 
     @pytest.mark.parametrize("on, off", [("on", "off"), ("TRUE", "False"),
                                          ("1", "0"), ("Yes", "no")])
@@ -123,14 +79,6 @@ class TestAnalyze:
     def test_q_at_its_bounds_is_accepted(self, q):
         assert run_cli("infer", "--q", q, "--n2", "1")[0] == 0
 
-    @pytest.mark.parametrize("alpha, word", [(["--alpha", "2"], "2"),
-                                             (["--alpha=0"], "0")])
-    def test_alpha_outside_0_1_exits_2(self, alpha, word, capsys):
-        # a bound for alpha = 2 read 2.011: a probability above 1
-        assert run_cli("infer", "--q", "1/100000", *alpha) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: --alpha must lie in (0,1), got '{word}'"]
-
 
 @settings(max_examples=150, deadline=None)
 @given(argv=st.sampled_from([["analyze", "--bonus-divisor"], ["infer", "--q"],
@@ -144,34 +92,6 @@ def test_arbitrary_flag_text_ends_in_an_exit_code(argv, value):
 
 class TestFlagReader:
     """The grammar [--config PATH] COMMAND [--flag VALUE | --flag=VALUE]..."""
-
-    @pytest.mark.parametrize("argv, word", [
-        (["analyze", "--bogus", "1"], "'--bogus'"),
-        (["bogus"], "'bogus'"),
-        ([], "no command"),
-        (["analyze", "--n2"], "--n2"),
-        (["analyze", "stray"], "'stray'"),
-        (["analyze", "--n", "5"], "'--n'"),  # no prefix matching: not --n2
-        (["--format", "records", "analyze"], "'--format'"),
-        (["infer", "--q", "1/9", "--suite", "bundled"], "'--suite'"),
-        # validate-config writes one text line, never records
-        (["validate-config", "--format", "records"],
-         "unknown flag '--format' for validate-config"),
-    ], ids=["unknown-flag", "unknown-command", "no-command", "flag-without-value",
-            "stray-word", "flag-prefix", "flag-before-command", "other-command-flag",
-            "format-for-validate-config"])
-    def test_bad_word_exits_2_with_one_line_naming_it(self, argv, word, capsys):
-        assert run_cli(*argv) == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and word in err[0]
-
-    def test_the_word_after_a_flag_is_its_value_verbatim(self, capsys):
-        assert run_cli("demography", "--juvenile-fraction", "-1/2") == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            "error: --juvenile-fraction must lie in [0,1], got '-1/2'"]
-        code, text = run_cli("analyze", "--hypothesis", "--help")
-        assert (code, text) == (2, "")
-        assert capsys.readouterr().err.startswith("error: --help: ")
 
     def test_repeated_flags(self):
         assert run_cli("analyze", "--bonus-divisor", "6/5", "--bonus-divisor", "1") \
@@ -215,15 +135,6 @@ class TestFlagReader:
         assert "--config" in listed
         assert ("--format" in listed) == (command != "validate-config")
         assert ("--n2" in listed) == (command not in ("demography", "explain"))
-
-    def test_unreadable_config_or_path_exits_2(self, tmp_path, capsys):
-        binary = tmp_path / "run.cfg"
-        binary.write_bytes(b"\xff\xfe[rules]\n")
-        for argv in (["--config", str(binary), "analyze"],
-                     ["analyze", "--hypothesis", "a\0b"],
-                     ["analyze", "--config", "a\0b"]):
-            assert run_cli(*argv) == (2, "")
-            assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 # every word the reader knows, and some it does not
@@ -366,10 +277,6 @@ class TestExplain:
         assert explained["bonus-divisor R14"] == Fraction(7, 3)
         assert explained["value"] == records_of("analyze", *argv)["observed-rr"]
 
-    def test_n2_is_no_flag_of_explain(self, capsys):
-        assert run_cli("explain", "--n2", "5") == (2, "")
-        assert capsys.readouterr().err == "error: unknown flag '--n2' for explain\n"
-
 
 class TestSweep:
     def test_table_has_all_rows_and_match_column(self):
@@ -419,14 +326,23 @@ class TestSweep:
         assert code == 0
         assert json.loads(text.splitlines()[0]) == {"scenario": "broken", "error": error}
 
-    def test_zero_denominator_in_a_set_delta_exits_2_naming_its_row(
-            self, tmp_path, capsys):
-        suite = tmp_path / "suite.cfg"
-        suite.write_text("scenario broken\nset bonus_divisor 1/0\n\n"
-                         "scenario fine\nset bonus_divisor 1\n")
-        assert run_cli("sweep", "--suite", str(suite)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {suite}: row 2: bonus_divisor: zero denominator"]
+    @pytest.mark.parametrize("old, new, error", [
+        ("woman2=Marya", "woman2=MM", "duplicate woman"),
+        ("Mariam slice:MM", "Mariam slice:ZZ",
+         "candidate mary_magdalene: slice: Mariam/ZZ: unknown"),
+        ("Yaakov generic", "Jacob generic", "candidate james_brother: generic: Jacob: unknown"),
+        # a second candidate that draws the persons of the generic Joseph
+        ("\nobserved", "\ncandidate x male Joseph generic label=J2\nobserved",
+         "candidates joseph_father and x: both draw persons of Joseph")],
+        ids=["impossible-observed", "unknown-slice", "unknown-generic", "overlap"])
+    def test_a_bad_hypothesis_errors_every_row(self, old, new, error, tmp_path):
+        hypothesis = tmp_path / "h.cfg"
+        hypothesis.write_text(
+            (SRC / "namecluster" / "data" / "baseline.cfg").read_text().replace(old, new))
+        code, text = run_cli("sweep", "--hypothesis", str(hypothesis))
+        rows = text.splitlines()[1:]
+        assert code == 0 and len(rows) == 42
+        assert all(row.split(None, 1)[1] == f"error: {error}" for row in rows)
 
     def test_empty_suite_prints_header_only(self, tmp_path):
         suite = tmp_path / "empty.cfg"
@@ -457,7 +373,7 @@ class TestDemographyAndInfer:
         assert values["theta-bound[alpha=1/20]"] == "0.04943"
         assert values["odds-bound[alpha=1/20]"] == "81.9"
 
-    def test_theta_and_alpha_from_the_config_file(self, tmp_path, capsys):
+    def test_theta_and_alpha_from_the_config_file(self, tmp_path):
         q = "253644329313582025/461894801863030415245482"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[inference]\nq = {q}\ntheta = 1/2\nalpha = 1/20\n")
@@ -474,43 +390,12 @@ class TestDemographyAndInfer:
         assert [line.split()[0] for line in text.splitlines()][2:] == [
             "odds[theta=1]", "odds[theta=1/4]", "theta-bound[alpha=1/20]",
             "odds-bound[alpha=1/20]"]
-        cfg.write_text(f"[inference]\nq = {q}\nalpha = abc\n")
-        assert run_cli("--config", str(cfg), "infer") == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            "error: --alpha must be a fraction a/b or a decimal, got 'abc' "
-            "(Invalid literal for Fraction: 'abc')"]
-
-    def test_infer_requires_q(self, capsys):
-        code, _ = run_cli("infer")
-        assert code == 2
 
     def test_overlarge_adjusted_p_is_clamped(self):
         with pytest.warns(UserWarning, match="clamped"):
             code, text = run_cli("infer", "--q", "1/2", "--n2", "1000")
         assert code == 0
         assert text.splitlines()[0].split()[1] == "1"
-
-    def test_q_from_the_config_file_is_range_checked(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[inference]\nq = 3/2\n")
-        assert run_cli("--config", str(cfg), "infer") == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "--q" in err[0]
-
-    @pytest.mark.parametrize("q, n2, named", [("1/2", "1", "n2 = 1"),
-                                              ("0", "1100", "q = 0")])
-    def test_infinite_odds_name_their_cause(self, q, n2, named, capsys):
-        assert run_cli("infer", "--q", q, "--n2", n2, "--theta", "1/2") == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {named} gives infinite odds"]
-        assert run_cli("infer", "--q", q, "--n2", n2, "--alpha", "1/20") == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {named} gives an infinite bound"]
-
-    def test_infer_bounds_need_small_beta(self, capsys):
-        code, _ = run_cli("infer", "--q", "1/2", "--n2", "1000",
-                          "--alpha", "1/20")
-        assert code == 2
 
 
 class TestFiguresBeyondTheFloatRange:
@@ -683,251 +568,6 @@ class TestExitPath:
         assert project["scripts"]["namecluster"] == "namecluster.__main__:run"
 
 
-class TestMalformedInputFiles:
-    """A bad row in any input file: exit 2, one stderr line naming the row."""
-
-    HYPOTHESIS = "name t\ncandidate p female Mariam slice:MM {}\n"
-    SUITE = "scenario s\n{}\n"
-
-    @pytest.mark.parametrize("option, named", [
-        ("weight=1/0", "zero denominator"), ("rr=1/0", "zero denominator"),
-        ("scale=1/0", "zero denominator"), ("weigth=1/2", "'weigth'"),
-        ("label", "'label'")])
-    def test_bad_candidate_option(self, option, named, tmp_path, capsys):
-        hypothesis = tmp_path / "h.cfg"
-        hypothesis.write_text(self.HYPOTHESIS.format(option))
-        assert run_cli("analyze", "--hypothesis", str(hypothesis)) == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {hypothesis}: row 2: ")
-        assert named in err[0]
-
-    @pytest.mark.parametrize("flag", ["--onomasticon", "--hypothesis", "--suite"])
-    def test_unreadable_file_names_the_file(self, flag, tmp_path, capsys):
-        binary = tmp_path / "binary.cfg"
-        binary.write_bytes(b"\xff\xfe\x00")
-        for path in (tmp_path, binary, tmp_path / "missing.cfg"):
-            assert run_cli("sweep", flag, str(path)) == (2, "")
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
-
-    @pytest.mark.parametrize("command", ["analyze", "validate-config"])
-    def test_impossible_observed_record(self, command, tmp_path, capsys):
-        hypothesis = tmp_path / "h.cfg"
-        hypothesis.write_text(
-            (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
-            .replace("woman2=Marya", "woman2=MM"))
-        assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {hypothesis}: observed: duplicate woman"]
-        # a sweep reports the impossible configuration in each scenario's row
-        code, text = run_cli("sweep", "--hypothesis", str(hypothesis))
-        rows = text.splitlines()[1:]
-        assert code == 0 and len(rows) == 42
-        assert all("error:" in row for row in rows)
-
-    @pytest.mark.parametrize("command", ["analyze", "validate-config"])
-    @pytest.mark.parametrize("old, new, named", [
-        ("woman1=MM", "woman1=Nobody", "female/Nobody"),
-        ("son=Yeshua", "son=Mariam", "male/Mariam")])
-    def test_an_observed_label_the_hypothesis_lacks_names_the_file(
-            self, command, old, new, named, tmp_path, capsys):
-        hypothesis = tmp_path / "h.cfg"
-        hypothesis.write_text(
-            (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
-            .replace(old, new))
-        assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {hypothesis}: observed: category: {named}: unknown"]
-
-    @pytest.mark.parametrize("command", ["analyze", "sweep"])
-    @pytest.mark.parametrize("observed, named", [
-        ("observed woman1=MM woman2=Marya",
-         "{path}: row {row}: observed: missing singleton1, singleton2, father, son"),
-        ("", "{path}: hypothesis config lacks an 'observed' record")],
-        ids=["partial", "absent"])
-    def test_an_observed_record_that_is_partial_or_absent(
-            self, command, observed, named, tmp_path, capsys):
-        lines = (SRC / "namecluster" / "data" / "baseline.cfg").read_text().splitlines()
-        row = next(i for i, line in enumerate(lines, 1) if line.startswith("observed"))
-        lines[row - 1] = observed
-        hypothesis = tmp_path / "h.cfg"
-        hypothesis.write_text("\n".join(lines) + "\n")
-        assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            "error: " + named.format(path=hypothesis, row=row)]
-
-    @pytest.mark.parametrize("candidate, named", [
-        ("male Yeshua generic weight=2", "category Yeshua: weight outside [0,1]"),
-        ("Male Yeshua generic", "candidate yeshua: unknown gender 'Male'")])
-    def test_a_bad_candidate_of_the_bundled_hypothesis_is_named(
-            self, candidate, named, tmp_path, capsys):
-        bundled = (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
-        edited = bundled.replace("male Yeshua generic", candidate)
-        hypothesis = tmp_path / "h.cfg"
-        hypothesis.write_text(edited)
-        assert run_cli("analyze", "--hypothesis", str(hypothesis)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [f"error: {hypothesis}: {named}"]
-
-    @pytest.mark.parametrize("row, named", [
-        pytest.param("generic X female 1/0", "total_persons: zero denominator",
-                     id="generic X female 1/0-zero denominator"),
-        ("generic X female 5 10", "ossuary_persons: X: exceeds total_persons"),
-        ("generic X female 10 5\nslice X x 6",
-         "ossuary_matching: X/x: must satisfy 0 <= k <= K")])
-    def test_bad_onomasticon_row(self, row, named, tmp_path, capsys):
-        onom = tmp_path / "onom.tsv"
-        onom.write_text(f"total female 10\n{row}\n")
-        assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {onom}: row {1 + len(row.splitlines())}: {named}"]
-
-    @pytest.mark.parametrize("row, named", [
-        ("generic Foo male abc", "total_persons: "),
-        ("generic Foo male 5 x", "ossuary_persons: "),
-        # a row of the table's earlier grammar: a generic's option, a slice's K
-        ("generic Mariam female 74 44 rahmani=18", "too many values"),
-        ("slice Mariam MM 1 44", "too many values"),
-        ("total male abc", "male_total: "),
-        ("total Female 5", "gender: expected female or male, got 'Female'"),
-        ("total female 10", "female_total: given twice"),
-        ("total female 0", "female_total must be positive"),
-        ("total male -5", "male_total must be positive"),
-        ("generic Joseph female 3 1", "generic: Joseph: duplicate name"),
-        ("slice Mariam X x", "ossuary_matching: "),
-        ("slice Mariam X 1/0", "ossuary_matching: zero denominator"),
-        ("slice Mariam X -1", "ossuary_matching: Mariam/X: must satisfy 0 <= k <= K"),
-        ("slice Nobody X 1", "slice generic: Nobody: unknown"),
-        ("slice Mariam X 40", "slices of Mariam: implied counts exceed"),
-        ("slice Mariam MM 20", "slice: Mariam/MM: duplicate label"),
-        # K is the generic's alone, so a slice needs a generic with K > 0
-        ("slice Cleopas x 1", "slice Cleopas/x: the generic's ossuary count is undetermined"),
-        ("generic Zero male 5 0\nslice Zero z 0", "slice Zero/z: no ossuary bearers (K = 0)"),
-        ("generic Zed male -5", "total_persons: Zed: negative"),
-        ("generic Zed male 5 -1", "ossuary_persons: Zed: negative")])
-    def test_bad_row_of_the_bundled_table_names_row_and_field(
-            self, row, named, tmp_path, capsys):
-        # appended to the bundled table, so only the last row is wrong
-        bundled = (SRC / "namecluster" / "data" / "onomasticon.tsv").read_text()
-        onom = tmp_path / "onom.tsv"
-        onom.write_text(f"{bundled}{row}\n")
-        rows = len(f"{bundled}{row}".splitlines())
-        assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(f"error: {onom}: row {rows}: {named}")
-
-    def test_a_name_of_both_genders_names_its_second_row(self, tmp_path, capsys):
-        # a female Yeshua above the male one: one name is one generic
-        bundled = (SRC / "namecluster" / "data" / "onomasticon.tsv").read_text()
-        male = "generic\tYeshua\tmale"
-        onom = tmp_path / "onom.tsv"
-        onom.write_text(bundled.replace(male, f"generic Yeshua female 3 1\n{male}"))
-        row = bundled[:bundled.index(male)].count("\n") + 2
-        assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {onom}: row {row}: generic: Yeshua: duplicate name"]
-
-    @pytest.mark.parametrize("flag, bundled, row", [
-        ("--onomasticon", "onomasticon.tsv", "total female 317 193 junk"),
-        ("--hypothesis", "baseline.cfg", "name a b c"),
-        ("--suite", "scenarios.cfg", "scenario a b"),
-        ("--suite", "scenarios.cfg", "reference 1 2"),
-        ("--suite", "scenarios.cfg", "remove mary_magdalene extra"),
-        ("--suite", "scenarios.cfg", "scale mary_magdalene 2 3")])
-    def test_a_trailing_field_names_its_row(self, flag, bundled, row, tmp_path,
-                                            capsys):
-        # appended to a bundled file, so only the row itself is wrong
-        text = (SRC / "namecluster" / "data" / bundled).read_text()
-        path = tmp_path / bundled
-        path.write_text(f"{text}{row}\n")
-        assert run_cli("validate-config", flag, str(path)) == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(
-            f"error: {path}: row {len(text.splitlines()) + 1}: too many values")
-
-    @pytest.mark.parametrize("flag, bundled, row, named", [
-        ("--hypothesis", "baseline.cfg",
-         "candidate simon male Simon generic rr=1/2 rr=101/2509", "rr"),
-        ("--hypothesis", "baseline.cfg", "observed son=Yeshua son=Yeshua", "son"),
-        ("--hypothesis", "baseline.cfg", "name other", "name"),
-        ("--hypothesis", "baseline.cfg", "candidate yeshua male Yeshua generic",
-         "candidate: yeshua"),
-        ("--hypothesis", "baseline.cfg", "observed woman1=Salome woman2=Marya "
-         "singleton1=Yoseh singleton2=Other father=Yosef son=Yeshua", "observed"),
-        ("--suite", "scenarios.cfg", "reference 0.5", "reference"),
-        ("--suite", "scenarios.cfg",
-         "add joanna2 female Joanna generic weight=1/9 weight=1/8", "weight")])
-    def test_a_repeated_option_names_its_row(self, flag, bundled, row, named,
-                                             tmp_path, capsys):
-        # appended to a bundled file, so only the row itself is wrong
-        text = (SRC / "namecluster" / "data" / bundled).read_text()
-        path = tmp_path / bundled
-        path.write_text(f"{text}{row}\n")
-        assert run_cli("validate-config", flag, str(path)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {path}: row {len(text.splitlines()) + 1}: {named}: given twice"]
-
-    @pytest.mark.parametrize("old, new, named", [
-        ("Mariam slice:MM", "Mariam slice:ZZ",
-         "candidate mary_magdalene: slice: Mariam/ZZ: unknown"),
-        ("Yaakov generic", "Jacob generic",
-         "candidate james_brother: generic: Jacob: unknown"),
-        # a second candidate that draws the persons of the generic Joseph
-        ("\nobserved", "\ncandidate x male Joseph generic label=J2\nobserved",
-         "candidates joseph_father and x: both draw persons of Joseph")],
-        ids=["unknown-slice", "unknown-generic", "overlap"])
-    def test_a_candidate_the_table_cannot_realize_names_file_and_candidate(
-            self, old, new, named, tmp_path, capsys):
-        bundled = (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
-        hypothesis = tmp_path / "h.cfg"
-        hypothesis.write_text(bundled.replace(old, new))
-        for command in ("analyze", "validate-config"):
-            assert run_cli(command, "--hypothesis", str(hypothesis)) == (2, "")
-            assert capsys.readouterr().err.splitlines() == [
-                f"error: {hypothesis}: {named}"]
-        # a sweep names the candidate in each scenario's row
-        code, text = run_cli("sweep", "--hypothesis", str(hypothesis))
-        rows = text.splitlines()[1:]
-        assert code == 0 and len(rows) == 42
-        assert all(f"error: {named}" in row for row in rows)
-
-    def test_the_bundled_hypothesis_is_named_against_a_table_without_it(
-            self, tmp_path, capsys):
-        bundled = (SRC / "namecluster" / "data" / "onomasticon.tsv").read_text()
-        onom = tmp_path / "onom.tsv"
-        onom.write_text("".join(line for line in bundled.splitlines(keepends=True)
-                                if not line.startswith("slice\tMariam")))
-        assert run_cli("analyze", "--onomasticon", str(onom)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {SRC / 'namecluster' / 'data' / 'baseline.cfg'}: "
-            "candidate mary_magdalene: slice: Mariam/MM: unknown"]
-
-    def test_a_second_candidate_of_one_label_names_the_label(self, tmp_path, capsys):
-        # a new person whose label, like yeshua's, resolves to Yeshua
-        bundled = (SRC / "namecluster" / "data" / "baseline.cfg").read_text()
-        hypothesis = tmp_path / "h.cfg"
-        hypothesis.write_text(f"{bundled}candidate jesus male Yeshua generic\n")
-        assert run_cli("analyze", "--hypothesis", str(hypothesis)) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {hypothesis}: male categories: Yeshua: duplicate label"]
-
-    @pytest.mark.parametrize("command", ["sweep", "validate-config"])
-    @pytest.mark.parametrize("row", [
-        "scale mary_magdalene 1/0", "reference abc",
-        "add joanna female Joanna generic weigth=1/2",
-        "add joanna female Joanna generic label", "set bonus_divisor abc",
-        "set bogus 1", "set count_unknown_sons maybe", "set bonus_divisor 1/2"])
-    def test_bad_suite_row(self, command, row, tmp_path, capsys):
-        suite = tmp_path / "suite.cfg"
-        suite.write_text(self.SUITE.format(row))
-        assert run_cli(command, "--suite", str(suite)) == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {suite}: row 2: ")
-        if row.startswith("set"):  # the parameter is named
-            assert row.split()[1] in err[0]
-
-
 class TestValidateConfig:
     def test_bundled_inputs_validate(self):
         code, text = run_cli("validate-config", "--suite", "bundled")
@@ -954,40 +594,6 @@ class TestValidateConfig:
         _, overridden = run_cli("--config", str(cfg), "analyze",
                                 "--bonus-divisor", "6/5")
         assert "0.0006041" in overridden  # flag outranks the file
-
-    def test_missing_config_file_exits_2(self, capsys):
-        code, _ = run_cli("--config", "/nonexistent.cfg", "analyze")
-        assert code == 2
-
-    @pytest.mark.parametrize("body, named", [
-        ("[output]\nformat = bogus\n", "--format"),
-        ("format = records\n", "run.cfg"),
-        ("[rules]\nbonus_divisor = 50%\n", "--bonus-divisor"),
-        ("[rules]\nallow_father_yeshua = maybe\n", "--allow-father-yeshua"),
-    ], ids=["bad-format-value", "no-section-header", "percent-in-value",
-            "bad-flag-word"])
-    def test_bad_config_file_exits_2_with_one_line(self, body, named, tmp_path,
-                                                   capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(body)
-        code, text = run_cli("--config", str(cfg), "analyze")
-        assert (code, text) == (2, "")
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and named in err[0]
-
-    @pytest.mark.parametrize("body, section, key", [
-        ("[rules]\nbonus_divisr = 2\n", "rules", "bonus_divisr"),
-        ("[analysi]\nn2 = 5\n", "analysi", "n2"),
-        ("[analysis]\nn2 = 5\n[rules]\nn2 = 5\n", "rules", "n2"),
-        ("[DEFAULT]\nn2 = 5\n", "DEFAULT", "n2")])
-    @pytest.mark.parametrize("command", ["analyze", "demography"])
-    def test_a_key_no_command_reads_exits_2_naming_it(
-            self, body, section, key, command, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(body)
-        assert run_cli("--config", str(cfg), command) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: config file {cfg}: [{section}] {key}: unknown key"]
 
     def test_one_config_file_serves_every_command(self, tmp_path):
         # every key any command reads, most at their defaults
@@ -1036,12 +642,6 @@ class TestValidateConfig:
             accepted.add((section, key))
         assert read == accepted
 
-    def test_broken_onomasticon_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "onom.tsv"
-        bad.write_text("generic Broken female\n")
-        code, _ = run_cli("analyze", "--onomasticon", str(bad))
-        assert code == 2
-
 
 # a good value of each typed setting, one that changes the output, and a bad
 # value for each parser
@@ -1076,50 +676,6 @@ def test_every_typed_setting_reads_the_same_from_the_config_file(key, tmp_path, 
     code, text = run_cli("--config", str(cfg), *argv)
     assert (code, text) == run_cli(*argv, flag, GOOD[key])
     assert code == 0 and text != run_cli(*argv)[1]
-
-
-@pytest.mark.parametrize("argv, flag, word, must", [
-    (["analyze"], "--bonus-divisor", "1/2", "be >= 1"),
-    (["analyze"], "--unknown-son-factor", "0", "be >= 1"),
-    (["analyze"], "--n2", "0", "be an integer >= 1"),
-    (["infer"], "--q", "2", "be a tail area between 0 and 1"),
-    (["infer", "--q", "1/99999"], "--theta", "0", "lie in (0,1]"),
-    (["infer", "--q", "1/99999"], "--alpha", "2", "lie in (0,1)"),
-    (["demography"], "--juvenile-fraction", "2", "lie in [0,1]"),
-    (["demography"], "--tomb-size", "0", "be positive"),
-    (["demography"], "--total-deceased", "-1", "be nonnegative")])
-def test_a_range_error_names_the_flag_and_the_word(argv, flag, word, must, tmp_path,
-                                                   capsys):
-    line = [f"error: {flag} must {must}, got {word!r}"]
-    assert run_cli(*argv, flag, word) == (2, "")
-    assert capsys.readouterr().err.splitlines() == line
-    key = COMMANDS[argv[0]][2][flag]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[{SETTINGS[key][0]}]\n{key} = {word}\n")
-    assert run_cli("--config", str(cfg), *argv) == (2, "")
-    assert capsys.readouterr().err.splitlines() == line
-
-
-@pytest.mark.parametrize("command, flag, section, key", [
-    ("analyze", "--onomasticon", "onomasticon", "source"),
-    ("analyze", "--hypothesis", "hypothesis", "file"),
-    ("sweep", "--suite", "sweep", "suite"),
-    ("validate-config", "--suite", "sweep", "suite"),
-    ("analyze", "--config", None, None)])
-def test_an_empty_path_exits_2_naming_its_flag(command, flag, section, key, tmp_path,
-                                               capsys):
-    # an empty path would read as the current directory
-    runs = [[command, flag, ""], [command, f"{flag}="]]
-    if section is None:
-        runs.append([flag, "", command])
-    else:  # the same line from the --config file
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[{section}]\n{key} =\n")
-        runs.append(["--config", str(cfg), command])
-    for argv in runs:
-        assert run_cli(*argv) == (2, "")
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {flag} must name a file, got ''"]
 
 
 def modules_loaded_by(*argv):
