@@ -25,11 +25,11 @@ import warnings
 from _json import encode_basestring_ascii as quoted
 from types import SimpleNamespace
 
-from .candidates import build_spec, load_hypothesis_config
+from .candidates import load_hypothesis_config
 from .onomasticon import BOUNDS, InputError, format_decimal, format_fraction, \
     load_onomasticon, parse_flag, parse_fraction, source_path
-from .scoring import RULE_PARSERS, ContractViolation, RuleLedger, TombConfiguration, score
-from .tailspace import enumerate_tail
+from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration
+from .tailspace import analyze
 
 SIG = 4  # default report precision for tail areas
 
@@ -139,20 +139,14 @@ def load_analysis_inputs(args):
     return onom, name, descriptors, TombConfiguration(**observed_fields), rules
 
 
-def scored_inputs(args):
-    """(name, spec, rules, observed configuration, its RRValue); an impossible
-    observed is an input error."""
+def analyzed_inputs(args):
+    """(name, rules, observed configuration, and tailspace.analyze's spec,
+    RRValue and TailResult); an error of the analysis names the hypothesis."""
     onom, name, descriptors, observed, rules = load_analysis_inputs(args)
-    hypothesis = source_path(args.file, "baseline.cfg")
     try:
-        spec = build_spec(onom, descriptors)
-    except InputError as exc:  # a candidate the table cannot realize
-        raise InputError(f"{hypothesis}: {exc}") from exc
-    try:
-        scored = score(observed, spec, rules)
-    except (InputError, ContractViolation) as exc:  # a label it lacks, slots that collide
-        raise InputError(f"{hypothesis}: observed: {exc}") from exc
-    return name, spec, rules, observed, scored
+        return (name, rules, observed, *analyze(onom, descriptors, rules, observed))
+    except InputError as exc:  # its candidates, its observed tomb, a space of no valid mass
+        raise InputError(f"{source_path(args.file, 'baseline.cfg')}: {exc}") from exc
 
 
 LITERALS = {None: "null", True: "true", False: "false"}
@@ -178,11 +172,7 @@ def emit(rows, fmt, out):
 
 
 def cmd_analyze(args, out):
-    _, spec, rules, _, scored = scored_inputs(args)
-    try:
-        result = enumerate_tail(spec, rules, scored.value)
-    except InputError as exc:  # a space whose valid tombs all weigh 0
-        raise InputError(f"{source_path(args.file, 'baseline.cfg')}: {exc}") from exc
+    *_, result = analyzed_inputs(args)
     adjusted = args.n2 * result.proportion
     if adjusted > 1:  # the paper's n2*q, reported as it is
         warnings.warn("n2*q exceeds 1; adjusted-area is the unclamped n2*q")
@@ -208,8 +198,8 @@ def flags(*keys) -> dict:
 def deferred(name):
     """A function that runs ``commands.<name>``, importing commands.py first."""
     def run(args, out):
-        from . import commands
-        return getattr(commands, name)(args, out)
+        from importlib import import_module  # `from . import` asks __getattr__ first
+        return getattr(import_module(f"{__package__}.commands"), name)(args, out)
     return run
 
 
@@ -219,7 +209,7 @@ ANALYSIS = ("source", "file", "n2", *RULE_PARSERS)  # the inputs of an analysis
 COMMANDS = {
     "analyze": (cmd_analyze, "headline figures for the baseline",
                 flags("config", "format", *ANALYSIS)),
-    # n2 aside: explain enumerates nothing
+    # n2 aside: explain prints no area
     "explain": (deferred("cmd_explain"), "the observed RR's factors and their rules",
                 flags("config", "format", *(key for key in ANALYSIS if key != "n2"))),
     "sweep": (deferred("cmd_sweep"), "run the sensitivity scenario suite",

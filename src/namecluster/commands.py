@@ -13,7 +13,7 @@ from fractions import Fraction
 # sensitivity, demography and inference are imported by the commands that run
 # them, so that a CLI start loads only what its subcommand needs
 from .cli import COMMANDS, DEMOGRAPHY_PARSERS, EXPECTED, SETTINGS, SIG, emit, given, \
-    load_analysis_inputs, record_line, scored_inputs
+    analyzed_inputs, load_analysis_inputs, record_line
 from .onomasticon import InputError, format_decimal, format_fraction
 from .scoring import factors
 
@@ -21,7 +21,7 @@ from .scoring import factors
 def cmd_explain(args, out):
     """Each category's weight and RR, each factor of the observed RR with the
     ledger rule that set it, then the parts of the score and its value."""
-    _, spec, rules, observed, scored = scored_inputs(args)
+    _, rules, observed, spec, scored, _ = analyzed_inputs(args)
     rows = [(f"{word}[{gender}/{c.label}]", value, SIG)
             for gender in ("female", "male") for c in spec.categories(gender)
             for word, value in (("weight", c.weight), ("rr", c.rr))]
@@ -103,7 +103,7 @@ def cmd_infer(args, out):
 
 def cmd_validate_config(args, out):
     from .sensitivity import load_suite
-    name, spec, *_ = scored_inputs(args)
+    name, _, _, spec, *_ = analyzed_inputs(args)
     # a named suite is reported even when it holds no scenario
     suite = f"; suite of {len(load_suite(args.suite))} scenarios" if args.suite else ""
     out.write(f"ok: hypothesis '{name}' with {len(spec.women)} women / "

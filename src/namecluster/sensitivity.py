@@ -24,11 +24,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .candidates import CandidateDescriptor, build_spec, parse_candidate
+from .candidates import CandidateDescriptor, parse_candidate
 from .onomasticon import (BOUNDS, InputError, Onomasticon, check_range, format_decimal,
                           load_source, parse_field, parse_fraction, read_records)
-from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration, score
-from .tailspace import enumerate_tail
+from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration
+from .tailspace import analyze
 
 
 class Delta(namedtuple("Delta", "verb person descriptor factor param value",
@@ -94,17 +94,14 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
 def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
                  rules: RuleLedger, observed: TombConfiguration, scenario: Scenario,
                  n2: int = 1100, memo: Optional[dict] = None) -> ScenarioReport:
-    """One scenario's report; ``memo`` shares categories and male tables
-    through ``build_spec`` and ``enumerate_tail``."""
-    new_desc, new_rules = apply_deltas(descriptors, rules, scenario)
-    spec = build_spec(onom, new_desc, memo)
-    observed_rr = score(observed, spec, new_rules).value
-    result = enumerate_tail(spec, new_rules, observed_rr, memo)
+    """One scenario's report: ``analyze`` after its deltas, with ``memo``
+    sharing categories and male tables between scenarios."""
+    _, _, result = analyze(onom, *apply_deltas(descriptors, rules, scenario), observed, memo)
     adjusted = n2 * result.proportion
     matches = None
     if scenario.reference is not None:
         matches = matches_at_printed_precision(adjusted, scenario.reference)
-    return ScenarioReport(name=scenario.name, observed_rr=observed_rr,
+    return ScenarioReport(name=scenario.name, observed_rr=result.observed_rr,
                           adjusted_area=adjusted, reference=scenario.reference,
                           matches_reference=matches)
 

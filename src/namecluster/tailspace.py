@@ -61,12 +61,12 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
-from .candidates import Category, HypothesisSpec
-from .onomasticon import InputError
-from .scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies, collides,
-                      generational_counts, singleton_counts)
+from .candidates import CandidateDescriptor, Category, HypothesisSpec, build_spec
+from .onomasticon import InputError, Onomasticon
+from .scoring import (YESHUA, YOSEH, ContractViolation, RRValue, RuleLedger, TombConfiguration,
+                      bonus_applies, collides, generational_counts, score, singleton_counts)
 
 
 class TailResult(namedtuple(
@@ -222,13 +222,13 @@ def tail(dist: Distribution, rules: RuleLedger, observed: Fraction) -> TailResul
         factor = (un if uc else ud) * (bd if bonus else bn)
         for t, mass in thresholds:
             in_tail += mass * below[bisect_right(bases, t // factor)]
-    denominator = dist.scale ** 2 * table.mass_scale
-    valid = Fraction(sum(dist.pairs.values()) * table.valid_mass * dist.size, denominator)
+    valid = sum(dist.pairs.values()) * table.valid_mass  # over the scale of in_tail
     if not valid:  # the proportion would be 0/0
         raise InputError("no realism-valid tomb has positive mass")
-    tail_mass = Fraction(in_tail * dist.size, denominator)
-    return TailResult(total_mass=Fraction(dist.size), valid_mass=valid, tail_mass=tail_mass,
-                      proportion=tail_mass / valid, observed_rr=observed)
+    size, denominator = dist.size, dist.scale ** 2 * table.mass_scale
+    return TailResult(total_mass=Fraction(size), valid_mass=Fraction(valid * size, denominator),
+                      tail_mass=Fraction(in_tail * size, denominator),
+                      proportion=Fraction(in_tail, valid), observed_rr=observed)
 
 
 def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
@@ -238,3 +238,16 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
     if observed <= 0:
         raise ValueError("observed RR must be positive")
     return tail(distribution(spec, rules, memo), rules, observed)
+
+
+def analyze(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
+            observed: TombConfiguration,
+            memo: Optional[dict] = None) -> tuple[HypothesisSpec, RRValue, TailResult]:
+    """The spec of ``descriptors``, the score of ``observed`` (a tomb it cannot
+    hold is an InputError) and the tail; ``memo`` is build_spec's and distribution's."""
+    spec = build_spec(onom, descriptors, memo)
+    try:
+        scored = score(observed, spec, rules)
+    except (InputError, ContractViolation) as exc:  # a label it lacks, slots that collide
+        raise InputError(f"observed: {exc}") from exc
+    return spec, scored, enumerate_tail(spec, rules, scored.value, memo)

@@ -327,7 +327,7 @@ class TestSweep:
         assert json.loads(text.splitlines()[0]) == {"scenario": "broken", "error": error}
 
     @pytest.mark.parametrize("old, new, error", [
-        ("woman2=Marya", "woman2=MM", "duplicate woman"),
+        ("woman2=Marya", "woman2=MM", "observed: duplicate woman"),
         ("Mariam slice:MM", "Mariam slice:ZZ",
          "candidate mary_magdalene: slice: Mariam/ZZ: unknown"),
         ("Yaakov generic", "Jacob generic", "candidate james_brother: generic: Jacob: unknown"),
@@ -678,18 +678,22 @@ def test_every_typed_setting_reads_the_same_from_the_config_file(key, tmp_path, 
     assert code == 0 and text != run_cli(*argv)[1]
 
 
-def modules_loaded_by(*argv):
-    """Modules a fresh interpreter loads to run ``main(argv)``."""
-    script = ("import io, sys\n"
-              "before = set(sys.modules)\n"
+def in_fresh_interpreter(before, argv, after):
+    """The stdout of ``before``, ``main(argv)`` and ``after`` in a fresh interpreter."""
+    script = (f"import io, sys\n{before}\n"
               "from namecluster.cli import main\n"
-              f"main({list(argv)!r}, out=io.StringIO())\n"
-              "print(*sorted(set(sys.modules) - before))\n")
+              f"main({list(argv)!r}, out=io.StringIO())\n{after}\n")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=path))
-    return set(run.stdout.split())
+    return run.stdout
+
+
+def modules_loaded_by(*argv):
+    """Modules a fresh interpreter loads to run ``main(argv)``."""
+    return set(in_fresh_interpreter("before = set(sys.modules)", argv,
+                                    "print(*sorted(set(sys.modules) - before))").split())
 
 
 class TestImports:
@@ -746,6 +750,15 @@ class TestImports:
     def test_no_command_loads_argparse(self, argv):
         # the flags are read from COMMANDS; argparse would bring gettext and locale
         assert not modules_loaded_by(*argv) & {"argparse", "gettext", "locale"}
+
+    @pytest.mark.parametrize("argv", [["sweep"], ["explain"], ["--help"]],
+                             ids=["sweep", "explain", "help"])
+    def test_loading_commands_asks_the_package_for_no_name(self, argv):
+        # `from . import commands` would first call namecluster.__getattr__,
+        # which builds and raises an AttributeError
+        spy = ("import namecluster\nasked, lookup = [], namecluster.__getattr__\n"
+               "namecluster.__getattr__ = lambda name: asked.append(name) or lookup(name)")
+        assert in_fresh_interpreter(spy, argv, "print(asked)") == "[]\n"
 
     def test_package_exports_resolve_to_their_definitions(self):
         for name in namecluster.__all__:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import namecluster as nc
-from namecluster import candidates, sensitivity, tailspace
+from namecluster import candidates, tailspace
 from namecluster.candidates import (_frequency, build_categories,
                                     parse_hypothesis_config)
 from namecluster.onomasticon import InputError
@@ -133,7 +133,7 @@ class TestSharing:
             return nc.build_spec(onom, candidates, memo)
 
         monkeypatch.setattr(candidates, "build_categories", counting_build_categories)
-        monkeypatch.setattr(sensitivity, "build_spec", counting_build_spec)
+        monkeypatch.setattr(tailspace, "build_spec", counting_build_spec)
         run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
         distinct = {apply_deltas(DESCRIPTORS, rules, s)[0] for s in suite}
         per_gender = {(gender, tuple(d for d in desc if d.gender == gender))
@@ -184,7 +184,7 @@ class TestSharing:
             return enumerate_tail(*args)
 
         monkeypatch.setattr(tailspace, "male_table", counting_male_table)
-        monkeypatch.setattr(sensitivity, "enumerate_tail", counting_enumerate_tail)
+        monkeypatch.setattr(tailspace, "enumerate_tail", counting_enumerate_tail)
         assert run_suite(onom, DESCRIPTORS, rules, TOMB, suite) == list(reports.values())
         assert (len(walked), len(enumerated)) == (13, 42)
         # the suite's memo dies with the call: a second suite walks again
