@@ -23,6 +23,7 @@ import sys
 import warnings
 # the C escaper that json.dumps calls, without the cost of importing json
 from _json import encode_basestring_ascii as quoted
+from pathlib import Path
 from types import SimpleNamespace
 
 from .candidates import load_hypothesis_config
@@ -43,11 +44,9 @@ def read_config(path):
     # no interpolation: a '%' in a value is a character, not a reference
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        found = parser.read(path)
-    except (configparser.Error, ValueError) as exc:  # also not text, a NUL in the path
+        parser.read_string(Path(path).read_text(), source=path)
+    except (configparser.Error, OSError, ValueError) as exc:  # also not text, a NUL in the path
         raise InputError(" ".join(f"config file {path}: {exc}".split())) from exc
-    if not found:
-        raise InputError(f"config file not found: {path}")
     for section in (parser.default_section, *parser.sections()):
         for key in parser[section]:
             if key not in SETTINGS or SETTINGS[key][0] != section:
@@ -198,7 +197,7 @@ def flags(*keys) -> dict:
 def deferred(name):
     """A function that runs ``commands.<name>``, importing commands.py first."""
     def run(args, out):
-        from importlib import import_module  # `from . import` asks __getattr__ first
+        from importlib import import_module
         return getattr(import_module(f"{__package__}.commands"), name)(args, out)
     return run
 

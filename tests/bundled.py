@@ -6,10 +6,12 @@ that an ``add`` record of ``data/scenarios.cfg`` brings to its descriptor.
 Nothing here restates those files.
 """
 
-import namecluster as nc
+from namecluster.candidates import load_hypothesis_config
+from namecluster.scoring import TombConfiguration
+from namecluster.sensitivity import load_suite
 
-NAME, DESCRIPTORS, _observed = nc.load_hypothesis_config()
-TOMB = nc.TombConfiguration(**_observed)
+NAME, DESCRIPTORS, _observed = load_hypothesis_config()
+TOMB = TombConfiguration(**_observed)
 ADDONS = {delta.descriptor.person: delta.descriptor
-          for scenario in nc.load_suite() for delta in scenario.deltas
+          for scenario in load_suite() for delta in scenario.deltas
           if delta.verb == "add"}

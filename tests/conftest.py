@@ -4,26 +4,26 @@ from fractions import Fraction
 
 import pytest
 
-import namecluster as nc
-from namecluster.candidates import OTHER, Category, HypothesisSpec
-from namecluster.scoring import CLEOPAS, JAMES, YESHUA, YOSEF, YOSEH
+from namecluster.candidates import OTHER, Category, HypothesisSpec, build_spec
+from namecluster.onomasticon import load_onomasticon
+from namecluster.scoring import CLEOPAS, JAMES, YESHUA, YOSEF, YOSEH, RuleLedger
 
 from bundled import DESCRIPTORS
 
 
 @pytest.fixture(scope="session")
 def onom():
-    return nc.load_onomasticon()
+    return load_onomasticon()
 
 
 @pytest.fixture(scope="session")
 def baseline(onom):
-    return nc.build_spec(onom, DESCRIPTORS)
+    return build_spec(onom, DESCRIPTORS)
 
 
 @pytest.fixture(scope="session")
 def rules():
-    return nc.RuleLedger()
+    return RuleLedger()
 
 
 ROLE_LABELS = (YOSEF, YESHUA, YOSEH, JAMES, CLEOPAS)
@@ -70,7 +70,7 @@ def random_synthetic(rng, with_roles=True):
         men_labels = list(picks)
     spec = make_spec(women_counts, men_counts, men_labels=men_labels)
     bonus = Fraction(6, 5) if rng.random() < 0.7 else Fraction(rng.choice((1, 2)))
-    rules = nc.RuleLedger(
+    rules = RuleLedger(
         bonus_divisor=bonus,
         unknown_son_factor=Fraction(rng.choice((1, 2, 5))),
         require_yeshua_in_tomb=rng.random() < 0.3,

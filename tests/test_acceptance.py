@@ -19,12 +19,11 @@ from itertools import permutations
 
 import pytest
 
-import namecluster as nc
 from namecluster.demography import run_pipeline
 from namecluster.inference import (adjusted_p, odds_lower_bound, posterior_odds,
                                    theta_lower_bound)
-from namecluster.scoring import score, validate
-from namecluster.sensitivity import run_suite
+from namecluster.scoring import TombConfiguration, score, validate
+from namecluster.sensitivity import load_suite, run_suite
 from namecluster.tailspace import enumerate_tail, tuple_space_size
 
 from bundled import DESCRIPTORS, TOMB
@@ -45,7 +44,7 @@ def baseline_run(baseline, rules):
 
 @pytest.fixture(scope="module")
 def sweep_reports(onom, rules):
-    return run_suite(onom, DESCRIPTORS, rules, TOMB, nc.load_suite())
+    return run_suite(onom, DESCRIPTORS, rules, TOMB, load_suite())
 
 
 class TestCriterion1BaselineObservedRR:
@@ -152,11 +151,11 @@ class TestCriterion7OracleEquivalence:
             spec, rules = random_synthetic(rng)
             men = [c.label for c in spec.men]
             women = [c.label for c in spec.women]
-            config = nc.TombConfiguration(women[0], "Other", men[0], "Other",
-                                          rng.choice(men), "Other")
-            if nc.validate(config, spec) is not None:
-                config = nc.TombConfiguration(women[0], "Other", men[0],
-                                              "Other", "Other", "Other")
+            config = TombConfiguration(women[0], "Other", men[0], "Other",
+                                       rng.choice(men), "Other")
+            if validate(config, spec) is not None:
+                config = TombConfiguration(women[0], "Other", men[0],
+                                           "Other", "Other", "Other")
             observed = score(config, spec, rules).value
             total, valid, tail = person_level_tail(spec, rules, observed)
             result = enumerate_tail(spec, rules, observed)
@@ -179,22 +178,22 @@ class TestCriterion8Properties:
         men = [c.label for c in baseline.men]
         from itertools import product as iproduct
         for combo in iproduct(women, women, men, men, men, men):
-            config = nc.TombConfiguration(*combo)
+            config = TombConfiguration(*combo)
             if validate(config, baseline) is not None:
                 continue
             value = score(config, baseline, rules).value
             assert 0 < value <= 1
-            swapped = nc.TombConfiguration(combo[1], combo[0], combo[3],
-                                           combo[2], combo[4], combo[5])
+            swapped = TombConfiguration(combo[1], combo[0], combo[3],
+                                        combo[2], combo[4], combo[5])
             assert score(swapped, baseline, rules).value == value
 
         # the observed male arrangement is the rarest of the 12 possible
         observed_value = score(TOMB, baseline, rules).value
         values = [
-            score(nc.TombConfiguration("MM", "Marya", a, b, f, son),
+            score(TombConfiguration("MM", "Marya", a, b, f, son),
                   baseline, rules).value
             for f, son, a, b in permutations(["Yoseh", "Other", "Yosef", "Yeshua"])
-            if validate(nc.TombConfiguration("MM", "Marya", a, b, f, son),
+            if validate(TombConfiguration("MM", "Marya", a, b, f, son),
                         baseline) is None]
         assert observed_value == min(values)
         print("\nPASS criterion 8: RR in (0,1], swap symmetry, arrangement "
@@ -209,9 +208,9 @@ class TestCriterion8Properties:
                "documented exception is father/singleton coincidence")
     def test_other_substitution_monotonicity_without_exceptions(
             self, baseline, rules):
-        config = nc.TombConfiguration("MM", "Marya", "Yosef", "Yeshua",
-                                      "Yosef", "Yoseh")
-        relaxed = nc.TombConfiguration("MM", "Marya", "Other", "Yeshua",
-                                       "Yosef", "Yoseh")
+        config = TombConfiguration("MM", "Marya", "Yosef", "Yeshua",
+                                   "Yosef", "Yoseh")
+        relaxed = TombConfiguration("MM", "Marya", "Other", "Yeshua",
+                                    "Yosef", "Yoseh")
         assert score(relaxed, baseline, rules).value \
             >= score(config, baseline, rules).value

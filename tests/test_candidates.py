@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import namecluster as nc
 from namecluster.candidates import (OTHER, CandidateDescriptor, Category,
                                     HypothesisSpec, build_spec,
+                                    load_hypothesis_config,
                                     parse_hypothesis_config)
-from namecluster.onomasticon import InputError
+from namecluster.onomasticon import InputError, load_onomasticon
 
 from bundled import ADDONS, DESCRIPTORS, NAME, TOMB
 
@@ -208,7 +208,7 @@ class TestSpecEdits:
     @given(addons=st.sets(st.sampled_from(sorted(ADDONS))),
            mm_scale=st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2))))
     def test_weights_always_sum_to_one(self, addons, mm_scale):
-        onom = nc.load_onomasticon()
+        onom = load_onomasticon()
         base = tuple(
             d if d.person != "mary_magdalene"
             else CandidateDescriptor(d.person, d.gender, d.generic,
@@ -250,7 +250,7 @@ class TestConfigFile:
 
     def test_an_empty_path_names_the_hypothesis(self):
         with pytest.raises(InputError, match=r"^baseline\.cfg: the path is empty$"):
-            nc.load_hypothesis_config("")
+            load_hypothesis_config("")
 
     def test_overrides_parse(self):
         text = ("name t\n"
@@ -289,7 +289,7 @@ class TestConfigFile:
                                 weight=Fraction(2, 317), rr=d.rr)
             if d.person == "mary_magdalene" else d
             for d in DESCRIPTORS)
-        spec = nc.build_spec(onom, adjusted)
+        spec = build_spec(onom, adjusted)
         assert spec.category("female", "MM").weight == Fraction(2, 317)
         assert spec.category("female", "Mariam").weight == \
             (74 - 2 - Fraction(962, 44)) / 317

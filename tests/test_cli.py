@@ -1,7 +1,7 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
+import ast
 import gc
-import importlib
 import io
 import json
 import os
@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import namecluster
 from namecluster import cli
 from namecluster.cli import COMMANDS, SETTINGS, main
 from namecluster.demography import DemographyParams
-from namecluster.onomasticon import parse_flag, parse_fraction
+from namecluster.onomasticon import InputError, parse_flag, parse_fraction
 from namecluster.scoring import RuleLedger
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -637,7 +636,7 @@ class TestValidateConfig:
             cfg.write_text(f"[{section}]\n{key} = 1\n")
             try:
                 cli.read_config(str(cfg))
-            except namecluster.InputError:
+            except InputError:
                 continue
             accepted.add((section, key))
         assert read == accepted
@@ -678,22 +677,32 @@ def test_every_typed_setting_reads_the_same_from_the_config_file(key, tmp_path, 
     assert code == 0 and text != run_cli(*argv)[1]
 
 
-def in_fresh_interpreter(before, argv, after):
-    """The stdout of ``before``, ``main(argv)`` and ``after`` in a fresh interpreter."""
-    script = (f"import io, sys\n{before}\n"
-              "from namecluster.cli import main\n"
-              f"main({list(argv)!r}, out=io.StringIO())\n{after}\n")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=path))
-    return run.stdout
-
-
 def modules_loaded_by(*argv):
     """Modules a fresh interpreter loads to run ``main(argv)``."""
-    return set(in_fresh_interpreter("before = set(sys.modules)", argv,
-                                    "print(*sorted(set(sys.modules) - before))").split())
+    run = run_python("-c", "import io, sys\nbefore = set(sys.modules)\n"
+                           "from namecluster.cli import main\n"
+                           f"main({list(argv)!r}, out=io.StringIO())\n"
+                           "print(*sorted(set(sys.modules) - before))")
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+def referred_names(tree):
+    """The words that ``tree`` refers to: its names, attributes, import aliases
+    and strings, since deferred looks a command up by its name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+# a public name that no code in src/ refers to: the file outside src/ that calls it
+OUTSIDE_CALLERS = {"score_male_slots": "perfbench/traced.py"}
 
 
 class TestImports:
@@ -751,23 +760,16 @@ class TestImports:
         # the flags are read from COMMANDS; argparse would bring gettext and locale
         assert not modules_loaded_by(*argv) & {"argparse", "gettext", "locale"}
 
-    @pytest.mark.parametrize("argv", [["sweep"], ["explain"], ["--help"]],
-                             ids=["sweep", "explain", "help"])
-    def test_loading_commands_asks_the_package_for_no_name(self, argv):
-        # `from . import commands` would first call namecluster.__getattr__,
-        # which builds and raises an AttributeError
-        spy = ("import namecluster\nasked, lookup = [], namecluster.__getattr__\n"
-               "namecluster.__getattr__ = lambda name: asked.append(name) or lookup(name)")
-        assert in_fresh_interpreter(spy, argv, "print(asked)") == "[]\n"
-
-    def test_package_exports_resolve_to_their_definitions(self):
-        for name in namecluster.__all__:
-            module = importlib.import_module(
-                f"namecluster.{namecluster._EXPORTS[name]}")
-            value = getattr(namecluster, name)
-            assert value is getattr(module, name)
-            assert getattr(value, "__module__", module.__name__) == module.__name__
-        from namecluster import enumerate_tail, run_pipeline  # noqa: F401
-        assert set(namecluster.__all__) <= set(dir(namecluster))
-        with pytest.raises(AttributeError, match="no_such_name"):
-            namecluster.no_such_name
+    def test_every_public_name_has_a_caller(self):
+        # each top-level def or class without a leading _ is referred to in
+        # src/namecluster/ outside its own definition, or has an outside caller
+        public, referred = set(), set()
+        for path in (SRC / "namecluster").glob("*.py"):
+            for statement in ast.parse(path.read_text()).body:
+                name = getattr(statement, "name", "_")
+                if not name.startswith("_"):
+                    public.add(name)
+                referred.update(word for word in referred_names(statement) if word != name)
+        assert public - referred == set(OUTSIDE_CALLERS)
+        for name, caller in OUTSIDE_CALLERS.items():
+            assert name in (ROOT / caller).read_text()

@@ -126,7 +126,9 @@ ROWS = [
     (["analyze", "--config", ""], "--config must name a file, got ''"),
     (["--config", "", "analyze"], "--config must name a file, got ''"),
     # --config files
-    ("--config /nonexistent.cfg analyze", "config file not found: /nonexistent.cfg"),
+    ("--config /nonexistent.cfg analyze", "config file /nonexistent.cfg: [Errno 2] No such "
+     "file or directory: '/nonexistent.cfg'"),
+    ("--config {data} analyze", "config file {data}: [Errno 21] Is a directory: '{data}'"),
     ("--config {path} analyze", "config file {path}: 'utf-8' codec can't decode byte 0xff in "
      "position 0: invalid start byte", new_file(b"\xff\xfe[rules]\n")),
     ("analyze --hypothesis a\0b", "a\0b: embedded null byte"),
@@ -391,9 +393,6 @@ LIBRARY_ONLY = {
     ("tailspace.py", "observed RR must be positive"): (
         "score multiplies RRs in (0,1] and divides by a divisor >= 1",
         "test_tailspace.py::TestBaselineEnumeration::test_nonpositive_observed_rejected"),
-    ("__init__.py", "has no attribute"): (
-        "only a lookup of a name the package does not export reaches it",
-        "test_cli.py::TestImports::test_package_exports_resolve_to_their_definitions"),
 }
 
 

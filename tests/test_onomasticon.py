@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import namecluster as nc
 from namecluster import onomasticon
 from namecluster.onomasticon import (GenericNameCount, InputError, Onomasticon,
                                      RenditionSlice, format_decimal,
-                                     parse_flag, parse_fraction,
-                                     parse_onomasticon)
+                                     load_onomasticon, parse_flag,
+                                     parse_fraction, parse_onomasticon,
+                                     slice_frequency)
 
 
 class TestBundledFixture:
@@ -45,30 +45,30 @@ class TestBundledFixture:
 
 class TestSliceFrequency:
     def test_yoseh(self, onom):
-        f = nc.slice_frequency(onom.slice("Joseph", "Yoseh"), onom)
+        f = slice_frequency(onom.slice("Joseph", "Yoseh"), onom)
         assert f == Fraction(7, 46) * 221 / 2509
         assert round(float(f * 2509), 2) == 33.63
 
     def test_marya(self, onom):
-        f = nc.slice_frequency(onom.slice("Mariam", "Marya"), onom)
+        f = slice_frequency(onom.slice("Mariam", "Marya"), onom)
         assert f == Fraction(13, 44) * 74 / 317
         assert round(float(f * 317), 2) == 21.86
 
     def test_mm(self, onom):
-        f = nc.slice_frequency(onom.slice("Mariam", "MM"), onom)
+        f = slice_frequency(onom.slice("Mariam", "MM"), onom)
         assert f == Fraction(1, 44) * 74 / 317
         assert round(float(f * 317), 2) == 1.68
 
     def test_full_class_is_generic_frequency(self, onom):
         full = RenditionSlice("Salome", "all", Fraction(41))
-        assert nc.slice_frequency(full, onom) == Fraction(61, 317)
+        assert slice_frequency(full, onom) == Fraction(61, 317)
 
     def test_zero_or_undetermined_ossuary_bearers_rejected(self):
         for ossuary, named in ((Fraction(0), r"no ossuary bearers \(K = 0\)"),
                                (None, "the generic's ossuary count is undetermined")):
             onom = Onomasticon(317, 2509, (GenericNameCount("X", "male", 10, ossuary),), ())
             with pytest.raises(InputError, match=f"^slice X/none: {named}$"):
-                nc.slice_frequency(RenditionSlice("X", "none", Fraction(0)), onom)
+                slice_frequency(RenditionSlice("X", "none", Fraction(0)), onom)
 
     def test_k_outside_0_to_K_rejected(self):
         # a slice built by hand skips the table's check; the estimator makes it
@@ -76,7 +76,7 @@ class TestSliceFrequency:
         for k in (Fraction(6), Fraction(-1)):
             with pytest.raises(InputError,
                                match=r"^ossuary_matching: X/x: must satisfy 0 <= k <= K$"):
-                nc.slice_frequency(RenditionSlice("X", "x", k), onom)
+                slice_frequency(RenditionSlice("X", "x", k), onom)
 
     @given(st.integers(min_value=1, max_value=400))
     def test_homogeneous_in_generic_total(self, scale):
@@ -85,21 +85,21 @@ class TestSliceFrequency:
         slc = RenditionSlice("X", "x", Fraction(2))
         onom_base = Onomasticon(317, 2509, (base,), (slc,))
         onom_scaled = Onomasticon(317, 2509, (scaled,), (slc,))
-        assert (nc.slice_frequency(slc, onom_scaled)
-                == scale * nc.slice_frequency(slc, onom_base))
+        assert (slice_frequency(slc, onom_scaled)
+                == scale * slice_frequency(slc, onom_base))
 
 
 class TestParsing:
     def test_an_empty_path_names_the_table(self):
         # Path("") is the current directory, whose error names no file
         with pytest.raises(InputError, match=r"^onomasticon\.tsv: the path is empty$"):
-            nc.load_onomasticon("")
+            load_onomasticon("")
 
     def test_empty_source_rejected(self, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
         with pytest.raises(InputError, match=r"empty\.tsv: missing 'total' record"):
-            nc.load_onomasticon(empty)
+            load_onomasticon(empty)
 
     def test_malformed_row_names_the_row(self):
         text = "total female 317\ntotal male 2509\ngeneric Broken female\n"
@@ -211,5 +211,5 @@ class TestParsing:
         monkeypatch.setattr(onomasticon, "check_rows", lambda generics, slices, *state:
                             checked.extend([*generics, *slices])
                             or check_rows(generics, slices, *state))
-        onom = nc.load_onomasticon()
+        onom = load_onomasticon()
         assert Counter(checked) == Counter([*onom.generics, *onom.slices] * 2)

@@ -5,7 +5,6 @@ from itertools import permutations, product
 
 import pytest
 
-import namecluster as nc
 from namecluster.candidates import build_spec
 from namecluster.scoring import (ContractViolation, RuleLedger,
                                  TombConfiguration, male_factors, score, validate)

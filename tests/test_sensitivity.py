@@ -12,13 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-import namecluster as nc
 from namecluster import candidates, tailspace
-from namecluster.candidates import (_frequency, build_categories,
+from namecluster.candidates import (_frequency, build_categories, build_spec,
                                     parse_hypothesis_config)
 from namecluster.onomasticon import InputError
 from namecluster.scoring import score
-from namecluster.sensitivity import (Delta, Scenario, apply_deltas,
+from namecluster.sensitivity import (Delta, Scenario, apply_deltas, load_suite,
                                      matches_at_printed_precision, parse_suite,
                                      run_scenario, run_suite)
 from namecluster.tailspace import enumerate_tail, male_table
@@ -73,7 +72,7 @@ FROZEN = {
 
 @pytest.fixture(scope="module")
 def suite():
-    return nc.load_suite()
+    return load_suite()
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +129,7 @@ class TestSharing:
 
         def counting_build_spec(onom, candidates, memo=None):
             specs.append(tuple(candidates))
-            return nc.build_spec(onom, candidates, memo)
+            return build_spec(onom, candidates, memo)
 
         monkeypatch.setattr(candidates, "build_categories", counting_build_categories)
         monkeypatch.setattr(tailspace, "build_spec", counting_build_spec)
@@ -154,7 +153,7 @@ class TestSharing:
             return _frequency(onom, desc)
 
         monkeypatch.setattr(candidates, "_frequency", counting_frequency)
-        nc.build_spec(onom, DESCRIPTORS)
+        build_spec(onom, DESCRIPTORS)
         assert len(reads) == len(DESCRIPTORS) == 8
         reads.clear()
         run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
@@ -166,7 +165,7 @@ class TestSharing:
         cases = []
         for scenario in suite:
             new_desc, new_rules = apply_deltas(DESCRIPTORS, rules, scenario)
-            spec = nc.build_spec(onom, new_desc)
+            spec = build_spec(onom, new_desc)
             cases.append((spec, new_rules, score(TOMB, spec, new_rules).value))
         walks = {(spec.men, new_rules.require_yeshua_in_tomb,
                   new_rules.allow_father_yeshua, new_rules.count_unknown_sons)
@@ -312,7 +311,7 @@ class TestSuiteParsing:
 
     def test_an_empty_path_names_the_suite(self):
         with pytest.raises(InputError, match=r"^scenarios\.cfg: the path is empty$"):
-            nc.load_suite("")
+            load_suite("")
 
     def test_overlarge_exponent_names_the_row(self):
         with pytest.raises(InputError, match="^row 2: decimal exponent beyond"):

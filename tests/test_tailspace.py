@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import namecluster as nc
-from namecluster.candidates import CandidateDescriptor
-from namecluster.scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies,
-                                 generational_counts, score, score_male_slots,
-                                 validate)
+from namecluster.candidates import CandidateDescriptor, build_spec
+from namecluster.scoring import (YESHUA, YOSEH, RuleLedger, TombConfiguration,
+                                 bonus_applies, generational_counts, score,
+                                 score_male_slots, validate)
 from namecluster.onomasticon import format_decimal
 from namecluster.tailspace import (distribution, enumerate_tail, male_table, tail,
                                    tuple_space_size)
@@ -62,7 +61,7 @@ FROZEN = {
 
 
 def grown_spec(onom, added):
-    return nc.build_spec(onom, DESCRIPTORS + tuple(
+    return build_spec(onom, DESCRIPTORS + tuple(
         CandidateDescriptor(f"extra_{name.lower()}", "male", name, "generic")
         for name in added))
 
@@ -137,7 +136,7 @@ class TestFrozenLargerSpaces:
         men = {c.label: c for c in spec.men}
         valid, by_class = 0, {}
         for slots in product(men, repeat=4):
-            config = nc.TombConfiguration("MM", "Marya", *slots)
+            config = TombConfiguration("MM", "Marya", *slots)
             if validate(config, spec) is not None:
                 continue
             mass = table.mass_scale
@@ -209,8 +208,8 @@ class TestSharedWalk:
         rng = random.Random(seed)
         spec, switched = random_synthetic(rng)
         men = [c.label for c in spec.men]
-        config = nc.TombConfiguration(spec.women[0].label, "Other",
-                                      rng.choice(men), "Other", "Other", "Other")
+        config = TombConfiguration(spec.women[0].label, "Other",
+                                   rng.choice(men), "Other", "Other", "Other")
         memo = {}  # one entry per male walk
         for bonus, factor in numbers:
             rules = switched._replace(bonus_divisor=bonus, unknown_son_factor=factor)
@@ -246,8 +245,8 @@ class TestMaleTable:
         if field == "weight":  # Other absorbs the freed weight
             other = other._replace(weight=other.weight + yosef.weight - value)
         variant = spec._replace(men=(changed, yeshua, other))
-        config = nc.TombConfiguration("W0", "Other", "Yosef", "Other",
-                                      "Yosef", "Yeshua")
+        config = TombConfiguration("W0", "Other", "Yosef", "Other",
+                                   "Yosef", "Yeshua")
         observed = score(config, spec, rules).value
         assert male_table(spec.men, rules) != male_table(variant.men, rules)
         for hypothesis in (spec, variant):
@@ -291,7 +290,7 @@ class TestDistribution:
         for trial in range(6):
             spec, rules = random_synthetic(rng)
             women, men = [c.label for c in spec.women], [c.label for c in spec.men]
-            tombs = [nc.TombConfiguration(*map(rng.choice, (women,) * 2 + (men,) * 4))
+            tombs = [TombConfiguration(*map(rng.choice, (women,) * 2 + (men,) * 4))
                      for _ in range(12)]
             # achievable scores, which ties reach, and half the least of them
             scores = sorted({score(tomb, spec, rules).value for tomb in tombs
@@ -313,8 +312,8 @@ class TestPersonLevelOracle:
         spec = make_spec([3, 2], [4, 2, 3],
                          men_labels=["Yosef", "Yeshua"])
         rules = RuleLedger()
-        config = nc.TombConfiguration("W0", "Other", "Yosef", "Other",
-                                      "Yosef", "Yeshua")
+        config = TombConfiguration("W0", "Other", "Yosef", "Other",
+                                   "Yosef", "Yeshua")
         observed = score(config, spec, rules).value
         total, valid, tail = person_level_tail(spec, rules, observed)
         assert total == 5 ** 2 * 9 ** 4
@@ -330,11 +329,11 @@ class TestPersonLevelOracle:
             spec, rules = random_synthetic(rng)
             men = [c.label for c in spec.men]
             women = [c.label for c in spec.women]
-            config = nc.TombConfiguration(
+            config = TombConfiguration(
                 rng.choice(women), "Other",
                 rng.choice(men), "Other", rng.choice(men), "Other")
-            if nc.validate(config, spec) is not None:
-                config = nc.TombConfiguration(
+            if validate(config, spec) is not None:
+                config = TombConfiguration(
                     women[0], "Other", men[0], "Other", "Other", "Other")
             observed = score(config, spec, rules).value
             total, valid, tail = person_level_tail(spec, rules, observed)
@@ -363,11 +362,11 @@ class TestPersonLevelOracle:
             count_unknown_sons=data.draw(st.booleans()))
         # threshold: an achievable score, so the tail is nontrivial
         labels_m = [c.label for c in spec.men]
-        config = nc.TombConfiguration(
+        config = TombConfiguration(
             spec.women[0].label, "Other", labels_m[0], "Other",
             data.draw(st.sampled_from(labels_m)), "Other")
-        if nc.validate(config, spec) is not None:
-            config = nc.TombConfiguration(
+        if validate(config, spec) is not None:
+            config = TombConfiguration(
                 spec.women[0].label, "Other", labels_m[0], "Other",
                 "Other", "Other")
         observed = score(config, spec, rules).value
@@ -384,8 +383,8 @@ class TestTailMonotonicityProperties:
         renamed = make_spec([3, 2], [4, 2, 3], women_labels=["X"],
                             men_labels=["Y", "Z"])
         rules = RuleLedger()
-        config = nc.TombConfiguration("A", "Other", "B", "Other", "C", "Other")
-        config2 = nc.TombConfiguration("X", "Other", "Y", "Other", "Z", "Other")
+        config = TombConfiguration("A", "Other", "B", "Other", "C", "Other")
+        config2 = TombConfiguration("X", "Other", "Y", "Other", "Z", "Other")
         obs1 = score(config, spec, rules).value
         obs2 = score(config2, renamed, rules).value
         assert obs1 == obs2
@@ -395,7 +394,7 @@ class TestTailMonotonicityProperties:
     def test_out_of_sample_addition_never_shrinks_the_proportion(
             self, onom, baseline, rules, baseline_tail):
         for key in ("joanna", "martha", "cleopas"):
-            spec = nc.build_spec(
+            spec = build_spec(
                 onom, DESCRIPTORS + (ADDONS[key],))
             observed = score(TOMB, spec, rules).value
             assert observed == OBSERVED  # additions leave the observed RR alone
@@ -408,7 +407,7 @@ class TestTailMonotonicityProperties:
             scaled = tuple(
                 d._replace(scale=Fraction(2)) if d.person == person else d
                 for d in DESCRIPTORS)
-            spec = nc.build_spec(onom, scaled)
+            spec = build_spec(onom, scaled)
             observed = score(TOMB, spec, rules).value
             grown = enumerate_tail(spec, rules, observed)
             assert grown.proportion >= baseline_tail.proportion

@@ -18,17 +18,19 @@ from pathlib import Path
 
 import pytest
 
-import namecluster as nc
-from namecluster.demography import DemographyParams
+import namecluster
+from namecluster.candidates import build_spec
+from namecluster.demography import DemographyParams, run_pipeline
 from namecluster.onomasticon import InputError
-from namecluster.sensitivity import Scenario
-from namecluster.tailspace import distribution, male_table
+from namecluster.scoring import RuleLedger, score
+from namecluster.sensitivity import Scenario, load_suite, run_scenario
+from namecluster.tailspace import distribution, enumerate_tail, male_table
 
 from bundled import DESCRIPTORS, TOMB
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = ["namecluster"] + [f"namecluster.{m.name}"
-                             for m in pkgutil.iter_modules(nc.__path__)]
+                             for m in pkgutil.iter_modules(namecluster.__path__)]
 
 # type -> (module, fields, defaults), as first defined with typing.NamedTuple
 FIELDS = {
@@ -86,13 +88,13 @@ BAD_FIELDS = {
         lambda onom: onom, {"female_total": 0},
         "female_total must be positive"),
     "Category": (
-        lambda onom: nc.build_spec(onom, DESCRIPTORS).men[0], {"rr": Fraction(2)},
+        lambda onom: build_spec(onom, DESCRIPTORS).men[0], {"rr": Fraction(2)},
         "category Yosef: rr outside (0,1]"),
     "HypothesisSpec": (
-        lambda onom: nc.build_spec(onom, DESCRIPTORS), {"men": ()},
+        lambda onom: build_spec(onom, DESCRIPTORS), {"men": ()},
         "male categories: weights must sum to 1"),
     "RuleLedger": (
-        lambda onom: nc.RuleLedger(), {"bonus_divisor": Fraction(1, 2)},
+        lambda onom: RuleLedger(), {"bonus_divisor": Fraction(1, 2)},
         "bonus_divisor must be >= 1"),
     "DemographyParams": (
         lambda onom: DemographyParams(), {"juvenile_fraction": Fraction(2)},
@@ -119,20 +121,20 @@ def test_a_bad_field_is_rejected_by_every_way_of_building(name, onom):
 
 def test_replace_checks_the_ledger():
     with pytest.raises(InputError, match="bonus_divisor must be >= 1"):
-        nc.RuleLedger()._replace(bonus_divisor=Fraction(1, 2))
+        RuleLedger()._replace(bonus_divisor=Fraction(1, 2))
     with pytest.raises(InputError, match="^count_unknown_sons must be True or False, got 'off'$"):
-        nc.RuleLedger()._replace(count_unknown_sons="off")
+        RuleLedger()._replace(count_unknown_sons="off")
 
 
 def test_values_are_tuples_and_compare_as_tuples(onom):
     # equality is tuple equality: a value equals a plain tuple of its fields
     assert TOMB == ("MM", "Marya", "Yoseh", "Other", "Yosef", "Yeshua")
-    assert nc.RuleLedger() == (Fraction(6, 5), Fraction(5), False, False, True)
+    assert RuleLedger() == (Fraction(6, 5), Fraction(5), False, False, True)
     assert Scenario("s") == ("s", (), None)
-    assert hash(nc.RuleLedger()) == hash(nc.RuleLedger())
+    assert hash(RuleLedger()) == hash(RuleLedger())
     woman1, *_, son = TOMB
     assert (woman1, son) == ("MM", "Yeshua")
-    spec = nc.build_spec(onom, DESCRIPTORS)
+    spec = build_spec(onom, DESCRIPTORS)
     assert spec._replace(male_total=1) == spec[:-1] + (1,)
 
 
@@ -150,17 +152,17 @@ def value_types():
 
 def one_of_each(onom):
     """A value of each value type, from the bundled inputs, by type name."""
-    spec = nc.build_spec(onom, DESCRIPTORS)
-    rules = nc.RuleLedger()
-    observed = nc.score(TOMB, spec, rules)
-    scenario = next(s for s in nc.load_suite() if s.deltas)
+    spec = build_spec(onom, DESCRIPTORS)
+    rules = RuleLedger()
+    observed = score(TOMB, spec, rules)
+    scenario = next(s for s in load_suite() if s.deltas)
     params = DemographyParams()
     values = [onom.generics[0], onom.slices[0], onom, spec.men[0], DESCRIPTORS[0],
-              spec, rules, TOMB, observed, nc.enumerate_tail(spec, rules, observed.value),
+              spec, rules, TOMB, observed, enumerate_tail(spec, rules, observed.value),
               male_table(spec.men, rules), distribution(spec, rules),
               scenario.deltas[0], scenario,
-              nc.run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario), params,
-              nc.run_pipeline(params)]
+              run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario), params,
+              run_pipeline(params)]
     return {type(value).__name__: value for value in values}
 
 
