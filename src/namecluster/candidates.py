@@ -6,11 +6,11 @@ the complement. Sampling weights come from the onomasticon (slice estimator,
 full generic, or residual-of-generic); RR values follow the rarest-class
 rule: a slice candidate scores at its slice frequency, a residual-of-generic
 category scores at the full generic frequency, and Other scores 1.
-``build_categories`` reads each candidate's table frequency once and derives
-from it both the weight and the RR; a residual's weight is that frequency less
-its generic's slice weights. A generic is taken whole once, or split into
-slices plus at most one residual: two candidates that would draw the same
-table persons are rejected.
+``build_categories`` reads each candidate's ``Onomasticon.frequency`` once
+and derives from it both the weight and the RR; a residual's weight is that
+frequency less its generic's slice weights. A generic is taken whole once, or
+split into slices plus at most one residual: two candidates that would draw
+the same table persons are rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, checked,
                           load_source, parse_fraction, parse_options,
-                          read_records, slice_frequency)
+                          read_records)
 
 OTHER = "Other"
 
@@ -99,13 +99,9 @@ class HypothesisSpec(namedtuple("HypothesisSpec", "women men female_total male_t
 
 def _frequency(onom: Onomasticon, desc: CandidateDescriptor) -> Fraction:
     """The generic's frequency for a generic or residual class, else the slice's."""
+    whole = desc.rendition_class in ("generic", "residual")
     try:
-        g = onom.generic(desc.generic)
-        if g.gender != desc.gender:
-            raise InputError(f"{g.name} is {g.gender}")
-        if desc.rendition_class in ("generic", "residual"):
-            return g.total_persons / onom.gender_total(g.gender)
-        return slice_frequency(onom.slice(desc.generic, desc.rendition_class), onom)
+        return onom.frequency(desc.generic, desc.gender, None if whole else desc.rendition_class)
     except InputError as exc:  # such as a generic or a slice the table lacks
         raise InputError(f"candidate {desc.person}: {exc}") from exc
 
@@ -203,13 +199,19 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
 #   candidate <person> <gender> <generic> <class> [label=..] [weight=a/b]
 #             [rr=a/b] [scale=a/b]
 #   observed woman1=.. woman2=.. singleton1=.. singleton2=.. father=.. son=..
-# <class> is slice:<label>, generic, or residual. observed is given once, in full.
+# <class> is slice:<label>, generic, or residual. observed is required, once, in full.
 # ---------------------------------------------------------------------------
+
+class TombConfiguration(namedtuple(
+        "TombConfiguration", "woman1 woman2 singleton1 singleton2 father son")):
+    """Category labels for the six inscribed slots, each a str."""
+
+    __slots__ = ()
+
 
 CANDIDATE_OPTIONS = {"label": str, "weight": parse_fraction,
                      "rr": parse_fraction, "scale": parse_fraction}
-OBSERVED_OPTIONS = dict.fromkeys(
-    ("woman1", "woman2", "singleton1", "singleton2", "father", "son"), str)
+OBSERVED_OPTIONS = dict.fromkeys(TombConfiguration._fields, str)
 
 
 def parse_candidate(fields) -> CandidateDescriptor:
@@ -223,7 +225,7 @@ def parse_candidate(fields) -> CandidateDescriptor:
 
 
 def parse_hypothesis_config(text: str):
-    """Return (name, descriptors, observed-slot mapping or None)."""
+    """Return (name, descriptors, the observed TombConfiguration)."""
     config = {}
     descriptors: dict[str, CandidateDescriptor] = {}  # by person
 
@@ -241,7 +243,7 @@ def parse_hypothesis_config(text: str):
         missing = [slot for slot in OBSERVED_OPTIONS if slot not in slots]
         if missing:
             raise ValueError(f"observed: missing {', '.join(missing)}")
-        once("observed", slots)
+        once("observed", TombConfiguration(**slots))
 
     def candidate(fields):
         desc = parse_candidate(fields)
@@ -249,7 +251,9 @@ def parse_hypothesis_config(text: str):
             raise ValueError(f"candidate: {desc.person}: given twice")
 
     read_records(text, {"name": name, "candidate": candidate, "observed": observed})
-    return config.get("name", "custom"), tuple(descriptors.values()), config.get("observed")
+    if "observed" not in config:
+        raise ValueError("hypothesis config lacks an 'observed' record")
+    return config.get("name", "custom"), tuple(descriptors.values()), config["observed"]
 
 
 def load_hypothesis_config(source: Union[str, Path] = "bundled"):

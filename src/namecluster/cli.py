@@ -9,8 +9,8 @@ flag, else its key in the INI-style ``--config`` file, else its default,
 checked against onomasticon.BOUNDS.
 Output is an aligned text table or JSON records of exact fractions with
 decimals, byte-deterministic for identical inputs. Exit codes: 0 success, 1
-computation contract violation (or a closed stdout), 2 input error; an error
-is one ``error: ...`` line on stderr.
+computation error (or a closed stdout), 2 input error; an error is one
+``error: ...`` line on stderr.
 
 Of the commands only analyze is here: the others and the help screen are in
 commands.py, which only they load, so an analyze start compiles none of it.
@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from .candidates import load_hypothesis_config
 from .onomasticon import BOUNDS, InputError, format_decimal, format_fraction, \
     load_onomasticon, parse_flag, parse_fraction, source_path
-from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration
+from .scoring import RULE_PARSERS, RuleLedger
 from .tailspace import analyze
 
 SIG = 4  # default report precision for tail areas
@@ -130,12 +130,8 @@ def given(args, keys) -> dict:
 
 def load_analysis_inputs(args):
     onom = load_onomasticon(args.source)
-    name, descriptors, observed_fields = load_hypothesis_config(args.file)
-    if observed_fields is None:
-        raise InputError(f"{source_path(args.file, 'baseline.cfg')}: "
-                         "hypothesis config lacks an 'observed' record")
-    rules = RuleLedger(**given(args, RULE_PARSERS))
-    return onom, name, descriptors, TombConfiguration(**observed_fields), rules
+    name, descriptors, observed = load_hypothesis_config(args.file)
+    return onom, name, descriptors, observed, RuleLedger(**given(args, RULE_PARSERS))
 
 
 def analyzed_inputs(args):
@@ -276,7 +272,7 @@ def main(argv=None, out=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError) as exc:  # ContractViolation is a ValueError
+    except (ValueError, OverflowError) as exc:  # a fault of the computation
         # OverflowError: a number too large for a float; the reports print
         # such figures exactly, so none is known to reach this
         print(f"computation error: {exc}", file=sys.stderr)

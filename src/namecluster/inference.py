@@ -22,6 +22,7 @@ from .onomasticon import InputError, check_range
 
 
 def beta_of(q: Fraction, n2: int) -> Fraction:
+    check_range("q", q)
     check_range("n2", n2)
     return (n2 - 1) * Fraction(q)
 

@@ -1,13 +1,14 @@
 """Name-frequency data model for the late-antiquity Jewish onomasticon.
 
 Holds per-generic person counts (with their ossuary-derived subset), the two
-gender totals, rendition slices within a generic, and the bias-corrected
-frequency estimator for a rendition slice:
+gender totals, rendition slices within a generic, and, in
+``Onomasticon.frequency``, the bias-corrected frequency estimator:
 
     f(slice) = (k / K) * G / N
 
 where k of the K ossuary-derived bearers of the generic name match the
-slice, G is the generic's total person count, and N the gender total.
+slice, G is the generic's total person count, and N the gender total; a
+whole generic is G / N.
 All quantities are exact ``Fraction``s; floats appear only in reports.
 The record reader of all three input files lives here too.
 """
@@ -203,13 +204,6 @@ class Onomasticon(namedtuple("Onomasticon", "female_total male_total generics sl
         check_range("male_total", self.male_total)
         check_rows(self.generics, self.slices)
 
-    def gender_total(self, gender: str) -> int:
-        if gender == FEMALE:
-            return self.female_total
-        if gender == MALE:
-            return self.male_total
-        raise InputError(f"gender: {gender!r}")
-
     def generic(self, name: str) -> GenericNameCount:
         for g in self.generics:
             if g.name == name:
@@ -221,6 +215,15 @@ class Onomasticon(namedtuple("Onomasticon", "female_total male_total generics sl
             if s.generic == generic and s.label == label:
                 return s
         raise InputError(f"slice: {generic}/{label}: unknown")
+
+    def frequency(self, generic: str, gender: str, label: str | None = None) -> Fraction:
+        """The estimator: the generic's G/N, or (k/K) * G/N for its slice
+        ``label``, exact; N is the total of ``gender``, which must be the generic's."""
+        g = self.generic(generic)
+        if g.gender != gender:
+            raise InputError(f"{g.name} is {g.gender}")
+        count = g.total_persons if label is None else implied_count(self.slice(generic, label), g)
+        return count / (self.female_total if gender == FEMALE else self.male_total)
 
 
 def check_rows(generics, slices, by_name=None, totals=None) -> None:
@@ -258,12 +261,6 @@ def implied_count(slc: RenditionSlice, generic: GenericNameCount) -> Fraction:
         raise InputError(f"ossuary_matching: {slc.generic}/{slc.label}: "
                          "must satisfy 0 <= k <= K")
     return k / big_k * generic.total_persons
-
-
-def slice_frequency(slc: RenditionSlice, onom: Onomasticon) -> Fraction:
-    """Bias-corrected rendition frequency (k/K) * G / N, exact."""
-    g = onom.generic(slc.generic)
-    return implied_count(slc, g) / onom.gender_total(g.gender)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .candidates import OTHER, Category, HypothesisSpec
+from .candidates import OTHER, Category, HypothesisSpec, TombConfiguration
 from .onomasticon import BOUNDS, InputError, check_range, checked, parse_flag, parse_fraction
 
 YOSEF = "Yosef"
@@ -71,10 +71,6 @@ YOSEH = "Yoseh"
 JAMES = "James"
 CLEOPAS = "Cleopas"
 ONE = Fraction(1)
-
-
-class ContractViolation(ValueError):
-    """score() was called on an invalid configuration."""
 
 
 @checked
@@ -100,13 +96,6 @@ class RuleLedger(namedtuple(
 RULE_PARSERS = {"bonus_divisor": parse_fraction, "unknown_son_factor": parse_fraction,
                 **dict.fromkeys(("require_yeshua_in_tomb", "allow_father_yeshua",
                                  "count_unknown_sons"), parse_flag)}
-
-
-class TombConfiguration(namedtuple(
-        "TombConfiguration", "woman1 woman2 singleton1 singleton2 father son")):
-    """Category labels for the six inscribed slots, each a str."""
-
-    __slots__ = ()
 
 
 class RRValue(namedtuple(
@@ -261,10 +250,10 @@ def factors(config: TombConfiguration, spec: HypothesisSpec,
 
 def score(config: TombConfiguration, spec: HypothesisSpec,
           rules: RuleLedger = RuleLedger()) -> RRValue:
-    """RR value under the adjustment ledger; an invalid tomb raises ContractViolation."""
+    """RR value under the adjustment ledger; an invalid tomb raises InputError."""
     reason = validate(config, spec)
     if reason is not None:
-        raise ContractViolation(reason)
+        raise InputError(reason)
     w1, w2, s1, s2, father, son, unknown, divisor = (
         factor for *_, factor in factors(config, spec, rules))
     women_part, singles, generational = w1 * w2, s1 * s2, father * son * unknown

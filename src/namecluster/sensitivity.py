@@ -24,10 +24,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .candidates import CandidateDescriptor, parse_candidate
+from .candidates import CandidateDescriptor, TombConfiguration, parse_candidate
 from .onomasticon import (BOUNDS, InputError, Onomasticon, check_range, format_decimal,
                           load_source, parse_field, parse_fraction, read_records)
-from .scoring import RULE_PARSERS, RuleLedger, TombConfiguration
+from .scoring import RULE_PARSERS, RuleLedger
 from .tailspace import analyze
 
 

@@ -63,10 +63,11 @@ from itertools import accumulate
 from math import lcm
 from typing import Optional, Sequence
 
-from .candidates import CandidateDescriptor, Category, HypothesisSpec, build_spec
+from .candidates import (CandidateDescriptor, Category, HypothesisSpec, TombConfiguration,
+                         build_spec)
 from .onomasticon import InputError, Onomasticon
-from .scoring import (YESHUA, YOSEH, ContractViolation, RRValue, RuleLedger, TombConfiguration,
-                      bonus_applies, collides, generational_counts, score, singleton_counts)
+from .scoring import (YESHUA, YOSEH, RRValue, RuleLedger, bonus_applies, collides,
+                      generational_counts, score, singleton_counts)
 
 
 class TailResult(namedtuple(
@@ -248,6 +249,6 @@ def analyze(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor], rules
     spec = build_spec(onom, descriptors, memo)
     try:
         scored = score(observed, spec, rules)
-    except (InputError, ContractViolation) as exc:  # a label it lacks, slots that collide
+    except InputError as exc:  # a label it lacks, slots that collide
         raise InputError(f"observed: {exc}") from exc
     return spec, scored, enumerate_tail(spec, rules, scored.value, memo)

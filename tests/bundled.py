@@ -7,11 +7,9 @@ Nothing here restates those files.
 """
 
 from namecluster.candidates import load_hypothesis_config
-from namecluster.scoring import TombConfiguration
 from namecluster.sensitivity import load_suite
 
-NAME, DESCRIPTORS, _observed = load_hypothesis_config()
-TOMB = TombConfiguration(**_observed)
+NAME, DESCRIPTORS, TOMB = load_hypothesis_config()
 ADDONS = {delta.descriptor.person: delta.descriptor
           for scenario in load_suite() for delta in scenario.deltas
           if delta.verb == "add"}

@@ -63,7 +63,9 @@ CASES = {
     **{key: (*demography(key), *UNIT_EDGES)
        for key in ("non_jewish_fraction", "juvenile_fraction",
                    "literacy_affluence_fraction", "female_male_inscription_ratio")},
-    "q": (["infer"], [lambda v: adjusted_p(v, 1)], *UNIT_EDGES),
+    # beta_of serves the odds and both bounds; at q = 0 the odds are infinite
+    "q": (["infer"], [lambda v: adjusted_p(v, 1), lambda v: beta_of(v, 1100),
+                      lambda v: theta_lower_bound(Fraction(1, 2), 1100, v)], *UNIT_EDGES),
     "theta": (["infer", "--q", str(Q)], [lambda v: posterior_odds(v, 1100, Q)],
               ["1"], ["0", "1000001/1000000"]),
     # open at both ends: the accepted words are the nearest tried

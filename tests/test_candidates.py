@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from namecluster.candidates import (OTHER, CandidateDescriptor, Category,
                                     HypothesisSpec, build_spec,
-                                    load_hypothesis_config,
+                                    load_hypothesis_config, parse_candidate,
                                     parse_hypothesis_config)
 from namecluster.onomasticon import InputError, load_onomasticon
 
@@ -253,9 +253,7 @@ class TestConfigFile:
             load_hypothesis_config("")
 
     def test_overrides_parse(self):
-        text = ("name t\n"
-                "candidate p female Mariam slice:MM weight=1/100 rr=2/100 scale=3\n")
-        _, (d,), _ = parse_hypothesis_config(text)
+        d = parse_candidate("p female Mariam slice:MM weight=1/100 rr=2/100 scale=3".split())
         assert (d.weight, d.rr, d.scale) == (
             Fraction(1, 100), Fraction(2, 100), Fraction(3))
 
@@ -278,6 +276,10 @@ class TestConfigFile:
         for word, named in (("wife=MM", "'wife'"), ("woman1", "'woman1'")):
             with pytest.raises(InputError, match=f"row 1: .*{named}"):
                 parse_hypothesis_config(f"observed {word}\n")
+
+    def test_a_config_without_an_observed_record_is_refused(self):
+        with pytest.raises(ValueError, match="^hypothesis config lacks an 'observed' record$"):
+            parse_hypothesis_config("name t\ncandidate p female Mariam slice:MM\n")
 
     def test_unknown_record_kind_rejected(self):
         with pytest.raises(Exception, match="unknown record"):

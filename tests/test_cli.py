@@ -556,6 +556,17 @@ class TestExitPath:
         assert gc.get_freeze_count() == 0
         assert gc.isenabled() == enabled
 
+    @pytest.mark.parametrize("fault", [ValueError("observed RR must be positive"),
+                                       OverflowError("integer division result too large")])
+    def test_a_fault_of_the_computation_exits_1_with_one_line(self, fault, monkeypatch,
+                                                              capsys):
+        def fails(args, out):
+            raise fault
+        _, summary, flags = COMMANDS["analyze"]
+        monkeypatch.setitem(COMMANDS, "analyze", (fails, summary, flags))
+        assert run_cli("analyze") == (1, "")
+        assert capsys.readouterr().err == f"computation error: {fault}\n"
+
     def test_importing_the_entry_runs_nothing(self):
         run = run_python("-c", "import namecluster.__main__")
         assert (run.returncode, run.stdout, run.stderr) == (0, "", "")

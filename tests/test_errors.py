@@ -377,9 +377,6 @@ LIBRARY_ONLY = {
     ("candidates.py", "candidate {person}: given twice"): (
         "the reader and apply_deltas reject a repeated person first",
         "test_candidates.py::TestSpecEdits::test_duplicate_person_rejected"),
-    ("onomasticon.py", 'f"gender: {gender!r}"'): (
-        "a generic's gender is checked when it is built",
-        "test_onomasticon.py::TestBundledFixture::test_a_gender_it_lacks_is_named"),
     ("onomasticon.py", "the path is empty"): (
         "BOUNDS rejects the empty path first",
         "test_onomasticon.py::TestParsing::test_an_empty_path_names_the_table"),

@@ -51,6 +51,15 @@ class TestPosteriorOdds:
             posterior_odds(Fraction(1), 1, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: posterior_odds(1, 10, Fraction(-1, 9)),
+    lambda: theta_lower_bound(Fraction(1, 2), 10, -1),
+    lambda: odds_lower_bound(Fraction(1, 2), 10, Fraction(-1, 100))])
+def test_a_tail_area_below_0_is_refused_not_turned_into_a_figure(call):
+    with pytest.raises(InputError, match="^q must be a tail area between 0 and 1$"):
+        call()
+
+
 class TestThetaLowerBound:
     def test_reference_values(self):
         assert f"{float(theta_lower_bound(Fraction(5, 100), N2, Q)):.3g}" == "0.0494"

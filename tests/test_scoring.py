@@ -6,8 +6,9 @@ from itertools import permutations, product
 import pytest
 
 from namecluster.candidates import build_spec
-from namecluster.scoring import (ContractViolation, RuleLedger,
-                                 TombConfiguration, male_factors, score, validate)
+from namecluster.onomasticon import InputError
+from namecluster.scoring import (RuleLedger, TombConfiguration, male_factors, score,
+                                 validate)
 
 from bundled import ADDONS, DESCRIPTORS, TOMB
 
@@ -55,7 +56,7 @@ class TestValidate:
         assert validate(cfg(), baseline) is None
 
     def test_score_refuses_invalid_input(self, baseline):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(InputError):
             score(cfg(w1="Salome", w2="Salome"), baseline)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from namecluster import candidates, tailspace
 from namecluster.candidates import (_frequency, build_categories, build_spec,
-                                    parse_hypothesis_config)
+                                    parse_candidate)
 from namecluster.onomasticon import InputError
 from namecluster.scoring import score
 from namecluster.sensitivity import (Delta, Scenario, apply_deltas, load_suite,
@@ -341,7 +341,7 @@ class TestSuiteParsing:
     def test_add_takes_the_options_of_a_candidate(self, onom, rules):
         fields = "joanna female Joanna generic label=J weight=1/2 rr=1/3 scale=2"
         (scenario,) = parse_suite(f"scenario opts\nadd {fields}\n")
-        _, (candidate,), _ = parse_hypothesis_config(f"candidate {fields}\n")
+        candidate = parse_candidate(fields.split())
         assert scenario.deltas[0].descriptor == candidate
         assert (candidate.label, candidate.weight, candidate.rr, candidate.scale) \
             == ("J", Fraction(1, 2), Fraction(1, 3), Fraction(2))

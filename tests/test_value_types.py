@@ -51,7 +51,7 @@ FIELDS = {
          "require_yeshua_in_tomb": False, "allow_father_yeshua": False,
          "count_unknown_sons": True}),
     "TombConfiguration": (
-        "scoring", "woman1 woman2 singleton1 singleton2 father son", {}),
+        "candidates", "woman1 woman2 singleton1 singleton2 father son", {}),
     "RRValue": (
         "scoring", "value women_part singleton_part generational_part bonus_applied",
         {"bonus_applied": Fraction(1)}),
