@@ -102,15 +102,6 @@ class TestFlagReader:
             "adjusted-p", "beta", "odds[theta=1]", "odds[theta=1/2]",
             "theta-bound[alpha=1/20]", "odds-bound[alpha=1/20]"]
 
-    def test_readme_config_command_runs_verbatim(self, tmp_path, monkeypatch):
-        readme = (ROOT / "README.md").read_text().splitlines()
-        line, = (line for line in readme
-                 if line.startswith("namecluster validate-config --config"))
-        (tmp_path / "run.cfg").write_text("[rules]\nbonus_divisor = 1\n")
-        monkeypatch.chdir(tmp_path)
-        code, text = run_cli(*line.partition("#")[0].split()[1:])
-        assert code == 0 and text.startswith("ok:") and "42 scenarios" in text
-
     def test_config_on_either_side_of_the_command(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[rules]\nbonus_divisor = 1\n")
