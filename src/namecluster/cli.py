@@ -1,5 +1,4 @@
-"""Command-line interface: analyze, explain, sweep, demography, infer,
-validate-config.
+"""Command-line interface: analyze, explain, sweep, demography, infer.
 
 ``namecluster [--config PATH] COMMAND [--flag VALUE | --flag=VALUE]...`` is
 read against COMMANDS, the table of each command's flags: a flag's name
@@ -95,8 +94,7 @@ SETTINGS = {
     "file": ("hypothesis", "bundled", None, "hypothesis config path or 'bundled'"),
     "n2": ("analysis", "1100", int, "number of candidate tombs"),
     **{key: ("rules", None, parse, None) for key, parse in RULE_PARSERS.items()},
-    # no default: validate-config checks a suite only when one is named
-    "suite": ("sweep", None, None, "scenario suite path or 'bundled'"),
+    "suite": ("sweep", "bundled", None, "scenario suite path or 'bundled'"),
     **{key: ("demography", None, parse, None)
        for key, parse in DEMOGRAPHY_PARSERS.items()},
     "q": ("inference", None, parse_fraction, "tail area in [0, 1]"),
@@ -130,16 +128,16 @@ def given(args, keys) -> dict:
 
 def load_analysis_inputs(args):
     onom = load_onomasticon(args.source)
-    name, descriptors, observed = load_hypothesis_config(args.file)
-    return onom, name, descriptors, observed, RuleLedger(**given(args, RULE_PARSERS))
+    _, descriptors, observed = load_hypothesis_config(args.file)
+    return onom, descriptors, observed, RuleLedger(**given(args, RULE_PARSERS))
 
 
 def analyzed_inputs(args):
-    """(name, rules, observed configuration, and tailspace.analyze's spec,
-    RRValue and TailResult); an error of the analysis names the hypothesis."""
-    onom, name, descriptors, observed, rules = load_analysis_inputs(args)
+    """(rules, observed configuration, and tailspace.analyze's spec, RRValue
+    and TailResult); an error of the analysis names the hypothesis."""
+    onom, descriptors, observed, rules = load_analysis_inputs(args)
     try:
-        return (name, rules, observed, *analyze(onom, descriptors, rules, observed))
+        return (rules, observed, *analyze(onom, descriptors, rules, observed))
     except InputError as exc:  # its candidates, its observed tomb, a space of no valid mass
         raise InputError(f"{source_path(args.file, 'baseline.cfg')}: {exc}") from exc
 
@@ -213,8 +211,6 @@ COMMANDS = {
                    flags("config", "format", *DEMOGRAPHY_PARSERS)),
     "infer": (deferred("cmd_infer"), "p-value, odds and confidence bounds",
               flags("config", "format", "q", "n2", *REPEATED)),
-    "validate-config": (deferred("cmd_validate_config"), "parse and check all inputs",
-                        flags("config", *ANALYSIS, "suite")),
 }
 
 

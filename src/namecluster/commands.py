@@ -1,5 +1,5 @@
-"""The commands other than analyze: explain, sweep, demography, infer,
-validate-config, and the help screen.
+"""The commands other than analyze: explain, sweep, demography, infer, and
+the help screen.
 
 cli.COMMANDS imports this module only when one of them, or ``--help``, runs,
 so that an analyze start compiles none of their code.
@@ -21,7 +21,7 @@ from .scoring import factors
 def cmd_explain(args, out):
     """Each category's weight and RR, each factor of the observed RR with the
     ledger rule that set it, then the parts of the score and its value."""
-    _, rules, observed, spec, scored, _ = analyzed_inputs(args)
+    rules, observed, spec, scored, _ = analyzed_inputs(args)
     rows = [(f"{word}[{gender}/{c.label}]", value, SIG)
             for gender in ("female", "male") for c in spec.categories(gender)
             for word, value in (("weight", c.weight), ("rr", c.rr))]
@@ -37,9 +37,8 @@ def cmd_explain(args, out):
 
 def cmd_sweep(args, out):
     from .sensitivity import load_suite, run_suite
-    onom, name, descriptors, observed, rules = load_analysis_inputs(args)
-    suite = load_suite("bundled" if args.suite is None else args.suite)
-    reports = run_suite(onom, descriptors, rules, observed, suite, n2=args.n2)
+    onom, descriptors, observed, rules = load_analysis_inputs(args)
+    reports = run_suite(onom, descriptors, rules, observed, load_suite(args.suite), n2=args.n2)
     above = sum(not r.error and r.adjusted_area > 1 for r in reports)
     if above:  # one line for the run, however many scenarios exceed 1
         warnings.warn(f"n2*q exceeds 1 in {above} of {len(reports)} scenarios; "
@@ -57,7 +56,7 @@ def cmd_sweep(args, out):
                 record["match"] = r.matches_reference
             out.write(record_line(record))
     else:
-        width = max(len(r.name) for r in reports) if reports else 8
+        width = max(map(len, ["scenario", *(r.name for r in reports)]))
         out.write(f"{'scenario'.ljust(width)}  {'adjusted':>10}  {'reference':>10}  match\n")
         for r in reports:
             if r.error:
@@ -98,16 +97,6 @@ def cmd_infer(args, out):
         rows.append((f"odds-bound[alpha={word}]",
                      odds_lower_bound(alpha, n2, q), SIG))
     emit(rows, args.format, out)
-    return 0
-
-
-def cmd_validate_config(args, out):
-    from .sensitivity import load_suite
-    name, _, _, spec, *_ = analyzed_inputs(args)
-    # a named suite is reported even when it holds no scenario
-    suite = f"; suite of {len(load_suite(args.suite))} scenarios" if args.suite else ""
-    out.write(f"ok: hypothesis '{name}' with {len(spec.women)} women / "
-              f"{len(spec.men)} men categories{suite}\n")
     return 0
 
 

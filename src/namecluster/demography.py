@@ -21,7 +21,7 @@ FULL_POPULATION_TOMBS = 10_000  # n3
 
 
 def round_to(value: Fraction, unit: int) -> int:
-    """Round to the nearest multiple of ``unit`` (half away from zero)."""
+    """Round to the nearest multiple of ``unit`` (half up)."""
     q, r = divmod(value, unit)
     return int(q) * unit + (unit if 2 * r >= unit else 0)
 

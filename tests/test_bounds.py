@@ -41,7 +41,7 @@ def total(key):
 
 def path(filename):
     # an empty path would read as the current directory
-    return ["validate-config"], [], [str(DATA / filename)], [""]
+    return ["sweep"], [], [str(DATA / filename)], [""]
 
 
 # key: (the CLI words before its flag, or None; the library calls that take

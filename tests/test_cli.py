@@ -123,7 +123,7 @@ class TestFlagReader:
         listed = [line.split()[0] for line in text.splitlines()[2:]]
         assert listed == list(COMMANDS[command][2])
         assert "--config" in listed
-        assert ("--format" in listed) == (command != "validate-config")
+        assert "--format" in listed
         assert ("--n2" in listed) == (command not in ("demography", "explain"))
 
 
@@ -144,12 +144,11 @@ HELP = {
     "": (
         "usage: namecluster [--config PATH] COMMAND [--flag VALUE]...\n"
         "commands:\n"
-        "  analyze          headline figures for the baseline\n"
-        "  explain          the observed RR's factors and their rules\n"
-        "  sweep            run the sensitivity scenario suite\n"
-        "  demography       population pipeline\n"
-        "  infer            p-value, odds and confidence bounds\n"
-        "  validate-config  parse and check all inputs\n"),
+        "  analyze     headline figures for the baseline\n"
+        "  explain     the observed RR's factors and their rules\n"
+        "  sweep       run the sensitivity scenario suite\n"
+        "  demography  population pipeline\n"
+        "  infer       p-value, odds and confidence bounds\n"),
     "analyze": (
         "usage: namecluster analyze [--flag VALUE]...\n"
         "headline figures for the baseline:\n"
@@ -209,19 +208,6 @@ HELP = {
         "  --n2 VALUE      number of candidate tombs\n"
         "  --theta VALUE   P(B|A) in (0, 1]; repeatable\n"
         "  --alpha VALUE   confidence complement in (0, 1); repeatable\n"),
-    "validate-config": (
-        "usage: namecluster validate-config [--flag VALUE]...\n"
-        "parse and check all inputs:\n"
-        "  --config VALUE                  INI config file; flags override it\n"
-        "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
-        "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
-        "  --n2 VALUE                      number of candidate tombs\n"
-        "  --bonus-divisor VALUE           a fraction a/b or a decimal\n"
-        "  --unknown-son-factor VALUE      a fraction a/b or a decimal\n"
-        "  --require-yeshua-in-tomb VALUE  on/off, true/false, 1/0 or yes/no\n"
-        "  --allow-father-yeshua VALUE     on/off, true/false, 1/0 or yes/no\n"
-        "  --count-unknown-sons VALUE      on/off, true/false, 1/0 or yes/no\n"
-        "  --suite VALUE                   scenario suite path or 'bundled'\n"),
 }
 
 
@@ -334,12 +320,19 @@ class TestSweep:
         assert code == 0 and len(rows) == 42
         assert all(row.split(None, 1)[1] == f"error: {error}" for row in rows)
 
-    def test_empty_suite_prints_header_only(self, tmp_path):
-        suite = tmp_path / "empty.cfg"
-        suite.write_text("# nothing here\n")
-        code, text = run_cli("sweep", "--suite", str(suite))
-        assert code == 0
-        assert len(text.splitlines()) == 1
+    @pytest.mark.parametrize("suite", ["# nothing here\n", "scenario a\n\nscenario bb\n"],
+                             ids=["empty", "short-names"])
+    def test_the_header_aligns_with_its_rows(self, suite, tmp_path):
+        # names shorter than the word "scenario" still leave the columns aligned
+        path = tmp_path / "suite.cfg"
+        path.write_text(suite)
+        code, text = run_cli("sweep", "--suite", str(path))
+        header, *rows = text.splitlines()
+        assert code == 0 and len(rows) == suite.count("scenario")
+        end = header.index("adjusted") + len("adjusted")
+        for row in rows:
+            name, figure = row.split()[:2]
+            assert row.index(figure, len(name)) + len(figure) == end
 
 
 class TestDemographyAndInfer:
@@ -569,24 +562,7 @@ class TestExitPath:
         assert project["scripts"]["namecluster"] == "namecluster.__main__:run"
 
 
-class TestValidateConfig:
-    def test_bundled_inputs_validate(self):
-        code, text = run_cli("validate-config", "--suite", "bundled")
-        assert code == 0
-        assert text.startswith("ok:")
-        assert "42 scenarios" in text
-
-    def test_without_a_suite_no_suite_is_checked(self):
-        assert run_cli("validate-config") == (
-            0, "ok: hypothesis 'baseline' with 5 women / 5 men categories\n")
-
-    def test_an_empty_suite_is_named(self, tmp_path):
-        suite = tmp_path / "empty.cfg"
-        suite.write_text("# no scenario\n")
-        assert run_cli("validate-config", "--suite", str(suite)) == (
-            0, "ok: hypothesis 'baseline' with 5 women / 5 men categories"
-               "; suite of 0 scenarios\n")
-
+class TestConfigFile:
     def test_config_file_sections_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[rules]\nbonus_divisor = 1\n[output]\nformat = table\n")
@@ -737,16 +713,14 @@ class TestImports:
     def test_sweep_loads_sensitivity(self):
         assert "namecluster.sensitivity" in modules_loaded_by("sweep")
 
-    @pytest.mark.parametrize("argv", [["sweep"], ["validate-config"], ["demography"],
+    @pytest.mark.parametrize("argv", [["sweep"], ["demography"],
                                       ["infer", "--q", "1/9999"], ["--help"]],
-                             ids=["sweep", "validate-config", "demography", "infer",
-                                  "help"])
+                             ids=["sweep", "demography", "infer", "help"])
     def test_every_other_command_and_the_help_load_commands(self, argv):
         # analyze alone runs without compiling the other commands' code
         assert "namecluster.commands" in modules_loaded_by(*argv)
 
-    @pytest.mark.parametrize("argv", [["analyze"], ["sweep"], ["demography"],
-                                      ["validate-config", "--suite", "bundled"]])
+    @pytest.mark.parametrize("argv", [["analyze"], ["sweep"], ["demography"], ["explain"]])
     def test_no_command_loads_dataclasses(self, argv):
         # the value types subclass collections.namedtuple, about 0.2 ms each to
         # build; dataclasses would bring inspect, ast, dis and tokenize into
@@ -755,9 +729,8 @@ class TestImports:
 
     @pytest.mark.parametrize("argv", [["analyze"], ["sweep"], ["demography"],
                                       ["infer", "--q", "1/9999", "--theta", "1"],
-                                      ["validate-config", "--suite", "bundled"]],
-                             ids=["analyze", "sweep", "demography", "infer",
-                                  "validate-config"])
+                                      ["explain"]],
+                             ids=["analyze", "sweep", "demography", "infer", "explain"])
     def test_no_command_loads_argparse(self, argv):
         # the flags are read from COMMANDS; argparse would bring gettext and locale
         assert not modules_loaded_by(*argv) & {"argparse", "gettext", "locale"}

@@ -33,7 +33,7 @@ from namecluster.cli import COMMANDS, SETTINGS, main
 from namecluster.onomasticon import DATA
 
 PACKAGE = os.path.dirname(namecluster.__file__)  # as the frames of its code name it
-COMMAND_LIST = "the commands are analyze, explain, sweep, demography, infer, validate-config"
+COMMAND_LIST = "the commands are analyze, explain, sweep, demography, infer"
 TABLE, HYPOTHESIS, SUITE = "onomasticon.tsv", "baseline.cfg", "scenarios.cfg"
 FILE = {"--onomasticon": TABLE, "--hypothesis": HYPOTHESIS, "--suite": SUITE}
 TOO_MANY = "too many values to unpack (expected "
@@ -55,18 +55,18 @@ def on_each(commands, argv, outcome, edit):
     return [(f"{command} {argv}", outcome, edit) for command in commands]
 
 
-BOTH = ("analyze", "explain", "validate-config")  # the commands that stop at a bad hypothesis
+BOTH = ("analyze", "explain")  # the commands that stop at a bad hypothesis
 ROWS = [
     # the flag reader
     ("analyze --bogus 1", "unknown flag '--bogus' for analyze"),
     ("bogus", f"unknown command 'bogus'; {COMMAND_LIST}"),
+    ("validate-config", f"unknown command 'validate-config'; {COMMAND_LIST}"),
     ("", f"no command; {COMMAND_LIST}"),
     ("analyze --n2", "--n2 needs a value"),
     ("analyze stray", "stray word 'stray'"),
     ("analyze --n 5", "unknown flag '--n' for analyze"),  # no prefix matching
     ("--format records analyze", "unknown flag '--format' before the command"),
     ("infer --q 1/9 --suite bundled", "unknown flag '--suite' for infer"),
-    ("validate-config --format records", "unknown flag '--format' for validate-config"),
     ("explain --n2 5", "unknown flag '--n2' for explain"),
     # the word after a flag is its value, verbatim
     ("demography --juvenile-fraction -1/2",
@@ -118,7 +118,7 @@ ROWS = [
                                       f"{flag} must {must}, got {word!r}")],
     # an empty path, which would read as the current directory
     *[row for command, flag in (("analyze", "--onomasticon"), ("analyze", "--hypothesis"),
-                                ("sweep", "--suite"), ("validate-config", "--suite"))
+                                ("sweep", "--suite"))
       for line in [f"{flag} must name a file, got ''"]
       for row in [(f"{command} {flag}=", line),
                   *from_flag_and_config(command, flag, "", line)]],
@@ -274,7 +274,7 @@ ROWS = [
                                   "father=Other son=Other"))],
     # a field too many, or an option given twice: the bundled file with one
     # row appended, so only that row is wrong
-    *[(f"validate-config {flag} {{path}}", f"{{path}}: row {{row}}: {line}",
+    *[(f"sweep {flag} {{path}}", f"{{path}}: row {{row}}: {line}",
        (FILE[flag], None, row)) for flag, row, line in (
         ("--onomasticon", "total female 317 193 junk", TOO_MANY + "2)"),
         ("--hypothesis", "name a b c", TOO_MANY + "1)"),
@@ -293,7 +293,8 @@ ROWS = [
         ("--suite", "reference 0.5", "reference: given twice"),
         ("--suite", "add joanna2 female Joanna generic weight=1/9 weight=1/8",
          "weight: given twice"))],
-    # the suite: a bad row of its one scenario
+    # the suite: a bad row of its one scenario, refused before any scenario
+    # runs, also in records, where a scenario's own fault is a record
     *[row for delta, line in (
         ("scale mary_magdalene 1/0", "zero denominator"),
         ("reference abc", "Invalid literal for Fraction: 'abc'"),
@@ -308,7 +309,7 @@ ROWS = [
          "count_unknown_sons: expected on/off, true/false, 1/0 or yes/no, got 'maybe'"),
         ("set bonus_divisor 1/2", "bonus_divisor must be >= 1"),
         ("scenario s", "scenario: s: given twice"))
-      for row in on_each(("sweep", "validate-config"), "--suite {path}",
+      for row in on_each(("sweep", "sweep --format records"), "--suite {path}",
                          f"{{path}}: row 2: {line}", new_file(f"scenario s\n{delta}"))],
     ("sweep --suite {path}", "{path}: row 1: 'remove' record before the first scenario",
      new_file("remove x")),
