@@ -195,7 +195,6 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
 # ---------------------------------------------------------------------------
 # hypothesis config files (grammar: see onomasticon.py)
 #
-#   name <identifier>                     (at most once)
 #   candidate <person> <gender> <generic> <class> [label=..] [weight=a/b]
 #             [rr=a/b] [scale=a/b]
 #   observed woman1=.. woman2=.. singleton1=.. singleton2=.. father=.. son=..
@@ -225,35 +224,28 @@ def parse_candidate(fields) -> CandidateDescriptor:
 
 
 def parse_hypothesis_config(text: str):
-    """Return (name, descriptors, the observed TombConfiguration)."""
-    config = {}
+    """Return (descriptors, the observed TombConfiguration)."""
+    tombs: list[TombConfiguration] = []
     descriptors: dict[str, CandidateDescriptor] = {}  # by person
-
-    def once(kind, value):
-        if kind in config:
-            raise ValueError(f"{kind}: given twice")
-        config[kind] = value
-
-    def name(fields):
-        (value,) = fields
-        once("name", value)
 
     def observed(fields):
         slots = parse_options(fields, OBSERVED_OPTIONS)
         missing = [slot for slot in OBSERVED_OPTIONS if slot not in slots]
         if missing:
             raise ValueError(f"observed: missing {', '.join(missing)}")
-        once("observed", TombConfiguration(**slots))
+        if tombs:
+            raise ValueError("observed: given twice")
+        tombs.append(TombConfiguration(**slots))
 
     def candidate(fields):
         desc = parse_candidate(fields)
         if descriptors.setdefault(desc.person, desc) is not desc:
             raise ValueError(f"candidate: {desc.person}: given twice")
 
-    read_records(text, {"name": name, "candidate": candidate, "observed": observed})
-    if "observed" not in config:
+    read_records(text, {"candidate": candidate, "observed": observed})
+    if not tombs:
         raise ValueError("hypothesis config lacks an 'observed' record")
-    return config.get("name", "custom"), tuple(descriptors.values()), config["observed"]
+    return tuple(descriptors.values()), tombs[0]
 
 
 def load_hypothesis_config(source: Union[str, Path] = "bundled"):

@@ -43,7 +43,7 @@ def read_config(path):
     # no interpolation: a '%' in a value is a character, not a reference
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(Path(path).read_text(), source=path)
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=path)
     except (configparser.Error, OSError, ValueError) as exc:  # also not text, a NUL in the path
         raise InputError(" ".join(f"config file {path}: {exc}".split())) from exc
     for section in (parser.default_section, *parser.sections()):
@@ -128,7 +128,7 @@ def given(args, keys) -> dict:
 
 def load_analysis_inputs(args):
     onom = load_onomasticon(args.source)
-    _, descriptors, observed = load_hypothesis_config(args.file)
+    descriptors, observed = load_hypothesis_config(args.file)
     return onom, descriptors, observed, RuleLedger(**given(args, RULE_PARSERS))
 
 
@@ -165,12 +165,12 @@ def emit(rows, fmt, out):
 
 
 def cmd_analyze(args, out):
-    *_, result = analyzed_inputs(args)
+    *_, scored, result = analyzed_inputs(args)
     adjusted = args.n2 * result.proportion
     if adjusted > 1:  # the paper's n2*q, reported as it is
         warnings.warn("n2*q exceeds 1; adjusted-area is the unclamped n2*q")
     rows = [
-        ("observed-rr", result.observed_rr, SIG),
+        ("observed-rr", scored.value, SIG),
         ("valid-mass-ratio", result.valid_ratio, SIG),
         ("proportion", result.proportion, SIG),
         ("adjusted-area", adjusted, SIG),

@@ -297,7 +297,7 @@ def load_source(source: Union[str, Path], filename: str, parse):
         raise InputError(f"{filename}: the path is empty")
     path = source_path(source, filename)
     try:
-        return parse(Path(path).read_text())
+        return parse(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # missing, a directory, not text, a bad row
         raise InputError(f"{path}: {exc}") from exc
 

@@ -73,12 +73,11 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
         persons = [c.person for c in out]
         if d.verb == "add":
             if d.descriptor.person in persons:
-                raise InputError(
-                    f"{scenario.name}: candidate {d.descriptor.person} already present")
+                raise InputError(f"candidate {d.descriptor.person} already present")
             out.append(d.descriptor)
         elif d.verb in ("remove", "scale"):
             if d.person not in persons:
-                raise InputError(f"{scenario.name}: no candidate named {d.person}")
+                raise InputError(f"no candidate named {d.person}")
             if d.verb == "remove":
                 out = [c for c in out if c.person != d.person]
             else:
@@ -87,7 +86,7 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
         elif d.verb == "set":
             rules = rules._replace(**{d.param: d.value})
         else:
-            raise InputError(f"{scenario.name}: unknown delta verb {d.verb!r}")
+            raise InputError(f"unknown delta verb {d.verb!r}")
     return tuple(out), rules
 
 
@@ -96,12 +95,13 @@ def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
                  n2: int = 1100, memo: Optional[dict] = None) -> ScenarioReport:
     """One scenario's report: ``analyze`` after its deltas, with ``memo``
     sharing categories and male tables between scenarios."""
-    _, _, result = analyze(onom, *apply_deltas(descriptors, rules, scenario), observed, memo)
+    descriptors, rules = apply_deltas(descriptors, rules, scenario)
+    _, scored, result = analyze(onom, descriptors, rules, observed, memo)
     adjusted = n2 * result.proportion
     matches = None
     if scenario.reference is not None:
         matches = matches_at_printed_precision(adjusted, scenario.reference)
-    return ScenarioReport(name=scenario.name, observed_rr=result.observed_rr,
+    return ScenarioReport(name=scenario.name, observed_rr=scored.value,
                           adjusted_area=adjusted, reference=scenario.reference,
                           matches_reference=matches)
 

@@ -41,11 +41,8 @@ The enumeration stays exact without a Fraction per tuple, pair or triple:
   it collide), the clash tests, the flags father_is_singleton and
   yoseh_in_singles, and whether Yeshua is among them.
 * Merge. ``distribution`` reads no threshold. It reads each woman's scaled
-  weight and RR once as ints, builds the women's collision table once with
-  ``collides``, as ``male_table`` does for the men, and sums the valid
-  women-pair mass per pair RR wn/wd over unordered pairs (i <= j), counting
-  a pair of two different categories twice: the pair RR, its mass and
-  ``collides`` are symmetric in the two women. The observed RR, un/ud and
+  weight and RR once as ints and sums the mass of each ordered women pair
+  that ``collides`` allows per pair RR wn/wd. The observed RR, un/ud and
   bn/bd enter in ``tail`` alone. A tuple is in the tail for a pair exactly
   when b * F <= t = floor(observed * D * wd / wn), as b * F is an int, and
   for positive ints that holds exactly when b <= t // F: no comparison
@@ -71,7 +68,7 @@ from .scoring import (YESHUA, YOSEH, RRValue, RuleLedger, bonus_applies, collide
 
 
 class TailResult(namedtuple(
-        "TailResult", "total_mass valid_mass tail_mass proportion observed_rr")):
+        "TailResult", "total_mass valid_mass tail_mass proportion")):
     """The enumeration's masses and tail proportion; every field a Fraction."""
 
     __slots__ = ()
@@ -196,16 +193,14 @@ def distribution(spec: HypothesisSpec, rules: RuleLedger,
     if table is None:
         table = memo[key] = male_table(spec.men, rules)
     scale, wcount = _scaled([c.weight for c in spec.women])
-    rr = [(c.rr.numerator, c.rr.denominator) for c in spec.women]
-    clash = [[collides(a, b) for b in spec.women] for a in spec.women]
+    women = [(c, c.rr.numerator, c.rr.denominator, count)
+             for c, count in zip(spec.women, wcount)]
     pairs: dict[tuple[int, int], int] = {}
-    for i, clash_i in enumerate(clash):
-        (num_i, den_i), count_i = rr[i], wcount[i]
-        for j in range(i, len(clash)):
-            if clash_i[j]:
-                continue
-            pair = num_i * rr[j][0], den_i * rr[j][1]
-            pairs[pair] = pairs.get(pair, 0) + count_i * wcount[j] * (1 if i == j else 2)
+    for a, num_a, den_a, count_a in women:
+        for b, num_b, den_b, count_b in women:
+            if not collides(a, b):
+                pair = num_a * num_b, den_a * den_b
+                pairs[pair] = pairs.get(pair, 0) + count_a * count_b
     return Distribution(table=table, pairs=pairs, scale=scale, size=tuple_space_size(spec))
 
 
@@ -229,7 +224,7 @@ def tail(dist: Distribution, rules: RuleLedger, observed: Fraction) -> TailResul
     size, denominator = dist.size, dist.scale ** 2 * table.mass_scale
     return TailResult(total_mass=Fraction(size), valid_mass=Fraction(valid * size, denominator),
                       tail_mass=Fraction(in_tail * size, denominator),
-                      proportion=Fraction(in_tail, valid), observed_rr=observed)
+                      proportion=Fraction(in_tail, valid))
 
 
 def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,

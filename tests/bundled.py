@@ -1,6 +1,6 @@
 """The bundled baseline, read from the bundled files as the CLI reads it.
 
-``NAME``, the candidate ``DESCRIPTORS`` and ``TOMB``, the observed tomb
+The candidate ``DESCRIPTORS`` and ``TOMB``, the observed tomb
 configuration, come from ``data/baseline.cfg``. ``ADDONS`` maps each person
 that an ``add`` record of ``data/scenarios.cfg`` brings to its descriptor.
 Nothing here restates those files.
@@ -9,7 +9,7 @@ Nothing here restates those files.
 from namecluster.candidates import load_hypothesis_config
 from namecluster.sensitivity import load_suite
 
-NAME, DESCRIPTORS, TOMB = load_hypothesis_config()
+DESCRIPTORS, TOMB = load_hypothesis_config()
 ADDONS = {delta.descriptor.person: delta.descriptor
           for scenario in load_suite() for delta in scenario.deltas
           if delta.verb == "add"}

@@ -12,7 +12,7 @@ from namecluster.candidates import (OTHER, CandidateDescriptor, Category,
                                     parse_hypothesis_config)
 from namecluster.onomasticon import InputError, load_onomasticon
 
-from bundled import ADDONS, DESCRIPTORS, NAME, TOMB
+from bundled import ADDONS, DESCRIPTORS, TOMB
 
 MM_W = Fraction(74, 44 * 317)
 MARYA_W = Fraction(74 * 13, 44 * 317)
@@ -239,7 +239,6 @@ class TestConfigFile:
     def test_bundled_files_hold_the_baseline_and_its_addons(self):
         # the exact figures of the bundled baseline are pinned by
         # test_acceptance.py; here, the shape of the two bundled files
-        assert NAME == "baseline"
         assert [d.gender for d in DESCRIPTORS] == ["female"] * 4 + ["male"] * 4
         assert len({d.person for d in DESCRIPTORS}) == 8
         assert TOMB._asdict() == {"woman1": "MM", "woman2": "Marya",
@@ -258,7 +257,7 @@ class TestConfigFile:
             Fraction(1, 100), Fraction(2, 100), Fraction(3))
 
     def test_overlarge_exponent_names_the_row(self):
-        text = ("name t\n"
+        text = ("# t\n"
                 "candidate p female Mariam slice:MM rr=1e-999999999\n")
         with pytest.raises(InputError, match="^row 2: rr: decimal exponent beyond"):
             parse_hypothesis_config(text)
@@ -268,7 +267,7 @@ class TestConfigFile:
         ("scale=1/0", "zero denominator"), ("weigth=1/2", "'weigth'"),
         ("label", "'label'")])
     def test_bad_option_names_the_row(self, option, message):
-        text = f"name t\ncandidate p female Mariam slice:MM {option}\n"
+        text = f"# t\ncandidate p female Mariam slice:MM {option}\n"
         with pytest.raises(InputError, match=f"row 2: .*{message}"):
             parse_hypothesis_config(text)
 
@@ -279,7 +278,7 @@ class TestConfigFile:
 
     def test_a_config_without_an_observed_record_is_refused(self):
         with pytest.raises(ValueError, match="^hypothesis config lacks an 'observed' record$"):
-            parse_hypothesis_config("name t\ncandidate p female Mariam slice:MM\n")
+            parse_hypothesis_config("# t\ncandidate p female Mariam slice:MM\n")
 
     def test_unknown_record_kind_rejected(self):
         with pytest.raises(Exception, match="unknown record"):

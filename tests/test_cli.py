@@ -285,7 +285,7 @@ class TestSweep:
         assert text.isascii()
 
     @pytest.mark.parametrize("delta, error", [
-        ("remove nobody", "broken: no candidate named nobody"),
+        ("remove nobody", "no candidate named nobody"),
         ("add x male Joseph generic label=J2",
          "candidates joseph_father and x: both draw persons of Joseph")],
         ids=["unknown-person", "overlap"])
@@ -433,11 +433,12 @@ class TestFiguresBeyondTheFloatRange:
             "deceased-per-gender"] == "5e+399"
 
 
-def run_python(*args):
-    """``python args`` in a fresh interpreter that imports this checkout's src."""
+def run_python(*args, **env):
+    """``python args`` in a fresh interpreter that imports this checkout's src,
+    with the environment variables ``env`` set."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 def run_process(*argv):
@@ -471,6 +472,30 @@ def test_the_bundled_n2_gives_an_empty_stderr(command):
     assert run.stdout == (ROOT / "perfbench" / "expected"
                           / f"{command}.records").read_text()
     assert run.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "analyze", "explain", "sweep", "demography", "infer --q 1/9999",
+    "--config {config} analyze --format records"])
+def test_no_command_reads_a_file_in_the_locale_encoding(argv, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("[rules]\nbonus_divisor = 1\n", encoding="utf-8")
+    words = argv.format(config=config).split()
+    run = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                     "-m", "namecluster", *words)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == run_cli(*words)[1]
+
+
+def test_a_suite_reads_the_same_under_an_ascii_locale(tmp_path):
+    suite = tmp_path / "u.cfg"
+    suite.write_text("scenario café\nset bonus_divisor 1\n", encoding="utf-8")
+    argv = ("-m", "namecluster", "sweep", "--suite", str(suite), "--format", "records")
+    utf8 = run_python(*argv, PYTHONUTF8="1")
+    ascii_ = run_python(*argv, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    assert (utf8.returncode, utf8.stderr) == (ascii_.returncode, ascii_.stderr) == (0, "")
+    assert ascii_.stdout == utf8.stdout
+    assert json.loads(utf8.stdout)["scenario"] == "café"
 
 
 class TestRecordLine:

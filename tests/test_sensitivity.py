@@ -268,11 +268,14 @@ class TestScenarioSemantics:
         assert "maybe" in reports[0].error
         assert reports[1].error is None
 
-    def test_an_unknown_delta_verb_names_its_scenario(self, rules):
+    def test_an_unknown_delta_verb_names_its_scenario(self, onom, rules):
         # the suite reader rejects an unknown record kind first, so only the
-        # library reaches this
-        with pytest.raises(InputError, match="^s: unknown delta verb 'bogus'$"):
-            apply_deltas(DESCRIPTORS, rules, Scenario("s", (Delta("bogus"),)))
+        # library reaches this; the report, not the message, names the scenario
+        bogus = Scenario("s", (Delta("bogus"),))
+        with pytest.raises(InputError, match="^unknown delta verb 'bogus'$"):
+            apply_deltas(DESCRIPTORS, rules, bogus)
+        report = run_suite(onom, DESCRIPTORS, rules, TOMB, [bogus])[0]
+        assert (report.name, report.error) == ("s", "unknown delta verb 'bogus'")
 
     def test_duplicate_addition_rejected(self, onom, rules):
         twice = Scenario(name="dup", deltas=(

@@ -268,7 +268,6 @@ class TestDistribution:
         results = [tail(dist, rules, observed) for observed in thresholds]
         assert results == [enumerate_tail(baseline, rules, observed)
                            for observed in thresholds]
-        assert [r.observed_rr for r in results] == thresholds
         assert results[0].tail_mass == results[1].tail_mass == TAIL
         assert results[2].tail_mass < TAIL
         assert format_decimal(1100 * results[2].proportion, 3) == "0.000543"

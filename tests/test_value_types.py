@@ -56,7 +56,7 @@ FIELDS = {
         "scoring", "value women_part singleton_part generational_part bonus_applied",
         {"bonus_applied": Fraction(1)}),
     "TailResult": (
-        "tailspace", "total_mass valid_mass tail_mass proportion observed_rr", {}),
+        "tailspace", "total_mass valid_mass tail_mass proportion", {}),
     "MaleTable": ("tailspace", "r mass_scale valid_mass classes", {}),
     "Distribution": ("tailspace", "table pairs scale size", {}),
     "Delta": (
