@@ -169,12 +169,8 @@ def cmd_analyze(args, out):
     adjusted = args.n2 * result.proportion
     if adjusted > 1:  # the paper's n2*q, reported as it is
         warnings.warn("n2*q exceeds 1; adjusted-area is the unclamped n2*q")
-    rows = [
-        ("observed-rr", scored.value, SIG),
-        ("valid-mass-ratio", result.valid_ratio, SIG),
-        ("proportion", result.proportion, SIG),
-        ("adjusted-area", adjusted, SIG),
-    ]
+    rows = [("observed-rr", scored.value, SIG), ("valid-mass-ratio", result.valid_ratio, SIG),
+            ("proportion", result.proportion, SIG), ("adjusted-area", adjusted, SIG)]
     if args.format == "records":
         rows += [("tuple-space", result.total_mass, 10),
                  ("valid-mass", result.valid_mass, 10),

@@ -38,33 +38,34 @@ def cmd_explain(args, out):
 def cmd_sweep(args, out):
     from .sensitivity import load_suite, run_suite
     onom, descriptors, observed, rules = load_analysis_inputs(args)
-    reports = run_suite(onom, descriptors, rules, observed, load_suite(args.suite), n2=args.n2)
+    suite = load_suite(args.suite)
+    reports = run_suite(onom, descriptors, rules, observed, suite, n2=args.n2)
     above = sum(not r.error and r.adjusted_area > 1 for r in reports)
     if above:  # one line for the run, however many scenarios exceed 1
         warnings.warn(f"n2*q exceeds 1 in {above} of {len(reports)} scenarios; "
                       "adjusted is the unclamped n2*q")
     if args.format == "records":
-        for r in reports:
-            record = {"scenario": r.name}
+        for s, r in zip(suite, reports):
+            record = {"scenario": s.name}
             if r.error:
                 record["error"] = r.error
             else:
                 record["adjusted"] = format_decimal(r.adjusted_area, SIG)
                 record["adjusted_fraction"] = format_fraction(r.adjusted_area)
                 record["observed_rr_fraction"] = format_fraction(r.observed_rr)
-                record["reference"] = r.reference
+                record["reference"] = s.reference
                 record["match"] = r.matches_reference
             out.write(record_line(record))
     else:
-        width = max(map(len, ["scenario", *(r.name for r in reports)]))
+        width = max(map(len, ["scenario", *(s.name for s in suite)]))
         out.write(f"{'scenario'.ljust(width)}  {'adjusted':>10}  {'reference':>10}  match\n")
-        for r in reports:
+        for s, r in zip(suite, reports):
             if r.error:
-                out.write(f"{r.name.ljust(width)}  error: {r.error}\n")
+                out.write(f"{s.name.ljust(width)}  error: {r.error}\n")
                 continue
-            ref = r.reference if r.reference is not None else "-"
+            ref = s.reference if s.reference is not None else "-"
             match = {True: "yes", False: "NO", None: "-"}[r.matches_reference]
-            out.write(f"{r.name.ljust(width)}  {format_decimal(r.adjusted_area, SIG):>10}"
+            out.write(f"{s.name.ljust(width)}  {format_decimal(r.adjusted_area, SIG):>10}"
                       f"  {ref:>10}  {match}\n")
     return 0
 

@@ -1,13 +1,15 @@
 """Named scenario deltas against the baseline analysis, with golden checks.
 
-A scenario is a list of deltas: add or remove a candidate, scale one
-candidate's sampling weight and RR value together (the enclosing generic's
-residual absorbs the difference), or set a rule-ledger parameter. Running a
-scenario rebuilds the hypothesis, rescores the observed configuration (its
-RR changes when an in-sample slice is scaled), re-enumerates the tail, and
-multiplies the proportion by n2. When a scenario carries a reference value,
-the report records whether the result matches it at the reference's printed
-precision.
+A scenario is a list of deltas, each a (verb, subject, value) triple: add
+or remove a candidate, scale one candidate's sampling weight and RR value
+together (the enclosing generic's residual absorbs the difference), or set a
+rule-ledger parameter. Running a scenario rebuilds the hypothesis, rescores
+the observed configuration (its RR changes when an in-sample slice is
+scaled), re-enumerates the tail, and multiplies the proportion by n2. When a
+scenario carries a reference value, the report records whether the result
+matches it at the reference's printed precision. A report holds only the
+outcome: the scenario keeps its name and reference, and ``run_suite``
+returns one report per scenario, in suite order.
 
 ``run_suite`` passes one memo to every ``run_scenario``, so each gender's
 categories are built once per distinct list of that gender's candidates (11
@@ -31,29 +33,22 @@ from .scoring import RULE_PARSERS, RuleLedger
 from .tailspace import analyze
 
 
-class Delta(namedtuple("Delta", "verb person descriptor factor param value",
-                       defaults=(None,) * 5)):
-    __slots__ = ()
-    # verb: str, add | remove | scale | set
-    # person: str or None
-    # descriptor: CandidateDescriptor or None
-    # factor: Fraction or None
-    # param: a RuleLedger field, or None
-    # value: its value as RULE_PARSERS reads it (Fraction or bool), or None
-
-
 class Scenario(namedtuple("Scenario", "name deltas reference", defaults=((), None))):
     __slots__ = ()
-    # name: str; deltas: tuple[Delta, ...]; reference: the printed-value
-    # string for golden checks, or None
+    # name: str; deltas: tuple of (verb, subject, value) triples, one of
+    #   ("add", person, CandidateDescriptor), ("remove", person, None),
+    #   ("scale", person, Fraction factor), ("set", RuleLedger field, its value
+    #   as RULE_PARSERS reads it); reference: the printed-value string for
+    #   golden checks, or None
 
 
 class ScenarioReport(namedtuple(
-        "ScenarioReport", "name observed_rr adjusted_area reference matches_reference "
-        "error", defaults=(None,) * 5)):
+        "ScenarioReport", "observed_rr adjusted_area matches_reference error",
+        defaults=(None,) * 4)):
     __slots__ = ()
-    # name: str; observed_rr, adjusted_area: Fraction or None; reference,
-    # error: str or None; matches_reference: bool or None
+    # the outcome of one scenario, which run_suite reports in suite order:
+    # observed_rr, adjusted_area: Fraction or None; matches_reference: bool, or
+    # None without a reference; error: str or None
 
 
 def printed_digits(text: str) -> int:
@@ -67,26 +62,26 @@ def matches_at_printed_precision(value: Fraction, reference: str) -> bool:
 
 
 def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
-                 scenario: Scenario) -> tuple[tuple[CandidateDescriptor, ...], RuleLedger]:
+                 deltas: Sequence[tuple]) -> tuple[tuple[CandidateDescriptor, ...], RuleLedger]:
     out = list(descriptors)
-    for d in scenario.deltas:
+    for verb, subject, value in deltas:
         persons = [c.person for c in out]
-        if d.verb == "add":
-            if d.descriptor.person in persons:
-                raise InputError(f"candidate {d.descriptor.person} already present")
-            out.append(d.descriptor)
-        elif d.verb in ("remove", "scale"):
-            if d.person not in persons:
-                raise InputError(f"no candidate named {d.person}")
-            if d.verb == "remove":
-                out = [c for c in out if c.person != d.person]
+        if verb == "add":
+            if subject in persons:
+                raise InputError(f"candidate {subject} already present")
+            out.append(value)
+        elif verb in ("remove", "scale"):
+            if subject not in persons:
+                raise InputError(f"no candidate named {subject}")
+            if verb == "remove":
+                out = [c for c in out if c.person != subject]
             else:
-                i = persons.index(d.person)
-                out[i] = out[i]._replace(scale=out[i].scale * d.factor)
-        elif d.verb == "set":
-            rules = rules._replace(**{d.param: d.value})
+                i = persons.index(subject)
+                out[i] = out[i]._replace(scale=out[i].scale * value)
+        elif verb == "set":
+            rules = rules._replace(**{subject: value})
         else:
-            raise InputError(f"unknown delta verb {d.verb!r}")
+            raise InputError(f"unknown delta verb {verb!r}")
     return tuple(out), rules
 
 
@@ -95,21 +90,20 @@ def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
                  n2: int = 1100, memo: Optional[dict] = None) -> ScenarioReport:
     """One scenario's report: ``analyze`` after its deltas, with ``memo``
     sharing categories and male tables between scenarios."""
-    descriptors, rules = apply_deltas(descriptors, rules, scenario)
+    descriptors, rules = apply_deltas(descriptors, rules, scenario.deltas)
     _, scored, result = analyze(onom, descriptors, rules, observed, memo)
     adjusted = n2 * result.proportion
     matches = None
     if scenario.reference is not None:
         matches = matches_at_printed_precision(adjusted, scenario.reference)
-    return ScenarioReport(name=scenario.name, observed_rr=scored.value,
-                          adjusted_area=adjusted, reference=scenario.reference,
-                          matches_reference=matches)
+    return ScenarioReport(scored.value, adjusted, matches)
 
 
 def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
               rules: RuleLedger, observed: TombConfiguration,
               suite: Sequence[Scenario], n2: int = 1100) -> list[ScenarioReport]:
-    """Run scenarios in order; a failing scenario yields an error report.
+    """One report per scenario, in suite order; a failing scenario's report
+    holds only its error.
 
     Scenarios that end with the same candidates of one gender share its
     categories, and those with the same men and switches share a male table.
@@ -121,9 +115,7 @@ def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
             reports.append(run_scenario(onom, descriptors, rules, observed,
                                         scenario, n2, memo))
         except (ValueError, ZeroDivisionError) as exc:
-            reports.append(ScenarioReport(name=scenario.name,
-                                          reference=scenario.reference,
-                                          error=str(exc)))
+            reports.append(ScenarioReport(error=str(exc)))
     return reports
 
 
@@ -148,9 +140,9 @@ def parse_suite(text: str) -> list[Scenario]:
             raise ValueError(f"{kind!r} record before the first scenario")
         return scenarios[-1]
 
-    def delta(verb: str, **values):
+    def delta(verb: str, subject: str, value=None):
         last = current(verb)
-        scenarios[-1] = last._replace(deltas=last.deltas + (Delta(verb, **values),))
+        scenarios[-1] = last._replace(deltas=last.deltas + ((verb, subject, value),))
 
     def set_(fields):
         param, text = fields
@@ -159,7 +151,7 @@ def parse_suite(text: str) -> list[Scenario]:
         value = parse_field(param, text, RULE_PARSERS[param])
         if param in BOUNDS:  # the two numbers; a switch is a bool as parsed
             check_range(param, value)
-        delta("set", param=param, value=value)
+        delta("set", param, value)
 
     def reference(fields):
         (printed,) = fields
@@ -175,17 +167,21 @@ def parse_suite(text: str) -> list[Scenario]:
             raise ValueError(f"scenario: {name}: given twice")
         scenarios.append(Scenario(name))
 
+    def add(fields):
+        candidate = parse_candidate(fields)
+        delta("add", candidate.person, candidate)
+
     def remove(fields):
         (person,) = fields
-        delta("remove", person=person)
+        delta("remove", person)
 
     def scale(fields):
         person, factor = fields
-        delta("scale", person=person, factor=parse_fraction(factor))
+        delta("scale", person, parse_fraction(factor))
 
     read_records(text, {
         "scenario": scenario,
-        "add": lambda fields: delta("add", descriptor=parse_candidate(fields)),
+        "add": add,
         "remove": remove,
         "scale": scale,
         "set": set_,

@@ -10,6 +10,5 @@ from namecluster.candidates import load_hypothesis_config
 from namecluster.sensitivity import load_suite
 
 DESCRIPTORS, TOMB = load_hypothesis_config()
-ADDONS = {delta.descriptor.person: delta.descriptor
-          for scenario in load_suite() for delta in scenario.deltas
-          if delta.verb == "add"}
+ADDONS = {person: descriptor for scenario in load_suite()
+          for verb, person, descriptor in scenario.deltas if verb == "add"}

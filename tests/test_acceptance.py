@@ -44,7 +44,9 @@ def baseline_run(baseline, rules):
 
 @pytest.fixture(scope="module")
 def sweep_reports(onom, rules):
-    return run_suite(onom, DESCRIPTORS, rules, TOMB, load_suite())
+    """(scenario, its report) for each bundled scenario, in suite order."""
+    suite = load_suite()
+    return list(zip(suite, run_suite(onom, DESCRIPTORS, rules, TOMB, suite)))
 
 
 class TestCriterion1BaselineObservedRR:
@@ -93,16 +95,16 @@ class TestCriterion3BaselineTail:
 class TestCriterion4SensitivitySuite:
     def test_suite_covers_every_reference_value(self, sweep_reports):
         assert len(sweep_reports) == 42
-        matching = [r for r in sweep_reports if r.matches_reference]
-        divergent = [r for r in sweep_reports if not r.matches_reference]
-        assert {r.name for r in sweep_reports} == set(FROZEN)
-        for report in sweep_reports:
+        matching = [r for _, r in sweep_reports if r.matches_reference]
+        divergent = [r for _, r in sweep_reports if not r.matches_reference]
+        assert {s.name for s, _ in sweep_reports} == set(FROZEN)
+        for scenario, report in sweep_reports:
             assert report.error is None
-            expected_match = FROZEN[report.name][2]
-            assert report.matches_reference is expected_match, report.name
+            expected_match = FROZEN[scenario.name][2]
+            assert report.matches_reference is expected_match, scenario.name
             if not expected_match:
-                rel = abs(float(report.adjusted_area) - float(report.reference))
-                assert rel / float(report.reference) < 0.07, report.name
+                rel = abs(float(report.adjusted_area) - float(scenario.reference))
+                assert rel / float(scenario.reference) < 0.07, scenario.name
         print(f"\nPASS criterion 4 (documented divergences): "
               f"{len(matching)}/42 at printed precision, "
               f"{len(divergent)} audited divergences within 7%")
@@ -113,7 +115,7 @@ class TestCriterion4SensitivitySuite:
                "in the reference analysis's unpublished code; divergences are "
                "within 6.4% and regression-locked")
     def test_every_scenario_matches_at_printed_precision(self, sweep_reports):
-        assert all(r.matches_reference for r in sweep_reports)
+        assert all(r.matches_reference for _, r in sweep_reports)
 
 
 class TestCriterion5Demography:

@@ -111,7 +111,7 @@ def test_a_value_just_outside_is_rejected_naming_the_key(key, tmp_path, capsys):
             assert str(raised.value) == f"{key} must {requirement}"
         if argv is None:  # the line names the table's file and row
             table = tmp_path / "onom.tsv"
-            table.write_text(f"total {key.removesuffix('_total')} {word}\n")
+            table.write_text(f"total {key.removesuffix('_total')} {word}\n", encoding="utf-8")
             assert run_cli("analyze", "--onomasticon", str(table)) == 2
             line = f"error: {table}: row 1: {key} must {requirement}"
         else:

@@ -55,7 +55,8 @@ class TestAnalyze:
         assert run_cli("analyze") == run_cli("analyze")
         suite = tmp_path / "suite.cfg"
         suite.write_text("scenario a\nset bonus_divisor 1\nreference 0.000726\n\n"
-                         "scenario b\nscale mary_magdalene 2\nreference 0.000953\n")
+                         "scenario b\nscale mary_magdalene 2\nreference 0.000953\n",
+                         encoding="utf-8")
         first = run_cli("sweep", "--suite", str(suite), "--format", "records")
         assert first == run_cli("sweep", "--suite", str(suite), "--format", "records")
 
@@ -104,7 +105,7 @@ class TestFlagReader:
 
     def test_config_on_either_side_of_the_command(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[rules]\nbonus_divisor = 1\n")
+        cfg.write_text("[rules]\nbonus_divisor = 1\n", encoding="utf-8")
         before = run_cli("--config", str(cfg), "analyze")
         assert before == run_cli("analyze", f"--config={cfg}")
         assert before[0] == 0 and "0.000726" in before[1]
@@ -292,7 +293,8 @@ class TestSweep:
     def test_bad_delta_errors_only_its_row(self, delta, error, tmp_path):
         suite = tmp_path / "suite.cfg"
         suite.write_text(f"scenario broken\n{delta}\n\n"
-                         "scenario fine\nset bonus_divisor 1\nreference 0.000726\n")
+                         "scenario fine\nset bonus_divisor 1\nreference 0.000726\n",
+                         encoding="utf-8")
         code, text = run_cli("sweep", "--suite", str(suite))
         assert code == 0
         lines = text.splitlines()
@@ -301,6 +303,26 @@ class TestSweep:
         code, text = run_cli("sweep", "--suite", str(suite), "--format", "records")
         assert code == 0
         assert json.loads(text.splitlines()[0]) == {"scenario": "broken", "error": error}
+
+    def test_each_row_is_named_from_its_scenario_in_suite_order(self, tmp_path):
+        # ok, failing, ok: the reports hold no names, so each row must take
+        # its name and reference from the scenario at its position
+        suite = tmp_path / "suite.cfg"
+        suite.write_text("scenario first\nset bonus_divisor 1\nreference 0.000726\n"
+                         "scenario bad\nremove nobody\nreference 0.5\n"
+                         "scenario last\nremove salome_sister\n", encoding="utf-8")
+        code, text = run_cli("sweep", "--suite", str(suite))
+        assert code == 0
+        assert [row.split() for row in text.splitlines()[1:]] == [
+            ["first", "0.0007261", "0.000726", "yes"],
+            ["bad", "error:", "no", "candidate", "named", "nobody"],
+            ["last", "0.0003673", "-", "-"]]
+        code, text = run_cli("sweep", "--suite", str(suite), "--format", "records")
+        assert code == 0
+        records = [json.loads(line) for line in text.splitlines()]
+        assert [record["scenario"] for record in records] == ["first", "bad", "last"]
+        assert [record.get("reference") for record in records] == ["0.000726", None, None]
+        assert records[1] == {"scenario": "bad", "error": "no candidate named nobody"}
 
     @pytest.mark.parametrize("old, new, error", [
         ("woman2=Marya", "woman2=MM", "observed: duplicate woman"),
@@ -313,8 +335,8 @@ class TestSweep:
         ids=["impossible-observed", "unknown-slice", "unknown-generic", "overlap"])
     def test_a_bad_hypothesis_errors_every_row(self, old, new, error, tmp_path):
         hypothesis = tmp_path / "h.cfg"
-        hypothesis.write_text(
-            (SRC / "namecluster" / "data" / "baseline.cfg").read_text().replace(old, new))
+        baseline = (SRC / "namecluster" / "data" / "baseline.cfg").read_text(encoding="utf-8")
+        hypothesis.write_text(baseline.replace(old, new), encoding="utf-8")
         code, text = run_cli("sweep", "--hypothesis", str(hypothesis))
         rows = text.splitlines()[1:]
         assert code == 0 and len(rows) == 42
@@ -325,7 +347,7 @@ class TestSweep:
     def test_the_header_aligns_with_its_rows(self, suite, tmp_path):
         # names shorter than the word "scenario" still leave the columns aligned
         path = tmp_path / "suite.cfg"
-        path.write_text(suite)
+        path.write_text(suite, encoding="utf-8")
         code, text = run_cli("sweep", "--suite", str(path))
         header, *rows = text.splitlines()
         assert code == 0 and len(rows) == suite.count("scenario")
@@ -359,7 +381,7 @@ class TestDemographyAndInfer:
     def test_theta_and_alpha_from_the_config_file(self, tmp_path):
         q = "253644329313582025/461894801863030415245482"
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[inference]\nq = {q}\ntheta = 1/2\nalpha = 1/20\n")
+        cfg.write_text(f"[inference]\nq = {q}\ntheta = 1/2\nalpha = 1/20\n", encoding="utf-8")
         from_file = run_cli("--config", str(cfg), "infer")
         assert from_file == run_cli("infer", "--q", q, "--theta", "1/2",
                                     "--alpha", "1/20")
@@ -435,9 +457,9 @@ class TestFiguresBeyondTheFloatRange:
 
 def run_python(*args, **env):
     """``python args`` in a fresh interpreter that imports this checkout's src,
-    with the environment variables ``env`` set."""
+    with the environment variables ``env`` set; its output is read as UTF-8."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, encoding="utf-8",
                           timeout=120, env=dict(os.environ, PYTHONPATH=path, **env))
 
 
@@ -470,7 +492,7 @@ def test_the_bundled_n2_gives_an_empty_stderr(command):
     run = run_process(command, "--format", "records")
     assert run.returncode == 0
     assert run.stdout == (ROOT / "perfbench" / "expected"
-                          / f"{command}.records").read_text()
+                          / f"{command}.records").read_text(encoding="utf-8")
     assert run.stderr == ""
 
 
@@ -487,15 +509,37 @@ def test_no_command_reads_a_file_in_the_locale_encoding(argv, tmp_path):
     assert run.stdout == run_cli(*words)[1]
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
 def test_a_suite_reads_the_same_under_an_ascii_locale(tmp_path):
     suite = tmp_path / "u.cfg"
     suite.write_text("scenario café\nset bonus_divisor 1\n", encoding="utf-8")
     argv = ("-m", "namecluster", "sweep", "--suite", str(suite), "--format", "records")
     utf8 = run_python(*argv, PYTHONUTF8="1")
-    ascii_ = run_python(*argv, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    ascii_ = run_python(*argv, **ASCII_LOCALE)
     assert (utf8.returncode, utf8.stderr) == (ascii_.returncode, ascii_.stderr) == (0, "")
     assert ascii_.stdout == utf8.stdout
     assert json.loads(utf8.stdout)["scenario"] == "café"
+    # a table writes what the locale cannot encode as a backslash escape
+    utf8 = run_python(*argv[:-2], PYTHONUTF8="1")
+    ascii_ = run_python(*argv[:-2], **ASCII_LOCALE)
+    assert (utf8.returncode, utf8.stderr) == (ascii_.returncode, ascii_.stderr) == (0, "")
+    assert utf8.stdout.splitlines()[1].split()[0] == "café"
+    assert ascii_.stdout.splitlines()[1].split()[0] == "caf\\xe9"
+
+
+def test_a_non_ascii_label_is_explained_under_an_ascii_locale(tmp_path):
+    hypothesis = tmp_path / "h.cfg"
+    baseline = (SRC / "namecluster" / "data" / "baseline.cfg").read_text(encoding="utf-8")
+    hypothesis.write_text(baseline.replace("female Salome generic",
+                                           "female Salome generic label=Salomé"),
+                          encoding="utf-8")
+    run = run_python("-m", "namecluster", "explain", "--hypothesis", str(hypothesis),
+                     **ASCII_LOCALE)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "weight[female/Salom\\xe9]" in run.stdout.split()
+    assert run.stdout.isascii()
 
 
 class TestRecordLine:
@@ -527,7 +571,7 @@ def test_a_closed_stdout_ends_without_a_word_on_stderr(tmp_path):
     # a table far longer than a pipe holds, so the reader closes mid-write
     suite = tmp_path / "long.cfg"
     suite.write_text("".join(f"scenario {'s' * 200}{i}\nremove nobody\n"
-                             for i in range(1000)))
+                             for i in range(1000)), encoding="utf-8")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     with subprocess.Popen([sys.executable, "-m", "namecluster", "sweep",
                            "--suite", str(suite)],
@@ -590,7 +634,7 @@ class TestExitPath:
 class TestConfigFile:
     def test_config_file_sections_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("[rules]\nbonus_divisor = 1\n[output]\nformat = table\n")
+        cfg.write_text("[rules]\nbonus_divisor = 1\n[output]\nformat = table\n", encoding="utf-8")
         _, with_file = run_cli("--config", str(cfg), "analyze")
         assert "0.000726" in with_file  # file value applies
         _, overridden = run_cli("--config", str(cfg), "analyze",
@@ -609,7 +653,7 @@ class TestConfigFile:
                 sections.setdefault(section, []).append(f"{key} = {values[key]}\n")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"[{section}]\n" + "".join(lines)
-                               for section, lines in sections.items()))
+                               for section, lines in sections.items()), encoding="utf-8")
         for command in COMMANDS:
             assert run_cli("--config", str(cfg), command)[0] == 0
 
@@ -636,7 +680,7 @@ class TestConfigFile:
         # the (section, key) pairs that a --config file may hold, tried one by one
         accepted, cfg = set(), tmp_path / "run.cfg"
         for key, (section, *_) in SETTINGS.items():
-            cfg.write_text(f"[{section}]\n{key} = 1\n")
+            cfg.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
             try:
                 cli.read_config(str(cfg))
             except InputError:
@@ -667,14 +711,14 @@ def test_every_typed_setting_reads_the_same_from_the_config_file(key, tmp_path, 
     flag, = (flag for flag, read in COMMANDS[argv[0]][2].items() if read == key)
     cfg = tmp_path / "run.cfg"
     # a bad value: exit 2 and the one line that the flag gives
-    cfg.write_text(f"[{section}]\n{key} = {BAD[parse]}\n")
+    cfg.write_text(f"[{section}]\n{key} = {BAD[parse]}\n", encoding="utf-8")
     assert run_cli("--config", str(cfg), *argv) == (2, "")
     from_file = capsys.readouterr().err
     assert run_cli(*argv, flag, BAD[parse]) == (2, "")
     assert capsys.readouterr().err == from_file
     assert len(from_file.splitlines()) == 1 and flag in from_file
     # a good value: the output that the flag gives, which is not the default's
-    cfg.write_text(f"[{section}]\n{key} = {GOOD[key]}\n")
+    cfg.write_text(f"[{section}]\n{key} = {GOOD[key]}\n", encoding="utf-8")
     code, text = run_cli("--config", str(cfg), *argv)
     assert (code, text) == run_cli(*argv, flag, GOOD[key])
     assert code == 0 and text != run_cli(*argv)[1]
@@ -765,11 +809,11 @@ class TestImports:
         # src/namecluster/ outside its own definition, or has an outside caller
         public, referred = set(), set()
         for path in (SRC / "namecluster").glob("*.py"):
-            for statement in ast.parse(path.read_text()).body:
+            for statement in ast.parse(path.read_text(encoding="utf-8")).body:
                 name = getattr(statement, "name", "_")
                 if not name.startswith("_"):
                     public.add(name)
                 referred.update(word for word in referred_names(statement) if word != name)
         assert public - referred == set(OUTSIDE_CALLERS)
         for name, caller in OUTSIDE_CALLERS.items():
-            assert name in (ROOT / caller).read_text()
+            assert name in (ROOT / caller).read_text(encoding="utf-8")

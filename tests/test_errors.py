@@ -335,9 +335,10 @@ def run(row, tmp_path):
         if isinstance(new, bytes):
             path.write_bytes(new)
             continue
-        base = (DATA / name).read_text() if (DATA / name).exists() else ""
+        base = (DATA / name).read_text(encoding="utf-8") if (DATA / name).exists() else ""
         at = len(base) if old is None else base.index(old)
-        path.write_text(base[:at] + new + ("\n" if old is None else base[at + len(old):]))
+        path.write_text(base[:at] + new + ("\n" if old is None else base[at + len(old):]),
+                        encoding="utf-8")
         values["row"] = (base[:at] + new).count("\n") + 1
     words = argv.split() if isinstance(argv, str) else argv
     out, err = io.StringIO(), io.StringIO()
@@ -360,7 +361,7 @@ def raises():
     """{(file, source text): its lines} of each raise in the package."""
     found = {}
     for path in Path(PACKAGE).glob("*.py"):
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Raise):
                 found[path.name, ast.get_source_segment(text, node)] = range(

@@ -35,7 +35,7 @@ HOSTILE = ("0", "-0", "-1", "-2/3", "1/0", "0/0", "3/2", "2", "1e400", "1e-400",
 def mutants(draw):
     """(argv with a {path} placeholder, the mutant's text)."""
     flag = draw(st.sampled_from(sorted(FILES)))
-    lines = (DATA / FILES[flag]).read_text().splitlines()
+    lines = (DATA / FILES[flag]).read_text(encoding="utf-8").splitlines()
     i = draw(st.sampled_from([i for i, line in enumerate(lines)
                               if line.strip() and not line.lstrip().startswith("#")]))
     words = lines[i].split()
@@ -69,7 +69,7 @@ def path(tmp_path_factory):
 @given(mutant=mutants())
 def test_a_mutant_input_is_reported_or_refused_in_one_line(mutant, path):
     argv, text = mutant
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
         warnings.simplefilter("always")

@@ -93,7 +93,7 @@ class TestParsing:
 
     def test_empty_source_rejected(self, tmp_path):
         empty = tmp_path / "empty.tsv"
-        empty.write_text("")
+        empty.write_text("", encoding="utf-8")
         with pytest.raises(InputError, match=r"empty\.tsv: missing 'total' record"):
             load_onomasticon(empty)
 

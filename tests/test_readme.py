@@ -20,7 +20,7 @@ from namecluster.sensitivity import matches_at_printed_precision
 
 from test_errors import ROWS, run
 
-TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 FENCE = re.compile(r"^```(\w*)\n(.*?)^```$", re.M | re.S)
 BLOCKS = FENCE.findall(TEXT)  # (info string, body) of each fenced block
 

@@ -17,7 +17,7 @@ from namecluster.candidates import (_frequency, build_categories, build_spec,
                                     parse_candidate)
 from namecluster.onomasticon import InputError
 from namecluster.scoring import score
-from namecluster.sensitivity import (Delta, Scenario, apply_deltas, load_suite,
+from namecluster.sensitivity import (Scenario, ScenarioReport, apply_deltas, load_suite,
                                      matches_at_printed_precision, parse_suite,
                                      run_scenario, run_suite)
 from namecluster.tailspace import enumerate_tail, male_table
@@ -77,8 +77,9 @@ def suite():
 
 @pytest.fixture(scope="module")
 def reports(onom, rules, suite):
-    return {r.name: r for r in
-            run_suite(onom, DESCRIPTORS, rules, TOMB, suite)}
+    # a report holds only the outcome; its scenario is the one at its position
+    return {s.name: r for s, r in
+            zip(suite, run_suite(onom, DESCRIPTORS, rules, TOMB, suite))}
 
 
 class TestBundledSuite:
@@ -92,13 +93,14 @@ class TestBundledSuite:
         assert f"{float(report.adjusted_area):.3g}" == "0.000604"
         assert f"{float(report.adjusted_area):.4g}" == "0.0006041"
 
-    def test_frozen_values_and_match_flags(self, reports):
+    def test_frozen_values_and_match_flags(self, suite, reports):
         assert set(reports) == set(FROZEN)
+        references = {s.name: s.reference for s in suite}
         for name, (value, reference, matches) in FROZEN.items():
             report = reports[name]
             assert report.error is None
             assert f"{float(report.adjusted_area):.12g}" == value, name
-            assert report.reference == reference, name
+            assert references[name] == reference, name
             assert report.matches_reference is matches, name
 
     def test_divergent_scenarios_stay_within_the_audit_envelope(self, reports):
@@ -134,7 +136,7 @@ class TestSharing:
         monkeypatch.setattr(candidates, "build_categories", counting_build_categories)
         monkeypatch.setattr(tailspace, "build_spec", counting_build_spec)
         run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
-        distinct = {apply_deltas(DESCRIPTORS, rules, s)[0] for s in suite}
+        distinct = {apply_deltas(DESCRIPTORS, rules, s.deltas)[0] for s in suite}
         per_gender = {(gender, tuple(d for d in desc if d.gender == gender))
                       for desc in distinct for gender in ("female", "male")}
         assert len(built) == len(set(built)) == len(per_gender) == 17
@@ -164,7 +166,7 @@ class TestSharing:
         # one walk per distinct male categories and set of ledger switches
         cases = []
         for scenario in suite:
-            new_desc, new_rules = apply_deltas(DESCRIPTORS, rules, scenario)
+            new_desc, new_rules = apply_deltas(DESCRIPTORS, rules, scenario.deltas)
             spec = build_spec(onom, new_desc)
             cases.append((spec, new_rules, score(TOMB, spec, new_rules).value))
         walks = {(spec.men, new_rules.require_yeshua_in_tomb,
@@ -235,8 +237,7 @@ class TestScenarioSemantics:
         assert twice[0] == twice[1]
 
     def test_identical_scenarios_give_identical_reports(self, onom, rules):
-        scenario = Scenario(name="twin", deltas=(
-            Delta(verb="set", param="bonus_divisor", value=Fraction(1)),))
+        scenario = Scenario(name="twin", deltas=(("set", "bonus_divisor", Fraction(1)),))
         pair = run_suite(onom, DESCRIPTORS, rules, TOMB,
                          [scenario, scenario])
         assert pair[0] == pair[1]
@@ -244,12 +245,17 @@ class TestScenarioSemantics:
     def test_empty_suite(self, onom, rules):
         assert run_suite(onom, DESCRIPTORS, rules, TOMB, []) == []
 
-    def test_bad_delta_errors_that_row_only(self, onom, rules):
-        bad = Scenario(name="bad", deltas=(Delta(verb="remove", person="nobody"),))
-        ok = Scenario(name="ok", deltas=())
-        reports = run_suite(onom, DESCRIPTORS, rules, TOMB, [bad, ok])
-        assert reports[0].error is not None
-        assert reports[1].error is None
+    def test_bad_delta_errors_that_row_only(self, onom, rules, reports):
+        # ok, failing, ok: one report per scenario, in suite order, the failing
+        # one holding only its error
+        suite = [Scenario("drop-bonus", (("set", "bonus_divisor", Fraction(1)),)),
+                 Scenario("bad", (("remove", "nobody", None),)),
+                 Scenario("remove-salome", (("remove", "salome_sister", None),))]
+        first, bad, last = run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
+        assert bad == ScenarioReport(error="no candidate named nobody")
+        assert first.adjusted_area == reports["drop-bonus"].adjusted_area
+        assert last.adjusted_area == reports["remove-salome"].adjusted_area
+        assert first.matches_reference is last.matches_reference is None
 
     def test_every_flag_spelling_sets_the_same_ledger(self, onom, rules):
         reports = run_suite(onom, DESCRIPTORS, rules, TOMB, parse_suite("".join(
@@ -261,8 +267,7 @@ class TestScenarioSemantics:
             == [on.adjusted_area] * 4 + [off.adjusted_area] * 2
 
     def test_unknown_flag_word_errors_that_row_only(self, onom, rules):
-        maybe = Scenario(name="maybe", deltas=(
-            Delta(verb="set", param="allow_father_yeshua", value="maybe"),))
+        maybe = Scenario(name="maybe", deltas=(("set", "allow_father_yeshua", "maybe"),))
         reports = run_suite(onom, DESCRIPTORS, rules, TOMB,
                             [maybe, Scenario(name="ok")])
         assert "maybe" in reports[0].error
@@ -270,17 +275,17 @@ class TestScenarioSemantics:
 
     def test_an_unknown_delta_verb_names_its_scenario(self, onom, rules):
         # the suite reader rejects an unknown record kind first, so only the
-        # library reaches this; the report, not the message, names the scenario
-        bogus = Scenario("s", (Delta("bogus"),))
+        # library reaches this; the report's position, not the message, names
+        # the scenario
+        bogus = Scenario("s", (("bogus", None, None),))
         with pytest.raises(InputError, match="^unknown delta verb 'bogus'$"):
-            apply_deltas(DESCRIPTORS, rules, bogus)
-        report = run_suite(onom, DESCRIPTORS, rules, TOMB, [bogus])[0]
-        assert (report.name, report.error) == ("s", "unknown delta verb 'bogus'")
+            apply_deltas(DESCRIPTORS, rules, bogus.deltas)
+        assert run_suite(onom, DESCRIPTORS, rules, TOMB, [Scenario("ok"), bogus])[1] \
+            == ScenarioReport(error="unknown delta verb 'bogus'")
 
     def test_duplicate_addition_rejected(self, onom, rules):
         twice = Scenario(name="dup", deltas=(
-            Delta(verb="add", descriptor=ADDONS["joanna"]),
-            Delta(verb="add", descriptor=ADDONS["joanna"])))
+            ("add", "joanna", ADDONS["joanna"]), ("add", "joanna", ADDONS["joanna"])))
         report = run_suite(onom, DESCRIPTORS, rules, TOMB, [twice])[0]
         assert "already present" in report.error
 
@@ -305,12 +310,15 @@ class TestSuiteParsing:
         """
         (scenario,) = parse_suite(text)
         assert scenario.name == "demo"
-        assert [d.verb for d in scenario.deltas] == ["add", "scale", "set"]
-        assert scenario.deltas[1].factor == 2
-        assert scenario.deltas[2].value == Fraction(1)
+        joanna = parse_candidate("joanna female Joanna generic".split())
+        assert scenario.deltas == (("add", "joanna", joanna),
+                                   ("scale", "mary_magdalene", Fraction(2)),
+                                   ("set", "bonus_divisor", Fraction(1)))
         assert scenario.reference == "0.001"
         (flag,) = parse_suite("scenario f\nset count_unknown_sons Off\n")[0].deltas
-        assert flag.value is False
+        assert flag[:2] == ("set", "count_unknown_sons") and flag[2] is False
+        (remove,) = parse_suite("scenario r\nremove salome_sister\n")[0].deltas
+        assert remove == ("remove", "salome_sister", None)
 
     def test_an_empty_path_names_the_suite(self):
         with pytest.raises(InputError, match=r"^scenarios\.cfg: the path is empty$"):
@@ -345,7 +353,7 @@ class TestSuiteParsing:
         fields = "joanna female Joanna generic label=J weight=1/2 rr=1/3 scale=2"
         (scenario,) = parse_suite(f"scenario opts\nadd {fields}\n")
         candidate = parse_candidate(fields.split())
-        assert scenario.deltas[0].descriptor == candidate
+        assert scenario.deltas == (("add", "joanna", candidate),)
         assert (candidate.label, candidate.weight, candidate.rr, candidate.scale) \
             == ("J", Fraction(1, 2), Fraction(1, 3), Fraction(2))
         with_options, plain = run_suite(onom, DESCRIPTORS, rules, TOMB, parse_suite(

@@ -1,6 +1,6 @@
 """Value types: namedtuple subclasses, checked on construction and _replace.
 
-Each of the 17 value types is ``class X(namedtuple("X", ...))`` with
+Each of the 16 value types is ``class X(namedtuple("X", ...))`` with
 ``__slots__ = ()``, so its values are tuples with no instance dict. Building
 one costs about 0.2 ms at a CLI start, against 0.3 ms as a
 ``typing.NamedTuple``, which checks and compiles every field's annotation
@@ -32,7 +32,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = ["namecluster"] + [f"namecluster.{m.name}"
                              for m in pkgutil.iter_modules(namecluster.__path__)]
 
-# type -> (module, fields, defaults), as first defined with typing.NamedTuple
+# type -> (module, fields, defaults), as first defined with typing.NamedTuple,
+# except that a ScenarioReport no longer repeats its scenario's name and reference
 FIELDS = {
     "GenericNameCount": (
         "onomasticon", "name gender total_persons ossuary_persons", {"ossuary_persons": None}),
@@ -59,14 +60,10 @@ FIELDS = {
         "tailspace", "total_mass valid_mass tail_mass proportion", {}),
     "MaleTable": ("tailspace", "r mass_scale valid_mass classes", {}),
     "Distribution": ("tailspace", "table pairs scale size", {}),
-    "Delta": (
-        "sensitivity", "verb person descriptor factor param value",
-        dict.fromkeys(("person", "descriptor", "factor", "param", "value"))),
     "Scenario": ("sensitivity", "name deltas reference", {"deltas": (), "reference": None}),
     "ScenarioReport": (
-        "sensitivity", "name observed_rr adjusted_area reference matches_reference error",
-        dict.fromkeys(("observed_rr", "adjusted_area", "reference", "matches_reference",
-                       "error"))),
+        "sensitivity", "observed_rr adjusted_area matches_reference error",
+        dict.fromkeys(("observed_rr", "adjusted_area", "matches_reference", "error"))),
     "DemographyParams": (
         "demography", "total_deceased non_jewish_fraction juvenile_fraction "
         "literacy_affluence_fraction female_male_inscription_ratio tomb_size",
@@ -160,7 +157,7 @@ def one_of_each(onom):
     values = [onom.generics[0], onom.slices[0], onom, spec.men[0], DESCRIPTORS[0],
               spec, rules, TOMB, observed, enumerate_tail(spec, rules, observed.value),
               male_table(spec.men, rules), distribution(spec, rules),
-              scenario.deltas[0], scenario,
+              scenario,
               run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario), params,
               run_pipeline(params)]
     return {type(value).__name__: value for value in values}
