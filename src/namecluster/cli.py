@@ -1,11 +1,9 @@
 """Command-line interface: analyze, explain, sweep, demography, infer.
 
-``namecluster [--config PATH] COMMAND [--flag VALUE | --flag=VALUE]...`` is
-read against COMMANDS, the table of each command's flags: a flag's name
-matches exactly, the word after it is its value, verbatim, and ``--config``
-may also follow the command. Each setting in SETTINGS is resolved once: its
-flag, else its key in the INI-style ``--config`` file, else its default,
-checked against onomasticon.BOUNDS.
+``namecluster COMMAND [--flag VALUE | --flag=VALUE]...`` is read against
+COMMANDS, the table of each command's flags: a flag's name matches exactly,
+and the word after it is its value, verbatim. Each setting in SETTINGS is
+resolved once: its flag, else its default, checked against onomasticon.BOUNDS.
 Output is an aligned text table or JSON records of exact fractions with
 decimals, byte-deterministic for identical inputs. Exit codes: 0 success, 1
 computation error (or a closed stdout), 2 input error; an error is one
@@ -22,7 +20,6 @@ import sys
 import warnings
 # the C escaper that json.dumps calls, without the cost of importing json
 from _json import encode_basestring_ascii as quoted
-from pathlib import Path
 from types import SimpleNamespace
 
 from .candidates import load_hypothesis_config
@@ -34,34 +31,14 @@ from .tailspace import analyze
 SIG = 4  # default report precision for tail areas
 
 
-def read_config(path):
-    """The parsed --config file, or None when none is given."""
-    if path is None:
-        return None
-    parse_value("config", path, str)
-    import configparser
-    # no interpolation: a '%' in a value is a character, not a reference
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(Path(path).read_text(encoding="utf-8"), source=path)
-    except (configparser.Error, OSError, ValueError) as exc:  # also not text, a NUL in the path
-        raise InputError(" ".join(f"config file {path}: {exc}".split())) from exc
-    for section in (parser.default_section, *parser.sections()):
-        for key in parser[section]:
-            if key not in SETTINGS or SETTINGS[key][0] != section:
-                raise InputError(f"config file {path}: [{section}] {key}: unknown key")
-    return parser
-
-
 # what each setting parser accepts, for the error message and the help
 EXPECTED = {int: "an integer", parse_fraction: "a fraction a/b or a decimal",
             parse_flag: "on/off, true/false, 1/0 or yes/no"}
 
 
 def flag_of(key) -> str:
-    """--key with - for _, but an input file's flag names its file."""
-    return {"source": "--onomasticon", "file": "--hypothesis"}.get(
-        key, f"--{key.replace('_', '-')}")
+    """--key with - for _."""
+    return f"--{key.replace('_', '-')}"
 
 
 def parse_value(key, raw, parse):
@@ -85,50 +62,44 @@ DEMOGRAPHY_PARSERS = {
     "juvenile_fraction": parse_fraction, "literacy_affluence_fraction": parse_fraction,
     "female_male_inscription_ratio": parse_fraction}
 
-# key: (--config section, default, value parser, help or None for EXPECTED);
-# a --config file may set any of them, so that one file serves all commands
+# key: (default, value parser, help or None for EXPECTED)
 SETTINGS = {
-    "config": (None, None, None, "INI config file; flags override it"),
-    "format": ("output", "table", None, "table or records"),
-    "source": ("onomasticon", "bundled", None, "onomasticon table path or 'bundled'"),
-    "file": ("hypothesis", "bundled", None, "hypothesis config path or 'bundled'"),
-    "n2": ("analysis", "1100", int, "number of candidate tombs"),
-    **{key: ("rules", None, parse, None) for key, parse in RULE_PARSERS.items()},
-    "suite": ("sweep", "bundled", None, "scenario suite path or 'bundled'"),
-    **{key: ("demography", None, parse, None)
-       for key, parse in DEMOGRAPHY_PARSERS.items()},
-    "q": ("inference", None, parse_fraction, "tail area in [0, 1]"),
-    "theta": ("inference", (), parse_fraction, "P(B|A) in (0, 1]; repeatable"),
-    "alpha": ("inference", (), parse_fraction, "confidence complement in (0, 1); repeatable"),
+    "format": ("table", None, "table or records"),
+    "onomasticon": ("bundled", None, "onomasticon table path or 'bundled'"),
+    "hypothesis": ("bundled", None, "hypothesis config path or 'bundled'"),
+    "n2": ("1100", int, "number of candidate tombs"),
+    **{key: (None, parse, None) for key, parse in RULE_PARSERS.items()},
+    "suite": ("bundled", None, "scenario suite path or 'bundled'"),
+    **{key: (None, parse, None) for key, parse in DEMOGRAPHY_PARSERS.items()},
+    "q": (None, parse_fraction, "tail area in [0, 1]"),
+    "theta": ((), parse_fraction, "P(B|A) in (0, 1]; repeatable"),
+    "alpha": ((), parse_fraction, "confidence complement in (0, 1); repeatable"),
 }
 REPEATED = ("theta", "alpha")  # settings that collect every value given
 
 
-def resolve(args, config) -> None:
-    """Set each setting of ``args.command`` to the flag, else the --config
-    value, else the default, each word read by parse_value. A REPEATED setting
-    becomes a list of (word, value) pairs, so a report names the word as given."""
+def resolve(args) -> None:
+    """Set each setting of ``args.command`` to the flag, else the default, each
+    word read by parse_value. A REPEATED setting becomes a list of (word, value)
+    pairs, so a report names the word as given."""
     for key in COMMANDS[args.command][2].values():
-        section, default, parse, _ = SETTINGS[key]
-        value = getattr(args, key)
-        if value is None:  # with a config, args.config is set: "config" is not looked up
-            value = default if config is None else config.get(section, key, fallback=default)
+        default, parse, _ = SETTINGS[key]
+        value = getattr(args, key, default)
         if key in REPEATED:
-            words = [value] if isinstance(value, str) else value
-            value = [(word, parse_value(key, word, parse)) for word in words]
+            value = [(word, parse_value(key, word, parse)) for word in value]
         elif value is not None:
             value = parse_value(key, value, parse or str)
         setattr(args, key, value)
 
 
 def given(args, keys) -> dict:
-    """{key: value} for each of ``keys`` that a flag or --config value sets."""
+    """{key: value} for each of ``keys`` that a flag sets."""
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def load_analysis_inputs(args):
-    onom = load_onomasticon(args.source)
-    descriptors, observed = load_hypothesis_config(args.file)
+    onom = load_onomasticon(args.onomasticon)
+    descriptors, observed = load_hypothesis_config(args.hypothesis)
     return onom, descriptors, observed, RuleLedger(**given(args, RULE_PARSERS))
 
 
@@ -139,7 +110,7 @@ def analyzed_inputs(args):
     try:
         return (rules, observed, *analyze(onom, descriptors, rules, observed))
     except InputError as exc:  # its candidates, its observed tomb, a space of no valid mass
-        raise InputError(f"{source_path(args.file, 'baseline.cfg')}: {exc}") from exc
+        raise InputError(f"{source_path(args.hypothesis, 'baseline.cfg')}: {exc}") from exc
 
 
 LITERALS = {None: "null", True: "true", False: "false"}
@@ -152,6 +123,12 @@ def record_line(record: dict) -> str:
         for key, value in record.items())
 
 
+def as_written(text, out) -> str:
+    """``text`` as ``out`` writes it, so that a table pads what is shown."""
+    encoding, errors = getattr(out, "encoding", None), getattr(out, "errors", None)
+    return text if encoding is None else text.encode(encoding, errors).decode(encoding, errors)
+
+
 def emit(rows, fmt, out):
     """rows: list of (field, exact Fraction, sig)."""
     if fmt == "records":
@@ -159,8 +136,9 @@ def emit(rows, fmt, out):
             out.write(record_line({"field": field, "decimal": format_decimal(value, sig),
                                    "fraction": format_fraction(value)}))
     else:
-        width = max(len(field) for field, _, _ in rows)
-        for field, value, sig in rows:
+        fields = [as_written(field, out) for field, _, _ in rows]
+        width = max(map(len, fields))
+        for field, (_, value, sig) in zip(fields, rows):
             out.write(f"{field.ljust(width)}  {format_decimal(value, sig)}\n")
 
 
@@ -192,29 +170,30 @@ def deferred(name):
     return run
 
 
-ANALYSIS = ("source", "file", "n2", *RULE_PARSERS)  # the inputs of an analysis
+ANALYSIS = ("onomasticon", "hypothesis", "n2", *RULE_PARSERS)  # the inputs of an analysis
 
 # command: (function, summary, {flag: the key of its setting})
 COMMANDS = {
     "analyze": (cmd_analyze, "headline figures for the baseline",
-                flags("config", "format", *ANALYSIS)),
+                flags("format", *ANALYSIS)),
     # n2 aside: explain prints no area
     "explain": (deferred("cmd_explain"), "the observed RR's factors and their rules",
-                flags("config", "format", *(key for key in ANALYSIS if key != "n2"))),
+                flags("format", *(key for key in ANALYSIS if key != "n2"))),
     "sweep": (deferred("cmd_sweep"), "run the sensitivity scenario suite",
-              flags("config", "format", *ANALYSIS, "suite")),
+              flags("format", *ANALYSIS, "suite")),
     "demography": (deferred("cmd_demography"), "population pipeline",
-                   flags("config", "format", *DEMOGRAPHY_PARSERS)),
+                   flags("format", *DEMOGRAPHY_PARSERS)),
     "infer": (deferred("cmd_infer"), "p-value, odds and confidence bounds",
-              flags("config", "format", "q", "n2", *REPEATED)),
+              flags("format", "q", "n2", *REPEATED)),
 }
 
 
 def parse_args(argv) -> SimpleNamespace:
     """The words of the grammar as attributes: a flag's value, its last value,
-    a list for a REPEATED flag, or None. ``-h``/``--help`` ends the reading."""
-    args = SimpleNamespace(command=None, config=None, help=False)
-    known, words = flags("config"), iter(argv)
+    or a list for a REPEATED flag; a flag not given sets none. ``-h``/``--help``
+    ends the reading."""
+    args = SimpleNamespace(command=None, help=False)
+    known, words = {}, iter(argv)
     commands = f"the commands are {', '.join(COMMANDS)}"
     for word in words:
         flag, eq, value = word.partition("=")
@@ -223,7 +202,6 @@ def parse_args(argv) -> SimpleNamespace:
             break
         if args.command is None and word in COMMANDS:
             args.command, known = word, COMMANDS[word][2]
-            vars(args).update({key: getattr(args, key, None) for key in known.values()})
         elif not word.startswith("--"):
             raise InputError(f"stray word {word!r}" if args.command
                              else f"unknown command {word!r}; {commands}")
@@ -234,8 +212,7 @@ def parse_args(argv) -> SimpleNamespace:
             raise InputError(f"{flag} needs a value")
         else:
             key = known[flag]
-            setattr(args, key, (getattr(args, key) or []) + [value]
-                    if key in REPEATED else value)
+            setattr(args, key, getattr(args, key, []) + [value] if key in REPEATED else value)
     if args.command is None and not args.help:
         raise InputError(f"no command; {commands}")
     return args
@@ -252,7 +229,7 @@ def main(argv=None, out=None) -> int:
             from .commands import help_text
             out.write(help_text(args.command))
             return 0
-        resolve(args, read_config(args.config))
+        resolve(args)
         code = COMMANDS[args.command][0](args, out)
         out.flush()  # a closed stdout fails here, not in the interpreter's last flush
         return code

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 # sensitivity, demography and inference are imported by the commands that run
 # them, so that a CLI start loads only what its subcommand needs
-from .cli import COMMANDS, DEMOGRAPHY_PARSERS, EXPECTED, SETTINGS, SIG, emit, given, \
-    analyzed_inputs, load_analysis_inputs, record_line
+from .cli import COMMANDS, DEMOGRAPHY_PARSERS, EXPECTED, SETTINGS, SIG, as_written, emit, \
+    given, analyzed_inputs, load_analysis_inputs, record_line
 from .onomasticon import InputError, format_decimal, format_fraction
 from .scoring import factors
 
@@ -57,15 +57,16 @@ def cmd_sweep(args, out):
                 record["match"] = r.matches_reference
             out.write(record_line(record))
     else:
-        width = max(map(len, ["scenario", *(s.name for s in suite)]))
+        names = [as_written(s.name, out) for s in suite]
+        width = max(map(len, ["scenario", *names]))
         out.write(f"{'scenario'.ljust(width)}  {'adjusted':>10}  {'reference':>10}  match\n")
-        for s, r in zip(suite, reports):
+        for name, s, r in zip(names, suite, reports):
             if r.error:
-                out.write(f"{s.name.ljust(width)}  error: {r.error}\n")
+                out.write(f"{name.ljust(width)}  error: {r.error}\n")
                 continue
-            ref = s.reference if s.reference is not None else "-"
+            ref = as_written(s.reference, out) if s.reference is not None else "-"
             match = {True: "yes", False: "NO", None: "-"}[r.matches_reference]
-            out.write(f"{s.name.ljust(width)}  {format_decimal(r.adjusted_area, SIG):>10}"
+            out.write(f"{name.ljust(width)}  {format_decimal(r.adjusted_area, SIG):>10}"
                       f"  {ref:>10}  {match}\n")
     return 0
 
@@ -104,11 +105,11 @@ def cmd_infer(args, out):
 def help_text(command) -> str:
     """The command list, or ``command``'s flags, as COMMANDS gives them."""
     if command is None:
-        head = "usage: namecluster [--config PATH] COMMAND [--flag VALUE]...\ncommands:"
+        head = "usage: namecluster COMMAND [--flag VALUE]...\ncommands:"
         rows = {name: summary for name, (_, summary, _) in COMMANDS.items()}
     else:
         head = f"usage: namecluster {command} [--flag VALUE]...\n{COMMANDS[command][1]}:"
-        rows = {f"{flag} VALUE": SETTINGS[key][3] or EXPECTED[SETTINGS[key][2]]
+        rows = {f"{flag} VALUE": SETTINGS[key][2] or EXPECTED[SETTINGS[key][1]]
                 for flag, key in COMMANDS[command][2].items()}
     width = max(map(len, rows))
     return "\n".join([head] + [f"  {k.ljust(width)}  {v}" for k, v in rows.items()]) + "\n"

@@ -33,12 +33,12 @@ class InputError(ValueError):
     the CLI exits 2 on it."""
 
 
-# key: (what its word or value must do, its test), stated once for the CLI,
-# --config, suite `set` rows and the value types and functions that take it
+# key: (what its word or value must do, its test), stated once for the CLI's
+# flags, suite `set` rows and the value types and functions that take it
 BOUNDS = {
     "format": ("be table or records", lambda v: v in ("table", "records")),
     # an empty path would read as the current directory
-    **dict.fromkeys(("config", "source", "file", "suite"), ("name a file", bool)),
+    **dict.fromkeys(("onomasticon", "hypothesis", "suite"), ("name a file", bool)),
     "n2": ("be an integer >= 1", lambda v: v >= 1),
     **dict.fromkeys(("bonus_divisor", "unknown_son_factor"), ("be >= 1", lambda v: v >= 1)),
     "total_deceased": ("be nonnegative", lambda v: v >= 0),

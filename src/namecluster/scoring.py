@@ -92,7 +92,7 @@ class RuleLedger(namedtuple(
                 raise InputError(f"{name} must be True or False, got {value!r}")
 
 
-# how a flag, a --config value and a suite's `set` record read each field
+# how a flag and a suite's `set` record read each field
 RULE_PARSERS = {"bonus_divisor": parse_fraction, "unknown_son_factor": parse_fraction,
                 **dict.fromkeys(("require_yeshua_in_tomb", "allow_father_yeshua",
                                  "count_unknown_sons"), parse_flag)}

@@ -14,9 +14,9 @@ returns one report per scenario, in suite order.
 ``run_suite`` passes one memo to every ``run_scenario``, so each gender's
 categories are built once per distinct list of that gender's candidates (11
 lists of women and 6 of men for the bundled suite), and the male side is
-walked once per male categories and set of ledger switches (13 walks): a
-scenario that changes only the bonus divisor or the unknown-son factor
-reuses the walk.
+walked once per male categories and ledger apart from its two numbers (13
+walks): a scenario that changes only the bonus divisor or the unknown-son
+factor reuses the walk.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
     holds only its error.
 
     Scenarios that end with the same candidates of one gender share its
-    categories, and those with the same men and switches share a male table.
+    categories, and those with the same men and ledger but its two numbers
+    share a male table.
     """
     memo: dict = {}
     reports = []

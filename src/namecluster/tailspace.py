@@ -26,10 +26,10 @@ The enumeration stays exact without a Fraction per tuple, pair or triple:
 * Male table. The ledger's switches decide which factors count; its
   numbers, the unknown-son factor un/ud and the bonus divisor bn/bd, say
   only what they are worth. So ``male_table`` walks the male side once per
-  (men, require_yeshua_in_tomb, allow_father_yeshua, count_unknown_sons),
-  kept in the caller's memo, and sorts the valid male tuples into four
-  classes: whether the unknown-son factor counts and whether R14's bonus
-  applies. Per class it keeps the ascending distinct int bases
+  men and ledger apart from those two numbers, kept in the caller's memo,
+  and sorts the valid male tuples into four classes: whether the
+  unknown-son factor counts and whether R14's bonus applies. Per class it
+  keeps the ascending distinct int bases
   b = s * (r_f or R) * (r_s or R), with s the singleton part, and the prefix
   sums of the mass of the tuples of each base that may join the tail. With
   the class factor F = (un or ud) * (bd or bn), a male score is b * F / D
@@ -176,19 +176,19 @@ def male_table(men: tuple[Category, ...], rules: RuleLedger) -> MaleTable:
 
 def distribution(spec: HypothesisSpec, rules: RuleLedger,
                  memo: Optional[dict] = None) -> Distribution:
-    """The space of ``spec`` apart from any threshold; of ``rules``, the switches.
+    """The space of ``spec`` apart from any threshold; of ``rules``, all but
+    the two numbers that ``tail`` alone reads.
 
-    ``memo`` maps (men, the three ledger switches) to the male table walked
-    for them; a table found there is not walked again. The men enter the key
-    as their labels and the ints of their weights and RR values, which hash
-    far faster than the Fractions; equal men give equal ints, as a Fraction
-    is kept in lowest terms.
+    ``memo`` maps (men, the ledger with those two numbers set to 1) to the
+    male table walked for them; a table found there is not walked again. The
+    men enter the key as their labels and the ints of their weights and RR
+    values, which hash far faster than the Fractions; equal men give equal
+    ints, as a Fraction is kept in lowest terms.
     """
     memo = {} if memo is None else memo
     key = (tuple((c.label, c.weight.numerator, c.weight.denominator,
                   c.rr.numerator, c.rr.denominator) for c in spec.men),
-           rules.require_yeshua_in_tomb, rules.allow_father_yeshua,
-           rules.count_unknown_sons)
+           rules._replace(bonus_divisor=1, unknown_son_factor=1))
     table = memo.get(key)
     if table is None:
         table = memo[key] = male_table(spec.men, rules)

@@ -4,12 +4,11 @@ A value on the boundary is accepted by the CLI and by the library. A value
 just outside exits 2 with the CLI's one line, which names the flag and the
 word, and each library function or value type that takes it raises
 ``<key> must <requirement>``. A word setting (the format, an input path) is
-taken by no library call: only the CLI and its --config judge it. The test is
+taken by no library call: only the CLI judges it. The test is
 parametrized by BOUNDS itself, so a row added there without a case here fails.
 """
 
 import io
-import os
 import warnings
 from fractions import Fraction
 
@@ -48,9 +47,8 @@ def path(filename):
 # the value; the words on the boundary, which are accepted; words just outside)
 CASES = {
     "format": (["demography"], [], ["table", "records"], ["bogus", "", "Table"]),
-    "config": (["demography"], [], [os.devnull], [""]),
-    "source": path("onomasticon.tsv"),
-    "file": path("baseline.cfg"),
+    "onomasticon": path("onomasticon.tsv"),
+    "hypothesis": path("baseline.cfg"),
     "suite": path("scenarios.cfg"),
     # beta_of serves the odds and both bounds
     "n2": (["infer", "--q", "0"], [lambda v: adjusted_p(Q, v), lambda v: beta_of(Q, v)],

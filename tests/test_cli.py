@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 
 from namecluster import cli
 from namecluster.cli import COMMANDS, SETTINGS, main
-from namecluster.demography import DemographyParams
-from namecluster.onomasticon import InputError, parse_flag, parse_fraction
-from namecluster.scoring import RuleLedger
+from namecluster.onomasticon import parse_flag, parse_fraction
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
 def run_cli(*argv):
@@ -91,7 +90,7 @@ def test_arbitrary_flag_text_ends_in_an_exit_code(argv, value):
 
 
 class TestFlagReader:
-    """The grammar [--config PATH] COMMAND [--flag VALUE | --flag=VALUE]..."""
+    """The grammar COMMAND [--flag VALUE | --flag=VALUE]..."""
 
     def test_repeated_flags(self):
         assert run_cli("analyze", "--bonus-divisor", "6/5", "--bonus-divisor", "1") \
@@ -103,27 +102,19 @@ class TestFlagReader:
             "adjusted-p", "beta", "odds[theta=1]", "odds[theta=1/2]",
             "theta-bound[alpha=1/20]", "odds-bound[alpha=1/20]"]
 
-    def test_config_on_either_side_of_the_command(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[rules]\nbonus_divisor = 1\n", encoding="utf-8")
-        before = run_cli("--config", str(cfg), "analyze")
-        assert before == run_cli("analyze", f"--config={cfg}")
-        assert before[0] == 0 and "0.000726" in before[1]
-
     @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--help", "analyze"]])
     def test_help_lists_the_commands(self, argv):
         code, text = run_cli(*argv)
         assert code == 0
-        assert text.startswith("usage: namecluster [--config PATH] COMMAND")
+        assert text.startswith("usage: namecluster COMMAND")
         assert [line.split()[0] for line in text.splitlines()[2:]] == list(COMMANDS)
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_command_help_lists_its_flags(self, command):
-        code, text = run_cli(command, "--config", "run.cfg", "-h", "--bogus")
+        code, text = run_cli(command, "-h", "--bogus")
         assert code == 0
         listed = [line.split()[0] for line in text.splitlines()[2:]]
         assert listed == list(COMMANDS[command][2])
-        assert "--config" in listed
         assert "--format" in listed
         assert ("--n2" in listed) == (command not in ("demography", "explain"))
 
@@ -143,7 +134,7 @@ def test_arbitrary_argv_ends_in_an_exit_code(argv):
 # the help screens, word for word: `namecluster --help` and each `COMMAND --help`
 HELP = {
     "": (
-        "usage: namecluster [--config PATH] COMMAND [--flag VALUE]...\n"
+        "usage: namecluster COMMAND [--flag VALUE]...\n"
         "commands:\n"
         "  analyze     headline figures for the baseline\n"
         "  explain     the observed RR's factors and their rules\n"
@@ -153,7 +144,6 @@ HELP = {
     "analyze": (
         "usage: namecluster analyze [--flag VALUE]...\n"
         "headline figures for the baseline:\n"
-        "  --config VALUE                  INI config file; flags override it\n"
         "  --format VALUE                  table or records\n"
         "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
         "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
@@ -166,7 +156,6 @@ HELP = {
     "explain": (
         "usage: namecluster explain [--flag VALUE]...\n"
         "the observed RR's factors and their rules:\n"
-        "  --config VALUE                  INI config file; flags override it\n"
         "  --format VALUE                  table or records\n"
         "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
         "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
@@ -178,7 +167,6 @@ HELP = {
     "sweep": (
         "usage: namecluster sweep [--flag VALUE]...\n"
         "run the sensitivity scenario suite:\n"
-        "  --config VALUE                  INI config file; flags override it\n"
         "  --format VALUE                  table or records\n"
         "  --onomasticon VALUE             onomasticon table path or 'bundled'\n"
         "  --hypothesis VALUE              hypothesis config path or 'bundled'\n"
@@ -192,7 +180,6 @@ HELP = {
     "demography": (
         "usage: namecluster demography [--flag VALUE]...\n"
         "population pipeline:\n"
-        "  --config VALUE                         INI config file; flags override it\n"
         "  --format VALUE                         table or records\n"
         "  --total-deceased VALUE                 an integer\n"
         "  --tomb-size VALUE                      an integer\n"
@@ -203,7 +190,6 @@ HELP = {
     "infer": (
         "usage: namecluster infer [--flag VALUE]...\n"
         "p-value, odds and confidence bounds:\n"
-        "  --config VALUE  INI config file; flags override it\n"
         "  --format VALUE  table or records\n"
         "  --q VALUE       tail area in [0, 1]\n"
         "  --n2 VALUE      number of candidate tombs\n"
@@ -342,15 +328,19 @@ class TestSweep:
         assert code == 0 and len(rows) == 42
         assert all(row.split(None, 1)[1] == f"error: {error}" for row in rows)
 
-    @pytest.mark.parametrize("suite", ["# nothing here\n", "scenario a\n\nscenario bb\n"],
-                             ids=["empty", "short-names"])
-    def test_the_header_aligns_with_its_rows(self, suite, tmp_path):
-        # names shorter than the word "scenario" still leave the columns aligned
+    @pytest.mark.parametrize("suite, env", [
+        ("# nothing here\n", {}), ("scenario a\n\nscenario bb\n", {}),
+        ("scenario café\n", ASCII_LOCALE)],
+        ids=["empty", "short-names", "escaped-name"])
+    def test_the_header_aligns_with_its_rows(self, suite, env, tmp_path):
+        # names shorter than the word "scenario" still leave the columns
+        # aligned, and so does a name that stdout writes escaped ("caf\xe9")
         path = tmp_path / "suite.cfg"
         path.write_text(suite, encoding="utf-8")
-        code, text = run_cli("sweep", "--suite", str(path))
-        header, *rows = text.splitlines()
-        assert code == 0 and len(rows) == suite.count("scenario")
+        run = run_python("-m", "namecluster", "sweep", "--suite", str(path), **env)
+        header, *rows = run.stdout.splitlines()
+        assert (run.returncode, run.stderr) == (0, "")
+        assert len(rows) == suite.count("scenario")
         end = header.index("adjusted") + len("adjusted")
         for row in rows:
             name, figure = row.split()[:2]
@@ -377,24 +367,6 @@ class TestDemographyAndInfer:
         assert values["odds[theta=1]"] == "1657"
         assert values["theta-bound[alpha=1/20]"] == "0.04943"
         assert values["odds-bound[alpha=1/20]"] == "81.9"
-
-    def test_theta_and_alpha_from_the_config_file(self, tmp_path):
-        q = "253644329313582025/461894801863030415245482"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[inference]\nq = {q}\ntheta = 1/2\nalpha = 1/20\n", encoding="utf-8")
-        from_file = run_cli("--config", str(cfg), "infer")
-        assert from_file == run_cli("infer", "--q", q, "--theta", "1/2",
-                                    "--alpha", "1/20")
-        assert [line.split()[0] for line in from_file[1].splitlines()] == [
-            "adjusted-p", "beta", "odds[theta=1/2]", "theta-bound[alpha=1/20]",
-            "odds-bound[alpha=1/20]"]
-        # a flag replaces the file's value, and the other key still applies
-        code, text = run_cli("--config", str(cfg), "infer", "--theta", "1",
-                             "--theta", "1/4")
-        assert code == 0
-        assert [line.split()[0] for line in text.splitlines()][2:] == [
-            "odds[theta=1]", "odds[theta=1/4]", "theta-bound[alpha=1/20]",
-            "odds-bound[alpha=1/20]"]
 
     def test_overlarge_adjusted_p_is_clamped(self):
         with pytest.warns(UserWarning, match="clamped"):
@@ -497,19 +469,14 @@ def test_the_bundled_n2_gives_an_empty_stderr(command):
 
 
 @pytest.mark.parametrize("argv", [
-    "analyze", "explain", "sweep", "demography", "infer --q 1/9999",
-    "--config {config} analyze --format records"])
-def test_no_command_reads_a_file_in_the_locale_encoding(argv, tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("[rules]\nbonus_divisor = 1\n", encoding="utf-8")
-    words = argv.format(config=config).split()
+    "analyze", "explain", "sweep", "demography", "infer --q 1/9999"])
+def test_no_command_reads_a_file_in_the_locale_encoding(argv):
+    words = argv.split()
     run = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
                      "-m", "namecluster", *words)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == run_cli(*words)[1]
 
-
-ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
 def test_a_suite_reads_the_same_under_an_ascii_locale(tmp_path):
@@ -540,6 +507,8 @@ def test_a_non_ascii_label_is_explained_under_an_ascii_locale(tmp_path):
     assert (run.returncode, run.stderr) == (0, "")
     assert "weight[female/Salom\\xe9]" in run.stdout.split()
     assert run.stdout.isascii()
+    # each figure starts in the one column after the escaped fields
+    assert len({line.rindex(" ") for line in run.stdout.splitlines()}) == 1
 
 
 class TestRecordLine:
@@ -631,64 +600,6 @@ class TestExitPath:
         assert project["scripts"]["namecluster"] == "namecluster.__main__:run"
 
 
-class TestConfigFile:
-    def test_config_file_sections_and_flag_precedence(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[rules]\nbonus_divisor = 1\n[output]\nformat = table\n", encoding="utf-8")
-        _, with_file = run_cli("--config", str(cfg), "analyze")
-        assert "0.000726" in with_file  # file value applies
-        _, overridden = run_cli("--config", str(cfg), "analyze",
-                                "--bonus-divisor", "6/5")
-        assert "0.0006041" in overridden  # flag outranks the file
-
-    def test_one_config_file_serves_every_command(self, tmp_path):
-        # every key any command reads, most at their defaults
-        values = {"source": "bundled", "file": "bundled", "suite": "bundled",
-                  "format": "table", "n2": "1100", "q": "1/999999", "theta": "1",
-                  "alpha": "1/20", **RuleLedger()._asdict(),
-                  **DemographyParams()._asdict()}
-        sections = {}  # each --config section of SETTINGS: its lines
-        for key, (section, *_) in SETTINGS.items():
-            if section is not None:
-                sections.setdefault(section, []).append(f"{key} = {values[key]}\n")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"[{section}]\n" + "".join(lines)
-                               for section, lines in sections.items()), encoding="utf-8")
-        for command in COMMANDS:
-            assert run_cli("--config", str(cfg), command)[0] == 0
-
-    def test_the_config_keys_are_those_the_commands_read(self, monkeypatch, tmp_path):
-        read = set()
-
-        class Recording:
-            """The resolved settings, noting each one a command reads."""
-
-            def __init__(self, args):
-                self.args = args
-
-            def __getattr__(self, key):
-                if key in SETTINGS:
-                    read.add((SETTINGS[key][0], key))
-                return getattr(self.args, key)
-
-        for name, (run, summary, flags) in list(COMMANDS.items()):
-            monkeypatch.setitem(COMMANDS, name, (
-                lambda args, out, run=run: run(Recording(args), out), summary, flags))
-        for command in COMMANDS:
-            q = ["--q", "1/999999"] if command == "infer" else []
-            assert run_cli(command, *q)[0] == 0
-        # the (section, key) pairs that a --config file may hold, tried one by one
-        accepted, cfg = set(), tmp_path / "run.cfg"
-        for key, (section, *_) in SETTINGS.items():
-            cfg.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
-            try:
-                cli.read_config(str(cfg))
-            except InputError:
-                continue
-            accepted.add((section, key))
-        assert read == accepted
-
-
 # a good value of each typed setting, one that changes the output, and a bad
 # value for each parser
 GOOD = {"n2": "1000", "bonus_divisor": "1", "unknown_son_factor": "2",
@@ -698,29 +609,23 @@ GOOD = {"n2": "1000", "bonus_divisor": "1", "unknown_son_factor": "2",
         "literacy_affluence_fraction": "1/5", "female_male_inscription_ratio": "1/3",
         "q": "1/99999", "theta": "1/2", "alpha": "1/20"}
 BAD = {int: "1e3", parse_fraction: "1/0", parse_flag: "maybe"}
-# a command that reads each --config section
-READER = {"analysis": ["analyze"], "rules": ["analyze"], "demography": ["demography"],
-          "inference": ["infer", "--q", "1/99999"]}
 
 
-@pytest.mark.parametrize("key", [key for key, (_, _, parse, _) in SETTINGS.items()
+@pytest.mark.parametrize("key", [key for key, (_, parse, _) in SETTINGS.items()
                                  if parse is not None])
-def test_every_typed_setting_reads_the_same_from_the_config_file(key, tmp_path, capsys):
-    section, _, parse, _ = SETTINGS[key]
-    argv = ["infer"] if key == "q" else READER[section]
-    flag, = (flag for flag, read in COMMANDS[argv[0]][2].items() if read == key)
-    cfg = tmp_path / "run.cfg"
-    # a bad value: exit 2 and the one line that the flag gives
-    cfg.write_text(f"[{section}]\n{key} = {BAD[parse]}\n", encoding="utf-8")
-    assert run_cli("--config", str(cfg), *argv) == (2, "")
-    from_file = capsys.readouterr().err
+def test_every_typed_setting_reads_its_flag(key, capsys):
+    _, parse, _ = SETTINGS[key]
+    # the first command that reads the setting, with the --q that infer needs
+    argv = [next(name for name, (_, _, flags) in COMMANDS.items() if key in flags.values())]
+    if argv == ["infer"] and key != "q":
+        argv += ["--q", "1/99999"]
+    flag = cli.flag_of(key)
+    # a bad value: exit 2 and one line, which names the flag
     assert run_cli(*argv, flag, BAD[parse]) == (2, "")
-    assert capsys.readouterr().err == from_file
-    assert len(from_file.splitlines()) == 1 and flag in from_file
-    # a good value: the output that the flag gives, which is not the default's
-    cfg.write_text(f"[{section}]\n{key} = {GOOD[key]}\n", encoding="utf-8")
-    code, text = run_cli("--config", str(cfg), *argv)
-    assert (code, text) == run_cli(*argv, flag, GOOD[key])
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and flag in err
+    # a good value: an output that is not the default's
+    code, text = run_cli(*argv, flag, GOOD[key])
     assert code == 0 and text != run_cli(*argv)[1]
 
 
@@ -770,8 +675,9 @@ class TestImports:
         ids=["analyze", "analyze-records", "sweep", "sweep-records",
              "demography-records", "infer-records", "explain-records"])
     def test_no_command_loads_json(self, argv):
-        # records are written by cli.record_line; json would cost 2.5 ms a start
-        assert "json" not in modules_loaded_by(*argv)
+        # records are written by cli.record_line; json would cost 2.5 ms a start.
+        # Settings come from flags alone, so no start reads an INI file either
+        assert not modules_loaded_by(*argv) & {"json", "configparser"}
 
     def test_explain_loads_only_what_it_runs(self):
         loaded = modules_loaded_by("explain", "--format", "records")

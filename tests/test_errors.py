@@ -29,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import namecluster
-from namecluster.cli import COMMANDS, SETTINGS, main
+from namecluster.cli import main
 from namecluster.onomasticon import DATA
 
 PACKAGE = os.path.dirname(namecluster.__file__)  # as the frames of its code name it
@@ -43,12 +43,9 @@ def new_file(text, name="new.cfg"):
     return name, None, text
 
 
-def from_flag_and_config(argv, flag, word, line):
-    """The row of ``argv flag word`` and that of ``word`` in a --config file."""
-    key = COMMANDS[argv.split()[0]][2][flag]
-    config = new_file(f"[{SETTINGS[key][0]}]\n{key} = {word}")
-    return [(argv.split() + [flag, word], line),
-            (f"--config {{path}} {argv}", line, config)]
+def from_flag(argv, flag, word, line):
+    """The rows of ``argv flag word`` and ``argv flag=word``."""
+    return [(argv.split() + [flag, word], line), (argv.split() + [f"{flag}={word}"], line)]
 
 
 def on_each(commands, argv, outcome, edit):
@@ -66,6 +63,9 @@ ROWS = [
     ("analyze stray", "stray word 'stray'"),
     ("analyze --n 5", "unknown flag '--n' for analyze"),  # no prefix matching
     ("--format records analyze", "unknown flag '--format' before the command"),
+    # settings come from flags alone: there is no config file
+    ("--config x.cfg analyze", "unknown flag '--config' before the command"),
+    ("analyze --config x.cfg", "unknown flag '--config' for analyze"),
     ("infer --q 1/9 --suite bundled", "unknown flag '--suite' for infer"),
     ("explain --n2 5", "unknown flag '--n2' for explain"),
     # the word after a flag is its value, verbatim
@@ -93,9 +93,12 @@ ROWS = [
         ("demography --juvenile-fraction", "1e-16000000",
          "decimal exponent beyond ±4300: '1e-16000000'"))],
     *[(f"{command} --format bogus", "--format must be table or records, got 'bogus'")
-      for command in ("analyze", "sweep", "demography", "infer --q 1/9")],
-    ("analyze --allow-father-yeshua maybe",
-     "--allow-father-yeshua must be on/off, true/false, 1/0 or yes/no, got 'maybe'"),
+      for command in ("analyze", "explain", "sweep", "demography", "infer --q 1/9")],
+    *[(f"{command} --allow-father-yeshua maybe",
+       "--allow-father-yeshua must be on/off, true/false, 1/0 or yes/no, got 'maybe'")
+      for command in ("analyze", "explain")],
+    ("analyze --bonus-divisor 50%", "--bonus-divisor must be a fraction a/b or a decimal, "
+     "got '50%' (Invalid literal for Fraction: '50%')"),
     ("sweep --count-unknown-sons enabled",
      "--count-unknown-sons must be on/off, true/false, 1/0 or yes/no, got 'enabled'"),
     ("infer --q 2", "--q must be a tail area between 0 and 1, got '2'"),
@@ -103,7 +106,7 @@ ROWS = [
     ("infer --q 1e400", "--q must be a tail area between 0 and 1, got '1e400'"),
     ("infer --q 1/100000 --alpha 2", "--alpha must lie in (0,1), got '2'"),
     ("infer --q 1/100000 --alpha=0", "--alpha must lie in (0,1), got '0'"),
-    # a range, from its flag and from --config
+    # a range, from its flag in both spellings
     *[row for argv, flag, word, must in (
         ("analyze", "--bonus-divisor", "1/2", "be >= 1"),
         ("analyze", "--unknown-son-factor", "0", "be >= 1"),
@@ -114,47 +117,16 @@ ROWS = [
         ("demography", "--juvenile-fraction", "2", "lie in [0,1]"),
         ("demography", "--tomb-size", "0", "be positive"),
         ("demography", "--total-deceased", "-1", "be nonnegative"))
-      for row in from_flag_and_config(argv, flag, word,
-                                      f"{flag} must {must}, got {word!r}")],
+      for row in from_flag(argv, flag, word, f"{flag} must {must}, got {word!r}")],
     # an empty path, which would read as the current directory
     *[row for command, flag in (("analyze", "--onomasticon"), ("analyze", "--hypothesis"),
                                 ("sweep", "--suite"))
-      for line in [f"{flag} must name a file, got ''"]
-      for row in [(f"{command} {flag}=", line),
-                  *from_flag_and_config(command, flag, "", line)]],
-    ("analyze --config=", "--config must name a file, got ''"),
-    (["analyze", "--config", ""], "--config must name a file, got ''"),
-    (["--config", "", "analyze"], "--config must name a file, got ''"),
-    # --config files
-    ("--config /nonexistent.cfg analyze", "config file /nonexistent.cfg: [Errno 2] No such "
-     "file or directory: '/nonexistent.cfg'"),
-    ("--config {data} analyze", "config file {data}: [Errno 21] Is a directory: '{data}'"),
-    ("--config {path} analyze", "config file {path}: 'utf-8' codec can't decode byte 0xff in "
-     "position 0: invalid start byte", new_file(b"\xff\xfe[rules]\n")),
-    ("analyze --hypothesis a\0b", "a\0b: embedded null byte"),
-    ("analyze --config a\0b", "config file a\0b: embedded null byte"),
-    ("--config {path} analyze", "--format must be table or records, got 'bogus'",
-     new_file("[output]\nformat = bogus")),
-    ("--config {path} analyze", "config file {path}: File contains no section headers. "
-     "file: '{path}', line: 1 'format = records\\n'", new_file("format = records")),
-    ("--config {path} analyze", "--bonus-divisor must be a fraction a/b or a decimal, "
-     "got '50%' (Invalid literal for Fraction: '50%')",
-     new_file("[rules]\nbonus_divisor = 50%")),
-    ("--config {path} analyze", "--allow-father-yeshua must be on/off, true/false, 1/0 or "
-     "yes/no, got 'maybe'", new_file("[rules]\nallow_father_yeshua = maybe")),
-    *[(f"--config {{path}} {command}", f"config file {{path}}: [{section}] {key}: "
-       "unknown key", new_file(body)) for command in ("analyze", "demography")
-      for body, section, key in (
-        ("[rules]\nbonus_divisr = 2", "rules", "bonus_divisr"),
-        ("[analysi]\nn2 = 5", "analysi", "n2"),
-        ("[analysis]\nn2 = 5\n[rules]\nn2 = 5", "rules", "n2"),
-        ("[DEFAULT]\nn2 = 5", "DEFAULT", "n2"))],
+      for row in from_flag(command, flag, "", f"{flag} must name a file, got ''")],
     # infer
     ("infer", "infer requires --q"),
-    ("--config {path} infer", "--q must be a tail area between 0 and 1, got '3/2'",
-     new_file("[inference]\nq = 3/2")),
-    ("--config {path} infer", "--alpha must be a fraction a/b or a decimal, got 'abc' "
-     "(Invalid literal for Fraction: 'abc')", new_file("[inference]\nq = 1/9\nalpha = abc")),
+    ("infer --q 3/2", "--q must be a tail area between 0 and 1, got '3/2'"),
+    ("infer --q 1/9 --alpha abc", "--alpha must be a fraction a/b or a decimal, got 'abc' "
+     "(Invalid literal for Fraction: 'abc')"),
     *[(f"infer --q {q} --n2 {n2} {flag}", f"{named} gives {infinite}")
       for q, n2, named in (("1/2", "1", "n2 = 1"), ("0", "1100", "q = 0"))
       for flag, infinite in (("--theta 1/2", "infinite odds"),
@@ -170,6 +142,7 @@ ROWS = [
          "directory: '/nonexistent/x.cfg'"))],
     ("analyze --hypothesis /nonexistent/h.cfg",
      "/nonexistent/h.cfg: [Errno 2] No such file or directory: '/nonexistent/h.cfg'"),
+    ("analyze --hypothesis a\0b", "a\0b: embedded null byte"),
     # the onomasticon table: a bad row appended, so only the last row is wrong
     *[("analyze --onomasticon {path}", f"{{path}}: row {{row}}: {line}", (TABLE, None, row))
       for row, line in (

@@ -60,10 +60,8 @@ def test_the_readme_quotes_commands_and_error_lines():
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-def test_command_exits_0(argv, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # where the run.cfg that a command names is
-    code, out, err, _ = run((argv, None, ("run.cfg", None, "[rules]\nbonus_divisor = 1")),
-                            tmp_path)
+def test_command_exits_0(argv, tmp_path):
+    code, out, err, _ = run((argv, None), tmp_path)
     assert (code, err) == (0, "") and out
 
 

@@ -284,6 +284,19 @@ class TestDistribution:
         assert second.table is first.table
         assert second.pairs == first.pairs
 
+    @pytest.mark.parametrize("field", RuleLedger._fields)
+    def test_a_shared_memo_gives_what_a_fresh_one_gives(self, baseline, field):
+        # the memo keys a male table by every ledger field that the walk may
+        # read, so a changed field never reuses a table walked without it
+        rules = RuleLedger()
+        value = getattr(rules, field)
+        other = rules._replace(**{field: not value if isinstance(value, bool) else value + 1})
+        memo = {}
+        distribution(baseline, rules, memo)
+        assert distribution(baseline, other, memo) == distribution(baseline, other)
+        # only the two numbers, which tail alone reads, share the walk
+        assert len(memo) == (1 if field in ("bonus_divisor", "unknown_son_factor") else 2)
+
     def test_one_space_agrees_with_the_oracle_at_every_threshold(self):
         rng = random.Random(20261019)
         for trial in range(6):
