@@ -21,11 +21,11 @@ from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, checked,
-                          load_source, parse_fraction, parse_options,
-                          read_records)
+from .onomasticon import (FEMALE, MALE, InputError, Onomasticon, checked, load_source,
+                          parse_fraction, parse_options, read_records)
 
 OTHER = "Other"
+BUNDLED_HYPOTHESIS = "baseline.cfg"  # the packaged file that "bundled" names
 
 
 @checked
@@ -249,4 +249,4 @@ def parse_hypothesis_config(text: str):
 
 
 def load_hypothesis_config(source: Union[str, Path] = "bundled"):
-    return load_source(source, "baseline.cfg", parse_hypothesis_config)
+    return load_source(source, BUNDLED_HYPOTHESIS, parse_hypothesis_config)

@@ -22,7 +22,7 @@ import warnings
 from _json import encode_basestring_ascii as quoted
 from types import SimpleNamespace
 
-from .candidates import load_hypothesis_config
+from .candidates import BUNDLED_HYPOTHESIS, load_hypothesis_config
 from .onomasticon import BOUNDS, InputError, format_decimal, format_fraction, \
     load_onomasticon, parse_flag, parse_fraction, source_path
 from .scoring import RULE_PARSERS, RuleLedger
@@ -110,7 +110,7 @@ def analyzed_inputs(args):
     try:
         return (rules, observed, *analyze(onom, descriptors, rules, observed))
     except InputError as exc:  # its candidates, its observed tomb, a space of no valid mass
-        raise InputError(f"{source_path(args.hypothesis, 'baseline.cfg')}: {exc}") from exc
+        raise InputError(f"{source_path(args.hypothesis, BUNDLED_HYPOTHESIS)}: {exc}") from exc
 
 
 LITERALS = {None: "null", True: "true", False: "false"}

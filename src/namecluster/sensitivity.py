@@ -87,7 +87,7 @@ def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
 
 def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
                  rules: RuleLedger, observed: TombConfiguration, scenario: Scenario,
-                 n2: int = 1100, memo: Optional[dict] = None) -> ScenarioReport:
+                 n2: int, memo: Optional[dict] = None) -> ScenarioReport:
     """One scenario's report: ``analyze`` after its deltas, with ``memo``
     sharing categories and male tables between scenarios."""
     descriptors, rules = apply_deltas(descriptors, rules, scenario.deltas)
@@ -101,7 +101,7 @@ def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
 
 def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
               rules: RuleLedger, observed: TombConfiguration,
-              suite: Sequence[Scenario], n2: int = 1100) -> list[ScenarioReport]:
+              suite: Sequence[Scenario], n2: int) -> list[ScenarioReport]:
     """One report per scenario, in suite order; a failing scenario's report
     holds only its error.
 

@@ -26,7 +26,7 @@ from namecluster.scoring import TombConfiguration, score, validate
 from namecluster.sensitivity import load_suite, run_suite
 from namecluster.tailspace import enumerate_tail, tuple_space_size
 
-from bundled import DESCRIPTORS, TOMB
+from bundled import DESCRIPTORS, N2, TOMB
 from conftest import random_synthetic
 from oracle import person_level_tail
 from test_sensitivity import FROZEN
@@ -46,7 +46,7 @@ def baseline_run(baseline, rules):
 def sweep_reports(onom, rules):
     """(scenario, its report) for each bundled scenario, in suite order."""
     suite = load_suite()
-    return list(zip(suite, run_suite(onom, DESCRIPTORS, rules, TOMB, suite)))
+    return list(zip(suite, run_suite(onom, DESCRIPTORS, rules, TOMB, suite, N2)))
 
 
 class TestCriterion1BaselineObservedRR:
@@ -84,7 +84,7 @@ class TestCriterion3BaselineTail:
     def test_tail_mass_proportion_and_adjusted_area(self, baseline_run):
         assert sig(baseline_run.tail_mass) == "1.981e+12"
         assert sig(baseline_run.proportion) == "5.491e-07"
-        adjusted = 1100 * baseline_run.proportion
+        adjusted = N2 * baseline_run.proportion
         assert sig(adjusted) == "0.0006041"
         assert round(1 / float(adjusted)) == 1655
         print(f"\nPASS criterion 3: tail {sig(baseline_run.tail_mass)}, "
@@ -132,15 +132,15 @@ class TestCriterion5Demography:
 class TestCriterion6Inference:
     def test_reference_grid(self, baseline_run):
         q = baseline_run.proportion
-        assert sig(adjusted_p(q, 1100)) == "0.0006041"
+        assert sig(adjusted_p(q, N2)) == "0.0006041"
         assert round(1 / float(adjusted_p(q, 10_000))) == 182
         for theta, printed in ((1, 1657), (Fraction(1, 2), 828),
                                (Fraction(1, 10), 167)):
-            assert abs(round(float(posterior_odds(theta, 1100, q))) - printed) <= 1
-        assert round(float(theta_lower_bound(Fraction(5, 100), 1100, q)), 4) == 0.0494
-        assert round(float(theta_lower_bound(Fraction(1, 100), 1100, q)), 4) == 0.0094
-        assert round(float(odds_lower_bound(Fraction(5, 100), 1100, q)), 2) == 81.90
-        assert round(float(odds_lower_bound(Fraction(1, 100), 1100, q)), 2) == 15.58
+            assert abs(round(float(posterior_odds(theta, N2, q))) - printed) <= 1
+        assert round(float(theta_lower_bound(Fraction(5, 100), N2, q)), 4) == 0.0494
+        assert round(float(theta_lower_bound(Fraction(1, 100), N2, q)), 4) == 0.0094
+        assert round(float(odds_lower_bound(Fraction(5, 100), N2, q)), 2) == 81.90
+        assert round(float(odds_lower_bound(Fraction(1, 100), N2, q)), 2) == 15.58
         print("\nPASS criterion 6: p 0.0006041, 1/182 at n=10,000, "
               "odds 1657/828/166(+-1), bounds 0.0494/0.0094 and 81.90/15.58")
 

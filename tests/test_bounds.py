@@ -21,6 +21,8 @@ from namecluster.inference import (adjusted_p, beta_of, odds_lower_bound,
 from namecluster.onomasticon import BOUNDS, DATA, InputError, load_onomasticon
 from namecluster.scoring import RuleLedger
 
+from bundled import N2
+
 Q = Fraction(1, 99999)  # a tail area whose beta, at n2 = 1100, is about 0.011
 UNIT_EDGES = (["0", "1"], ["-1/1000000", "1000001/1000000"])
 
@@ -62,14 +64,14 @@ CASES = {
        for key in ("non_jewish_fraction", "juvenile_fraction",
                    "literacy_affluence_fraction", "female_male_inscription_ratio")},
     # beta_of serves the odds and both bounds; at q = 0 the odds are infinite
-    "q": (["infer"], [lambda v: adjusted_p(v, 1), lambda v: beta_of(v, 1100),
-                      lambda v: theta_lower_bound(Fraction(1, 2), 1100, v)], *UNIT_EDGES),
-    "theta": (["infer", "--q", str(Q)], [lambda v: posterior_odds(v, 1100, Q)],
+    "q": (["infer"], [lambda v: adjusted_p(v, 1), lambda v: beta_of(v, N2),
+                      lambda v: theta_lower_bound(Fraction(1, 2), N2, v)], *UNIT_EDGES),
+    "theta": (["infer", "--q", str(Q)], [lambda v: posterior_odds(v, N2, Q)],
               ["1"], ["0", "1000001/1000000"]),
     # open at both ends: the accepted words are the nearest tried
     "alpha": (["infer", "--q", str(Q)],
-              [lambda v: theta_lower_bound(v, 1100, Q),
-               lambda v: odds_lower_bound(v, 1100, Q)],
+              [lambda v: theta_lower_bound(v, N2, Q),
+               lambda v: odds_lower_bound(v, N2, Q)],
               ["1/1000000", "999999/1000000"], ["0", "1"]),
 }
 

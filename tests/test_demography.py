@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from namecluster.cli import SETTINGS
 from namecluster.demography import DemographyParams, round_to, run_pipeline
 from namecluster.onomasticon import BOUNDS, InputError
 
@@ -23,6 +24,11 @@ class TestDefaults:
         assert result.inscribed_males == 4_370
         assert result.inscribed_females == 2_185
         assert result.trials == 1_100
+
+    def test_the_default_n2_is_the_default_trials(self):
+        # the one n2 literal of the package: analyze, sweep and infer use it,
+        # and no demography flag changes it
+        assert int(SETTINGS["n2"][0]) == run_pipeline().trials
 
     def test_raw_values_alongside_reported(self):
         result = run_pipeline()

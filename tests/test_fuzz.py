@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from namecluster.cli import main
 from namecluster.onomasticon import DATA
 
+from bundled import N2
+
 EXAMPLES = 300  # about 1.3 s; raise it for a longer hunt, never lower it to save time
 FILES = {"--onomasticon": "onomasticon.tsv", "--hypothesis": "baseline.cfg",
          "--suite": "scenarios.cfg"}
@@ -87,7 +89,7 @@ def test_a_mutant_input_is_reported_or_refused_in_one_line(mutant, path):
         tail, valid, total = value["tail-mass"], value["valid-mass"], value["tuple-space"]
         assert 0 <= tail <= valid <= total
         assert value["proportion"] == tail / valid
-        assert value["adjusted-area"] == 1100 * value["proportion"]
+        assert value["adjusted-area"] == N2 * value["proportion"]
     elif argv[0] == "sweep":
         assert all(Fraction(r["adjusted_fraction"]) >= 0
                    for r in records if "adjusted_fraction" in r)

@@ -10,9 +10,10 @@ from namecluster.inference import (adjusted_p, beta_of, odds_lower_bound,
                                    posterior_odds, theta_lower_bound)
 from namecluster.onomasticon import InputError
 
+from bundled import N2
+
 # baseline tail proportion from the bundled enumeration
 Q = Fraction(253644329313582025, 461894801863030415245482)
-N2 = 1100
 
 
 class TestAdjustedP:

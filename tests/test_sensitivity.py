@@ -22,7 +22,7 @@ from namecluster.sensitivity import (Scenario, ScenarioReport, apply_deltas, loa
                                      run_scenario, run_suite)
 from namecluster.tailspace import enumerate_tail, male_table
 
-from bundled import ADDONS, DESCRIPTORS, TOMB
+from bundled import ADDONS, DESCRIPTORS, N2, TOMB
 
 FROZEN = {
     "require-yeshua": ("0.000551952719279", "0.000552", True),
@@ -79,7 +79,7 @@ def suite():
 def reports(onom, rules, suite):
     # a report holds only the outcome; its scenario is the one at its position
     return {s.name: r for s, r in
-            zip(suite, run_suite(onom, DESCRIPTORS, rules, TOMB, suite))}
+            zip(suite, run_suite(onom, DESCRIPTORS, rules, TOMB, suite, N2))}
 
 
 class TestBundledSuite:
@@ -89,7 +89,7 @@ class TestBundledSuite:
 
     def test_no_deltas_reproduces_the_baseline(self, onom, rules):
         report = run_scenario(onom, DESCRIPTORS, rules, TOMB,
-                              Scenario(name="baseline"))
+                              Scenario(name="baseline"), N2)
         assert f"{float(report.adjusted_area):.3g}" == "0.000604"
         assert f"{float(report.adjusted_area):.4g}" == "0.0006041"
 
@@ -116,7 +116,7 @@ class TestSharing:
     def test_suite_reports_equal_scenario_by_scenario_reports(
             self, onom, rules, suite, reports):
         assert list(reports.values()) == [
-            run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario)
+            run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario, N2)
             for scenario in suite]
 
     def test_each_distinct_candidate_list_is_built_once(
@@ -135,7 +135,7 @@ class TestSharing:
 
         monkeypatch.setattr(candidates, "build_categories", counting_build_categories)
         monkeypatch.setattr(tailspace, "build_spec", counting_build_spec)
-        run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
+        run_suite(onom, DESCRIPTORS, rules, TOMB, suite, N2)
         distinct = {apply_deltas(DESCRIPTORS, rules, s.deltas)[0] for s in suite}
         per_gender = {(gender, tuple(d for d in desc if d.gender == gender))
                       for desc in distinct for gender in ("female", "male")}
@@ -158,7 +158,7 @@ class TestSharing:
         build_spec(onom, DESCRIPTORS)
         assert len(reads) == len(DESCRIPTORS) == 8
         reads.clear()
-        run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
+        run_suite(onom, DESCRIPTORS, rules, TOMB, suite, N2)
         assert len(reads) == 80
 
     def test_cached_male_tables_give_the_results_of_fresh_ones(
@@ -186,10 +186,10 @@ class TestSharing:
 
         monkeypatch.setattr(tailspace, "male_table", counting_male_table)
         monkeypatch.setattr(tailspace, "enumerate_tail", counting_enumerate_tail)
-        assert run_suite(onom, DESCRIPTORS, rules, TOMB, suite) == list(reports.values())
+        assert run_suite(onom, DESCRIPTORS, rules, TOMB, suite, N2) == list(reports.values())
         assert (len(walked), len(enumerated)) == (13, 42)
         # the suite's memo dies with the call: a second suite walks again
-        run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
+        run_suite(onom, DESCRIPTORS, rules, TOMB, suite, N2)
         assert len(walked) == 2 * 13
         memo = {}
         cached = [enumerate_tail(*case, memo) for case in cases]
@@ -202,12 +202,12 @@ class TestSharing:
                                                                  suite):
         # two category lists and one male table; a second run builds nothing
         memo = {}
-        first = run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[0], memo=memo)
+        first = run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[0], N2, memo=memo)
         assert len(memo) == 3
         kept = dict(memo)
-        assert run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[0], memo=memo) == first
+        assert run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[0], N2, memo=memo) == first
         assert memo == kept and all(memo[key] is kept[key] for key in kept)
-        assert first == run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[0])
+        assert first == run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[0], N2)
 
 
 class TestScenarioSemantics:
@@ -232,18 +232,18 @@ class TestScenarioSemantics:
         assert reports["allow-father-yeshua"].observed_rr == base
 
     def test_determinism(self, onom, rules, suite):
-        twice = [run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[6])
+        twice = [run_scenario(onom, DESCRIPTORS, rules, TOMB, suite[6], N2)
                  for _ in range(2)]
         assert twice[0] == twice[1]
 
     def test_identical_scenarios_give_identical_reports(self, onom, rules):
         scenario = Scenario(name="twin", deltas=(("set", "bonus_divisor", Fraction(1)),))
         pair = run_suite(onom, DESCRIPTORS, rules, TOMB,
-                         [scenario, scenario])
+                         [scenario, scenario], N2)
         assert pair[0] == pair[1]
 
     def test_empty_suite(self, onom, rules):
-        assert run_suite(onom, DESCRIPTORS, rules, TOMB, []) == []
+        assert run_suite(onom, DESCRIPTORS, rules, TOMB, [], N2) == []
 
     def test_bad_delta_errors_that_row_only(self, onom, rules, reports):
         # ok, failing, ok: one report per scenario, in suite order, the failing
@@ -251,7 +251,7 @@ class TestScenarioSemantics:
         suite = [Scenario("drop-bonus", (("set", "bonus_divisor", Fraction(1)),)),
                  Scenario("bad", (("remove", "nobody", None),)),
                  Scenario("remove-salome", (("remove", "salome_sister", None),))]
-        first, bad, last = run_suite(onom, DESCRIPTORS, rules, TOMB, suite)
+        first, bad, last = run_suite(onom, DESCRIPTORS, rules, TOMB, suite, N2)
         assert bad == ScenarioReport(error="no candidate named nobody")
         assert first.adjusted_area == reports["drop-bonus"].adjusted_area
         assert last.adjusted_area == reports["remove-salome"].adjusted_area
@@ -260,7 +260,7 @@ class TestScenarioSemantics:
     def test_every_flag_spelling_sets_the_same_ledger(self, onom, rules):
         reports = run_suite(onom, DESCRIPTORS, rules, TOMB, parse_suite("".join(
             f"scenario {value}\nset require_yeshua_in_tomb {value}\n"
-            for value in ("on", "TRUE", "1", "yes", "off", "No"))))
+            for value in ("on", "TRUE", "1", "yes", "off", "No"))), N2)
         on, off = reports[0], reports[4]
         assert on.adjusted_area != off.adjusted_area
         assert [r.adjusted_area for r in reports] \
@@ -269,7 +269,7 @@ class TestScenarioSemantics:
     def test_unknown_flag_word_errors_that_row_only(self, onom, rules):
         maybe = Scenario(name="maybe", deltas=(("set", "allow_father_yeshua", "maybe"),))
         reports = run_suite(onom, DESCRIPTORS, rules, TOMB,
-                            [maybe, Scenario(name="ok")])
+                            [maybe, Scenario(name="ok")], N2)
         assert "maybe" in reports[0].error
         assert reports[1].error is None
 
@@ -280,19 +280,19 @@ class TestScenarioSemantics:
         bogus = Scenario("s", (("bogus", None, None),))
         with pytest.raises(InputError, match="^unknown delta verb 'bogus'$"):
             apply_deltas(DESCRIPTORS, rules, bogus.deltas)
-        assert run_suite(onom, DESCRIPTORS, rules, TOMB, [Scenario("ok"), bogus])[1] \
+        assert run_suite(onom, DESCRIPTORS, rules, TOMB, [Scenario("ok"), bogus], N2)[1] \
             == ScenarioReport(error="unknown delta verb 'bogus'")
 
     def test_duplicate_addition_rejected(self, onom, rules):
         twice = Scenario(name="dup", deltas=(
             ("add", "joanna", ADDONS["joanna"]), ("add", "joanna", ADDONS["joanna"])))
-        report = run_suite(onom, DESCRIPTORS, rules, TOMB, [twice])[0]
+        report = run_suite(onom, DESCRIPTORS, rules, TOMB, [twice], N2)[0]
         assert "already present" in report.error
 
     def test_an_addition_drawing_taken_persons_errors_that_row_only(
             self, onom, rules):
         reports = run_suite(onom, DESCRIPTORS, rules, TOMB, parse_suite(
-            "scenario over\nadd x male Joseph generic label=J2\n\nscenario ok\n"))
+            "scenario over\nadd x male Joseph generic label=J2\n\nscenario ok\n"), N2)
         assert reports[0].error == (
             "candidates joseph_father and x: both draw persons of Joseph")
         assert reports[0].adjusted_area is None
@@ -358,7 +358,7 @@ class TestSuiteParsing:
             == ("J", Fraction(1, 2), Fraction(1, 3), Fraction(2))
         with_options, plain = run_suite(onom, DESCRIPTORS, rules, TOMB, parse_suite(
             "scenario a\nadd joanna female Joanna generic weight=1/2 rr=1/3\n"
-            "scenario b\nadd joanna female Joanna generic\n"))
+            "scenario b\nadd joanna female Joanna generic\n"), N2)
         assert f"{float(plain.adjusted_area):.12g}" == FROZEN["add-joanna"][0]
         assert with_options.error is None
         assert with_options.adjusted_area != plain.adjusted_area

@@ -16,7 +16,7 @@ from namecluster.onomasticon import format_decimal
 from namecluster.tailspace import (distribution, enumerate_tail, male_table, tail,
                                    tuple_space_size)
 
-from bundled import ADDONS, DESCRIPTORS, TOMB
+from bundled import ADDONS, DESCRIPTORS, N2, TOMB
 from conftest import make_spec, random_synthetic
 from oracle import person_level_tail
 
@@ -270,7 +270,7 @@ class TestDistribution:
                            for observed in thresholds]
         assert results[0].tail_mass == results[1].tail_mass == TAIL
         assert results[2].tail_mass < TAIL
-        assert format_decimal(1100 * results[2].proportion, 3) == "0.000543"
+        assert format_decimal(N2 * results[2].proportion, 3) == "0.000543"
         assert len(memo) == 1
 
     @pytest.mark.parametrize("ledger", ["default", "non-default"])

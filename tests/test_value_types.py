@@ -26,7 +26,7 @@ from namecluster.scoring import RuleLedger, score
 from namecluster.sensitivity import Scenario, load_suite, run_scenario
 from namecluster.tailspace import distribution, enumerate_tail, male_table
 
-from bundled import DESCRIPTORS, TOMB
+from bundled import DESCRIPTORS, N2, TOMB
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = ["namecluster"] + [f"namecluster.{m.name}"
@@ -158,7 +158,7 @@ def one_of_each(onom):
               spec, rules, TOMB, observed, enumerate_tail(spec, rules, observed.value),
               male_table(spec.men, rules), distribution(spec, rules),
               scenario,
-              run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario), params,
+              run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario, N2), params,
               run_pipeline(params)]
     return {type(value).__name__: value for value in values}
 
