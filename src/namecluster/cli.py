@@ -223,29 +223,30 @@ def main(argv=None, out=None) -> int:
     # a warning is one stderr line, without its source
     formatwarning, warnings.formatwarning = \
         warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
-    try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-        if args.help:
-            from .commands import help_text
-            out.write(help_text(args.command))
-            return 0
-        resolve(args)
-        code = COMMANDS[args.command][0](args, out)
-        out.flush()  # a closed stdout fails here, not in the interpreter's last flush
-        return code
-    except BrokenPipeError:
-        # stdout was closed, as by `namecluster sweep | head -1`: point it at
-        # devnull, as the signal module's docs advise, so the final flush is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
-        return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:  # a fault of the computation
-        # OverflowError: a number too large for a float; the reports print
-        # such figures exactly, so none is known to reach this
-        print(f"computation error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        warnings.formatwarning = formatwarning
+    with warnings.catch_warnings():  # each call shows its own, not once a process
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            if args.help:
+                from .commands import help_text
+                out.write(help_text(args.command))
+                return 0
+            resolve(args)
+            code = COMMANDS[args.command][0](args, out)
+            out.flush()  # a closed stdout fails here, not in the interpreter's last flush
+            return code
+        except BrokenPipeError:
+            # stdout was closed, as by `namecluster sweep | head -1`: point it at
+            # devnull, as the signal module's docs advise, so the final flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            return 1
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, OverflowError) as exc:  # a fault of the computation
+            # OverflowError: a number too large for a float; the reports print
+            # such figures exactly, so none is known to reach this
+            print(f"computation error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            warnings.formatwarning = formatwarning
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cli import COMMANDS, DEMOGRAPHY_PARSERS, EXPECTED, SETTINGS, SIG, as_written, emit, \
     given, analyzed_inputs, load_analysis_inputs, record_line
 from .onomasticon import InputError, format_decimal, format_fraction
-from .scoring import factors
+from .scoring import male_factors
 
 
 def cmd_explain(args, out):
@@ -25,7 +25,9 @@ def cmd_explain(args, out):
     rows = [(f"{word}[{gender}/{c.label}]", value, SIG)
             for gender in ("female", "male") for c in spec.categories(gender)
             for word, value in (("weight", c.weight), ("rr", c.rr))]
-    for slot, label, rule, factor in factors(observed, spec, rules):
+    rows += [(f"{slot}[{label}]", spec.category("female", label).rr, SIG)
+             for slot, label in zip(observed._fields, observed[:2])]  # no rule sets a woman's RR
+    for slot, label, rule, factor in male_factors(*observed[2:], spec, rules):
         field = f"{slot}[{label}]" if label else slot
         rows.append((f"{field} {rule}" if rule else field, factor, SIG))
     parts = scored._asdict()

@@ -42,10 +42,10 @@ the rule of R3, R4 and R7 that drops each singleton's RR, or None when it
 counts; ``generational_counts`` gives the rule that decides the pair (R1,
 R2, R5-R13, "uncovered" or "plain") with whether the father's RR, the son's
 RR and the unknown-son factor count; and ``bonus_applies`` says whether R14
-divides the score. A factor that does not count is 1. ``factors`` lists the
-women's RRs and the ``male_factors``, each with its rule, which ``score``
-multiplies and ``namecluster explain`` prints. The male score, which
-``score_male_slots`` returns in its three parts, is
+divides the score. A factor that does not count is 1. ``male_factors``
+lists the six male factors, each with its rule, and ``namecluster explain``
+prints them after the women's RRs. ``score`` multiplies the women's RRs by
+the male score, which ``score_male_slots`` returns in its three parts:
 
   singleton part * generational part / bonus divisor
 
@@ -99,8 +99,7 @@ RULE_PARSERS = {"bonus_divisor": parse_fraction, "unknown_son_factor": parse_fra
 
 
 class RRValue(namedtuple(
-        "RRValue", "value women_part singleton_part generational_part bonus_applied",
-        defaults=(Fraction(1),))):
+        "RRValue", "value women_part singleton_part generational_part bonus_applied")):
     """Score of a configuration, factored by slot group; every field a Fraction."""
 
     __slots__ = ()
@@ -239,25 +238,15 @@ def score_male_slots(singleton1: str, singleton2: str, father_label: str,
     return s1 * s2, father * son * unknown, divisor
 
 
-def factors(config: TombConfiguration, spec: HypothesisSpec,
-            rules: RuleLedger) -> list[tuple[str, str | None, str | None, Fraction]]:
-    """(slot, label, rule, factor) of the two women, each at her category's
-    RR by no rule, then the rows of ``male_factors``."""
-    women = [(slot, label, None, spec.category("female", label).rr)
-             for slot, label in zip(config._fields[:2], config)]
-    return women + male_factors(*config[2:], spec, rules)
-
-
 def score(config: TombConfiguration, spec: HypothesisSpec,
           rules: RuleLedger = RuleLedger()) -> RRValue:
     """RR value under the adjustment ledger; an invalid tomb raises InputError."""
     reason = validate(config, spec)
     if reason is not None:
         raise InputError(reason)
-    w1, w2, s1, s2, father, son, unknown, divisor = (
-        factor for *_, factor in factors(config, spec, rules))
-    women_part, singles, generational = w1 * w2, s1 * s2, father * son * unknown
-    value = women_part * singles * generational / divisor
-    return RRValue(value=value, women_part=women_part,
+    w1, w2 = (spec.category("female", label).rr for label in config[:2])
+    singles, generational, divisor = score_male_slots(*config[2:], spec, rules)
+    women = w1 * w2
+    return RRValue(value=women * singles * generational / divisor, women_part=women,
                    singleton_part=singles, generational_part=generational,
                    bonus_applied=divisor)

@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .candidates import CandidateDescriptor, TombConfiguration, parse_candidate
-from .onomasticon import (BOUNDS, InputError, Onomasticon, check_range, format_decimal,
-                          load_source, parse_field, parse_fraction, read_records)
+from .onomasticon import (InputError, Onomasticon, format_decimal, load_source,
+                          parse_field, parse_fraction, read_records)
 from .scoring import RULE_PARSERS, RuleLedger
 from .tailspace import analyze
 
@@ -150,8 +150,7 @@ def parse_suite(text: str) -> list[Scenario]:
         if param not in RULE_PARSERS:
             raise ValueError(f"unknown rule parameter {param!r}")
         value = parse_field(param, text, RULE_PARSERS[param])
-        if param in BOUNDS:  # the two numbers; a switch is a bool as parsed
-            check_range(param, value)
+        RuleLedger(**{param: value})  # the ledger checks its own fields
         delta("set", param, value)
 
     def reference(fields):

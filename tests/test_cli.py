@@ -440,7 +440,7 @@ def run_process(*argv):
     return run_python("-m", "namecluster", *argv)
 
 
-@pytest.mark.parametrize("argv, warning", [
+WARNINGS = [
     (["infer", "--q", "1/3", "--n2", "10"],
      ["warning: n2*q exceeds 1; reporting the clamped bound 1"]),
     (["infer", "--q", "1/3000", "--n2", "10", "--alpha", "1/1000"],
@@ -450,13 +450,26 @@ def run_process(*argv):
      ["warning: n2*q exceeds 1; adjusted-area is the unclamped n2*q"]),
     (["sweep", "--n2", "10000000"],
      ["warning: n2*q exceeds 1 in 42 of 42 scenarios; adjusted is the unclamped n2*q"]),
-])
+]
+
+
+@pytest.mark.parametrize("argv, warning", WARNINGS)
 def test_warnings_are_one_stderr_line_each(argv, warning):
     run = run_process(*argv)
     with pytest.warns(UserWarning):
         assert (run.returncode, run.stdout) == run_cli(*argv)
     assert run.returncode == 0
     assert run.stderr.splitlines() == warning
+
+
+@pytest.mark.parametrize("argv, warning", WARNINGS)
+def test_each_main_call_shows_its_own_warnings(argv, warning):
+    # Python shows a warning once per code location and interpreter by default
+    code = ("import io\nfrom namecluster.cli import main\n"
+            f"for _ in range(2):\n    main({argv!r}, out=io.StringIO())\n")
+    run = run_python("-c", code)
+    assert (run.returncode, run.stdout) == (0, "")
+    assert run.stderr.splitlines() == warning * 2
 
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])
@@ -469,11 +482,19 @@ def test_the_bundled_n2_gives_an_empty_stderr(command):
 
 
 @pytest.mark.parametrize("argv", [
-    "analyze", "explain", "sweep", "demography", "infer --q 1/9999"])
+    "analyze", "explain", "sweep", "demography", "infer --q 1/9999",
+    "infer --q 5.491387e-7 --theta 1 --alpha 1/20", "analyze --format records",
+    "explain --format records", "sweep --format records", "demography --format records",
+    "infer --q 1/9999 --format records",
+    "infer --q 5.491387e-7 --theta 1 --alpha 1/20 --format records",
+    "--help", "analyze --help", "explain --help", "sweep --help", "demography --help",
+    "infer --help"])
 def test_no_command_reads_a_file_in_the_locale_encoding(argv):
+    # every command in each format, and every help screen, with deprecation
+    # warnings made errors too
     words = argv.split()
-    run = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
-                     "-m", "namecluster", *words)
+    run = run_python("-W", "error::DeprecationWarning", "-X", "warn_default_encoding",
+                     "-W", "error::EncodingWarning", "-m", "namecluster", *words)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == run_cli(*words)[1]
 
@@ -653,10 +674,6 @@ def referred_names(tree):
             yield node.value
 
 
-# a public name that no code in src/ refers to: the file outside src/ that calls it
-OUTSIDE_CALLERS = {"score_male_slots": "perfbench/traced.py"}
-
-
 class TestImports:
     UNUSED_BY_ANALYZE = {"namecluster.sensitivity", "namecluster.demography",
                          "namecluster.inference", "namecluster.commands",
@@ -712,7 +729,7 @@ class TestImports:
 
     def test_every_public_name_has_a_caller(self):
         # each top-level def or class without a leading _ is referred to in
-        # src/namecluster/ outside its own definition, or has an outside caller
+        # src/namecluster/ outside its own definition
         public, referred = set(), set()
         for path in (SRC / "namecluster").glob("*.py"):
             for statement in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -720,6 +737,4 @@ class TestImports:
                 if not name.startswith("_"):
                     public.add(name)
                 referred.update(word for word in referred_names(statement) if word != name)
-        assert public - referred == set(OUTSIDE_CALLERS)
-        for name, caller in OUTSIDE_CALLERS.items():
-            assert name in (ROOT / caller).read_text(encoding="utf-8")
+        assert not public - referred

@@ -33,7 +33,8 @@ MODULES = ["namecluster"] + [f"namecluster.{m.name}"
                              for m in pkgutil.iter_modules(namecluster.__path__)]
 
 # type -> (module, fields, defaults), as first defined with typing.NamedTuple,
-# except that a ScenarioReport no longer repeats its scenario's name and reference
+# except that a ScenarioReport no longer repeats its scenario's name and
+# reference, and an RRValue's bonus_applied has no default
 FIELDS = {
     "GenericNameCount": (
         "onomasticon", "name gender total_persons ossuary_persons", {"ossuary_persons": None}),
@@ -54,8 +55,7 @@ FIELDS = {
     "TombConfiguration": (
         "candidates", "woman1 woman2 singleton1 singleton2 father son", {}),
     "RRValue": (
-        "scoring", "value women_part singleton_part generational_part bonus_applied",
-        {"bonus_applied": Fraction(1)}),
+        "scoring", "value women_part singleton_part generational_part bonus_applied", {}),
     "TailResult": (
         "tailspace", "total_mass valid_mass tail_mass proportion", {}),
     "MaleTable": ("tailspace", "r mass_scale valid_mass classes", {}),
