@@ -89,8 +89,6 @@ def cmd_infer(args, out):
     q, n2 = args.q, args.n2
     if q is None:
         raise InputError("infer requires --q")
-    if (args.theta or args.alpha) and beta_of(q, n2) >= 1:
-        raise InputError("(n2-1)*q must be below 1 for the bound formulas")
     rows = [("adjusted-p", adjusted_p(q, n2), SIG),
             ("beta", beta_of(q, n2), SIG)]
     for word, theta in args.theta:

@@ -134,16 +134,16 @@ def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
 # ---------------------------------------------------------------------------
 
 def parse_suite(text: str) -> list[Scenario]:
-    scenarios: list[Scenario] = []
+    # name: [deltas, reference] in suite order, made into Scenarios once, at the end
+    scenarios: dict[str, list] = {}
 
-    def current(kind: str) -> Scenario:
+    def current(kind: str) -> list:
         if not scenarios:
             raise ValueError(f"{kind!r} record before the first scenario")
-        return scenarios[-1]
+        return scenarios[next(reversed(scenarios))]
 
     def delta(verb: str, subject: str, value=None):
-        last = current(verb)
-        scenarios[-1] = last._replace(deltas=last.deltas + ((verb, subject, value),))
+        current(verb)[0].append((verb, subject, value))
 
     def set_(fields):
         param, text = fields
@@ -157,15 +157,15 @@ def parse_suite(text: str) -> list[Scenario]:
         (printed,) = fields
         parse_fraction(printed)  # a number, kept as printed
         last = current("reference")
-        if last.reference is not None:
+        if last[1] is not None:
             raise ValueError("reference: given twice")
-        scenarios[-1] = last._replace(reference=printed)
+        last[1] = printed
 
     def scenario(fields):
         (name,) = fields
-        if any(s.name == name for s in scenarios):  # its records would share one key
+        if name in scenarios:  # its records would share one key
             raise ValueError(f"scenario: {name}: given twice")
-        scenarios.append(Scenario(name))
+        scenarios[name] = [[], None]
 
     def add(fields):
         candidate = parse_candidate(fields)
@@ -186,7 +186,8 @@ def parse_suite(text: str) -> list[Scenario]:
         "scale": scale,
         "set": set_,
         "reference": reference})
-    return scenarios
+    return [Scenario(name, tuple(deltas), reference)
+            for name, (deltas, reference) in scenarios.items()]
 
 
 def load_suite(source: Union[str, Path] = "bundled") -> list[Scenario]:

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, determinism, exit codes."""
 
 import ast
+import functools
 import gc
 import io
 import json
@@ -374,6 +375,14 @@ class TestDemographyAndInfer:
         assert code == 0
         assert text.splitlines()[0].split()[1] == "1"
 
+    def test_odds_at_beta_of_one_or_more_are_theta_over_beta(self):
+        # beta = 9 * 1/3 = 3; the odds need no bound formula
+        with pytest.warns(UserWarning, match="clamped"):
+            code, text = run_cli("infer", "--q", "1/3", "--n2", "10", "--theta", "1")
+        assert code == 0
+        values = dict(line.split() for line in text.splitlines())
+        assert (values["beta"], values["odds[theta=1]"]) == ("3", "0.3333")
+
 
 class TestFiguresBeyondTheFloatRange:
     BIG = str(10 ** 400)
@@ -450,6 +459,10 @@ WARNINGS = [
      ["warning: n2*q exceeds 1; adjusted-area is the unclamped n2*q"]),
     (["sweep", "--n2", "10000000"],
      ["warning: n2*q exceeds 1 in 42 of 42 scenarios; adjusted is the unclamped n2*q"]),
+    # beta = 999/2 >= 1: each bound degenerates to 0 under its own alpha <= beta
+    (["infer", "--q", "1/2", "--n2", "1000", "--alpha", "1/20"],
+     ["warning: n2*q exceeds 1; reporting the clamped bound 1"]
+     + ["warning: alpha <= beta: the bound degenerates to 0"] * 2),
 ]
 
 
@@ -650,14 +663,16 @@ def test_every_typed_setting_reads_its_flag(key, capsys):
     assert code == 0 and text != run_cli(*argv)[1]
 
 
+@functools.cache
 def modules_loaded_by(*argv):
-    """Modules a fresh interpreter loads to run ``main(argv)``."""
+    """Modules a fresh interpreter loads to run ``main(argv)``, started once
+    per distinct ``argv``."""
     run = run_python("-c", "import io, sys\nbefore = set(sys.modules)\n"
                            "from namecluster.cli import main\n"
                            f"main({list(argv)!r}, out=io.StringIO())\n"
                            "print(*sorted(set(sys.modules) - before))")
     assert run.returncode == 0, run.stderr
-    return set(run.stdout.split())
+    return frozenset(run.stdout.split())
 
 
 def referred_names(tree):
@@ -738,3 +753,9 @@ class TestImports:
                     public.add(name)
                 referred.update(word for word in referred_names(statement) if word != name)
         assert not public - referred
+
+    def test_src_stays_within_its_line_budget(self):
+        # ROADMAP item 7: what the planned features may add, net, to src/
+        lines = sum(path.read_bytes().count(b"\n")
+                    for path in (SRC / "namecluster").glob("*.py"))
+        assert lines <= 2235

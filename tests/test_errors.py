@@ -131,8 +131,6 @@ ROWS = [
       for q, n2, named in (("1/2", "1", "n2 = 1"), ("0", "1100", "q = 0"))
       for flag, infinite in (("--theta 1/2", "infinite odds"),
                              ("--alpha 1/20", "an infinite bound"))],
-    ("infer --q 1/2 --n2 1000 --alpha 1/20",
-     "(n2-1)*q must be below 1 for the bound formulas"),
     # files that cannot be read
     *[row for flag in ("--onomasticon", "--hypothesis", "--suite") for row in (
         (f"sweep {flag} {{data}}", "{data}: [Errno 21] Is a directory: '{data}'"),

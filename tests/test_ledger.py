@@ -8,15 +8,19 @@ tests compare the table with ``singleton_counts``, ``generational_counts``
 and ``bonus_applies`` on every realism-valid tuple over the five ledger
 labels, one label that no rule names and Other, under all eight settings of
 the three switches: both the answers and the rules that the code names
-beside them.
+beside them. Each one-line mutant of ``scoring.py`` in MUTANTS, one or more
+per rule, makes the code disagree with the table on some tomb.
 """
 
 import itertools
+import types
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+from namecluster import scoring
 from namecluster.candidates import OTHER, Category
 from namecluster.scoring import (CLEOPAS, JAMES, YESHUA, YOSEF, YOSEH, RuleLedger,
                                  bonus_applies, generational_counts, singleton_counts)
@@ -227,3 +231,66 @@ def test_the_uncovered_case_is_reachable():
     names, (_, answer, _) = table(t)
     assert "uncovered" in names and answer == UNKNOWN
     assert ledger(t)[1] == UNKNOWN and rules_named(t)[2] == "uncovered"
+
+
+# (exact text in scoring.py, its mutant), each named for what it changes
+MUTANTS = {
+    "R1": ('return "R1", (rules.allow_father_yeshua, False, False)',
+           'return "R1", (True, False, False)'),
+    "R2": ('return "R2", unknown', 'return "R2", full'),
+    "R3": ('return "R3"', 'return None'),
+    "R3 Other": ("me.label == father.label != OTHER", "me.label == father.label"),
+    "R4": ('return "R4"', 'return None'),
+    "R5": ('"R5", named_for_relative((YESHUA, YOSEF, JAMES, CLEOPAS))',
+           '"R5", named_for_relative((YESHUA, YOSEF, JAMES))'),
+    "R6": ('"R6", named_for_relative((YOSEF, JAMES, YOSEH))',
+           '"R6", named_for_relative((YOSEF, JAMES))'),
+    "R7": ("and father.label == YOSEH", "and father.label == JAMES"),
+    "R8": ("son.label in (YESHUA, YOSEH, JAMES)", "son.label in (YESHUA, JAMES)"),
+    # a son Yoseh never reaches R9, so the mutant drops James
+    "R9": ("son.label in (YESHUA, JAMES) else", "son.label in (YESHUA,) else"),
+    "R10": ('"R10", named_for_relative((YESHUA, JAMES))',
+            '"R10", named_for_relative((YESHUA,))'),
+    "R11": ('return "R11", named_for_relative((CLEOPAS,))', 'return "R11", full'),
+    "R12": ('"R12", named_for_relative((YOSEH, YESHUA, YOSEF, CLEOPAS))',
+            '"R12", named_for_relative((YOSEH, YESHUA, YOSEF))'),
+    "R13 grandson": ('return "R13", full  # a known grandson',
+                     'return "R13", named_for_relative((CLEOPAS,))  # a known grandson'),
+    "R13 named": ("named_for_relative((YOSEH, YOSEF, YESHUA))",
+                  "named_for_relative((YOSEH, YOSEF))"),
+    "R14": ("return father.label == YOSEF and son.label == YESHUA",
+            "return father.label == YOSEF"),
+    "uncovered": ('return "uncovered", unknown', 'return "uncovered", full'),
+    "plain": ('return "plain", (True, son.label != OTHER, False)',
+              'return "plain", (True, True, False)'),
+    "yoseh_present": ("yoseh_present = yoseh_in_singles or son.label == YOSEH",
+                      "yoseh_present = yoseh_in_singles"),
+    "count_unknown_sons": ("named = son.label in allowed and rules.count_unknown_sons",
+                           "named = son.label in allowed"),
+}
+
+
+def disagreements(old, new, monkeypatch):
+    """The tombs on which ``scoring`` with ``old`` replaced by ``new``, run as a
+    throwaway module, differs from the table in its answers or rule names."""
+    path = Path(scoring.__file__)
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1, f"not exactly once in scoring.py: {old}"
+    mutant = types.ModuleType("namecluster.scoring")  # kept out of sys.modules
+    mutant.__package__ = "namecluster"
+    exec(compile(text.replace(old, new), str(path), "exec"), vars(mutant))
+    for name in ("singleton_counts", "generational_counts", "bonus_applies"):
+        monkeypatch.setitem(globals(), name, getattr(mutant, name))
+    return (t for rules in SETTINGS for t in tombs(rules)
+            if ledger(t) != table(t)[1] or rules_named(t) != rules_of_table(t))
+
+
+@pytest.mark.parametrize("old, new", MUTANTS.values(), ids=list(MUTANTS))
+def test_the_table_kills_a_ledger_mutant(old, new, monkeypatch):
+    assert next(disagreements(old, new, monkeypatch), None), f"survived: {new}"
+
+
+def test_an_unmutated_copy_agrees_with_the_table(monkeypatch):
+    # so a killed mutant is killed by its change, not by running a copy
+    old = MUTANTS["R2"][0]
+    assert next(disagreements(old, old, monkeypatch), None) is None

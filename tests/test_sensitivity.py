@@ -8,6 +8,7 @@ reference within 7 percent); the decision log of the build records the
 analysis. Any change to these numbers is a behavioural change.
 """
 
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,16 @@ class TestSuiteParsing:
     def test_a_scenario_name_given_twice_is_rejected(self):
         with pytest.raises(InputError, match="^row 3: scenario: a: given twice$"):
             parse_suite("scenario a\nset bonus_divisor 1\nscenario a\nset bonus_divisor 2\n")
+
+    @pytest.mark.parametrize("row", ["scenario s{}\n", "remove x{}\n"],
+                             ids=["scenarios", "deltas"])
+    def test_a_suite_is_read_in_linear_time(self, row):
+        # 16 times the rows take about 16 times as long. A read that rescanned
+        # the scenarios, or copied the deltas, on each row took 160-250 times
+        def seconds(n):
+            text = "scenario a\n" + "".join(row.format(i) for i in range(n))
+            return min(timeit.repeat(lambda: parse_suite(text), number=1, repeat=3))
+        assert seconds(16000) < 48 * seconds(1000)
 
     def test_add_takes_the_options_of_a_candidate(self, onom, rules):
         fields = "joanna female Joanna generic label=J weight=1/2 rr=1/3 scale=2"
