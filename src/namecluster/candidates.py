@@ -164,6 +164,16 @@ def build_categories(onom: Onomasticon, gender: str,
     return tuple(out)
 
 
+def by_person(candidates: Sequence[CandidateDescriptor]) -> dict[str, CandidateDescriptor]:
+    """The candidates keyed by person, in order; a person given twice is an InputError."""
+    out: dict[str, CandidateDescriptor] = {}
+    for desc in candidates:
+        if desc.person in out:
+            raise InputError(f"candidate {desc.person}: given twice")
+        out[desc.person] = desc
+    return out
+
+
 def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
                memo: Optional[dict] = None) -> HypothesisSpec:
     """Realize candidate descriptors into a weighted category list per gender.
@@ -172,10 +182,7 @@ def build_spec(onom: Onomasticon, candidates: Sequence[CandidateDescriptor],
     categories built from it; a gender found there is built again only from
     another table object.
     """
-    persons = [d.person for d in candidates]
-    if len(set(persons)) != len(persons):
-        person = next(person for i, person in enumerate(persons) if person in persons[:i])
-        raise InputError(f"candidate {person}: given twice")
+    by_person(candidates)  # a person given twice raises
     for d in candidates:
         if d.gender not in (FEMALE, MALE):
             raise InputError(f"candidate {d.person}: unknown gender {d.gender!r}")

@@ -104,8 +104,8 @@ def load_analysis_inputs(args):
 
 
 def analyzed_inputs(args):
-    """(rules, observed configuration, and tailspace.analyze's spec, RRValue
-    and TailResult); an error of the analysis names the hypothesis."""
+    """(rules, observed configuration, and tailspace.analyze's spec, observed
+    RR and TailResult); an error of the analysis names the hypothesis."""
     onom, descriptors, observed, rules = load_analysis_inputs(args)
     try:
         return (rules, observed, *analyze(onom, descriptors, rules, observed))
@@ -143,11 +143,11 @@ def emit(rows, fmt, out):
 
 
 def cmd_analyze(args, out):
-    *_, scored, result = analyzed_inputs(args)
+    *_, observed_rr, result = analyzed_inputs(args)
     adjusted = args.n2 * result.proportion
     if adjusted > 1:  # the paper's n2*q, reported as it is
         warnings.warn("n2*q exceeds 1; adjusted-area is the unclamped n2*q")
-    rows = [("observed-rr", scored.value, SIG), ("valid-mass-ratio", result.valid_ratio, SIG),
+    rows = [("observed-rr", observed_rr, SIG), ("valid-mass-ratio", result.valid_ratio, SIG),
             ("proportion", result.proportion, SIG), ("adjusted-area", adjusted, SIG)]
     if args.format == "records":
         rows += [("tuple-space", result.total_mass, 10),

@@ -15,24 +15,25 @@ from fractions import Fraction
 from .cli import COMMANDS, DEMOGRAPHY_PARSERS, EXPECTED, SETTINGS, SIG, as_written, emit, \
     given, analyzed_inputs, load_analysis_inputs, record_line
 from .onomasticon import InputError, format_decimal, format_fraction
-from .scoring import male_factors
+from .scoring import male_factors, score_male_slots
 
 
 def cmd_explain(args, out):
     """Each category's weight and RR, each factor of the observed RR with the
-    ledger rule that set it, then the parts of the score and its value."""
-    rules, observed, spec, scored, _ = analyzed_inputs(args)
+    ledger rule that set it, then the parts of the observed RR and its value."""
+    rules, observed, spec, observed_rr, _ = analyzed_inputs(args)
     rows = [(f"{word}[{gender}/{c.label}]", value, SIG)
             for gender in ("female", "male") for c in spec.categories(gender)
             for word, value in (("weight", c.weight), ("rr", c.rr))]
-    rows += [(f"{slot}[{label}]", spec.category("female", label).rr, SIG)
-             for slot, label in zip(observed._fields, observed[:2])]  # no rule sets a woman's RR
+    w1, w2 = (spec.category("female", label).rr for label in observed[:2])
+    rows += [(f"{slot}[{label}]", rr, SIG)  # no rule sets a woman's RR
+             for slot, label, rr in zip(observed._fields, observed[:2], (w1, w2))]
     for slot, label, rule, factor in male_factors(*observed[2:], spec, rules):
         field = f"{slot}[{label}]" if label else slot
         rows.append((f"{field} {rule}" if rule else field, factor, SIG))
-    parts = scored._asdict()
-    parts["value"] = parts.pop("value")  # the product, after its parts
-    rows += [(name.replace("_", "-"), value, SIG) for name, value in parts.items()]
+    parts = (w1 * w2, *score_male_slots(*observed[2:], spec, rules), observed_rr)
+    rows += [(name, value, SIG) for name, value in zip(
+        ("women-part", "singleton-part", "generational-part", "bonus-applied", "value"), parts)]
     emit(rows, args.format, out)
     return 0
 

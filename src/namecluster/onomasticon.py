@@ -130,8 +130,8 @@ def checked(cls):
     """Make every value of the value type ``cls`` pass ``cls.check``.
 
     Value types subclass a ``collections.namedtuple`` with ``__slots__ = ()``,
-    so values equal any tuple of their fields. An ``analyze`` start builds 12
-    of them, 3 here, 4 in ``candidates``, 2 in ``scoring`` and 3 in
+    so values equal any tuple of their fields. An ``analyze`` start builds 11
+    of them, 3 here, 4 in ``candidates``, 1 in ``scoring`` and 3 in
     ``tailspace``; each is cheaper to build than a class-syntax named tuple
     from ``typing``, which checks every field's annotation, or a frozen class
     from the standard library's class generator, whose module takes several
@@ -345,9 +345,9 @@ def parse_onomasticon(text: str) -> Onomasticon:
 
     def total(fields):
         gender, persons = fields
-        count = parse_field(f"{gender}_total", persons, int)
-        if gender not in GENDERS:
+        if gender not in GENDERS:  # before the count, whose field it names
             raise ValueError(f"gender: expected female or male, got {gender!r}")
+        count = parse_field(f"{gender}_total", persons, int)
         check_range(f"{gender}_total", count)
         if gender in totals:
             raise ValueError(f"{gender}_total: given twice")

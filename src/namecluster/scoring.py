@@ -98,13 +98,6 @@ RULE_PARSERS = {"bonus_divisor": parse_fraction, "unknown_son_factor": parse_fra
                                  "count_unknown_sons"), parse_flag)}
 
 
-class RRValue(namedtuple(
-        "RRValue", "value women_part singleton_part generational_part bonus_applied")):
-    """Score of a configuration, factored by slot group; every field a Fraction."""
-
-    __slots__ = ()
-
-
 def collides(a: Category, b: Category) -> bool:
     """Whether two categories may not fill two slots of one tomb.
 
@@ -239,14 +232,11 @@ def score_male_slots(singleton1: str, singleton2: str, father_label: str,
 
 
 def score(config: TombConfiguration, spec: HypothesisSpec,
-          rules: RuleLedger = RuleLedger()) -> RRValue:
+          rules: RuleLedger = RuleLedger()) -> Fraction:
     """RR value under the adjustment ledger; an invalid tomb raises InputError."""
     reason = validate(config, spec)
     if reason is not None:
         raise InputError(reason)
     w1, w2 = (spec.category("female", label).rr for label in config[:2])
     singles, generational, divisor = score_male_slots(*config[2:], spec, rules)
-    women = w1 * w2
-    return RRValue(value=women * singles * generational / divisor, women_part=women,
-                   singleton_part=singles, generational_part=generational,
-                   bonus_applied=divisor)
+    return w1 * w2 * singles * generational / divisor

@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .candidates import CandidateDescriptor, TombConfiguration, parse_candidate
+from .candidates import CandidateDescriptor, TombConfiguration, by_person, parse_candidate
 from .onomasticon import (InputError, Onomasticon, format_decimal, load_source,
                           parse_field, parse_fraction, read_records)
 from .scoring import RULE_PARSERS, RuleLedger
@@ -63,26 +63,24 @@ def matches_at_printed_precision(value: Fraction, reference: str) -> bool:
 
 def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
                  deltas: Sequence[tuple]) -> tuple[tuple[CandidateDescriptor, ...], RuleLedger]:
-    out = list(descriptors)
+    out = by_person(descriptors)  # in order: an added person comes last
     for verb, subject, value in deltas:
-        persons = [c.person for c in out]
         if verb == "add":
-            if subject in persons:
+            if subject in out:
                 raise InputError(f"candidate {subject} already present")
-            out.append(value)
+            out[subject] = value
         elif verb in ("remove", "scale"):
-            if subject not in persons:
+            if subject not in out:
                 raise InputError(f"no candidate named {subject}")
             if verb == "remove":
-                out = [c for c in out if c.person != subject]
+                del out[subject]
             else:
-                i = persons.index(subject)
-                out[i] = out[i]._replace(scale=out[i].scale * value)
+                out[subject] = out[subject]._replace(scale=out[subject].scale * value)
         elif verb == "set":
             rules = rules._replace(**{subject: value})
         else:
             raise InputError(f"unknown delta verb {verb!r}")
-    return tuple(out), rules
+    return tuple(out.values()), rules
 
 
 def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
@@ -91,12 +89,12 @@ def run_scenario(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
     """One scenario's report: ``analyze`` after its deltas, with ``memo``
     sharing categories and male tables between scenarios."""
     descriptors, rules = apply_deltas(descriptors, rules, scenario.deltas)
-    _, scored, result = analyze(onom, descriptors, rules, observed, memo)
+    _, observed_rr, result = analyze(onom, descriptors, rules, observed, memo)
     adjusted = n2 * result.proportion
     matches = None
     if scenario.reference is not None:
         matches = matches_at_printed_precision(adjusted, scenario.reference)
-    return ScenarioReport(scored.value, adjusted, matches)
+    return ScenarioReport(observed_rr, adjusted, matches)
 
 
 def run_suite(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor],
@@ -155,7 +153,7 @@ def parse_suite(text: str) -> list[Scenario]:
 
     def reference(fields):
         (printed,) = fields
-        parse_fraction(printed)  # a number, kept as printed
+        parse_field("reference", printed)  # a number, kept as printed
         last = current("reference")
         if last[1] is not None:
             raise ValueError("reference: given twice")
@@ -177,7 +175,7 @@ def parse_suite(text: str) -> list[Scenario]:
 
     def scale(fields):
         person, factor = fields
-        delta("scale", person, parse_fraction(factor))
+        delta("scale", person, parse_field("scale", factor))
 
     read_records(text, {
         "scenario": scenario,

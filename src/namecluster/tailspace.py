@@ -63,8 +63,8 @@ from typing import Optional, Sequence
 from .candidates import (CandidateDescriptor, Category, HypothesisSpec, TombConfiguration,
                          build_spec)
 from .onomasticon import InputError, Onomasticon
-from .scoring import (YESHUA, YOSEH, RRValue, RuleLedger, bonus_applies, collides,
-                      generational_counts, score, singleton_counts)
+from .scoring import (YESHUA, YOSEH, RuleLedger, bonus_applies, collides, generational_counts,
+                      score, singleton_counts)
 
 
 class TailResult(namedtuple(
@@ -238,12 +238,12 @@ def enumerate_tail(spec: HypothesisSpec, rules: RuleLedger, observed: Fraction,
 
 def analyze(onom: Onomasticon, descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
             observed: TombConfiguration,
-            memo: Optional[dict] = None) -> tuple[HypothesisSpec, RRValue, TailResult]:
-    """The spec of ``descriptors``, the score of ``observed`` (a tomb it cannot
-    hold is an InputError) and the tail; ``memo`` is build_spec's and distribution's."""
+            memo: Optional[dict] = None) -> tuple[HypothesisSpec, Fraction, TailResult]:
+    """The spec of ``descriptors``, the RR of ``observed`` (a tomb it cannot
+    hold is an InputError) and its tail; ``memo`` is build_spec's and distribution's."""
     spec = build_spec(onom, descriptors, memo)
     try:
-        scored = score(observed, spec, rules)
+        observed_rr = score(observed, spec, rules)
     except InputError as exc:  # a label it lacks, slots that collide
         raise InputError(f"observed: {exc}") from exc
-    return spec, scored, enumerate_tail(spec, rules, scored.value, memo)
+    return spec, observed_rr, enumerate_tail(spec, rules, observed_rr, memo)

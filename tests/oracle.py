@@ -40,7 +40,7 @@ def person_level_tail(spec, rules, observed):
             key = (w1, w2, s1, s2, f, son)
             value = score_memo.get(key)
             if value is None:
-                value = score(TombConfiguration(*key), spec, rules).value
+                value = score(TombConfiguration(*key), spec, rules)
                 score_memo[key] = value
             if rules.require_yeshua_in_tomb and YESHUA not in (s1, s2, son):
                 continue

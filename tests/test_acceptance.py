@@ -38,7 +38,7 @@ def sig(x, digits=4):
 
 @pytest.fixture(scope="module")
 def baseline_run(baseline, rules):
-    observed = score(TOMB, baseline, rules).value
+    observed = score(TOMB, baseline, rules)
     return enumerate_tail(baseline, rules, observed)
 
 
@@ -51,7 +51,7 @@ def sweep_reports(onom, rules):
 
 class TestCriterion1BaselineObservedRR:
     def test_exact_product_of_the_bundled_fixtures(self, baseline, rules):
-        observed = score(TOMB, baseline, rules).value
+        observed = score(TOMB, baseline, rules)
         expected = (Fraction(74, 44) / 317 * Fraction(74 * 13, 44) / 317
                     * Fraction(221 * 7, 46) / 2509
                     * Fraction(101, 2509) * Fraction(221, 2509) / Fraction(6, 5))
@@ -64,7 +64,7 @@ class TestCriterion1BaselineObservedRR:
                "product of its own printed factors (= 1.449e-08)")
     def test_reference_headline_value_at_four_significant_figures(
             self, baseline, rules):
-        observed = score(TOMB, baseline, rules).value
+        observed = score(TOMB, baseline, rules)
         assert sig(observed) == "1.451e-08"
 
 
@@ -158,7 +158,7 @@ class TestCriterion7OracleEquivalence:
             if validate(config, spec) is not None:
                 config = TombConfiguration(women[0], "Other", men[0],
                                            "Other", "Other", "Other")
-            observed = score(config, spec, rules).value
+            observed = score(config, spec, rules)
             total, valid, tail = person_level_tail(spec, rules, observed)
             result = enumerate_tail(spec, rules, observed)
             assert (result.total_mass, result.valid_mass, result.tail_mass) \
@@ -183,17 +183,17 @@ class TestCriterion8Properties:
             config = TombConfiguration(*combo)
             if validate(config, baseline) is not None:
                 continue
-            value = score(config, baseline, rules).value
+            value = score(config, baseline, rules)
             assert 0 < value <= 1
             swapped = TombConfiguration(combo[1], combo[0], combo[3],
                                         combo[2], combo[4], combo[5])
-            assert score(swapped, baseline, rules).value == value
+            assert score(swapped, baseline, rules) == value
 
         # the observed male arrangement is the rarest of the 12 possible
-        observed_value = score(TOMB, baseline, rules).value
+        observed_value = score(TOMB, baseline, rules)
         values = [
             score(TombConfiguration("MM", "Marya", a, b, f, son),
-                  baseline, rules).value
+                  baseline, rules)
             for f, son, a, b in permutations(["Yoseh", "Other", "Yosef", "Yeshua"])
             if validate(TombConfiguration("MM", "Marya", a, b, f, son),
                         baseline) is None]
@@ -214,5 +214,5 @@ class TestCriterion8Properties:
                                    "Yosef", "Yoseh")
         relaxed = TombConfiguration("MM", "Marya", "Other", "Yeshua",
                                     "Yosef", "Yoseh")
-        assert score(relaxed, baseline, rules).value \
-            >= score(config, baseline, rules).value
+        assert score(relaxed, baseline, rules) \
+            >= score(config, baseline, rules)

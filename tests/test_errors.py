@@ -151,6 +151,7 @@ ROWS = [
         ("slice Mariam MM 1 44", "too many values to unpack (expected 3)"),
         ("total male abc", "male_total: invalid literal for int() with base 10: 'abc'"),
         ("total Female 5", "gender: expected female or male, got 'Female'"),
+        ("total Male abc", "gender: expected female or male, got 'Male'"),  # not Male_total
         ("total female 10", "female_total: given twice"),
         ("total female 0", "female_total must be positive"),
         ("total male -5", "male_total must be positive"),
@@ -268,8 +269,8 @@ ROWS = [
     # the suite: a bad row of its one scenario, refused before any scenario
     # runs, also in records, where a scenario's own fault is a record
     *[row for delta, line in (
-        ("scale mary_magdalene 1/0", "zero denominator"),
-        ("reference abc", "Invalid literal for Fraction: 'abc'"),
+        ("scale mary_magdalene x", "scale: Invalid literal for Fraction: 'x'"),
+        ("reference abc", "reference: Invalid literal for Fraction: 'abc'"),
         ("add joanna female Joanna generic weigth=1/2", "unknown option 'weigth'"),
         ("add joanna female Joanna generic label", "expected key=value, got 'label'"),
         ("add joanna female Joanna generc",
@@ -356,8 +357,8 @@ LIBRARY_ONLY = {
     ("candidates.py", "exactly one Other"): (
         "a candidate labelled Other trips the duplicate-label check first",
         "test_candidates.py::TestSpecEdits::test_categories_without_other_rejected"),
-    ("candidates.py", "candidate {person}: given twice"): (
-        "the reader and apply_deltas reject a repeated person first",
+    ("candidates.py", "candidate {desc.person}: given twice"): (
+        "the reader rejects a repeated person first, and a suite adds none twice",
         "test_candidates.py::TestSpecEdits::test_duplicate_person_rejected"),
     ("onomasticon.py", "the path is empty"): (
         "BOUNDS rejects the empty path first",

@@ -8,9 +8,10 @@ import pytest
 from namecluster.candidates import build_spec
 from namecluster.onomasticon import InputError
 from namecluster.scoring import (RuleLedger, TombConfiguration, male_factors, score,
-                                 validate)
+                                 score_male_slots, validate)
 
 from bundled import ADDONS, DESCRIPTORS, TOMB
+from test_tailspace import FRACTIONAL, PLUS_8, grown_spec
 
 ONE = Fraction(1)
 
@@ -26,6 +27,12 @@ CLEOPAS = Fraction(7, 2509)
 
 def cfg(w1="Other", w2="Other", s1="Other", s2="Other", f="Other", son="Other"):
     return TombConfiguration(w1, w2, s1, s2, f, son)
+
+
+def male_parts(config, spec, rules=RuleLedger()):
+    """(singleton part, generational part, bonus divisor) of a valid tomb."""
+    assert validate(config, spec) is None
+    return score_male_slots(*config[2:], spec, rules)
 
 
 @pytest.fixture(scope="module")
@@ -62,26 +69,39 @@ class TestValidate:
 
 class TestScore:
     def test_observed_value_equals_the_slot_product(self, baseline):
+        assert male_parts(TOMB, baseline) == (YOSEH, YESHUA * YOSEF, Fraction(6, 5))
         got = score(TOMB, baseline)
-        assert got.women_part == MM * MARYA
-        assert got.singleton_part == YOSEH
-        assert got.generational_part == YESHUA * YOSEF
-        assert got.bonus_applied == Fraction(6, 5)
-        assert got.value == MM * MARYA * YOSEH * YESHUA * YOSEF / Fraction(6, 5)
-        assert f"{float(got.value):.4g}" == "1.449e-08"
+        assert got == MM * MARYA * YOSEH * YESHUA * YOSEF / Fraction(6, 5)
+        assert f"{float(got):.4g}" == "1.449e-08"
 
     def test_all_other_scores_one(self, baseline):
-        assert score(cfg(), baseline).value == 1
+        assert score(cfg(), baseline) == 1
 
     def test_women_only(self, baseline):
         got = score(cfg(w1="MM", w2="Marya"), baseline)
-        assert got.value == MM * MARYA  # men contribute 1 throughout
-        assert f"{float(got.value):.4g}" == "0.0003659"
+        assert got == MM * MARYA  # men contribute 1 throughout
+        assert f"{float(got):.4g}" == "0.0003659"
 
-    def test_value_decomposition(self, baseline, rules):
-        got = score(TOMB, baseline, rules)
-        assert got.value == (got.women_part * got.singleton_part
-                             * got.generational_part / got.bonus_applied)
+    def test_value_decomposition(self, onom):
+        # the women's RRs times score_male_slots' parts, on every valid male
+        # tuple at M = 13, each with the next valid women pair in turn
+        spec = grown_spec(onom, PLUS_8)
+        women = [c.label for c in spec.women]
+        pairs = [(w1, w2) for w1, w2 in product(women, repeat=2)
+                 if validate(cfg(w1, w2), spec) is None]
+        for rules in (RuleLedger(), FRACTIONAL):
+            valid = 0
+            for slots in product([c.label for c in spec.men], repeat=4):
+                config = TombConfiguration(*pairs[valid % len(pairs)], *slots)
+                if validate(config, spec) is not None:
+                    continue
+                singles, generational, divisor = score_male_slots(*slots, spec, rules)
+                w1, w2 = (spec.category("female", label).rr for label in config[:2])
+                got = score(config, spec, rules)
+                assert type(got) is Fraction
+                assert got == w1 * w2 * singles * generational / divisor, config
+                valid += 1
+            assert valid == 21193
 
 
 class TestMaleFactors:
@@ -103,7 +123,7 @@ class TestMaleFactors:
             value = women
             for slot, _, _, factor in male_factors(*slots, baseline, ledger):
                 value = value / factor if slot == "bonus-divisor" else value * factor
-            assert value == score(config, baseline, ledger).value, slots
+            assert value == score(config, baseline, ledger), slots
             valid += 1
         # (s1, s2, son): 21 with son Other, any of 5 fathers; 52 with a named
         # son, any father but him
@@ -119,103 +139,83 @@ class TestMaleFactors:
 
 class TestGenerationalRules:
     def test_father_yeshua_discounted(self, baseline):
-        assert score(cfg(f="Yeshua", son="Yosef"), baseline).value == 1
+        assert score(cfg(f="Yeshua", son="Yosef"), baseline) == 1
 
     def test_father_yeshua_allowed_counts_father_only(self, baseline):
         rules = RuleLedger(allow_father_yeshua=True)
-        got = score(cfg(f="Yeshua", son="Yosef"), baseline, rules)
-        assert got.generational_part == YESHUA
+        assert male_parts(cfg(f="Yeshua", son="Yosef"), baseline, rules)[1] == YESHUA
 
     def test_father_other_discounts_the_son(self, baseline):
-        assert score(cfg(f="Other", son="Yeshua"), baseline).value == 1
+        assert score(cfg(f="Other", son="Yeshua"), baseline) == 1
 
     def test_father_counted_once_when_also_singleton(self, baseline):
-        got = score(cfg(s1="Yosef", f="Yosef", son="Yeshua"), baseline)
+        got = male_parts(cfg(s1="Yosef", f="Yosef", son="Yeshua"), baseline)
         # R10: father's rarity once, son at five times his rarity, bonus applies
-        assert got.singleton_part == 1
-        assert got.generational_part == YOSEF * YESHUA * 5
-        assert got.bonus_applied == Fraction(6, 5)
+        assert got == (1, YOSEF * YESHUA * 5, Fraction(6, 5))
 
     def test_singletons_yosef_and_yoseh_blank_the_yosef(self, baseline):
-        got = score(cfg(s1="Yosef", s2="Yoseh"), baseline)
-        assert got.singleton_part == YOSEH
+        assert male_parts(cfg(s1="Yosef", s2="Yoseh"), baseline)[0] == YOSEH
 
     def test_father_yoseh_unknown_son(self, baseline):
-        got = score(cfg(f="Yoseh", son="Other"), baseline)
-        assert got.generational_part == YOSEH
+        assert male_parts(cfg(f="Yoseh", son="Other"), baseline)[1] == YOSEH
 
     def test_father_yoseh_son_named_for_relative(self, baseline):
-        got = score(cfg(f="Yoseh", son="Yeshua"), baseline)
-        assert got.generational_part == YOSEH * YESHUA * 5
+        assert male_parts(cfg(f="Yoseh", son="Yeshua"), baseline)[1] == YOSEH * YESHUA * 5
 
     def test_father_yoseh_blanks_a_singleton_yosef(self, baseline):
-        got = score(cfg(s1="Yosef", s2="Other", f="Yoseh", son="James"), baseline)
-        assert got.singleton_part == 1
-        assert got.generational_part == YOSEH * JAMES * 5
+        got = male_parts(cfg(s1="Yosef", s2="Other", f="Yoseh", son="James"), baseline)
+        assert got[:2] == (1, YOSEH * JAMES * 5)
 
     def test_father_yosef_with_yoseh_present_full_for_listed_sons(self, baseline):
-        got = score(cfg(s1="Yoseh", f="Yosef", son="James"), baseline)
-        assert got.generational_part == YOSEF * JAMES
+        assert male_parts(cfg(s1="Yoseh", f="Yosef", son="James"), baseline)[1] == YOSEF * JAMES
 
     def test_father_yosef_with_yoseh_present_unknown_otherwise(self, baseline):
-        got, = [score(cfg(s1="Yoseh", f="Yosef", son="Other"), baseline)]
-        assert got.generational_part == 1
+        assert male_parts(cfg(s1="Yoseh", f="Yosef", son="Other"), baseline)[1] == 1
 
     def test_father_yosef_singleton_with_yoseh_is_unknowable(self, baseline):
-        got = score(cfg(s1="Yosef", s2="Yoseh", f="Yosef", son="Yeshua"), baseline)
-        assert got.generational_part == 1
-        assert got.singleton_part == YOSEH  # both Yosef mentions blanked
+        got = male_parts(cfg(s1="Yosef", s2="Yoseh", f="Yosef", son="Yeshua"), baseline)
+        assert got[1] == 1
+        assert got[0] == YOSEH  # both Yosef mentions blanked
 
     def test_father_yosef_no_yoseh_full_for_yeshua_or_james(self, baseline):
-        got = score(cfg(f="Yosef", son="James"), baseline)
-        assert got.generational_part == YOSEF * JAMES
-        got = score(cfg(f="Yosef", son="Other"), baseline)
-        assert got.generational_part == 1
+        assert male_parts(cfg(f="Yosef", son="James"), baseline)[1] == YOSEF * JAMES
+        assert male_parts(cfg(f="Yosef", son="Other"), baseline)[1] == 1
 
     def test_father_yosef_son_cleopas_counts_with_factor(self, spec_c):
-        got = score(cfg(f="Yosef", son="Cleopas"), spec_c)
-        assert got.generational_part == YOSEF * CLEOPAS * 5
+        assert male_parts(cfg(f="Yosef", son="Cleopas"), spec_c)[1] == YOSEF * CLEOPAS * 5
         # a Yoseh anywhere rules the brother out: back to the unknown pair
-        got = score(cfg(s1="Yoseh", f="Yosef", son="Cleopas"), spec_c)
-        assert got.generational_part == 1
+        assert male_parts(cfg(s1="Yoseh", f="Yosef", son="Cleopas"), spec_c)[1] == 1
 
     def test_father_james_singleton(self, spec_c):
-        got = score(cfg(s1="James", f="James", son="Cleopas"), spec_c)
-        assert got.singleton_part == 1
-        assert got.generational_part == JAMES * CLEOPAS * 5
+        got = male_parts(cfg(s1="James", f="James", son="Cleopas"), spec_c)
+        assert got[:2] == (1, JAMES * CLEOPAS * 5)
 
     def test_father_james_with_grandson_cleopas(self, spec_c):
-        got = score(cfg(f="James", son="Cleopas"), spec_c)
-        assert got.generational_part == JAMES * CLEOPAS
+        assert male_parts(cfg(f="James", son="Cleopas"), spec_c)[1] == JAMES * CLEOPAS
 
     def test_father_james_other_sons(self, baseline):
-        got = score(cfg(f="James", son="Yeshua"), baseline)
-        assert got.generational_part == JAMES * YESHUA * 5
-        got = score(cfg(f="James", son="Other"), baseline)
-        assert got.generational_part == JAMES
+        assert male_parts(cfg(f="James", son="Yeshua"), baseline)[1] == JAMES * YESHUA * 5
+        assert male_parts(cfg(f="James", son="Other"), baseline)[1] == JAMES
 
     def test_father_cleopas(self, spec_c):
-        got = score(cfg(f="Cleopas", son="Yoseh"), spec_c)
-        assert got.generational_part == CLEOPAS * YOSEH * 5
-        got = score(cfg(f="Cleopas", son="Yeshua"), spec_c)
-        assert got.generational_part == CLEOPAS
+        assert male_parts(cfg(f="Cleopas", son="Yoseh"), spec_c)[1] == CLEOPAS * YOSEH * 5
+        assert male_parts(cfg(f="Cleopas", son="Yeshua"), spec_c)[1] == CLEOPAS
 
     def test_unknown_sons_not_counted_when_disabled(self, baseline):
         rules = RuleLedger(count_unknown_sons=False)
-        got = score(cfg(f="Yoseh", son="Yeshua"), baseline, rules)
-        assert got.generational_part == YOSEH
-        got = score(cfg(s1="Yosef", f="Yosef", son="Yeshua"), baseline, rules)
-        assert got.generational_part == YOSEF
+        assert male_parts(cfg(f="Yoseh", son="Yeshua"), baseline, rules)[1] == YOSEH
+        got = male_parts(cfg(s1="Yosef", f="Yosef", son="Yeshua"), baseline, rules)
+        assert got[1] == YOSEF
 
     def test_bonus_only_for_the_prize_pair(self, baseline):
         for f, son in (("Yosef", "James"), ("James", "Yeshua"),
                        ("Yoseh", "Yeshua"), ("Other", "Yeshua")):
-            assert score(cfg(f=f, son=son), baseline).bonus_applied == 1
+            assert male_parts(cfg(f=f, son=son), baseline)[2] == 1
 
     def test_factor_parameter_respected(self, baseline):
         rules = RuleLedger(unknown_son_factor=Fraction(5, 2))
-        got = score(cfg(f="Yoseh", son="Yeshua"), baseline, rules)
-        assert got.generational_part == YOSEH * YESHUA * Fraction(5, 2)
+        got = male_parts(cfg(f="Yoseh", son="Yeshua"), baseline, rules)
+        assert got[1] == YOSEH * YESHUA * Fraction(5, 2)
 
 
 def all_valid_configs(spec):
@@ -230,7 +230,7 @@ def all_valid_configs(spec):
 class TestScoreProperties:
     def test_score_in_unit_interval(self, baseline, rules):
         for config in all_valid_configs(baseline):
-            value = score(config, baseline, rules).value
+            value = score(config, baseline, rules)
             assert 0 < value <= 1
 
     def test_slot_swap_symmetry(self, baseline, rules):
@@ -241,9 +241,9 @@ class TestScoreProperties:
             swapped_s = TombConfiguration(
                 config.woman1, config.woman2, config.singleton2,
                 config.singleton1, config.father, config.son)
-            value = score(config, baseline, rules).value
-            assert score(swapped_w, baseline, rules).value == value
-            assert score(swapped_s, baseline, rules).value == value
+            value = score(config, baseline, rules)
+            assert score(swapped_w, baseline, rules) == value
+            assert score(swapped_s, baseline, rules) == value
 
     def test_other_substitution_never_decreases_score(self, baseline, rules):
         # Exception: a father doubling as a singleton while a Yoseh is present
@@ -253,7 +253,7 @@ class TestScoreProperties:
         # see test_coincidence_reversal_is_the_only_nonmonotone_case.
         slots = ("woman1", "woman2", "singleton1", "singleton2", "father", "son")
         for config in all_valid_configs(baseline):
-            base_value = score(config, baseline, rules).value
+            base_value = score(config, baseline, rules)
             coincident = (config.father != "Other" and config.father in
                           (config.singleton1, config.singleton2))
             gap = coincident and "Yoseh" in (
@@ -267,7 +267,7 @@ class TestScoreProperties:
                 relaxed = TombConfiguration(**{
                     name: ("Other" if name == slot else getattr(config, name))
                     for name in slots})
-                assert score(relaxed, baseline, rules).value >= base_value
+                assert score(relaxed, baseline, rules) >= base_value
 
     def test_coincidence_reversal_is_the_only_nonmonotone_case(self, baseline, rules):
         # father Yosef doubling as a singleton with a Yoseh present: the pair
@@ -275,19 +275,18 @@ class TestScoreProperties:
         # pair score in full, so the relaxed configuration is *rarer*.
         tight = TombConfiguration("MM", "Marya", "Yosef", "Yeshua", "Yosef", "Yoseh")
         relaxed = TombConfiguration("MM", "Marya", "Other", "Yeshua", "Yosef", "Yoseh")
-        assert score(tight, baseline, rules).generational_part == 1
-        assert score(relaxed, baseline, rules).generational_part == \
-            Fraction(221, 2509) * YOSEH
-        assert score(relaxed, baseline, rules).value < score(tight, baseline, rules).value
+        assert male_parts(tight, baseline, rules)[1] == 1
+        assert male_parts(relaxed, baseline, rules)[1] == Fraction(221, 2509) * YOSEH
+        assert score(relaxed, baseline, rules) < score(tight, baseline, rules)
 
     def test_observed_males_are_in_their_best_arrangement(self, baseline, rules):
         names = ["Yoseh", "Other", "Yosef", "Yeshua"]
-        observed_value = score(TOMB, baseline, rules).value
+        observed_value = score(TOMB, baseline, rules)
         values = []
         for f, son, a, b in permutations(names):
             config = TombConfiguration("MM", "Marya", a, b, f, son)
             if validate(config, baseline) is None:
-                values.append(score(config, baseline, rules).value)
+                values.append(score(config, baseline, rules))
         assert len({(f, son, frozenset((a, b)))
                     for f, son, a, b in permutations(names)}) == 12
         assert observed_value == min(values)

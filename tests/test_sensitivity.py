@@ -169,7 +169,7 @@ class TestSharing:
         for scenario in suite:
             new_desc, new_rules = apply_deltas(DESCRIPTORS, rules, scenario.deltas)
             spec = build_spec(onom, new_desc)
-            cases.append((spec, new_rules, score(TOMB, spec, new_rules).value))
+            cases.append((spec, new_rules, score(TOMB, spec, new_rules)))
         walks = {(spec.men, new_rules.require_yeshua_in_tomb,
                   new_rules.allow_father_yeshua, new_rules.count_unknown_sons)
                  for spec, new_rules, _ in cases}
@@ -290,6 +290,32 @@ class TestScenarioSemantics:
         report = run_suite(onom, DESCRIPTORS, rules, TOMB, [twice], N2)[0]
         assert "already present" in report.error
 
+    @pytest.mark.parametrize("again", [lambda d: d, lambda d: d._replace(scale=Fraction(2))],
+                             ids=["same-object", "equal-person"])
+    def test_a_baseline_that_repeats_a_person_is_rejected(self, rules, again):
+        # an error, not a silent merge, also when a delta removes that person
+        twice = DESCRIPTORS + (again(DESCRIPTORS[0]),)
+        for deltas in ((), (("remove", DESCRIPTORS[0].person, None),)):
+            with pytest.raises(InputError, match="^candidate mary_magdalene: given twice$"):
+                apply_deltas(twice, rules, deltas)
+
+    def test_deltas_keep_the_order_of_the_candidates(self, rules):
+        first, *rest = DESCRIPTORS
+        out, _ = apply_deltas(DESCRIPTORS, rules, (
+            ("add", "joanna", ADDONS["joanna"]), ("remove", first.person, None),
+            ("add", first.person, first), ("scale", rest[0].person, Fraction(2))))
+        assert out == (rest[0]._replace(scale=Fraction(2)), *rest[1:], ADDONS["joanna"], first)
+
+    def test_deltas_are_applied_in_linear_time(self, rules):
+        # 16 times the deltas take about 16 times as long. Rebuilding the list
+        # of persons on every delta took about 240 times
+        def seconds(n):
+            deltas = [("add", f"x{i}", ADDONS["joanna"]._replace(person=f"x{i}"))
+                      for i in range(n)]
+            return min(timeit.repeat(lambda: apply_deltas(DESCRIPTORS, rules, deltas),
+                                     number=1, repeat=3))
+        assert seconds(16000) < 48 * seconds(1000)
+
     def test_an_addition_drawing_taken_persons_errors_that_row_only(
             self, onom, rules):
         reports = run_suite(onom, DESCRIPTORS, rules, TOMB, parse_suite(
@@ -326,8 +352,14 @@ class TestSuiteParsing:
             load_suite("")
 
     def test_overlarge_exponent_names_the_row(self):
-        with pytest.raises(InputError, match="^row 2: decimal exponent beyond"):
+        with pytest.raises(InputError, match="^row 2: scale: decimal exponent beyond"):
             parse_suite("scenario big\nscale mary_magdalene 1e999999999\n")
+
+    def test_a_number_names_its_field(self):
+        for row, message in (("scale mary_magdalene 1/0", "scale: zero denominator"),
+                             ("reference abc", "reference: Invalid literal for Fraction: 'abc'")):
+            with pytest.raises(InputError, match=f"^row 2: {message}$"):
+                parse_suite(f"scenario s\n{row}\n")
 
     @pytest.mark.parametrize("row, message", [
         ("scale mary_magdalene 1/0", "zero denominator"),

@@ -68,7 +68,7 @@ def grown_spec(onom, added):
 
 @pytest.fixture(scope="module")
 def baseline_tail(baseline, rules):
-    observed = score(TOMB, baseline, rules).value
+    observed = score(TOMB, baseline, rules)
     return enumerate_tail(baseline, rules, observed)
 
 
@@ -87,7 +87,7 @@ class TestTupleSpace:
 
 class TestBaselineEnumeration:
     def test_observed(self, baseline, rules):
-        assert score(TOMB, baseline, rules).value == OBSERVED
+        assert score(TOMB, baseline, rules) == OBSERVED
 
     def test_masses(self, baseline_tail):
         assert baseline_tail.total_mass == TOTAL
@@ -120,7 +120,7 @@ class TestFrozenLargerSpaces:
     def test_masses(self, onom, added, ledger):
         spec = grown_spec(onom, added)
         rules = LEDGERS[ledger]
-        result = enumerate_tail(spec, rules, score(TOMB, spec, rules).value)
+        result = enumerate_tail(spec, rules, score(TOMB, spec, rules))
         assert (result.valid_mass, result.tail_mass) == FROZEN[added, ledger]
 
     @pytest.mark.parametrize("rules", list(LEDGERS.values()), ids=list(LEDGERS))
@@ -180,10 +180,10 @@ class TestSharedWalk:
                                             unknown_son_factor=factor)
                    for bonus, factor in self.NUMBERS]
         memo = {}  # one entry per male walk
-        shared = [enumerate_tail(spec, rules, score(TOMB, spec, rules).value, memo)
+        shared = [enumerate_tail(spec, rules, score(TOMB, spec, rules), memo)
                   for rules in ledgers]
         assert len(memo) == 1
-        fresh = [enumerate_tail(spec, rules, score(TOMB, spec, rules).value)
+        fresh = [enumerate_tail(spec, rules, score(TOMB, spec, rules))
                  for rules in ledgers]
         assert shared == fresh
         assert len({result.valid_mass for result in shared}) == 1
@@ -213,7 +213,7 @@ class TestSharedWalk:
         memo = {}  # one entry per male walk
         for bonus, factor in numbers:
             rules = switched._replace(bonus_divisor=bonus, unknown_son_factor=factor)
-            observed = score(config, spec, rules).value
+            observed = score(config, spec, rules)
             result = enumerate_tail(spec, rules, observed, memo)
             assert (result.total_mass, result.valid_mass, result.tail_mass) \
                 == person_level_tail(spec, rules, observed)
@@ -227,7 +227,7 @@ class TestMaleTable:
         # male categories must give the frozen masses
         spec = grown_spec(onom, PLUS_8)
         rules = LEDGERS[ledger]
-        observed = score(TOMB, spec, rules).value
+        observed = score(TOMB, spec, rules)
         shuffled = list(spec.men)
         random.Random(13).shuffle(shuffled)
         for men in (tuple(reversed(spec.men)), tuple(shuffled)):
@@ -247,7 +247,7 @@ class TestMaleTable:
         variant = spec._replace(men=(changed, yeshua, other))
         config = TombConfiguration("W0", "Other", "Yosef", "Other",
                                    "Yosef", "Yeshua")
-        observed = score(config, spec, rules).value
+        observed = score(config, spec, rules)
         assert male_table(spec.men, rules) != male_table(variant.men, rules)
         for hypothesis in (spec, variant):
             result = enumerate_tail(hypothesis, rules, observed)
@@ -305,7 +305,7 @@ class TestDistribution:
             tombs = [TombConfiguration(*map(rng.choice, (women,) * 2 + (men,) * 4))
                      for _ in range(12)]
             # achievable scores, which ties reach, and half the least of them
-            scores = sorted({score(tomb, spec, rules).value for tomb in tombs
+            scores = sorted({score(tomb, spec, rules) for tomb in tombs
                              if validate(tomb, spec) is None})
             thresholds = scores[:3] + [scores[0] / 2]
             assert len(thresholds) >= 3, f"trial {trial}"
@@ -326,7 +326,7 @@ class TestPersonLevelOracle:
         rules = RuleLedger()
         config = TombConfiguration("W0", "Other", "Yosef", "Other",
                                    "Yosef", "Yeshua")
-        observed = score(config, spec, rules).value
+        observed = score(config, spec, rules)
         total, valid, tail = person_level_tail(spec, rules, observed)
         assert total == 5 ** 2 * 9 ** 4
         result = enumerate_tail(spec, rules, observed)
@@ -347,7 +347,7 @@ class TestPersonLevelOracle:
             if validate(config, spec) is not None:
                 config = TombConfiguration(
                     women[0], "Other", men[0], "Other", "Other", "Other")
-            observed = score(config, spec, rules).value
+            observed = score(config, spec, rules)
             total, valid, tail = person_level_tail(spec, rules, observed)
             result = enumerate_tail(spec, rules, observed)
             assert result.total_mass == total, f"trial {trial}"
@@ -381,7 +381,7 @@ class TestPersonLevelOracle:
             config = TombConfiguration(
                 spec.women[0].label, "Other", labels_m[0], "Other",
                 "Other", "Other")
-        observed = score(config, spec, rules).value
+        observed = score(config, spec, rules)
         total, valid, tail = person_level_tail(spec, rules, observed)
         result = enumerate_tail(spec, rules, observed)
         assert (result.total_mass, result.valid_mass, result.tail_mass) \
@@ -397,8 +397,8 @@ class TestTailMonotonicityProperties:
         rules = RuleLedger()
         config = TombConfiguration("A", "Other", "B", "Other", "C", "Other")
         config2 = TombConfiguration("X", "Other", "Y", "Other", "Z", "Other")
-        obs1 = score(config, spec, rules).value
-        obs2 = score(config2, renamed, rules).value
+        obs1 = score(config, spec, rules)
+        obs2 = score(config2, renamed, rules)
         assert obs1 == obs2
         assert enumerate_tail(spec, rules, obs1).proportion \
             == enumerate_tail(renamed, rules, obs2).proportion
@@ -408,7 +408,7 @@ class TestTailMonotonicityProperties:
         for key in ("joanna", "martha", "cleopas"):
             spec = build_spec(
                 onom, DESCRIPTORS + (ADDONS[key],))
-            observed = score(TOMB, spec, rules).value
+            observed = score(TOMB, spec, rules)
             assert observed == OBSERVED  # additions leave the observed RR alone
             grown = enumerate_tail(spec, rules, observed)
             assert grown.proportion >= baseline_tail.proportion
@@ -420,6 +420,6 @@ class TestTailMonotonicityProperties:
                 d._replace(scale=Fraction(2)) if d.person == person else d
                 for d in DESCRIPTORS)
             spec = build_spec(onom, scaled)
-            observed = score(TOMB, spec, rules).value
+            observed = score(TOMB, spec, rules)
             grown = enumerate_tail(spec, rules, observed)
             assert grown.proportion >= baseline_tail.proportion

@@ -1,6 +1,6 @@
 """Value types: namedtuple subclasses, checked on construction and _replace.
 
-Each of the 16 value types is ``class X(namedtuple("X", ...))`` with
+Each of the 15 value types is ``class X(namedtuple("X", ...))`` with
 ``__slots__ = ()``, so its values are tuples with no instance dict. Building
 one costs about 0.2 ms at a CLI start, against 0.3 ms as a
 ``typing.NamedTuple``, which checks and compiles every field's annotation
@@ -34,7 +34,7 @@ MODULES = ["namecluster"] + [f"namecluster.{m.name}"
 
 # type -> (module, fields, defaults), as first defined with typing.NamedTuple,
 # except that a ScenarioReport no longer repeats its scenario's name and
-# reference, and an RRValue's bonus_applied has no default
+# reference
 FIELDS = {
     "GenericNameCount": (
         "onomasticon", "name gender total_persons ossuary_persons", {"ossuary_persons": None}),
@@ -54,8 +54,6 @@ FIELDS = {
          "count_unknown_sons": True}),
     "TombConfiguration": (
         "candidates", "woman1 woman2 singleton1 singleton2 father son", {}),
-    "RRValue": (
-        "scoring", "value women_part singleton_part generational_part bonus_applied", {}),
     "TailResult": (
         "tailspace", "total_mass valid_mass tail_mass proportion", {}),
     "MaleTable": ("tailspace", "r mass_scale valid_mass classes", {}),
@@ -151,11 +149,11 @@ def one_of_each(onom):
     """A value of each value type, from the bundled inputs, by type name."""
     spec = build_spec(onom, DESCRIPTORS)
     rules = RuleLedger()
-    observed = score(TOMB, spec, rules)
+    observed = score(TOMB, spec, rules)  # a Fraction, not a value type
     scenario = next(s for s in load_suite() if s.deltas)
     params = DemographyParams()
     values = [onom.generics[0], onom.slices[0], onom, spec.men[0], DESCRIPTORS[0],
-              spec, rules, TOMB, observed, enumerate_tail(spec, rules, observed.value),
+              spec, rules, TOMB, enumerate_tail(spec, rules, observed),
               male_table(spec.men, rules), distribution(spec, rules),
               scenario,
               run_scenario(onom, DESCRIPTORS, rules, TOMB, scenario, N2), params,
