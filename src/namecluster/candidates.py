@@ -164,12 +164,12 @@ def build_categories(onom: Onomasticon, gender: str,
     return tuple(out)
 
 
-def by_person(candidates: Sequence[CandidateDescriptor]) -> dict[str, CandidateDescriptor]:
-    """The candidates keyed by person, in order; a person given twice is an InputError."""
-    out: dict[str, CandidateDescriptor] = {}
+def by_person(candidates: Sequence[CandidateDescriptor], out: Optional[dict] = None) -> dict:
+    """Add the candidates by person to ``out`` or a new dict; a repeat is an InputError."""
+    out = {} if out is None else out
     for desc in candidates:
         if desc.person in out:
-            raise InputError(f"candidate {desc.person}: given twice")
+            raise InputError(f"candidate: {desc.person}: given twice")
         out[desc.person] = desc
     return out
 
@@ -245,9 +245,7 @@ def parse_hypothesis_config(text: str):
         tombs.append(TombConfiguration(**slots))
 
     def candidate(fields):
-        desc = parse_candidate(fields)
-        if descriptors.setdefault(desc.person, desc) is not desc:
-            raise ValueError(f"candidate: {desc.person}: given twice")
+        by_person([parse_candidate(fields)], descriptors)
 
     read_records(text, {"candidate": candidate, "observed": observed})
     if not tombs:

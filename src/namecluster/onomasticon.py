@@ -325,7 +325,7 @@ def parse_options(words, parsers) -> dict:
     options = {}
     for word in words:
         key, eq, value = word.partition("=")
-        if not eq:
+        if not eq or not value:
             raise ValueError(f"expected key=value, got {word!r}")
         if key not in parsers:
             raise ValueError(f"unknown option {key!r}")

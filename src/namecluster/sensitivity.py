@@ -63,12 +63,12 @@ def matches_at_printed_precision(value: Fraction, reference: str) -> bool:
 
 def apply_deltas(descriptors: Sequence[CandidateDescriptor], rules: RuleLedger,
                  deltas: Sequence[tuple]) -> tuple[tuple[CandidateDescriptor, ...], RuleLedger]:
+    """The candidates and ledger after ``deltas``. An add's subject is its descriptor's
+    person, as ``parse_suite`` makes it, so ``by_person`` keys it and refuses a repeat."""
     out = by_person(descriptors)  # in order: an added person comes last
     for verb, subject, value in deltas:
         if verb == "add":
-            if subject in out:
-                raise InputError(f"candidate {subject} already present")
-            out[subject] = value
+            by_person([value], out)
         elif verb in ("remove", "scale"):
             if subject not in out:
                 raise InputError(f"no candidate named {subject}")

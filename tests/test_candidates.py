@@ -93,7 +93,7 @@ class TestSpecEdits:
 
     def test_duplicate_person_rejected(self, onom):
         dup = DESCRIPTORS + (DESCRIPTORS[0],)
-        with pytest.raises(InputError, match="^candidate mary_magdalene: given twice$"):
+        with pytest.raises(InputError, match="^candidate: mary_magdalene: given twice$"):
             build_spec(onom, dup)
 
     def test_duplicate_label_rejected(self, onom):
